@@ -4,133 +4,16 @@
 //! cargo run -p wow-bench --bin repro --release             # everything
 //! cargo run -p wow-bench --bin repro --release -- table2   # one experiment
 //! cargo run -p wow-bench --bin repro --release -- --smoke  # tiny sizes
-//! cargo run -p wow-bench --bin repro --release -- --metrics # dump percentiles
 //! cargo run -p wow-bench --bin repro --release -- --explain # annotated plan demo
 //! ```
 //!
-//! Besides the rendered text, a machine-readable `BENCH_PR10.json` with the
-//! same rows — plus a `metrics` section carrying p50/p95/p99 latency
-//! percentiles per traced operation and a `tracing` section with the
-//! traced-vs-untraced overhead ratio the CI gate bounds — is written to
-//! the working directory (disable with `--no-json`). Two more artifacts
-//! ride along for CI: `METRICS.prom` (the Prometheus-format metrics dump,
-//! same text the wire-level `MetricsDump` request returns) and
-//! `SLOW_QUERIES.log` (the tracer's slow-query log). `--metrics`
-//! additionally prints the percentile section as a human-readable table;
-//! `--explain` prints an `EXPLAIN ANALYZE` annotated plan for a
-//! representative query and exits. The percentiles come from running the
-//! instrumented workload (`experiments::instrumented_workload`) with the
-//! span tracer on, so `BENCH_PR10.json` is what the CI `bench_gate` binary
-//! diffs against the checked-in baseline.
+//! Each experiment asserts its own invariants and prints one table; the
+//! shapes are recorded in `EXPERIMENTS.md`. `--explain` prints an
+//! `EXPLAIN ANALYZE` annotated plan for a representative query and exits.
+//! End-to-end latency is measured by `wowbench` (see `BENCHMARK.json`).
 
-use wow_bench::experiments::{self, Scale, TracingOverhead};
-use wow_bench::{fmt_duration, render_table, Table};
-use wow_obs::MetricsSnapshot;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_array(items: impl Iterator<Item = String>) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(","))
-}
-
-/// Serialize the run. Hand-rolled: the offline build has no serde_json.
-fn to_json(
-    scale: Scale,
-    tables: &[Table],
-    metrics: &MetricsSnapshot,
-    overhead: Option<TracingOverhead>,
-) -> String {
-    let experiments = json_array(tables.iter().map(|t| {
-        let headers = json_array(t.headers.iter().map(|h| format!("\"{}\"", json_escape(h))));
-        let rows = json_array(
-            t.rows
-                .iter()
-                .map(|r| json_array(r.iter().map(|c| format!("\"{}\"", json_escape(c))))),
-        );
-        format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"headers\":{},\"rows\":{},\"expectation\":\"{}\"}}",
-            json_escape(&t.id),
-            json_escape(&t.title),
-            headers,
-            rows,
-            json_escape(&t.expectation)
-        )
-    }));
-    let ops = metrics
-        .ops
-        .iter()
-        .map(|(op, s)| {
-            format!(
-                "\"{}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                json_escape(op.name()),
-                s.count,
-                s.mean_ns,
-                s.p50_ns,
-                s.p95_ns,
-                s.p99_ns,
-                s.max_ns
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let counters = metrics
-        .counters
-        .iter()
-        .map(|(name, v)| format!("\"{}\":{v}", json_escape(name)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let tracing = match overhead {
-        Some(o) => format!(
-            ",\"tracing\":{{\"untraced_ns\":{},\"traced_ns\":{},\"overhead_ratio\":{:.4}}}",
-            o.untraced_ns, o.traced_ns, o.ratio
-        ),
-        None => String::new(),
-    };
-    format!(
-        "{{\"bench\":\"PR10\",\"scale\":\"{scale:?}\",\"experiments\":{experiments},\
-         \"metrics\":{{{ops}}},\"counters\":{{{counters}}}{tracing}}}\n"
-    )
-}
-
-fn print_metrics(metrics: &MetricsSnapshot) {
-    println!("Traced-operation latency percentiles (instrumented workload)");
-    println!(
-        "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "op", "count", "mean", "p50", "p95", "p99", "max"
-    );
-    for (op, s) in &metrics.ops {
-        let d = |ns: u64| fmt_duration(std::time::Duration::from_nanos(ns));
-        println!(
-            "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            op.name(),
-            s.count,
-            d(s.mean_ns),
-            d(s.p50_ns),
-            d(s.p95_ns),
-            d(s.p99_ns),
-            d(s.max_ns)
-        );
-    }
-    println!();
-    println!("Gauges (pool / world / locks / exec / rows)");
-    for (name, v) in &metrics.counters {
-        println!("  {name:<26} {v}");
-    }
-    println!();
-}
+use wow_bench::experiments::{self, Scale};
+use wow_bench::render_table;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -144,93 +27,19 @@ fn main() {
         println!("{}", experiments::explain_analyze_demo(scale));
         return;
     }
-    let write_json = !args.iter().any(|a| a == "--no-json");
-    let dump_metrics = args.iter().any(|a| a == "--metrics");
     let filter: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let runs: Vec<(&str, fn(Scale) -> Table)> = vec![
-        ("table1", experiments::table1_form_compile),
-        ("table2", experiments::table2_browse),
-        ("table2b", experiments::table2b_limit_pushdown),
-        ("table3", experiments::table3_view_update),
-        ("table4", experiments::table4_qbf),
-        ("figure1", experiments::figure1_redraw),
-        ("figure2", experiments::figure2_join_view),
-        ("figure3", experiments::figure3_scan_crossover),
-        ("figure4", experiments::figure4_propagate),
-        ("figure5", experiments::figure5_parallel_scaling),
-        ("figure6", experiments::figure6_vectorized),
-        ("table5", experiments::table5_locking),
-        ("table6", experiments::table6_wal),
-        ("table7", experiments::table7_expansion),
-        ("table8", experiments::table8_overhead),
-        ("table9", experiments::table9_net),
-        ("table10", experiments::table10_durability),
-    ];
     println!("Windows on the World — evaluation reproduction (scale: {scale:?})");
     println!("(reconstructed experiments; see DESIGN.md for the paper-text mismatch note)\n");
-    let mut tables = Vec::new();
-    for (key, f) in runs {
-        if !filter.is_empty() && !filter.iter().any(|w| w.as_str() == key) {
+    let mut ran = 0;
+    for (key, f) in experiments::ALL {
+        if !filter.is_empty() && !filter.iter().any(|w| w.as_str() == *key) {
             continue;
         }
-        let table = f(scale);
-        println!("{}", render_table(&table));
-        tables.push(table);
+        println!("{}", render_table(&f(scale)));
+        ran += 1;
     }
-    if tables.is_empty() {
+    if ran == 0 {
         eprintln!("no experiment matched; known keys: table1..table10, table2b, figure1..figure6");
         std::process::exit(2);
-    }
-    // Percentiles only accompany a full (unfiltered) run: a filtered run is
-    // someone iterating on one experiment, and the workload costs seconds.
-    // A 1 ms slow threshold (vs the 100 ms production default) makes the
-    // workload's heavier root spans land in the slow-query log artifact;
-    // the env override survives the per-World threshold resets that
-    // constructing bench worlds would otherwise apply.
-    let metrics = if filter.is_empty() && (write_json || dump_metrics) {
-        if std::env::var_os("WOW_SLOW_NS").is_none() {
-            std::env::set_var("WOW_SLOW_NS", "1000000");
-        }
-        wow_obs::tracer().set_slow_threshold_ns(wow_obs::resolve_slow_threshold_ns(1_000_000));
-        experiments::instrumented_workload(scale)
-    } else {
-        MetricsSnapshot::default()
-    };
-    if dump_metrics && !metrics.ops.is_empty() {
-        print_metrics(&metrics);
-    }
-    if write_json {
-        let overhead = experiments::tracing_overhead(scale);
-        println!(
-            "tracing overhead: untraced {} vs traced {} ({:.2}% — gate limit 5%)",
-            fmt_duration(std::time::Duration::from_nanos(overhead.untraced_ns)),
-            fmt_duration(std::time::Duration::from_nanos(overhead.traced_ns)),
-            (overhead.ratio - 1.0) * 100.0
-        );
-        let path = "BENCH_PR10.json";
-        match std::fs::write(path, to_json(scale, &tables, &metrics, Some(overhead))) {
-            Ok(()) => println!("wrote {path} ({} experiments)", tables.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        match std::fs::write("METRICS.prom", wow_obs::prometheus(&metrics)) {
-            Ok(()) => println!("wrote METRICS.prom"),
-            Err(e) => eprintln!("could not write METRICS.prom: {e}"),
-        }
-        let slow = wow_obs::tracer().slow_snapshot();
-        let mut log = String::from("# slow-query log: root spans over the slow threshold\n");
-        for s in &slow {
-            log.push_str(&format!(
-                "trace={} span={} op={} dur_ns={} arg={}\n",
-                s.trace_id,
-                s.span_id,
-                s.op.name(),
-                s.dur_ns,
-                s.arg
-            ));
-        }
-        match std::fs::write("SLOW_QUERIES.log", log) {
-            Ok(()) => println!("wrote SLOW_QUERIES.log ({} entries)", slow.len()),
-            Err(e) => eprintln!("could not write SLOW_QUERIES.log: {e}"),
-        }
     }
 }

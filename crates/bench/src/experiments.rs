@@ -1607,10 +1607,8 @@ pub fn table9_net(scale: Scale) -> Table {
 /// file-backed WAL with an fsync on every commit — plus the cost of crash
 /// recovery (reopening the durable directory and replaying the log).
 ///
-/// The fsync-per-commit configuration is deliberately the **last row**:
-/// the CI bench gate reads it from there as the informational
-/// `commit_fsync` metric. Each rung runs the same workload: `n`
-/// transactions of one insert each against a keyed two-column table.
+/// Each rung runs the same workload: `n` transactions of one insert each
+/// against a keyed two-column table.
 pub fn table10_durability(scale: Scale) -> Table {
     use wow_storage::wal::SyncPolicy;
     let mut t = Table::new(
@@ -1706,160 +1704,6 @@ pub fn table10_durability(scale: Scale) -> Table {
     t
 }
 
-// ---------------------------------------------------------------------------
-// Instrumented workload — the percentile source for BENCH_*.json
-// ---------------------------------------------------------------------------
-
-/// Run a dedicated traced workload and return the full registry snapshot:
-/// per-operation latency summaries plus every absorbed gauge (`pool.*`,
-/// `world.*`, `locks.*`, `exec.*`, `rows.*`). This is what `repro` embeds
-/// as the `metrics`/`counters` sections of `BENCH_*.json` (and what the CI
-/// bench gate diffs across PRs): repeated window opens and page-forwards
-/// over an indexed view, through-window commits delta-propagated to a
-/// watcher, and a few rendered frames.
-pub fn instrumented_workload(scale: Scale) -> wow_obs::MetricsSnapshot {
-    let n = scale.pick(300, 100_000);
-    // Enough samples at smoke scale that p95 reflects the warm path, not
-    // the one cold-start outlier — the CI gate reads these percentiles.
-    let opens = scale.pick(25, 30);
-    let commits = scale.pick(25, 50);
-    let mut world = student_world(n);
-    let s = world.open_session();
-    let _watcher = world.open_window(s, "students", None).unwrap();
-    let editor = world.open_window(s, "students", None).unwrap();
-    // Untraced warmup so the recorded percentiles describe the steady
-    // state, not first-touch allocation and cold caches.
-    for _ in 0..5 {
-        let win = world.open_window(s, "students", None).unwrap();
-        world.browse_next_page(win).unwrap();
-        world.close_window(win).unwrap();
-        world.enter_edit(editor).unwrap();
-        world.window_mut(editor).unwrap().form.set_text(2, "3");
-        world.commit(editor).unwrap();
-    }
-    wow_obs::metrics().reset();
-    wow_obs::tracer().clear();
-    wow_obs::tracer().set_enabled(true);
-    for _ in 0..opens {
-        let win = world.open_window(s, "students", None).unwrap();
-        world.browse_next_page(win).unwrap();
-        world.browse_next_page(win).unwrap();
-        world.close_window(win).unwrap();
-    }
-    let mut year = 5i64;
-    for _ in 0..commits {
-        world.enter_edit(editor).unwrap();
-        year += 1;
-        world
-            .window_mut(editor)
-            .unwrap()
-            .form
-            .set_text(2, &(year % 90).to_string());
-        world.commit(editor).unwrap();
-        world.render();
-    }
-    // Plain queries so `query_exec` percentiles land in the snapshot (the
-    // browse and commit paths above go through cursors and deltas, not the
-    // top-level executor) — the bench gate reads `metrics.query_exec`.
-    for i in 0..scale.pick(25, 40) {
-        world
-            .db_mut()
-            .run(&format!(
-                "RETRIEVE (s.sid, s.sname) WHERE s.year = {}",
-                i % 4
-            ))
-            .unwrap();
-    }
-    // A short burst through the window server so `net_request` and
-    // `net_push` percentiles land in the snapshot too (the CI bench gate
-    // reports them informationally; they only record while the tracer is
-    // on, so this runs before it is disabled).
-    let server = wow_net::Server::start(
-        student_world(scale.pick(60, 2_000)),
-        "127.0.0.1:0",
-        wow_net::ServerConfig::default(),
-    )
-    .expect("instrumented workload server must bind a loopback port");
-    wow_workload::netload::run(
-        server.local_addr(),
-        &wow_workload::netload::NetLoadConfig {
-            clients: scale.pick(3, 8),
-            ops_per_client: scale.pick(5, 40),
-            commits: scale.pick(5, 25),
-            view: "students".into(),
-            edit_field: 2,
-            commit_gap_ms: 2,
-            seed: 11,
-        },
-    )
-    .expect("instrumented net load failed");
-    server.shutdown();
-    wow_obs::tracer().set_enabled(false);
-    // Fold the legacy stats surfaces (PoolStats, WorldStats, lock/exec
-    // counters, per-table row counts) into the same snapshot the
-    // percentiles come from.
-    world.export_metrics();
-    wow_obs::metrics().snapshot()
-}
-
-/// Traced-vs-untraced wall time over the same query workload — the
-/// "observability tax" the CI gate bounds at 5%.
-#[derive(Debug, Clone, Copy)]
-pub struct TracingOverhead {
-    /// Median workload wall time with the tracer off.
-    pub untraced_ns: u64,
-    /// Median workload wall time with the tracer on (spans recorded,
-    /// operators instrumented).
-    pub traced_ns: u64,
-    /// `traced_ns / untraced_ns`.
-    pub ratio: f64,
-}
-
-/// Measure the cost of leaving the tracer on: the same query workload is
-/// timed with tracing off and on, alternating, and the medians compared.
-/// Alternation keeps slow drift (thermal, cache, scheduler) from landing
-/// entirely on one side of the comparison.
-pub fn tracing_overhead(scale: Scale) -> TracingOverhead {
-    let n = scale.pick(2_000, 60_000);
-    let reps = scale.pick(3, 7);
-    let queries = scale.pick(8, 25);
-    let mut world = student_world(n);
-    let run_once = |world: &mut World| {
-        for i in 0..queries {
-            world
-                .db_mut()
-                .run(&format!(
-                    "RETRIEVE (s.sname, s.gpa) WHERE s.year = {} AND s.gpa > 2.0 SORT BY s.gpa",
-                    i % 4
-                ))
-                .unwrap();
-        }
-    };
-    run_once(&mut world); // warmup: first-touch allocation, cold caches
-    let mut untraced = Vec::with_capacity(reps);
-    let mut traced = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        wow_obs::tracer().set_enabled(false);
-        let t0 = Instant::now();
-        run_once(&mut world);
-        untraced.push(t0.elapsed().as_nanos() as u64);
-        wow_obs::tracer().set_enabled(true);
-        let t0 = Instant::now();
-        run_once(&mut world);
-        traced.push(t0.elapsed().as_nanos() as u64);
-    }
-    wow_obs::tracer().set_enabled(false);
-    untraced.sort_unstable();
-    traced.sort_unstable();
-    let u = untraced[reps / 2].max(1);
-    let t = traced[reps / 2];
-    TracingOverhead {
-        untraced_ns: u,
-        traced_ns: t,
-        ratio: t as f64 / u as f64,
-    }
-}
-
 /// The annotated plan behind `repro --explain`: one representative
 /// filter/sort/limit query run through `EXPLAIN ANALYZE`.
 pub fn explain_analyze_demo(scale: Scale) -> String {
@@ -1879,64 +1723,43 @@ pub fn explain_analyze_demo(scale: Scale) -> String {
         .join("\n")
 }
 
-/// Run every experiment at a scale.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        table1_form_compile(scale),
-        table2_browse(scale),
-        table2b_limit_pushdown(scale),
-        table3_view_update(scale),
-        table4_qbf(scale),
-        figure1_redraw(scale),
-        figure2_join_view(scale),
-        figure3_scan_crossover(scale),
-        figure4_propagate(scale),
-        figure5_parallel_scaling(scale),
-        figure6_vectorized(scale),
-        table5_locking(scale),
-        table6_wal(scale),
-        table7_expansion(scale),
-        table8_overhead(scale),
-        table9_net(scale),
-        table10_durability(scale),
-    ]
-}
+/// One experiment: builds its world at a scale, asserts its invariants,
+/// and returns its table.
+pub type Experiment = fn(Scale) -> Table;
+
+/// Every experiment, in report order, keyed by the name `repro` accepts.
+pub const ALL: &[(&str, Experiment)] = &[
+    ("table1", table1_form_compile),
+    ("table2", table2_browse),
+    ("table2b", table2b_limit_pushdown),
+    ("table3", table3_view_update),
+    ("table4", table4_qbf),
+    ("figure1", figure1_redraw),
+    ("figure2", figure2_join_view),
+    ("figure3", figure3_scan_crossover),
+    ("figure4", figure4_propagate),
+    ("figure5", figure5_parallel_scaling),
+    ("figure6", figure6_vectorized),
+    ("table5", table5_locking),
+    ("table6", table6_wal),
+    ("table7", table7_expansion),
+    ("table8", table8_overhead),
+    ("table9", table9_net),
+    ("table10", table10_durability),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both tests below toggle the process-global tracer; serialize them so
-    /// neither disables tracing mid-measurement of the other.
-    static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn every_experiment_runs_at_smoke_scale() {
-        let _serial = TRACE_LOCK.lock().unwrap();
-        for table in run_all(Scale::Smoke) {
+        for (_, experiment) in ALL {
+            let table = experiment(Scale::Smoke);
             assert!(!table.rows.is_empty(), "{} produced no rows", table.id);
             // Render must not panic and must carry the id.
             let text = crate::render_table(&table);
             assert!(text.contains(&table.id));
-        }
-    }
-
-    #[test]
-    fn instrumented_workload_yields_required_percentiles() {
-        let _serial = TRACE_LOCK.lock().unwrap();
-        let snap = instrumented_workload(Scale::Smoke);
-        for required in ["browse_open", "commit", "delta_refresh", "query_exec"] {
-            let (_, h) = snap
-                .ops
-                .iter()
-                .find(|(op, _)| op.name() == required)
-                .unwrap_or_else(|| panic!("workload must record {required}"));
-            assert!(h.count > 0);
-            assert!(h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
-        }
-        // All three legacy stats surfaces made it into the one snapshot.
-        for gauge in ["pool.hits", "world.commits", "rows.student"] {
-            assert!(snap.counter(gauge).is_some(), "missing gauge {gauge}");
         }
     }
 }

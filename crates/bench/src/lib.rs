@@ -1,16 +1,16 @@
 //! # wow-bench
 //!
-//! The evaluation harness: one module per table/figure of the
+//! The evaluation harness: one function per table/figure of the
 //! (reconstructed) evaluation, each returning a structured result that the
-//! `repro` binary renders and `EXPERIMENTS.md` records. The Criterion
-//! targets under `benches/` wrap the same code paths for statistically
-//! careful micro-numbers; the `repro` binary favours end-to-end shape.
+//! `repro` binary renders and `EXPERIMENTS.md` records. These are shape
+//! tables — who wins, by how much, where the crossover lies — not
+//! regression gates: end-to-end latency is measured by `wowbench`
+//! (`benchmark/`, declared in `BENCHMARK.json`).
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured notes.
 
 pub mod experiments;
-pub mod json;
 pub mod table;
 
 pub use table::{render_table, Table};

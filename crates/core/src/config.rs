@@ -26,11 +26,6 @@ pub struct WorldConfig {
     /// variable overrides either way (see [`wow_par::resolve_workers`]).
     /// `1` is exact serial execution.
     pub workers: usize,
-    /// Whether scans/filters/projections run on the vectorized batch
-    /// executor with compiled predicates; off forces the row-at-a-time
-    /// reference interpreter everywhere. The `WOW_VECTORIZED` environment
-    /// variable overrides either way (see [`wow_rel::db::resolve_vectorized`]).
-    pub vectorized: bool,
     /// Slow-query threshold: traced root spans at least this slow are
     /// copied into the tracer's slow-query log. `0` disables the log; the
     /// `WOW_SLOW_NS` environment variable overrides either way (see
@@ -54,7 +49,6 @@ impl Default for WorldConfig {
             undo_depth: 64,
             delta_propagation: true,
             workers: 0,
-            vectorized: true,
             slow_query_ns: 100_000_000,
             checkpoint_every: 1024,
         }

@@ -384,6 +384,10 @@ mod tests {
     use crate::config::WorldConfig;
     use crate::error::WowError;
 
+    /// The tracer is process-global: tests that toggle it take this lock so
+    /// one cannot switch it off while another is recording.
+    static TRACER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn world() -> World {
         let mut w = World::new(WorldConfig::default());
         w.db_mut()
@@ -535,6 +539,7 @@ mod tests {
 
     #[test]
     fn traces_window_carries_causal_linkage() {
+        let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
         let mut w = world();
         let t = wow_obs::tracer();
         t.set_enabled(true);
@@ -544,6 +549,9 @@ mod tests {
             let s = w.open_session();
             let win = w.open_window(s, "emps", None).unwrap();
             w.refresh_window(win).unwrap();
+            w.enter_edit(win).unwrap();
+            w.window_mut(win).unwrap().form.set_text(1, "130");
+            w.commit(win).unwrap();
         }
         w.sys_sync().unwrap();
         t.set_enabled(false);
@@ -566,16 +574,26 @@ mod tests {
                 "dangling parent in {row:?}"
             );
         }
-        // The metrics export carries the tracer's drop/record gauges.
+        // The metrics export carries the tracer's drop/record gauges and
+        // the traced ops' histograms (the pool/world/row-count gauges are
+        // asserted by `metrics_window_opens_and_has_rows`).
         w.export_metrics();
         let snap = wow_obs::metrics().snapshot();
         assert!(snap.counter("obs.spans_recorded").unwrap() > 0);
         assert!(snap.counter("obs.spans_dropped").is_some());
         assert!(snap.counter("obs.slow_queries").is_some());
+        for op in [wow_obs::Op::BrowseOpen, wow_obs::Op::Commit] {
+            let h = snap
+                .op(op)
+                .unwrap_or_else(|| panic!("{} not recorded", op.name()));
+            assert!(h.count > 0);
+            assert!(h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
+        }
     }
 
     #[test]
     fn spans_window_carries_traced_operations() {
+        let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
         let mut w = world();
         wow_obs::tracer().set_enabled(true);
         let s = w.open_session();

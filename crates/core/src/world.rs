@@ -163,7 +163,6 @@ impl World {
     /// A world over a caller-prepared database (e.g. WAL-enabled).
     pub fn with_db(cfg: WorldConfig, mut db: Database) -> World {
         db.set_workers(wow_par::resolve_workers(cfg.workers));
-        db.set_vectorized(wow_rel::db::resolve_vectorized(cfg.vectorized));
         wow_obs::tracer()
             .set_slow_threshold_ns(wow_obs::resolve_slow_threshold_ns(cfg.slow_query_ns));
         World {

@@ -37,13 +37,10 @@ fn world(n: usize) -> (World, Updatability) {
 fn drain_keys(cursor: &mut BrowseCursor, w: &mut World) -> Vec<i64> {
     let vc = ViewCatalog::new();
     let mut out = Vec::new();
-    loop {
-        match cursor.current_row() {
-            Some((_, t)) => match t.values[0] {
-                Value::Int(k) => out.push(k),
-                _ => panic!(),
-            },
-            None => break,
+    while let Some((_, t)) = cursor.current_row() {
+        match t.values[0] {
+            Value::Int(k) => out.push(k),
+            _ => panic!(),
         }
         if !cursor.next(w.db_mut(), &vc).unwrap() {
             break;
@@ -268,13 +265,10 @@ fn streamed_cursor_pages_join_views_incrementally() {
     // Drain with the real catalog: streamed pages re-run the view query.
     let drain = |cursor: &mut BrowseCursor, w: &mut World| {
         let mut out = Vec::new();
-        loop {
-            match cursor.current_row() {
-                Some((_, t)) => match t.values[0] {
-                    Value::Int(k) => out.push(k),
-                    _ => panic!(),
-                },
-                None => break,
+        while let Some((_, t)) = cursor.current_row() {
+            match t.values[0] {
+                Value::Int(k) => out.push(k),
+                _ => panic!(),
             }
             if !cursor.next(w.db_mut(), &vc).unwrap() {
                 break;

@@ -318,7 +318,7 @@ mod tests {
                 .map(|i| Column::new(format!("f{i}"), DataType::Text))
                 .collect(),
         );
-        let spec = compile_form("big", "Big", &schema, &vec![true; 10]);
+        let spec = compile_form("big", "Big", &schema, &[true; 10]);
         let mut f = FormInstance::new(spec);
         f.focus(8);
         let mut buf = ScreenBuffer::new(Size::new(30, 4));

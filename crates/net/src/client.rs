@@ -21,7 +21,7 @@
 //! [`ReconnectReport`] maps old ids to new ones so callers can rebind.
 
 use crate::proto::{Push, Request, Response, Screenful, TraceSpan};
-use crate::wire::{self, FrameKind, ReadError, MIN_VERSION, VERSION};
+use crate::wire::{self, FrameKind, ReadError, VERSION};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -122,10 +122,7 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     next_req: u64,
     session: u32,
-    /// Protocol version settled in the handshake; trace contexts are
-    /// minted and attached to requests only at ≥ 2.
-    version: u8,
-    /// The trace id minted for the most recent request (0 before any).
+    /// The trace id minted for the most recent request.
     last_trace: u64,
     /// Pushes that arrived while waiting for a response.
     stash: VecDeque<Push>,
@@ -154,7 +151,6 @@ impl Client {
             reader,
             next_req: 1,
             session: 0,
-            version: MIN_VERSION,
             last_trace: 0,
             stash: VecDeque::new(),
             seen_gen: BTreeMap::new(),
@@ -163,9 +159,8 @@ impl Client {
             defined_views: Vec::new(),
         };
         match client.call(&Request::Hello { version: VERSION })? {
-            Response::HelloOk { session, version } => {
+            Response::HelloOk { session, .. } => {
                 client.session = session;
-                client.version = version.min(VERSION);
                 Ok(client)
             }
             other => Err(WowError::Net(format!("bad handshake reply: {other:?}"))),
@@ -224,15 +219,10 @@ impl Client {
         self.addr = peer;
         self.next_req = 1;
         self.session = 0;
-        self.version = MIN_VERSION;
-        self.last_trace = 0;
         self.stash.clear();
         self.seen_gen.clear();
         match self.call(&Request::Hello { version: VERSION })? {
-            Response::HelloOk { session, version } => {
-                self.session = session;
-                self.version = version.min(VERSION);
-            }
+            Response::HelloOk { session, .. } => self.session = session,
             other => return Err(WowError::Net(format!("bad handshake reply: {other:?}"))),
         }
         // Replay view definitions first: a restarted server has recovered
@@ -269,34 +259,26 @@ impl Client {
         self.session
     }
 
-    /// The protocol version negotiated with the server.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// The trace id this client stamped on its most recent request (0
-    /// before any traced request). Feed it to [`Client::fetch_trace`] to
-    /// pull the request's whole span tree back from the server.
+    /// The trace id this client stamped on its most recent request. Feed
+    /// it to [`Client::fetch_trace`] to pull the request's whole span tree
+    /// back from the server.
     pub fn last_trace_id(&self) -> u64 {
         self.last_trace
     }
 
     /// Send one request and block for its response. Pushes received while
-    /// waiting are stashed for [`Client::poll_push`]. On a v2 connection
-    /// every request carries a freshly minted trace id, so the server's
-    /// whole handling of it assembles into one retrievable tree.
+    /// waiting are stashed for [`Client::poll_push`]. Every request carries
+    /// a freshly minted trace id, so the server's whole handling of it
+    /// assembles into one retrievable tree.
     pub fn call(&mut self, req: &Request) -> WowResult<Response> {
         let id = self.next_req;
         self.next_req += 1;
-        let trace = (self.version >= 2).then(|| {
-            self.last_trace = wow_obs::fresh_trace_id();
-            (self.last_trace, 0)
-        });
-        wire::write_frame_traced(
+        self.last_trace = wow_obs::fresh_trace_id();
+        wire::write_frame(
             &mut self.writer,
             FrameKind::Request,
             id,
-            trace,
+            Some((self.last_trace, 0)),
             &req.encode(),
         )
         .map_err(io_err("send"))?;

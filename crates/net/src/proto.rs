@@ -131,11 +131,9 @@ fn read_opt_u64(r: &mut PayloadReader<'_>) -> Result<Option<u64>, WireError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Handshake: must be the first request on a connection. The server
-    /// accepts any version in `MIN_VERSION..=VERSION` and replies with the
-    /// highest version both sides speak; traced (v2) frames flow only
-    /// after both ends agree on ≥ 2.
+    /// answers a version below its own with a protocol error.
     Hello {
-        /// The newest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u8,
     },
     /// Keepalive; also resets the server's idle timer.
@@ -249,7 +247,7 @@ pub enum Request {
     /// Admin: fetch every recorded span of one trace tree
     /// ([`Response::Trace`]). Needs no session.
     FetchTrace {
-        /// The trace id, e.g. the one a v2 client stamped on a request.
+        /// The trace id, e.g. the one a client stamped on a request.
         trace_id: u64,
     },
 }

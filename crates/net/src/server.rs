@@ -31,11 +31,11 @@
 //! regress, no matter what was coalesced away.
 
 use crate::proto::{ErrorFrame, Push, PushKind, Request, Response, Screenful, TraceSpan};
-use crate::wire::{self, FrameKind, ReadError, MIN_VERSION, VERSION};
+use crate::wire::{self, FrameKind, ReadError, VERSION};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wow_core::{ConnectionInfo, RefreshKind, SessionId, WinId, World, WowError, WowResult};
@@ -79,8 +79,8 @@ enum OutMsg {
         /// Refresh generation (latest wins).
         generation: u64,
         /// The `(trace_id, span_id)` of the `NetPush` span that routed
-        /// this screenful — stamped on the frame for v2 clients so the
-        /// push joins the originating commit's trace tree.
+        /// this screenful — stamped on the frame so the push joins the
+        /// originating commit's trace tree.
         trace: Option<(u64, u64)>,
         /// Encoded `Push`.
         payload: Vec<u8>,
@@ -92,9 +92,6 @@ struct Conn {
     id: u64,
     peer: String,
     session: Mutex<Option<SessionId>>,
-    /// Protocol version negotiated in the `Hello` exchange; frames carry
-    /// trace prefixes only when this reaches 2.
-    version: AtomicU8,
     outbox: Mutex<VecDeque<OutMsg>>,
     wake: Condvar,
     closing: AtomicBool,
@@ -344,7 +341,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             id,
             peer: peer.to_string(),
             session: Mutex::new(None),
-            version: AtomicU8::new(MIN_VERSION),
             outbox: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             closing: AtomicBool::new(false),
@@ -407,12 +403,7 @@ fn writer_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
             OutMsg::Response { req_id, payload } => (FrameKind::Response, *req_id, None, payload),
             OutMsg::Push { payload, trace, .. } => (FrameKind::Push, 0, *trace, payload),
         };
-        // Trace prefixes only after both sides negotiated version 2; a v1
-        // client must keep receiving byte-identical v1 frames.
-        let trace = (conn.version.load(Ordering::Relaxed) >= 2)
-            .then_some(trace)
-            .flatten();
-        if wire::write_frame_traced(&mut stream, kind, req_id, trace, payload).is_err() {
+        if wire::write_frame(&mut stream, kind, req_id, trace, payload).is_err() {
             // The peer stopped reading; abort both directions so the
             // reader unblocks too.
             conn.start_closing();
@@ -474,7 +465,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
         conn.requests.fetch_add(1, Ordering::Relaxed);
         wow_obs::metrics().add("net.requests", 1);
         let goodbye = {
-            // Adopt the client's trace context (v2 frames) or mint a fresh
+            // Adopt the client's trace context (traced frames) or mint a fresh
             // trace, so everything this request does — executor operators,
             // worker-pool scans, pushes to *other* clients — joins one tree
             // rooted at this NetRequest span.
@@ -545,14 +536,11 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, req_id: u64, payload: &[
 fn execute(shared: &Arc<Shared>, conn: &Arc<Conn>, req: &Request) -> Response {
     // Handshake is special: it runs before a session exists.
     if let Request::Hello { version } = req {
-        if *version < MIN_VERSION {
+        if *version < VERSION {
             return Response::Error(ErrorFrame::protocol(format!(
-                "client speaks protocol {version}, server speaks {MIN_VERSION}..={VERSION}"
+                "client speaks protocol {version}, server speaks {VERSION}"
             )));
         }
-        // Settle on the newest version both sides understand; a newer
-        // client downgrades to us, an older one keeps its own version.
-        let negotiated = (*version).min(VERSION);
         // Lock order is world → session; check-then-set is race-free here
         // because only this connection's single reader thread says hello.
         if conn.session.lock().expect("session poisoned").is_some() {
@@ -564,10 +552,9 @@ fn execute(shared: &Arc<Shared>, conn: &Arc<Conn>, req: &Request) -> Response {
         };
         let sess = world.open_session();
         *conn.session.lock().expect("session poisoned") = Some(sess);
-        conn.version.store(negotiated, Ordering::SeqCst);
         return Response::HelloOk {
             session: sess.0,
-            version: negotiated,
+            version: VERSION,
         };
     }
     if matches!(req, Request::Ping) {

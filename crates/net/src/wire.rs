@@ -5,22 +5,20 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic           b"WOWP"
-//!      4     1  protocol version (1 or 2)
+//!      4     1  protocol version (2)
 //!      5     1  frame kind       (0 request, 1 response, 2 push)
-//!      6     1  flags            (v1: must be 0; v2: bit0 = trace prefix)
+//!      6     1  flags            (bit0 = trace prefix, others must be 0)
 //!      7     1  reserved         (must be 0)
 //!      8     8  request id, LE   (echoed in the response; 0 for pushes)
 //!     16     4  payload length, LE  (≤ MAX_PAYLOAD)
 //!     20     n  payload
 //! ```
 //!
-//! Version 2 adds causal-trace propagation: when header byte 6 has
-//! [`FLAG_TRACE`] set, the first [`TRACE_PREFIX_LEN`] payload bytes are a
-//! trace context — `trace_id` then parent `span_id`, both `u64` LE — which
-//! the reader strips into [`Frame::trace`]. A v1 frame is byte-identical
-//! to what this crate always produced, and [`write_frame`] still emits it,
-//! so an old peer never sees a byte it cannot parse unless it negotiated
-//! version 2 in the `Hello` exchange.
+//! When header byte 6 has [`FLAG_TRACE`] set, the first
+//! [`TRACE_PREFIX_LEN`] payload bytes are a causal-trace context —
+//! `trace_id` then parent `span_id`, both `u64` LE — which the reader
+//! strips into [`Frame::trace`]. Version 1 (no flags byte) is retired: a
+//! frame with any other version byte is rejected.
 //!
 //! All integers are little-endian. The decoder is written to survive a
 //! hostile peer: every read is bounds-checked, payload lengths are capped
@@ -35,21 +33,17 @@ use std::io::{Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"WOWP";
 
-/// Newest protocol version this build speaks. Version 2 adds the optional
-/// per-frame trace prefix; the `Hello` exchange negotiates down to the
-/// highest version both sides support.
+/// The protocol version this build speaks, written into every frame
+/// header and sent in the `Hello` request.
 pub const VERSION: u8 = 2;
-
-/// Oldest protocol version this build still accepts.
-pub const MIN_VERSION: u8 = 1;
 
 /// Fixed frame-header size.
 pub const HEADER_LEN: usize = 20;
 
-/// Header flag (byte 6, v2 only): the payload starts with a trace prefix.
+/// Header flag (byte 6): the payload starts with a trace prefix.
 pub const FLAG_TRACE: u8 = 1;
 
-/// Size of the v2 trace prefix: `trace_id` + parent `span_id`, `u64` LE.
+/// Size of the trace prefix: `trace_id` + parent `span_id`, `u64` LE.
 pub const TRACE_PREFIX_LEN: usize = 16;
 
 /// Hard cap on a frame payload. Larger lengths are rejected before any
@@ -87,8 +81,8 @@ pub struct Frame {
     pub kind: FrameKind,
     /// Request id (0 for pushes).
     pub req_id: u64,
-    /// Trace context carried by a v2 frame: `(trace_id, parent_span_id)`.
-    /// `None` for v1 frames and v2 frames without [`FLAG_TRACE`].
+    /// Trace context carried by the frame: `(trace_id, parent_span_id)`.
+    /// `None` for frames without [`FLAG_TRACE`].
     pub trace: Option<(u64, u64)>,
     /// The message payload (decode with `proto`), trace prefix stripped.
     pub payload: Vec<u8>,
@@ -132,10 +126,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             WireError::BadVersion(v) => {
-                write!(
-                    f,
-                    "protocol version {v} (this build speaks {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "protocol version {v} (this build speaks {VERSION})")
             }
             WireError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadReserved => write!(f, "reserved header bytes set"),
@@ -209,52 +200,33 @@ impl From<ReadError> for wow_core::WowError {
     }
 }
 
-/// Write one v1 frame — byte-identical to every earlier release, safe to
-/// send before version negotiation completes or to a v1 peer.
+/// Write one frame, with the 16-byte trace prefix and [`FLAG_TRACE`] when
+/// a trace context `(trace_id, parent_span_id)` is given.
 pub fn write_frame(
-    w: &mut impl Write,
-    kind: FrameKind,
-    req_id: u64,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = MIN_VERSION;
-    header[5] = kind as u8;
-    header[8..16].copy_from_slice(&req_id.to_le_bytes());
-    header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Write one frame carrying a trace context `(trace_id, parent_span_id)`.
-/// With a trace this emits a v2 frame with [`FLAG_TRACE`] and the 16-byte
-/// prefix; without one it falls back to the plain v1 encoding, so callers
-/// can use it unconditionally once version 2 is negotiated.
-pub fn write_frame_traced(
     w: &mut impl Write,
     kind: FrameKind,
     req_id: u64,
     trace: Option<(u64, u64)>,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let Some((trace_id, parent_id)) = trace else {
-        return write_frame(w, kind, req_id, payload);
+    let (flags, prefix) = match trace {
+        Some(_) => (FLAG_TRACE, TRACE_PREFIX_LEN),
+        None => (0, 0),
     };
-    debug_assert!(payload.len() + TRACE_PREFIX_LEN <= MAX_PAYLOAD);
+    let len = payload.len() + prefix;
+    debug_assert!(len <= MAX_PAYLOAD);
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC);
     header[4] = VERSION;
     header[5] = kind as u8;
-    header[6] = FLAG_TRACE;
+    header[6] = flags;
     header[8..16].copy_from_slice(&req_id.to_le_bytes());
-    let len = (payload.len() + TRACE_PREFIX_LEN) as u32;
-    header[16..20].copy_from_slice(&len.to_le_bytes());
+    header[16..20].copy_from_slice(&(len as u32).to_le_bytes());
     w.write_all(&header)?;
-    w.write_all(&trace_id.to_le_bytes())?;
-    w.write_all(&parent_id.to_le_bytes())?;
+    if let Some((trace_id, parent_id)) = trace {
+        w.write_all(&trace_id.to_le_bytes())?;
+        w.write_all(&parent_id.to_le_bytes())?;
+    }
     w.write_all(payload)?;
     w.flush()
 }
@@ -280,16 +252,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ReadError> {
         m.copy_from_slice(&header[0..4]);
         return Err(ReadError::Wire(WireError::BadMagic(m)));
     }
-    let version = header[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ReadError::Wire(WireError::BadVersion(version)));
+    if header[4] != VERSION {
+        return Err(ReadError::Wire(WireError::BadVersion(header[4])));
     }
     let kind = FrameKind::from_u8(header[5]).map_err(ReadError::Wire)?;
-    // v1 reserves both bytes; v2 turns byte 6 into a flags field but every
-    // undefined bit must still be zero so future flags fail loudly.
+    // Every undefined flag bit must be zero so future flags fail loudly.
     let flags = header[6];
-    let known = if version >= 2 { FLAG_TRACE } else { 0 };
-    if flags & !known != 0 || header[7] != 0 {
+    if flags & !FLAG_TRACE != 0 || header[7] != 0 {
         return Err(ReadError::Wire(WireError::BadReserved));
     }
     let req_id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
@@ -589,19 +558,20 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, 42, b"hello").unwrap();
+        write_frame(&mut buf, FrameKind::Request, 42, None, b"hello").unwrap();
+        assert_eq!(buf[4], VERSION);
+        assert_eq!(buf[6], 0);
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.kind, FrameKind::Request);
         assert_eq!(frame.req_id, 42);
         assert_eq!(frame.trace, None);
         assert_eq!(frame.payload, b"hello");
-        assert_eq!(buf[4], MIN_VERSION, "plain frames stay v1 on the wire");
     }
 
     #[test]
     fn traced_frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame_traced(&mut buf, FrameKind::Push, 7, Some((0xAB, 0xCD)), b"body").unwrap();
+        write_frame(&mut buf, FrameKind::Push, 7, Some((0xAB, 0xCD)), b"body").unwrap();
         assert_eq!(buf[4], VERSION);
         assert_eq!(buf[6], FLAG_TRACE);
         let frame = read_frame(&mut buf.as_slice()).unwrap();
@@ -612,19 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn traceless_traced_write_is_byte_identical_to_v1() {
-        let mut plain = Vec::new();
-        write_frame(&mut plain, FrameKind::Response, 3, b"x").unwrap();
-        let mut traced = Vec::new();
-        write_frame_traced(&mut traced, FrameKind::Response, 3, None, b"x").unwrap();
-        assert_eq!(plain, traced);
-    }
-
-    #[test]
     fn v2_rejects_unknown_flags_and_short_trace_prefix() {
         let mut buf = Vec::new();
-        write_frame_traced(&mut buf, FrameKind::Request, 1, Some((9, 9)), b"").unwrap();
-        // Any flag bit beyond FLAG_TRACE must be refused even on v2.
+        write_frame(&mut buf, FrameKind::Request, 1, Some((9, 9)), b"").unwrap();
+        // Any flag bit beyond FLAG_TRACE must be refused.
         let mut bad_flags = buf.clone();
         bad_flags[6] = FLAG_TRACE | 0x80;
         assert!(matches!(
@@ -639,14 +600,6 @@ mod tests {
             read_frame(&mut short.as_slice()),
             Err(ReadError::Wire(WireError::Truncated { .. }))
         ));
-        // A v1 frame may not carry the trace flag at all.
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, FrameKind::Request, 1, b"").unwrap();
-        v1[6] = FLAG_TRACE;
-        assert!(matches!(
-            read_frame(&mut v1.as_slice()),
-            Err(ReadError::Wire(WireError::BadReserved))
-        ));
     }
 
     #[test]
@@ -658,7 +611,7 @@ mod tests {
     #[test]
     fn truncated_header_and_payload_are_rejected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Push, 0, b"abcdef").unwrap();
+        write_frame(&mut buf, FrameKind::Push, 0, None, b"abcdef").unwrap();
         for cut in 1..buf.len() {
             let r = read_frame(&mut &buf[..cut]);
             assert!(
@@ -671,7 +624,7 @@ mod tests {
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, 1, b"x").unwrap();
+        write_frame(&mut buf, FrameKind::Request, 1, None, b"x").unwrap();
         buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
@@ -683,7 +636,7 @@ mod tests {
     fn bad_magic_version_kind_reserved() {
         let good = {
             let mut buf = Vec::new();
-            write_frame(&mut buf, FrameKind::Request, 1, b"").unwrap();
+            write_frame(&mut buf, FrameKind::Request, 1, None, b"").unwrap();
             buf
         };
         type Expect = fn(&WireError) -> bool;

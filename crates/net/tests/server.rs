@@ -151,22 +151,33 @@ fn foreign_windows_are_invisible() {
 #[test]
 fn garbage_bytes_get_error_then_hangup() {
     use std::io::{Read, Write};
-    let server = Server::start(seed_world(2), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    raw.write_all(b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")
+    // A well-formed frame of the retired protocol version 1: the same
+    // header with version byte 1, carrying a v1 handshake.
+    let mut v1_hello = Vec::new();
+    let hello = wow_net::Request::Hello { version: 1 }.encode();
+    wow_net::wire::write_frame(&mut v1_hello, wow_net::FrameKind::Request, 1, None, &hello)
         .unwrap();
-    // The server answers with one protocol-error frame, then closes.
-    let mut buf = Vec::new();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    raw.read_to_end(&mut buf).unwrap();
-    assert!(
-        buf.starts_with(&wow_net::MAGIC),
-        "reply must be a framed error"
-    );
-    let frame = wow_net::wire::read_frame(&mut buf.as_slice()).unwrap();
-    match wow_net::Response::decode(&frame.payload).unwrap() {
-        wow_net::Response::Error(e) => assert_eq!(e.code, wow_net::error_code::PROTOCOL),
-        other => panic!("expected protocol error, got {other:?}"),
+    v1_hello[4] = 1;
+    let http = b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n".to_vec();
+    let server = Server::start(seed_world(2), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    for input in [http, v1_hello] {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&input).unwrap();
+        // The server answers with one protocol-error frame, then closes.
+        let mut buf = Vec::new();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        raw.read_to_end(&mut buf).unwrap();
+        assert!(
+            buf.starts_with(&wow_net::MAGIC),
+            "reply must be a framed error"
+        );
+        let mut rest = buf.as_slice();
+        let frame = wow_net::wire::read_frame(&mut rest).unwrap();
+        match wow_net::Response::decode(&frame.payload).unwrap() {
+            wow_net::Response::Error(e) => assert_eq!(e.code, wow_net::error_code::PROTOCOL),
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+        assert!(rest.is_empty(), "exactly one frame before the hang-up");
     }
     server.shutdown();
 }

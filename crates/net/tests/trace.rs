@@ -56,9 +56,10 @@ fn one_commit_yields_one_connected_trace_tree() {
     let mut editor = Client::connect(addr).unwrap();
     let mut watcher_b = Client::connect(addr).unwrap();
     let mut watcher_c = Client::connect(addr).unwrap();
-    assert!(
-        editor.version() >= 2,
-        "handshake must negotiate the traced protocol"
+    assert_ne!(
+        editor.last_trace_id(),
+        0,
+        "the handshake is a traced request like any other"
     );
     let (ewin, _, _) = editor.open_window("emps", false).unwrap();
     let (_bwin, _, _) = watcher_b.open_window("emps", false).unwrap();
@@ -69,7 +70,7 @@ fn one_commit_yields_one_connected_trace_tree() {
     editor.set_field(ewin, 1, "999").unwrap();
     editor.commit(ewin).unwrap();
     let commit_trace = editor.last_trace_id();
-    assert_ne!(commit_trace, 0, "v2 clients mint a trace per request");
+    assert_ne!(commit_trace, 0, "clients mint a trace per request");
 
     // Both other clients observe the commit through pushes.
     watcher_b

@@ -134,20 +134,6 @@ pub struct ExecCounters {
     pub sel_out: u64,
 }
 
-/// Resolve the vectorized-executor toggle: the `WOW_VECTORIZED` environment
-/// variable (`0`/`false`/`off`, `1`/`true`/`on`) overrides `flag`. The CI
-/// matrix sets it to run the whole suite under both engines.
-pub fn resolve_vectorized(flag: bool) -> bool {
-    match std::env::var("WOW_VECTORIZED") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "off" => false,
-            "1" | "true" | "on" => true,
-            _ => flag,
-        },
-        Err(_) => flag,
-    }
-}
-
 /// The database: the "world" that every window looks into.
 ///
 /// The buffer pool is shared (`Arc`) so [`Database::read_replica`] can hand
@@ -215,7 +201,7 @@ impl Database {
             counters: ExecCounters::default(),
             ranges: BTreeMap::new(),
             par: wow_par::Pool::default(),
-            vectorized: resolve_vectorized(true),
+            vectorized: true,
             batch_size: crate::exec::stream::BLOCK_CAP,
             durable: None,
         }
@@ -232,8 +218,8 @@ impl Database {
         self.par.workers()
     }
 
-    /// Turn the vectorized batch executor on or off exactly (no environment
-    /// override; the equivalence tests use this to compare both engines).
+    /// Turn the vectorized batch executor on or off; off selects the
+    /// row-at-a-time reference twin the equivalence tests compare against.
     pub fn set_vectorized(&mut self, on: bool) {
         self.vectorized = on;
     }

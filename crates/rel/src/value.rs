@@ -483,10 +483,10 @@ mod tests {
         let vals = sample_values();
         let bytes = encode_row(&vals);
         // Every single-column subset, skipping across every type.
-        for want in 0..vals.len() {
+        for (want, val) in vals.iter().enumerate() {
             let mut got = Vec::new();
             decode_row_cols(&bytes, &[want], |c, v| got.push((c, v))).unwrap();
-            assert_eq!(got, vec![(want, vals[want].clone())]);
+            assert_eq!(got, vec![(want, val.clone())]);
         }
         // A sparse multi-column subset, in order.
         let mut got = Vec::new();

@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn io_error_converts_and_chains() {
-        let io = std::io::Error::new(std::io::ErrorKind::Other, "boom");
+        let io = std::io::Error::other("boom");
         let err: StorageError = io.into();
         assert!(err.to_string().contains("boom"));
         assert!(std::error::Error::source(&err).is_some());

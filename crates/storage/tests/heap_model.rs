@@ -114,8 +114,7 @@ impl PageStore for FaultyStore {
     }
     fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
         if self.writes_left == 0 {
-            return Err(StorageError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            return Err(StorageError::Io(std::io::Error::other(
                 "injected disk failure",
             )));
         }

@@ -294,9 +294,7 @@ pub fn run(addr: SocketAddr, cfg: &NetLoadConfig) -> WowResult<NetLoadReport> {
             // in the server's ring: fetch the final commit's trace tree
             // and a Prometheus metrics dump over the same connection.
             let final_trace = c.last_trace_id();
-            if final_trace != 0 {
-                trace_spans.store(c.fetch_trace(final_trace)?.len() as u64, Ordering::Relaxed);
-            }
+            trace_spans.store(c.fetch_trace(final_trace)?.len() as u64, Ordering::Relaxed);
             metrics_bytes.store(c.metrics_dump()?.len() as u64, Ordering::Relaxed);
             c.goodbye()
         })
