@@ -14,7 +14,7 @@ use wow_core::world::{CursorStrategy, World};
 use wow_forms::compiler::compile_form_all_writable;
 use wow_forms::qbf::form_predicate;
 use wow_rel::db::Database;
-use wow_rel::exec::{execute, KeyBound, PhysicalPlan};
+use wow_rel::exec::{execute, execute_materializing, KeyBound, PhysicalPlan};
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::quel::ast::SortKey;
 use wow_rel::schema::{Column, Schema};
@@ -175,6 +175,7 @@ pub fn table2_browse(scale: Scale) -> Table {
                 "students",
                 query,
                 Some(&upd),
+                16,
             )
             .unwrap()
         });
@@ -258,7 +259,7 @@ pub fn table2b_limit_pushdown(scale: Scale) -> Table {
         let streamed = execute(&mut db, &plan).unwrap();
         let scanned_stream = db.counters().rows_scanned;
         db.reset_counters();
-        let materialized = wow_rel::exec::execute_materializing(&mut db, &plan).unwrap();
+        let materialized = execute_materializing(&mut db, &plan).unwrap();
         let scanned_mat = db.counters().rows_scanned;
         let pool = db.pool_stats();
         assert_eq!(streamed.tuples, materialized.tuples, "paths agree");
@@ -274,9 +275,7 @@ pub fn table2b_limit_pushdown(scale: Scale) -> Table {
         // Wall-clock comparison.
         let reps = scale.pick(3, 5);
         let d_stream = time_median(reps, || execute(&mut db, &plan).unwrap());
-        let d_mat = time_median(reps, || {
-            wow_rel::exec::execute_materializing(&mut db, &plan).unwrap()
-        });
+        let d_mat = time_median(reps, || execute_materializing(&mut db, &plan).unwrap());
         let speedup = d_mat.as_secs_f64() / d_stream.as_secs_f64().max(1e-12);
         if scale == Scale::Full && n >= 100_000 {
             assert!(
@@ -1039,8 +1038,9 @@ fn item_row(base: &wow_rel::tuple::Tuple, val: i64) -> Vec<Value> {
 /// predicate has selectivity `k/n`) and unindexed (so the planner always
 /// picks a sequential scan with the predicate pushed down); `pad` is a
 /// 100-byte text field standing in for the description-sized columns of a
-/// typical form record — the row engine decodes (and allocates) it for
-/// every row, the vectorized scan only for rows that survive the filter.
+/// typical form record — the row-at-a-time reference decodes (and
+/// allocates) it for every row, the vectorized scan only for rows that
+/// survive the filter.
 fn figure6_world(n: usize) -> Database {
     let mut db = Database::in_memory();
     db.set_workers(1); // isolate vectorization from parallel scan effects
@@ -1062,8 +1062,9 @@ fn figure6_world(n: usize) -> Database {
     db
 }
 
-fn figure6_stmt(threshold: i64, limit: Option<(usize, usize)>) -> wow_rel::quel::ast::RetrieveStmt {
-    wow_rel::quel::ast::RetrieveStmt {
+/// `RETRIEVE (a.id) WHERE a.v < threshold`, planned.
+fn figure6_plan(db: &Database, threshold: i64) -> PhysicalPlan {
+    let stmt = wow_rel::quel::ast::RetrieveStmt {
         unique: false,
         targets: vec![wow_rel::quel::ast::Target::Expr {
             name: None,
@@ -1076,43 +1077,43 @@ fn figure6_stmt(threshold: i64, limit: Option<(usize, usize)>) -> wow_rel::quel:
         }),
         group_by: vec![],
         sort_by: vec![],
-        limit,
-    }
+        limit: None,
+    };
+    let block = wow_rel::plan::build_query_block(db, &stmt).unwrap();
+    wow_rel::plan::optimize(db, &block).unwrap()
 }
 
-/// Time one plan under both engines: `(row engine, vectorized, rows out)`.
+/// Time one plan row-at-a-time ([`execute_materializing`], which decodes
+/// and interprets every row) and vectorized ([`execute`]):
+/// `(row-at-a-time, vectorized, rows out)`.
 ///
-/// The engines are timed in *interleaved pairs* and each side reports its
+/// The two are timed in *interleaved pairs* and each side reports its
 /// minimum over the reps. Two back-to-back `time_median` blocks would let
 /// machine-load drift between the blocks masquerade as an engine
-/// difference; interleaving exposes both engines to the same drift, and
-/// the per-engine minimum is the usual noise-floor estimate of intrinsic
-/// cost on a shared machine.
+/// difference; interleaving exposes both to the same drift, and the
+/// per-side minimum is the usual noise-floor estimate of intrinsic cost on
+/// a shared machine.
 fn figure6_run(db: &mut Database, plan: &PhysicalPlan, reps: usize) -> (Duration, Duration, usize) {
     let mut d_row = Duration::MAX;
     let mut d_vec = Duration::MAX;
     for _ in 0..reps {
-        db.set_vectorized(false);
         let start = Instant::now();
-        std::hint::black_box(execute(db, plan).unwrap());
+        std::hint::black_box(execute_materializing(db, plan).unwrap());
         d_row = d_row.min(start.elapsed());
-        db.set_vectorized(true);
         let start = Instant::now();
         std::hint::black_box(execute(db, plan).unwrap());
         d_vec = d_vec.min(start.elapsed());
     }
     let out = execute(db, plan).unwrap().len();
+    assert_eq!(out, execute_materializing(db, plan).unwrap().len());
     (d_row, d_vec, out)
 }
 
-/// Figure 6: the same filtered scans under the row-at-a-time interpreter
-/// and the vectorized batch executor, across selectivity and cardinality.
-/// The last two rows are the honest anti-sweet-spot shapes: a tiny table
-/// (batch setup cost with little to amortize it over) and a stop-hinted
-/// `LIMIT 1` (the row engine quits after one tuple; the batch engine has
-/// already decoded and filtered a whole batch) — measured, the ~2.5×
-/// advantage of the big-scan rows narrows there, down to roughly a wash
-/// on `LIMIT 1`.
+/// Figure 6: the same filtered scans row-at-a-time (the materializing
+/// reference interpreter) and through the vectorized batch executor,
+/// across selectivity and cardinality. The last row is the honest
+/// anti-sweet-spot shape: a tiny table, with little to amortize batch
+/// setup over. (Early stop under a `LIMIT` is Table 2b's subject.)
 pub fn figure6_vectorized(scale: Scale) -> Table {
     let mut t = Table::new(
         "Figure 6",
@@ -1120,12 +1121,12 @@ pub fn figure6_vectorized(scale: Scale) -> Table {
         &[
             "rows",
             "selectivity",
-            "row engine",
+            "row-at-a-time",
             "vectorized",
             "speedup",
             "rows out",
         ],
-        "≥2× on selective 100k-row scans; narrows on tiny tables and to a wash on stop-hinted LIMIT 1",
+        "≥2× on selective 100k-row scans; narrows on tiny tables",
     );
     let sizes: Vec<usize> = scale.pick(vec![2_000], vec![10_000, 100_000]);
     let sels: Vec<f64> = scale.pick(vec![0.01, 0.5], vec![0.01, 0.1, 0.5, 0.9]);
@@ -1134,16 +1135,14 @@ pub fn figure6_vectorized(scale: Scale) -> Table {
         let mut db = figure6_world(n);
         for &sel in &sels {
             let threshold = ((n as f64 * sel) as i64).max(1);
-            let stmt = figure6_stmt(threshold, None);
-            let block = wow_rel::plan::build_query_block(&db, &stmt).unwrap();
-            let plan = wow_rel::plan::optimize(&db, &block).unwrap();
+            let plan = figure6_plan(&db, threshold);
             let (mut d_row, mut d_vec, out) = figure6_run(&mut db, &plan, reps);
             let mut speedup = d_row.as_secs_f64() / d_vec.as_secs_f64().max(1e-12);
             if scale == Scale::Full && n >= 100_000 && sel <= 0.01 {
                 if speedup < 2.0 {
                     // One re-measure before declaring a regression: a
                     // single noisy draw on a shared box should not fail
-                    // the build. The per-engine minimum across both runs
+                    // the build. The per-side minimum across both runs
                     // is the same noise-floor estimate figure6_run uses.
                     let (r2, v2, _) = figure6_run(&mut db, &plan, 2 * reps);
                     d_row = d_row.min(r2);
@@ -1165,43 +1164,20 @@ pub fn figure6_vectorized(scale: Scale) -> Table {
             ]);
         }
     }
-    // Honest losing shape 1: a table too small to amortize batch setup.
-    {
-        let n = 64;
-        let mut db = figure6_world(n);
-        let stmt = figure6_stmt(n as i64 / 2, None);
-        let block = wow_rel::plan::build_query_block(&db, &stmt).unwrap();
-        let plan = wow_rel::plan::optimize(&db, &block).unwrap();
-        let (d_row, d_vec, out) = figure6_run(&mut db, &plan, reps);
-        let speedup = d_row.as_secs_f64() / d_vec.as_secs_f64().max(1e-12);
-        t.push(vec![
-            format!("{n} (tiny)"),
-            "0.5".into(),
-            fmt_duration(d_row),
-            fmt_duration(d_vec),
-            format!("{speedup:.2}×"),
-            out.to_string(),
-        ]);
-    }
-    // Honest losing shape 2: LIMIT 1 behind a predicate — the row engine
-    // stops at the first match, the batch engine has filtered a batch.
-    {
-        let n = sizes.last().copied().unwrap_or(2_000);
-        let mut db = figure6_world(n);
-        let stmt = figure6_stmt(n as i64, Some((0, 1)));
-        let block = wow_rel::plan::build_query_block(&db, &stmt).unwrap();
-        let plan = wow_rel::plan::optimize(&db, &block).unwrap();
-        let (d_row, d_vec, out) = figure6_run(&mut db, &plan, reps);
-        let speedup = d_row.as_secs_f64() / d_vec.as_secs_f64().max(1e-12);
-        t.push(vec![
-            format!("{n} LIMIT 1"),
-            "1".into(),
-            fmt_duration(d_row),
-            fmt_duration(d_vec),
-            format!("{speedup:.2}×"),
-            out.to_string(),
-        ]);
-    }
+    // Honest losing shape: a table too small to amortize batch setup.
+    let n = 64;
+    let mut db = figure6_world(n);
+    let plan = figure6_plan(&db, n as i64 / 2);
+    let (d_row, d_vec, out) = figure6_run(&mut db, &plan, reps);
+    let speedup = d_row.as_secs_f64() / d_vec.as_secs_f64().max(1e-12);
+    t.push(vec![
+        format!("{n} (tiny)"),
+        "0.5".into(),
+        fmt_duration(d_row),
+        fmt_duration(d_vec),
+        format!("{speedup:.2}×"),
+        out.to_string(),
+    ]);
     t
 }
 

@@ -88,6 +88,8 @@ pub struct Indexed {
 pub struct Materialized {
     rows: Vec<BrowseRow>,
     pos: usize,
+    /// Rows per screenful (pages are aligned to multiples of it).
+    page_size: usize,
     /// How to rebuild on refresh.
     view: String,
     query: ViewQuery,
@@ -191,19 +193,21 @@ impl BrowseCursor {
         Ok(BrowseCursor::Streamed(s))
     }
 
-    /// Build the materialized cursor. With an [`Updatability`] proof the
-    /// rows carry base rids (edits allowed); without one the window is
-    /// read-only.
+    /// Build the materialized cursor, paging `page_size` rows at a time.
+    /// With an [`Updatability`] proof the rows carry base rids (edits
+    /// allowed); without one the window is read-only.
     pub fn materialized(
         db: &mut Database,
         vc: &ViewCatalog,
         view: &str,
         query: ViewQuery,
         upd: Option<&Updatability>,
+        page_size: usize,
     ) -> WowResult<BrowseCursor> {
         let mut m = Materialized {
             rows: Vec::new(),
             pos: 0,
+            page_size: page_size.max(1),
             view: view.to_string(),
             query,
             upd: upd.cloned(),
@@ -270,7 +274,7 @@ impl BrowseCursor {
         match self {
             BrowseCursor::Indexed(ix) => ix.pos,
             BrowseCursor::Streamed(s) => s.pos,
-            BrowseCursor::Materialized(m) => m.pos % 16,
+            BrowseCursor::Materialized(m) => m.pos % m.page_size,
         }
     }
 
@@ -364,9 +368,8 @@ impl BrowseCursor {
                 s.advance_page(db, vc)
             }
             BrowseCursor::Materialized(m) => {
-                let page = 16;
-                if m.pos + page < m.rows.len() {
-                    m.pos += page;
+                if m.pos + m.page_size < m.rows.len() {
+                    m.pos += m.page_size;
                     Ok(true)
                 } else if m.pos + 1 < m.rows.len() {
                     m.pos = m.rows.len() - 1;
@@ -408,7 +411,7 @@ impl BrowseCursor {
                 if m.pos == 0 {
                     return Ok(false);
                 }
-                m.pos = m.pos.saturating_sub(16);
+                m.pos = m.pos.saturating_sub(m.page_size);
                 Ok(true)
             }
         }
@@ -438,9 +441,14 @@ impl BrowseCursor {
                 Ok(())
             }
             BrowseCursor::Materialized(m) => {
+                // Stay on the current record when it survives, as a delta
+                // patch does, so both paths land on the same page.
+                let cur_rid = m.rows.get(m.pos).and_then(|(r, _)| *r);
                 let pos = m.pos;
                 m.refill(db, vc)?;
-                m.pos = pos.min(m.rows.len().saturating_sub(1));
+                m.pos = cur_rid
+                    .and_then(|rid| m.rows.iter().position(|(r, _)| *r == Some(rid)))
+                    .unwrap_or_else(|| pos.min(m.rows.len().saturating_sub(1)));
                 Ok(())
             }
         }
@@ -471,8 +479,13 @@ impl BrowseCursor {
                 .collect(),
             BrowseCursor::Streamed(s) => s.page.iter().map(|t| (None, t.clone())).collect(),
             BrowseCursor::Materialized(m) => {
-                let start = (m.pos / 16) * 16;
-                m.rows.iter().skip(start).take(16).cloned().collect()
+                let start = (m.pos / m.page_size) * m.page_size;
+                m.rows
+                    .iter()
+                    .skip(start)
+                    .take(m.page_size)
+                    .cloned()
+                    .collect()
             }
         }
     }

@@ -114,9 +114,17 @@ impl World {
             }],
             limit: None,
         };
+        let page_size = self.config().page_size;
         let cursor = {
             let (db, vc, _) = self.parts(win)?;
-            crate::browse::BrowseCursor::materialized(db, vc, &view, query, upd.as_ref())?
+            crate::browse::BrowseCursor::materialized(
+                db,
+                vc,
+                &view,
+                query,
+                upd.as_ref(),
+                page_size,
+            )?
         };
         let w = self.window_mut(win)?;
         w.cursor = cursor;

@@ -17,9 +17,10 @@
 //! * [`propagate`] — cross-window refresh after commits (Figure 4).
 //! * [`locks`] — a strict two-phase relation-lock manager with waits-for
 //!   deadlock detection (Table 5's ablation subject).
-//! * [`sys`] — system tables (`__wow_metrics`, `__wow_spans`,
-//!   `__wow_windows`, `__wow_locks`): the world's own runtime state exposed
-//!   as read-only windows through the standard `open_window` path.
+//! * [`sys`] — system tables (`__wow_metrics`, `__wow_traces`,
+//!   `__wow_windows`, `__wow_locks`, `__wow_pool`, `__wow_connections`):
+//!   the world's own runtime state exposed as read-only windows through the
+//!   standard `open_window` path.
 //! * [`undo`] — per-session undo of through-window writes.
 //! * [`config`] — tunables.
 //!

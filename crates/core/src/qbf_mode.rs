@@ -59,7 +59,7 @@ impl World {
                         ..Default::default()
                     };
                     let (db, vc, _) = self.parts(win)?;
-                    BrowseCursor::materialized(db, vc, &view, query, Some(u))?
+                    BrowseCursor::materialized(db, vc, &view, query, Some(u), page_size)?
                 }
             }
             None => {
@@ -118,7 +118,8 @@ impl World {
                     BrowseCursor::indexed(self.db_mut(), u, &pk_index, page_size, None)?
                 } else {
                     let (db, vc, _) = self.parts(win)?;
-                    BrowseCursor::materialized(db, vc, &view, ViewQuery::default(), Some(u))?
+                    let query = ViewQuery::default();
+                    BrowseCursor::materialized(db, vc, &view, query, Some(u), page_size)?
                 }
             }
             None => {

@@ -2,9 +2,10 @@
 //!
 //! The paper's thesis is that every interaction with shared data happens
 //! through a window on a view. This module makes the system's *runtime
-//! state* — metrics, trace spans, causal traces, open windows, held locks —
-//! shared data too: ordinary base tables (`__sys_*`) are materialized from
-//! live state and ordinary views (`__wow_*`) are registered over them, so
+//! state* — metrics, causal traces, open windows, held locks, the worker
+//! pool, live connections — shared data too: ordinary base tables
+//! (`__sys_*`) are materialized from live state and ordinary views
+//! (`__wow_*`) are registered over them, so
 //! `open_window(session, "__wow_metrics", None)` goes through the exact
 //! same forms/browse machinery as any user view.
 //!
@@ -57,14 +58,10 @@ pub struct ConnectionInfo {
 pub type ConnectionsProvider = Box<dyn Fn() -> Vec<ConnectionInfo> + Send>;
 
 /// The system views, with the QUEL definitions registered for them.
-pub const SYS_VIEWS: [(&str, &str); 7] = [
+pub const SYS_VIEWS: [(&str, &str); 6] = [
     (
         "__wow_metrics",
         "RANGE OF m IS __sys_metrics RETRIEVE (m.metric, m.value)",
-    ),
-    (
-        "__wow_spans",
-        "RANGE OF s IS __sys_spans RETRIEVE (s.seq, s.op, s.start_us, s.dur_us, s.arg)",
     ),
     (
         "__wow_traces",
@@ -93,9 +90,8 @@ pub const SYS_VIEWS: [(&str, &str); 7] = [
     ),
 ];
 
-const SYS_DDL: [&str; 7] = [
+const SYS_DDL: [&str; 6] = [
     "CREATE TABLE __sys_metrics (metric TEXT KEY, value INT)",
-    "CREATE TABLE __sys_spans (seq INT KEY, op TEXT, start_us INT, dur_us INT, arg INT)",
     "CREATE TABLE __sys_traces (seq INT KEY, trace INT, span INT, parent INT, op TEXT, \
      start_us INT, dur_us INT, arg INT)",
     "CREATE TABLE __sys_windows (win INT KEY, view TEXT, session INT, mode TEXT, \
@@ -190,14 +186,12 @@ impl World {
         self.sys_ensure()?;
         self.export_metrics();
         let metrics = metrics_rows();
-        let spans = span_rows();
         let traces = trace_rows();
         let windows = self.window_rows();
         let locks = self.lock_rows();
         let pool = self.pool_rows();
         let conns = self.conn_rows();
         self.sys_rewrite("__sys_metrics", metrics)?;
-        self.sys_rewrite("__sys_spans", spans)?;
         self.sys_rewrite("__sys_traces", traces)?;
         self.sys_rewrite("__sys_windows", windows)?;
         self.sys_rewrite("__sys_locks", locks)?;
@@ -352,23 +346,6 @@ fn trace_rows() -> Vec<Vec<Value>> {
                 Value::Int(s.trace_id as i64),
                 Value::Int(s.span_id as i64),
                 Value::Int(s.parent_id as i64),
-                Value::Text(s.op.name().to_string()),
-                Value::Int(s.start_us as i64),
-                Value::Int((s.dur_ns / 1_000) as i64),
-                Value::Int(s.arg as i64),
-            ]
-        })
-        .collect()
-}
-
-/// `__sys_spans` rows: the tracer's ring, oldest first.
-fn span_rows() -> Vec<Vec<Value>> {
-    wow_obs::tracer()
-        .snapshot()
-        .into_iter()
-        .map(|s| {
-            vec![
-                Value::Int(s.seq as i64),
                 Value::Text(s.op.name().to_string()),
                 Value::Int(s.start_us as i64),
                 Value::Int((s.dur_ns / 1_000) as i64),
@@ -599,11 +576,13 @@ mod tests {
         let s = w.open_session();
         let user = w.open_window(s, "emps", None).unwrap();
         w.refresh_window(user).unwrap();
-        let win = w.open_window(s, "__wow_spans", None).unwrap();
+        // `__wow_traces` is the window on the tracer's spans; opening it
+        // materializes the ring.
+        w.open_window(s, "__wow_traces", None).unwrap();
         wow_obs::tracer().set_enabled(false);
         let ops: Vec<String> = w
             .db_mut()
-            .run("RANGE OF s IS __sys_spans RETRIEVE (s.op)")
+            .run("RANGE OF t IS __sys_traces RETRIEVE (t.op)")
             .unwrap()
             .tuples
             .iter()
@@ -613,6 +592,5 @@ mod tests {
             ops.iter().any(|o| o == "full_refresh"),
             "refresh span captured: {ops:?}"
         );
-        let _ = win;
     }
 }

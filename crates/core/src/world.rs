@@ -505,6 +505,7 @@ impl World {
                         view,
                         ViewQuery::default(),
                         Some(u),
+                        self.cfg.page_size,
                     )?
                 };
                 (schema, cursor)
@@ -522,6 +523,7 @@ impl World {
                         view,
                         ViewQuery::default(),
                         None,
+                        self.cfg.page_size,
                     )?,
                     CursorStrategy::Auto => BrowseCursor::streamed(
                         &mut self.db,

@@ -3,7 +3,8 @@
 
 use wow_core::browse::BrowseCursor;
 use wow_core::config::WorldConfig;
-use wow_core::world::World;
+use wow_core::window_mgr::WindowStyle;
+use wow_core::world::{CursorStrategy, World};
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::quel::ast::SortKey;
 use wow_rel::value::Value;
@@ -70,7 +71,7 @@ fn indexed_and_materialized_agree() {
         ..Default::default()
     };
     let mut mat =
-        BrowseCursor::materialized(w.db_mut(), &ViewCatalog::new(), "items", q, Some(&upd))
+        BrowseCursor::materialized(w.db_mut(), &ViewCatalog::new(), "items", q, Some(&upd), 10)
             .unwrap();
     let mat_keys = drain_keys(&mut mat, &mut w);
     assert_eq!(ix_keys, mat_keys);
@@ -221,6 +222,7 @@ fn materialized_cursor_for_read_only_views() {
             ..Default::default()
         },
         None,
+        16,
     )
     .unwrap();
     assert_eq!(c.known_len(), Some(10));
@@ -236,6 +238,52 @@ fn materialized_cursor_for_read_only_views() {
         .unwrap();
     c.refresh(w.db_mut(), &vc).unwrap();
     assert_eq!(c.current_row().unwrap().1.values[1], Value::Int(100));
+}
+
+#[test]
+fn materialized_window_pages_by_configured_page_size() {
+    let mut w = World::new(WorldConfig {
+        page_size: 5,
+        ..WorldConfig::default()
+    });
+    w.db_mut()
+        .run("CREATE TABLE item (k INT KEY, label TEXT)")
+        .unwrap();
+    for k in 0..12 {
+        w.db_mut()
+            .insert(
+                "item",
+                vec![Value::Int(k), Value::text(format!("item-{k}"))],
+            )
+            .unwrap();
+    }
+    w.define_view("items", "RANGE OF i IS item RETRIEVE (i.k, i.label)")
+        .unwrap();
+    let s = w.open_session();
+    let win = w
+        .open_window_using(
+            s,
+            "items",
+            None,
+            WindowStyle::Form,
+            CursorStrategy::Materialized,
+        )
+        .unwrap();
+    let page_keys = |w: &World| -> Vec<Value> {
+        let cursor = &w.window(win).unwrap().cursor;
+        cursor
+            .page_rows()
+            .into_iter()
+            .map(|(_, t)| t.values[0].clone())
+            .collect()
+    };
+    assert_eq!(page_keys(&w), (0..5).map(Value::Int).collect::<Vec<_>>());
+    assert!(w.browse_next_page(win).unwrap());
+    assert_eq!(w.window(win).unwrap().cursor.position(), Some(5));
+    assert_eq!(w.window(win).unwrap().cursor.pos_in_page(), 0);
+    assert_eq!(page_keys(&w), (5..10).map(Value::Int).collect::<Vec<_>>());
+    assert!(w.browse_prev_page(win).unwrap());
+    assert_eq!(w.window(win).unwrap().cursor.position(), Some(0));
 }
 
 #[test]
@@ -281,7 +329,7 @@ fn streamed_cursor_pages_join_views_incrementally() {
     assert_eq!(st.position(), Some(0));
     let streamed_keys = drain(&mut st, &mut w);
     let mut mat =
-        BrowseCursor::materialized(w.db_mut(), &vc, "ab", ViewQuery::default(), None).unwrap();
+        BrowseCursor::materialized(w.db_mut(), &vc, "ab", ViewQuery::default(), None, 5).unwrap();
     let mat_keys = drain(&mut mat, &mut w);
     assert_eq!(streamed_keys, mat_keys, "strategies agree on join views");
     assert_eq!(streamed_keys.len(), 23);

@@ -19,8 +19,8 @@
 //!   Prometheus text dump ([`metrics::prometheus`]).
 //!
 //! `wow-core` exposes all of it as browsable **system tables**
-//! (`__wow_metrics`, `__wow_spans`, `__wow_traces`, `__wow_windows`,
-//! `__wow_locks`) through the standard `open_window` path, and `wow-net`
+//! (`__wow_metrics`, `__wow_traces`, `__wow_windows`, `__wow_locks`, …)
+//! through the standard `open_window` path, and `wow-net`
 //! serves the Prometheus dump and per-trace span trees over admin
 //! requests.
 //!
@@ -50,9 +50,29 @@ pub fn event(op: Op, arg: u64) {
     tracer().event(op, arg);
 }
 
+/// The value of environment variable `name`, trimmed and parsed as `T` —
+/// `None` when it is unset or does not parse, so the caller's configured
+/// value stands. Every `WOW_*` override resolves through this.
+pub fn env_override<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_override_trims_parses_and_falls_back() {
+        // A variable no other test or process touches.
+        let name = "WOW_OBS_ENV_OVERRIDE_TEST";
+        std::env::remove_var(name);
+        assert_eq!(env_override::<u64>(name), None, "unset");
+        std::env::set_var(name, " 42\n");
+        assert_eq!(env_override::<u64>(name), Some(42), "trimmed");
+        std::env::set_var(name, "forty-two");
+        assert_eq!(env_override::<u64>(name), None, "unparsable");
+        std::env::remove_var(name);
+    }
 
     #[test]
     fn span_helper_is_callable_when_disabled() {

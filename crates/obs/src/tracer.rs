@@ -145,8 +145,7 @@ pub struct Span {
     pub seq: u64,
     /// The trace this span belongs to (0 = never part of a trace).
     pub trace_id: u64,
-    /// This span's id, unique within the process (0 only for legacy
-    /// recordings that bypassed id allocation).
+    /// This span's id, unique within the process.
     pub span_id: u64,
     /// The span this one ran under (0 = a trace root).
     pub parent_id: u64,
@@ -319,43 +318,6 @@ impl Tracer {
         }
     }
 
-    /// Record a finished span, deriving its trace linkage from the thread's
-    /// current context (compatibility entry point; prefer [`Tracer::start`]
-    /// guards or [`Tracer::record_child`]).
-    pub fn record(&self, op: Op, end: Instant, dur_ns: u64, arg: u64) {
-        let span_id = self.alloc_span_id();
-        let (trace_id, parent_id) = match current_context() {
-            Some(c) => (c.trace_id, c.span_id),
-            None => (crate::context::fresh_trace_id(), 0),
-        };
-        self.record_ids(op, trace_id, span_id, parent_id, end, dur_ns, arg);
-    }
-
-    /// Record a finished span as a child of an explicit context (the
-    /// cross-thread / deferred-recording entry point: executor operators
-    /// captured their build-time context and report at exhaustion).
-    /// Returns the recorded span's id.
-    pub fn record_child(&self, op: Op, parent: Option<TraceContext>, dur_ns: u64, arg: u64) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
-        let span_id = self.alloc_span_id();
-        let (trace_id, parent_id) = match parent {
-            Some(c) => (c.trace_id, c.span_id),
-            None => (crate::context::fresh_trace_id(), 0),
-        };
-        self.record_ids(
-            op,
-            trace_id,
-            span_id,
-            parent_id,
-            Instant::now(),
-            dur_ns,
-            arg,
-        );
-        span_id
-    }
-
     /// Record a finished span under fully explicit ids — for callers that
     /// allocated the span id eagerly (via [`Tracer::alloc_span_id`]) so
     /// children could link to it before it was recorded. The executor's
@@ -478,12 +440,7 @@ impl Tracer {
 /// variable wins (so CI can force every root span into the log), then the
 /// caller's configured value.
 pub fn resolve_slow_threshold_ns(requested: u64) -> u64 {
-    if let Ok(v) = std::env::var("WOW_SLOW_NS") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    requested
+    crate::env_override("WOW_SLOW_NS").unwrap_or(requested)
 }
 
 /// Times an operation from [`Tracer::start`] to drop (or an explicit
@@ -570,7 +527,7 @@ mod tests {
         let t = Tracer::new(4);
         t.set_enabled(true);
         for i in 0..10u64 {
-            t.record(Op::QueryExec, Instant::now(), i, i);
+            t.record_at(Op::QueryExec, 1, t.alloc_span_id(), 0, i, i);
         }
         let spans = t.snapshot();
         assert_eq!(spans.len(), 4);
@@ -678,26 +635,6 @@ mod tests {
         );
         // The context slot is restored even on cancel.
         assert_eq!(current_context(), None);
-    }
-
-    #[test]
-    fn record_child_links_to_explicit_parent() {
-        let t = leaked(16);
-        let parent = TraceContext {
-            trace_id: crate::context::fresh_trace_id(),
-            span_id: 777,
-        };
-        let id = t.record_child(Op::ExecOp, Some(parent), 5, 9);
-        assert_ne!(id, 0);
-        let span = t
-            .snapshot()
-            .into_iter()
-            .rev()
-            .find(|s| s.span_id == id)
-            .unwrap();
-        assert_eq!(span.trace_id, parent.trace_id);
-        assert_eq!(span.parent_id, 777);
-        assert_eq!(span.arg, 9);
     }
 
     #[test]

@@ -34,16 +34,13 @@ pub mod stats;
 /// memory-bandwidth bound well before 16 cores help.
 pub const MAX_AUTO_WORKERS: usize = 8;
 
-/// Resolve a worker count: the `WOW_WORKERS` environment variable wins
-/// (so CI can force 1 and 4), then an explicit non-zero request, then
+/// Resolve a worker count: a non-zero `WOW_WORKERS` environment variable
+/// wins (so an operator can pin the width), then an explicit non-zero
+/// request, then
 /// [`std::thread::available_parallelism`] clamped to [`MAX_AUTO_WORKERS`].
 pub fn resolve_workers(requested: usize) -> usize {
-    if let Ok(v) = std::env::var("WOW_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    if let Some(n) = wow_obs::env_override::<usize>("WOW_WORKERS").filter(|&n| n > 0) {
+        return n;
     }
     if requested > 0 {
         return requested;

@@ -153,10 +153,7 @@ pub struct Database {
     pub(crate) ranges: BTreeMap<String, String>,
     /// Worker pool for partitioned scans and parallel join builds.
     pub(crate) par: wow_par::Pool,
-    /// Whether scans/filters/projections run on the vectorized batch
-    /// executor (the row-at-a-time interpreter is the reference twin).
-    pub(crate) vectorized: bool,
-    /// Target rows per column batch on the vectorized path.
+    /// Target rows per column batch on the vectorized scan path.
     pub(crate) batch_size: usize,
     /// Durability bookkeeping when opened via [`Database::open_durable`].
     pub(crate) durable: Option<crate::durable::DurableState>,
@@ -201,7 +198,6 @@ impl Database {
             counters: ExecCounters::default(),
             ranges: BTreeMap::new(),
             par: wow_par::Pool::default(),
-            vectorized: true,
             batch_size: crate::exec::stream::BLOCK_CAP,
             durable: None,
         }
@@ -216,17 +212,6 @@ impl Database {
     /// The executor's worker-pool width.
     pub fn workers(&self) -> usize {
         self.par.workers()
-    }
-
-    /// Turn the vectorized batch executor on or off; off selects the
-    /// row-at-a-time reference twin the equivalence tests compare against.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.vectorized = on;
-    }
-
-    /// Whether the vectorized batch executor is on.
-    pub fn vectorized(&self) -> bool {
-        self.vectorized
     }
 
     /// Set the vectorized executor's target rows per batch (min 1; benches
@@ -261,7 +246,6 @@ impl Database {
             counters: ExecCounters::default(),
             ranges: self.ranges.clone(),
             par: wow_par::Pool::serial(),
-            vectorized: self.vectorized,
             batch_size: self.batch_size,
             durable: None,
         }
@@ -569,46 +553,15 @@ impl Database {
         Ok(out)
     }
 
-    /// Scan one data page of a table as `(rid, tuple)` pairs — the
-    /// page-at-a-time sequential access used by the streaming executor.
-    /// Returns `None` once `page_idx` is past the end of the heap's page
-    /// chain. Sequential calls trigger buffer-pool readahead (see
-    /// [`wow_storage::heap::HeapFile::scan_page`]).
-    pub fn scan_table_page(
-        &mut self,
-        table: TableId,
-        page_idx: usize,
-    ) -> RelResult<Option<Vec<(Rid, Tuple)>>> {
-        let heap = self
-            .heaps
-            .get(&table)
-            .ok_or_else(|| RelError::NoSuchTable(format!("#{table}")))?;
-        let mut decode_err = None;
-        let mut out = Vec::new();
-        let in_range = heap.scan_page(&self.pool, page_idx, |rid, bytes| {
-            match Tuple::decode(bytes) {
-                Ok(t) => out.push((rid, t)),
-                Err(e) => decode_err = Some(e),
-            }
-        })?;
-        if let Some(e) = decode_err {
-            return Err(e);
-        }
-        if !in_range {
-            return Ok(None);
-        }
-        self.counters.rows_scanned += out.len() as u64;
-        Ok(Some(out))
-    }
-
     /// Scan one data page of encoded rows into a caller-owned arena (see
-    /// [`wow_storage::heap::HeapFile::scan_page_into`]) — the zero-decode
-    /// access path of the vectorized executor, which decodes only the
-    /// columns a query touches ([`crate::value::decode_row_cols`]) and
-    /// reuses `arena`/`bounds` across pages so a page scan costs one
-    /// region copy and no per-row allocation. Returns `false` once
-    /// `page_idx` is past the end of the page chain. Counts every visited
-    /// row in `rows_scanned`, like [`Database::scan_table_page`].
+    /// [`wow_storage::heap::HeapFile::scan_page_into`]) — the executor's
+    /// only sequential heap access path. It decodes only the columns a
+    /// query touches ([`crate::value::decode_row_cols`]) and reuses
+    /// `arena`/`bounds` across pages, so a page scan costs one region copy
+    /// and no per-row allocation; sequential calls trigger buffer-pool
+    /// readahead. Returns `false` once `page_idx` is past the end of the
+    /// page chain. Counts every visited row in `rows_scanned`, like
+    /// [`Database::scan_table_raw`].
     pub(crate) fn scan_table_page_arena(
         &mut self,
         table: TableId,

@@ -75,10 +75,7 @@ pub(crate) struct DurableState {
 /// Resolve the auto-checkpoint cadence: `WOW_CKPT_EVERY` overrides the
 /// default (`0` disables automatic checkpoints).
 pub fn resolve_checkpoint_every(default: u64) -> u64 {
-    match std::env::var("WOW_CKPT_EVERY") {
-        Ok(v) => v.trim().parse().unwrap_or(default),
-        Err(_) => default,
-    }
+    wow_obs::env_override("WOW_CKPT_EVERY").unwrap_or(default)
 }
 
 // ---------------------------------------------------------------------------
@@ -430,7 +427,7 @@ impl Database {
             // snapshot. Discard and restamp.
             wal.reset(snap_epoch)?;
         }
-        wal.set_sync_policy(SyncPolicy::resolve(SyncPolicy::Commit));
+        wal.set_sync_policy(wow_obs::env_override("WOW_FSYNC").unwrap_or(SyncPolicy::Commit));
         db.wal = Some(wal);
         span.arg(recovery.replayed_ops);
         db.durable = Some(DurableState {

@@ -117,10 +117,11 @@ pub struct Scratch {
     sel_pool: Vec<Vec<u32>>,
 }
 
-/// Compile a resolved expression. Returns `None` when the expression cannot
-/// be compiled (an unresolved [`Expr::ColumnRef`]); callers fall back to the
-/// row interpreter.
-pub fn compile(expr: &Expr) -> Option<Program> {
+/// Compile a resolved expression. Fails with the interpreter's
+/// [`RelError::NoSuchColumn`] when the expression is not resolved (an
+/// [`Expr::ColumnRef`], which the planner never emits) — at build time,
+/// before any row is read.
+pub fn compile(expr: &Expr) -> RelResult<Program> {
     let mut p = Program {
         instrs: Vec::new(),
         consts: Vec::new(),
@@ -133,7 +134,7 @@ pub fn compile(expr: &Expr) -> Option<Program> {
     }
     p.cols.sort_unstable();
     p.cols.dedup();
-    Some(p)
+    Ok(p)
 }
 
 impl Program {
@@ -151,10 +152,14 @@ impl Program {
         Operand::Reg((self.instrs.len() - 1) as u32)
     }
 
-    fn compile_expr(&mut self, e: &Expr) -> Option<Operand> {
-        Some(match e {
-            Expr::Column(i) => Operand::Col(u32::try_from(*i).ok()?),
-            Expr::ColumnRef(_) => return None,
+    fn compile_expr(&mut self, e: &Expr) -> RelResult<Operand> {
+        Ok(match e {
+            Expr::Column(i) => Operand::Col(
+                u32::try_from(*i).map_err(|_| RelError::NoSuchColumn(format!("#{i}")))?,
+            ),
+            Expr::ColumnRef(n) => {
+                return Err(RelError::NoSuchColumn(format!("unresolved: {n}")));
+            }
             Expr::Literal(v) => {
                 self.consts.push(v.clone());
                 Operand::Const((self.consts.len() - 1) as u32)
@@ -562,9 +567,12 @@ mod tests {
 
     #[test]
     fn unresolved_column_refs_do_not_compile() {
-        assert!(compile(&Expr::ColumnRef("x".into())).is_none());
+        assert!(matches!(
+            compile(&Expr::ColumnRef("x".into())),
+            Err(RelError::NoSuchColumn(_))
+        ));
         let e = bin(BinOp::Eq, Expr::ColumnRef("x".into()), lit(Value::Int(1)));
-        assert!(compile(&e).is_none());
+        assert!(compile(&e).is_err());
     }
 
     #[test]

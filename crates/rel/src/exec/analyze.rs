@@ -12,8 +12,8 @@
 //! Rows *in* are not measured separately: an operator's input rows are by
 //! construction the rows its children emitted, so the render derives them
 //! from the child nodes' `rows_out` (leaves show no `rows_in`). In the
-//! vectorized fused pipeline the `SeqScan` node reports post-predicate
-//! survivors, exactly like the row engine's predicate-pushing scan.
+//! vectorized fused pipeline the `SeqScan` node reports the survivors of
+//! its pushed-down predicate, not the rows it read.
 
 use super::PhysicalPlan;
 

@@ -18,9 +18,7 @@
 use crate::catalog::TableId;
 use crate::db::{Database, ExecCounters};
 use crate::error::RelResult;
-use crate::eval::compile::{self, Scratch};
-use crate::eval::eval_pred;
-use crate::expr::Expr;
+use crate::eval::compile::Program;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -50,59 +48,23 @@ pub fn scan_goes_parallel(db: &Database, table: TableId, stop_hint: Option<usize
     parallel
 }
 
-/// Scan every page of `table`, evaluating `pred`, with page ranges
-/// fanned out across the worker pool. Output order (and content) is
-/// identical to the serial page-chain walk. When the vectorized executor
-/// is on and the predicate compiles, each chunk runs through the same
-/// batch kernels as the serial vectorized scan
-/// (`stream::filter_pages_vectorized`); otherwise chunks evaluate the
-/// predicate row-at-a-time.
+/// Scan every page of `table`, filtering by the compiled `pred`, with page
+/// ranges fanned out across the worker pool. Output order (and content) is
+/// identical to the serial page-chain walk: each chunk runs through the
+/// same arena reader and batch kernels as the serial vectorized scan
+/// (`stream::filter_pages_vectorized`).
 pub fn parallel_scan(
     db: &mut Database,
     table: TableId,
-    pred: Option<&Expr>,
+    pred: Option<&Program>,
 ) -> RelResult<Vec<Tuple>> {
     let pages = db.table_page_count(table)?;
-    let compiled = if db.vectorized() {
-        pred.and_then(compile::compile)
-    } else {
-        None
-    };
     let mut span = wow_obs::span(Op::ParScatter);
     let shared: &Database = db;
     let chunks: Vec<RelResult<(Vec<Tuple>, ExecCounters)>> =
         shared.par.map_chunks(pages, MIN_PAGES_PER_CHUNK, |range| {
             let mut replica = shared.read_replica();
-            let out = match &compiled {
-                Some(prog) => {
-                    let mut scratch = Scratch::default();
-                    super::stream::filter_pages_vectorized(
-                        &mut replica,
-                        table,
-                        range,
-                        prog,
-                        &mut scratch,
-                    )?
-                }
-                None => {
-                    let mut out = Vec::new();
-                    for page_idx in range {
-                        let Some(rows) = replica.scan_table_page(table, page_idx)? else {
-                            break;
-                        };
-                        for (_, t) in rows {
-                            let keep = match pred {
-                                Some(p) => eval_pred(p, &t)?,
-                                None => true,
-                            };
-                            if keep {
-                                out.push(t);
-                            }
-                        }
-                    }
-                    out
-                }
-            };
+            let out = super::stream::filter_pages_vectorized(&mut replica, table, range, pred)?;
             Ok((out, replica.counters()))
         });
     span.arg(chunks.len() as u64);
@@ -235,6 +197,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::compile::compile;
+    use crate::expr::Expr;
     use crate::schema::{Column, Schema};
     use crate::types::DataType;
 
@@ -278,7 +242,7 @@ mod tests {
             left: Box::new(Expr::Column(0)),
             right: Box::new(Expr::Literal(Value::Int(100))),
         };
-        let par = parallel_scan(&mut db, t, Some(&pred)).unwrap();
+        let par = parallel_scan(&mut db, t, Some(&compile(&pred).unwrap())).unwrap();
         assert_eq!(par.len(), 100);
         assert!(par
             .iter()

@@ -19,18 +19,19 @@
 //! tree can be built once and driven incrementally (the browse cursors in
 //! `wow-core` rely on this to page join views without materializing them).
 //!
-//! # Vectorized twin
+//! # Vectorized scans
 //!
-//! When [`Database::vectorized`] is on, `SeqScan`-rooted `Filter`/`Project`
-//! chains are compiled into a **batch pipeline** instead: the scan reads
-//! raw row bytes, decodes only the columns the query touches into
-//! column-oriented [`Batch`]es of [`Database::batch_size`] rows, filters
-//! them through programs compiled once per query
-//! ([`crate::eval::compile`]), and materializes the remaining columns only
-//! for rows that survive (late materialization). Everything else — joins,
-//! sort, aggregate, distinct, limit, index scans — stays row-at-a-time and
-//! consumes the chain through an adapter, so the row engine remains the
-//! reference twin and is selected automatically for non-batchable plans.
+//! Every heap read goes through the **batch pipeline**: a `SeqScan`-rooted
+//! `Filter`/`Project` chain is compiled into a scan that reads raw row
+//! bytes, decodes only the columns the query touches into column-oriented
+//! [`Batch`]es of [`Database::batch_size`] rows, filters them through
+//! programs compiled once per query ([`crate::eval::compile`]), and
+//! materializes the remaining columns only for rows that survive (late
+//! materialization). The partitioned scan in [`par`] runs the same kernels
+//! chunk-wise. Everything else — joins, sort, aggregate, distinct, limit,
+//! index scans, and filters/projections over any of them — runs
+//! on row-at-a-time [`TupleBlock`]s; the semantic reference for all of it
+//! is [`super::execute_materializing`].
 
 use super::analyze::NodeStats;
 use super::{aggregate, par, range_rids, sort, PhysicalPlan, Rows};
@@ -202,10 +203,8 @@ fn build_with(
     stop_hint: Option<usize>,
     instr: Option<Instr<'_>>,
 ) -> RelResult<Box<dyn Operator>> {
-    if db.vectorized() {
-        if let Some(op) = build_vectorized(db, plan, stop_hint, instr)? {
-            return Ok(op);
-        }
+    if let Some(op) = build_vectorized(db, plan, stop_hint, instr)? {
+        return Ok(op);
     }
     // Claim this node's pre-order slot before building children, so the
     // numbering matches `explain` line order.
@@ -215,33 +214,19 @@ fn build_with(
         parent: node.and_then(|n| n.span).or(i.parent),
     });
     let op: Box<dyn Operator> = match plan {
+        // `build_vectorized` takes every serial scan, so a bare scan that
+        // reaches this arm is one it handed back to be partitioned.
         PhysicalPlan::SeqScan {
             table,
             alias: _,
             pred,
-        } => {
-            let table_id = db.catalog().table(table)?.id;
-            if par::scan_goes_parallel(db, table_id, stop_hint) {
-                Box::new(ParSeqScanStream {
-                    table_id,
-                    pred: pred.clone(),
-                    buf: Vec::new(),
-                    pos: 0,
-                    built: false,
-                })
-            } else {
-                // A predicate drops rows unpredictably, so the hint only
-                // bounds the scan when the scan emits every row it reads.
-                let remaining = if pred.is_none() { stop_hint } else { None };
-                Box::new(SeqScanStream {
-                    table_id,
-                    pred: pred.clone(),
-                    page_idx: 0,
-                    exhausted: false,
-                    remaining,
-                })
-            }
-        }
+        } => Box::new(ParScanStream {
+            table_id: db.catalog().table(table)?.id,
+            pred: pred.as_ref().map(compile::compile).transpose()?,
+            buf: Vec::new(),
+            pos: 0,
+            built: false,
+        }),
         PhysicalPlan::IndexScanEq {
             table,
             alias: _,
@@ -538,11 +523,12 @@ trait BatchSource {
     fn next_batch(&mut self, db: &mut Database) -> RelResult<Option<Batch>>;
 }
 
-/// Try to compile a `SeqScan`-rooted `Filter*`/`Project?` chain into the
-/// vectorized batch pipeline. Returns `None` — fall back to row-at-a-time
-/// streaming — for any other plan shape, for parallel-eligible scans (the
-/// parallel scan applies the same kernels chunk-wise in `par`), and for
-/// expressions the compiler rejects.
+/// Compile a `SeqScan`-rooted `Filter*`/`Project?` chain into the
+/// vectorized batch pipeline. Returns `None` for any other plan shape (its
+/// operators run on tuple blocks) and for parallel-eligible scans, which
+/// [`build_with`] turns into a [`ParScanStream`] applying the same kernels
+/// chunk-wise. An expression the compiler rejects, or a column past the
+/// table's width, is an error before any row is read.
 fn build_vectorized(
     db: &mut Database,
     plan: &PhysicalPlan,
@@ -576,35 +562,16 @@ fn build_vectorized(
     if par::scan_goes_parallel(db, table_id, stop_hint) {
         return Ok(None);
     }
-    let pred = match scan_pred {
-        Some(e) => match compile::compile(e) {
-            Some(p) => Some(p),
-            None => return Ok(None),
-        },
-        None => None,
-    };
+    let pred = scan_pred.map(compile::compile).transpose()?;
     // Filters apply innermost (closest to the scan) first.
-    filters.reverse();
-    let mut filter_progs = Vec::with_capacity(filters.len());
-    for f in filters {
-        match compile::compile(f) {
-            Some(p) => filter_progs.push(p),
-            None => return Ok(None),
-        }
-    }
-    let proj_progs = match proj {
-        Some(exprs) => {
-            let mut ps = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                match compile::compile(e) {
-                    Some(p) => ps.push(p),
-                    None => return Ok(None),
-                }
-            }
-            Some(ps)
-        }
-        None => None,
-    };
+    let filter_progs: Vec<Program> = filters
+        .into_iter()
+        .rev()
+        .map(compile::compile)
+        .collect::<RelResult<_>>()?;
+    let proj_progs: Option<Vec<Program>> = proj
+        .map(|exprs| exprs.iter().map(compile::compile).collect())
+        .transpose()?;
     let ncols = node.output_schema(db)?.len();
     // Column budget: the scan decodes the predicate's columns for every
     // row, and everything the rest of the chain reads only for survivors.
@@ -624,16 +591,15 @@ fn build_vectorized(
         }
         None => needed.extend(0..ncols),
     }
-    if pred_cols.iter().chain(needed.iter()).any(|&c| c >= ncols) {
-        // Out-of-range column: let the row engine surface its usual error.
-        return Ok(None);
+    if let Some(&c) = pred_cols.iter().chain(needed.iter()).find(|&&c| c >= ncols) {
+        return Err(RelError::NoSuchColumn(format!("#{c}")));
     }
     let post_cols: Vec<usize> = needed
         .into_iter()
         .filter(|c| !pred_cols.contains(c))
         .collect();
-    // As in the row engine, a stop hint only bounds the scan when nothing
-    // between the consumer and the heap drops rows.
+    // A predicate drops rows unpredictably, so a stop hint only bounds the
+    // scan when nothing between the consumer and the heap drops rows.
     let remaining = if pred.is_none() && filter_progs.is_empty() {
         stop_hint
     } else {
@@ -660,7 +626,7 @@ fn build_vectorized(
         None => Vec::new(),
     };
     let proj_off = usize::from(proj_progs.is_some());
-    let mut src: Box<dyn BatchSource> = Box::new(VecSeqScanStream {
+    let mut src: Box<dyn BatchSource> = Box::new(VecScanStream {
         table_id,
         pred,
         pred_cols,
@@ -757,7 +723,7 @@ impl RawRows {
 
 /// Decode `cols` for the first `n` pending rows into dense column vectors
 /// aligned with row indexes. A row narrower than a requested column is the
-/// same error the row engine raises for an out-of-range [`Expr::Column`].
+/// same error the interpreter raises for an out-of-range [`Expr::Column`].
 fn decode_dense(rows: &RawRows, n: usize, cols: &[usize], out: &mut [Vec<Value>]) -> RelResult<()> {
     if cols.is_empty() {
         return Ok(());
@@ -800,21 +766,39 @@ fn decode_at_sel(
     Ok(())
 }
 
-/// Run a contiguous page range through the batch filter kernels,
-/// materializing full tuples only for surviving rows. The parallel scan in
-/// [`super::par`] calls this once per chunk, so the partitioned and serial
-/// vectorized paths share the same compiled-predicate kernels.
+/// Narrow `batch.sel` through a compiled predicate, counting the rows in
+/// and out and recording one [`wow_obs::Op::VecEval`] span.
+fn filter_batch(
+    db: &mut Database,
+    pred: &Program,
+    batch: &mut Batch,
+    scratch: &mut Scratch,
+) -> RelResult<()> {
+    let mut span = wow_obs::span(wow_obs::Op::VecEval);
+    db.counters.sel_in += batch.sel.len() as u64;
+    pred.filter(batch, scratch)?;
+    db.counters.sel_out += batch.sel.len() as u64;
+    span.arg(batch.sel.len() as u64);
+    span.finish();
+    Ok(())
+}
+
+/// Run a contiguous page range through the batch filter kernels (every row
+/// survives when `pred` is `None`), materializing full tuples only for
+/// surviving rows. The parallel scan in [`super::par`] calls this once per
+/// chunk, so the partitioned and serial scans share one page reader and
+/// the same compiled-predicate kernels.
 pub(crate) fn filter_pages_vectorized(
     db: &mut Database,
     table: TableId,
     pages: std::ops::Range<usize>,
-    pred: &Program,
-    scratch: &mut Scratch,
+    pred: Option<&Program>,
 ) -> RelResult<Vec<Tuple>> {
-    let pred_cols = pred.columns().to_vec();
+    let pred_cols = pred.map(|p| p.columns().to_vec()).unwrap_or_default();
     // `columns()` is sorted, so the batch only needs to be as wide as the
     // highest column the predicate reads.
     let width = pred_cols.last().map_or(0, |&c| c + 1);
+    let mut scratch = Scratch::default();
     let mut rows = RawRows::default();
     let mut out = Vec::new();
     for page_idx in pages {
@@ -828,14 +812,11 @@ pub(crate) fn filter_pages_vectorized(
                 len: n,
                 sel: Batch::identity_sel(n),
             };
-            decode_dense(&rows, n, &pred_cols, &mut batch.cols)?;
             db.counters.batches += 1;
-            let mut span = wow_obs::span(wow_obs::Op::VecEval);
-            db.counters.sel_in += n as u64;
-            pred.filter(&mut batch, scratch)?;
-            db.counters.sel_out += batch.sel.len() as u64;
-            span.arg(batch.sel.len() as u64);
-            span.finish();
+            if let Some(pred) = pred {
+                decode_dense(&rows, n, &pred_cols, &mut batch.cols)?;
+                filter_batch(db, pred, &mut batch, &mut scratch)?;
+            }
             for &r in &batch.sel {
                 out.push(Tuple::new(decode_row(rows.row(r as usize))?));
             }
@@ -849,7 +830,7 @@ pub(crate) fn filter_pages_vectorized(
 /// only the predicate's columns, filters whole batches through a compiled
 /// program, then materializes the remaining needed columns for surviving
 /// rows only.
-struct VecSeqScanStream {
+struct VecScanStream {
     table_id: TableId,
     /// Compiled scan predicate, if any.
     pred: Option<Program>,
@@ -868,7 +849,7 @@ struct VecSeqScanStream {
     remaining: Option<usize>,
 }
 
-impl BatchSource for VecSeqScanStream {
+impl BatchSource for VecScanStream {
     fn next_batch(&mut self, db: &mut Database) -> RelResult<Option<Batch>> {
         loop {
             if self.remaining == Some(0) {
@@ -897,12 +878,7 @@ impl BatchSource for VecSeqScanStream {
             decode_dense(&self.rows, n, &self.pred_cols, &mut batch.cols)?;
             db.counters.batches += 1;
             if let Some(pred) = &self.pred {
-                let mut span = wow_obs::span(wow_obs::Op::VecEval);
-                db.counters.sel_in += n as u64;
-                pred.filter(&mut batch, &mut self.scratch)?;
-                db.counters.sel_out += batch.sel.len() as u64;
-                span.arg(batch.sel.len() as u64);
-                span.finish();
+                filter_batch(db, pred, &mut batch, &mut self.scratch)?;
             }
             decode_at_sel(&self.rows, &batch.sel, &self.post_cols, n, &mut batch.cols)?;
             self.rows.advance(n);
@@ -928,12 +904,7 @@ struct VecFilterStream {
 impl BatchSource for VecFilterStream {
     fn next_batch(&mut self, db: &mut Database) -> RelResult<Option<Batch>> {
         while let Some(mut b) = self.input.next_batch(db)? {
-            let mut span = wow_obs::span(wow_obs::Op::VecEval);
-            db.counters.sel_in += b.sel.len() as u64;
-            self.pred.filter(&mut b, &mut self.scratch)?;
-            db.counters.sel_out += b.sel.len() as u64;
-            span.arg(b.sel.len() as u64);
-            span.finish();
+            filter_batch(db, &self.pred, &mut b, &mut self.scratch)?;
             if !b.sel.is_empty() {
                 return Ok(Some(b));
             }
@@ -1009,71 +980,21 @@ impl Operator for VecRowsAdapter {
     }
 }
 
-/// Sequential heap scan, one page chain walk with buffer-pool readahead.
-struct SeqScanStream {
-    table_id: TableId,
-    pred: Option<Expr>,
-    page_idx: usize,
-    exhausted: bool,
-    /// Pushed-down limit: stop reading pages once this many tuples have
-    /// been emitted (only set when there is no predicate).
-    remaining: Option<usize>,
-}
-
-impl Operator for SeqScanStream {
-    fn next_block(&mut self, db: &mut Database) -> RelResult<Option<TupleBlock>> {
-        if self.exhausted || self.remaining == Some(0) {
-            return Ok(None);
-        }
-        let mut block = TupleBlock::new();
-        let target = match self.remaining {
-            Some(r) => r.min(BLOCK_CAP),
-            None => BLOCK_CAP,
-        };
-        while block.len() < target {
-            match db.scan_table_page(self.table_id, self.page_idx)? {
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-                Some(rows) => {
-                    self.page_idx += 1;
-                    for (_, t) in rows {
-                        let keep = match &self.pred {
-                            Some(p) => eval_pred(p, &t)?,
-                            None => true,
-                        };
-                        if keep {
-                            block.tuples.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(r) = &mut self.remaining {
-            *r = r.saturating_sub(block.len());
-        }
-        if block.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(block))
-    }
-}
-
 /// Parallel sequential scan: partitions the page chain across the worker
 /// pool on first pull ([`par::parallel_scan`], order-preserving gather),
 /// then emits [`BLOCK_CAP`]-sized blocks from the materialized result.
 /// Selected only for large tables with no stop hint, where the scatter
 /// cost is amortized and no early stop is possible anyway.
-struct ParSeqScanStream {
+struct ParScanStream {
     table_id: TableId,
-    pred: Option<Expr>,
+    /// Compiled scan predicate, if any.
+    pred: Option<Program>,
     buf: Vec<Tuple>,
     pos: usize,
     built: bool,
 }
 
-impl Operator for ParSeqScanStream {
+impl Operator for ParScanStream {
     fn next_block(&mut self, db: &mut Database) -> RelResult<Option<TupleBlock>> {
         if !self.built {
             self.buf = par::parallel_scan(db, self.table_id, self.pred.as_ref())?;

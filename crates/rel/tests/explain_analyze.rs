@@ -1,250 +1,72 @@
-//! EXPLAIN ANALYZE equivalence: profiling a plan must not change its
-//! results, and the per-operator statistics must agree with what actually
-//! flowed through the pipeline.
-//!
-//! The 500-case property suite mirrors `vec_equivalence`: arbitrary
-//! conjunctions, projections, sort/distinct toggles, limits, and batch
-//! sizes, run through `execute_analyzed` on both the row and vectorized
-//! engines and compared against the materializing reference. Every case
-//! additionally checks that the profile's root `rows_out` equals the
-//! number of rows returned and that the annotated render covers every
-//! plan node.
+//! EXPLAIN ANALYZE profile shapes: the per-operator statistics must agree
+//! with what actually flowed through the pipeline — pre-order indices
+//! across a fused scan chain, `rows_in` derived from both join children,
+//! drop-flushed stats under a satisfied limit, and one `exec_op` span per
+//! operator when tracing — and profiling never changes a plan's results.
+//! Generated plans are held to the same reference in `exec_equivalence`.
 
-use proptest::prelude::*;
 use wow_rel::db::Database;
 use wow_rel::exec::{execute_analyzed, execute_materializing, PhysicalPlan};
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::plan::{build_query_block, optimize};
-use wow_rel::quel::ast::{RetrieveStmt, SortKey, Target};
+use wow_rel::quel::{parse_program, Statement};
 use wow_rel::value::Value;
 
-fn small_world(rows: &[(i64, Option<i64>, &str)]) -> Database {
+/// Ten rows `(i, i % 4, red|blue)` for the profile-shape tests.
+fn ten_rows() -> Database {
     let mut db = Database::in_memory();
-    db.run("CREATE TABLE t (id INT KEY, x INT, tag TEXT) RANGE OF a IS t")
+    db.run("CREATE TABLE t (id INT KEY, x INT, tag TEXT) RANGE OF a IS t RANGE OF b IS t")
         .unwrap();
-    for (id, x, tag) in rows {
+    for i in 0..10 {
+        let tag = if i % 2 == 0 { "red" } else { "blue" };
         db.insert(
             "t",
-            vec![
-                Value::Int(*id),
-                x.map(Value::Int).unwrap_or(Value::Null),
-                Value::text(*tag),
-            ],
+            vec![Value::Int(i), Value::Int(i % 4), Value::text(tag)],
         )
         .unwrap();
     }
     db
 }
 
-/// One WHERE conjunct over the small world's schema.
-#[derive(Debug, Clone)]
-enum Conj {
-    /// `a.x op v`
-    XCmp(BinOp, i64),
-    /// `k / a.x > v` — errors on rows where `x = 0`, exercising the error
-    /// path of the instrumented pipeline.
-    DivCmp(i64, i64),
-    /// `a.tag LIKE pattern`
-    TagLike(String),
-    /// `a.x IS NULL`
-    XIsNull,
-}
-
-impl Conj {
-    fn to_expr(&self) -> Expr {
-        let x = || Box::new(Expr::ColumnRef("a.x".into()));
-        let lit = |v: i64| Box::new(Expr::Literal(Value::Int(v)));
-        match self {
-            Conj::XCmp(op, v) => Expr::Binary {
-                op: *op,
-                left: x(),
-                right: lit(*v),
-            },
-            Conj::DivCmp(k, v) => Expr::Binary {
-                op: BinOp::Gt,
-                left: Box::new(Expr::Binary {
-                    op: BinOp::Div,
-                    left: lit(*k),
-                    right: x(),
-                }),
-                right: lit(*v),
-            },
-            Conj::TagLike(p) => Expr::Like {
-                expr: Box::new(Expr::ColumnRef("a.tag".into())),
-                pattern: p.clone(),
-            },
-            Conj::XIsNull => Expr::IsNull(x()),
-        }
-    }
-}
-
-fn cmp_strategy() -> impl Strategy<Value = BinOp> {
-    prop_oneof![
-        Just(BinOp::Eq),
-        Just(BinOp::Ne),
-        Just(BinOp::Lt),
-        Just(BinOp::Le),
-        Just(BinOp::Gt),
-        Just(BinOp::Ge),
-    ]
-}
-
-fn conj_strategy() -> impl Strategy<Value = Conj> {
-    prop_oneof![
-        (cmp_strategy(), -2i64..8).prop_map(|(op, v)| Conj::XCmp(op, v)),
-        ((-20i64..20), (-4i64..4)).prop_map(|(k, v)| Conj::DivCmp(k, v)),
-        prop_oneof![Just("v*"), Just("*2"), Just("red")].prop_map(|p| Conj::TagLike(p.to_string())),
-        Just(Conj::XIsNull),
-    ]
-}
-
-fn stmt(
-    conjs: &[Conj],
-    project_expr: bool,
-    unique: bool,
-    sorted: bool,
-    limit: Option<(usize, usize)>,
-) -> RetrieveStmt {
-    let mut targets = vec![
-        Target::Expr {
-            name: None,
-            expr: Expr::ColumnRef("a.x".into()),
-        },
-        Target::Expr {
-            name: None,
-            expr: Expr::ColumnRef("a.tag".into()),
-        },
-    ];
-    if project_expr {
-        targets.push(Target::Expr {
-            name: Some("xx".into()),
-            expr: Expr::Binary {
-                op: BinOp::Add,
-                left: Box::new(Expr::ColumnRef("a.x".into())),
-                right: Box::new(Expr::ColumnRef("a.id".into())),
-            },
-        });
-    }
-    RetrieveStmt {
-        unique,
-        targets,
-        where_: if conjs.is_empty() {
-            None
-        } else {
-            Some(Expr::conjunction(conjs.iter().map(Conj::to_expr).collect()))
-        },
-        group_by: vec![],
-        sort_by: if sorted {
-            vec![SortKey {
-                column: "a.x".into(),
-                ascending: true,
-            }]
-        } else {
-            vec![]
-        },
-        limit,
-    }
-}
-
-/// Run `plan` profiled under one engine configuration and check results
-/// against the materializing reference plus the profile invariants.
-fn assert_profiled_run_agrees(
-    db: &Database,
-    plan: &PhysicalPlan,
-    vectorized: bool,
-    batch: usize,
-) -> Result<(), TestCaseError> {
-    let mut ref_db = db.read_replica();
-    let mut prof_db = db.read_replica();
-    prof_db.set_vectorized(vectorized);
-    prof_db.set_batch_size(batch);
-    let reference = execute_materializing(&mut ref_db, plan);
-    let analyzed = execute_analyzed(&mut prof_db, plan);
-    match (reference, analyzed) {
-        (Ok(r), Ok((rows, profile))) => {
-            prop_assert_eq!(
-                &r.tuples,
-                &rows.tuples,
-                "profiled run changed results (vectorized={}, batch={}); plan:\n{}",
-                vectorized,
-                batch,
-                plan.explain()
-            );
-            prop_assert_eq!(
-                profile.root().rows_out,
-                rows.tuples.len() as u64,
-                "root rows_out must equal rows returned; plan:\n{}",
-                profile.render(plan)
-            );
-            prop_assert_eq!(profile.nodes.len(), plan.node_count());
-            let rendered = profile.render(plan);
-            prop_assert_eq!(rendered.lines().count(), plan.node_count());
-            for line in rendered.lines() {
-                prop_assert!(
-                    line.contains("(actual") && line.contains("rows="),
-                    "unannotated render line: {}",
-                    line
-                );
+#[test]
+fn analyzed_rows_match_execution() {
+    let db = ten_rows();
+    for src in [
+        r#"RETRIEVE (a.x, a.tag) WHERE a.x >= 1 AND a.tag LIKE "r*""#,
+        "RETRIEVE UNIQUE (a.x) SORT BY a.x",
+        "RETRIEVE (a.id, b.tag) WHERE a.x = b.x AND b.id < 3 SORT BY a.id",
+        "RETRIEVE (a.id) SORT BY a.id DESC LIMIT 3 OFFSET 2",
+        "RETRIEVE (a.id) WHERE 12 / a.x > 2",
+    ] {
+        let Statement::Retrieve(stmt) = parse_program(src).unwrap().pop().unwrap() else {
+            panic!("not a RETRIEVE: {src}");
+        };
+        let plan = optimize(&db, &build_query_block(&db, &stmt).unwrap()).unwrap();
+        let want = execute_materializing(&mut db.read_replica(), &plan);
+        // x = 0 on ids 0, 4 and 8, so only the division fails.
+        assert_eq!(want.is_err(), src.contains(" / "), "{src}");
+        for batch in [1, 3, 1024] {
+            let mut run_db = db.read_replica();
+            run_db.set_batch_size(batch);
+            match (&want, execute_analyzed(&mut run_db, &plan)) {
+                (Ok(want), Ok((got, profile))) => {
+                    assert_eq!(want.tuples, got.tuples, "{src} at batch {batch}");
+                    assert_eq!(profile.root().rows_out, got.len() as u64, "{src}");
+                }
+                (Err(_), Err(_)) => {}
+                (want, got) => panic!(
+                    "{src} at batch {batch}: reference ok={}, analyzed ok={}",
+                    want.is_ok(),
+                    got.is_ok()
+                ),
             }
         }
-        (Err(_), Err(_)) => {}
-        (reference, analyzed) => prop_assert!(
-            false,
-            "one run errored, the other did not: ref={:?} analyzed={:?}; plan:\n{}",
-            reference.map(|r| r.tuples.len()),
-            analyzed.map(|(r, _)| r.tuples.len()),
-            plan.explain()
-        ),
     }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(500))]
-
-    #[test]
-    fn analyzed_rows_match_execution(
-        conjs in proptest::collection::vec(conj_strategy(), 0..4),
-        rows in proptest::collection::vec(
-            (
-                prop_oneof![4 => (-2i64..8).prop_map(Some), 1 => Just(None)],
-                prop_oneof![Just("v00"), Just("v12"), Just("red"), Just("")],
-            ),
-            0..40,
-        ),
-        batch in 1usize..300,
-        vectorized in any::<bool>(),
-        project_expr in any::<bool>(),
-        unique in any::<bool>(),
-        sorted in any::<bool>(),
-        limit in prop_oneof![3 => Just(None), 1 => ((0usize..4), (0usize..20)).prop_map(Some)],
-    ) {
-        let rows: Vec<(i64, Option<i64>, &str)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, (x, tag))| (i as i64, *x, *tag))
-            .collect();
-        let db = small_world(&rows);
-        let stmt = stmt(&conjs, project_expr, unique, sorted, limit);
-        let block = build_query_block(&db, &stmt).unwrap();
-        let plan = optimize(&db, &block).unwrap();
-        assert_profiled_run_agrees(&db, &plan, vectorized, batch)?;
-    }
-}
-
-/// Deterministic world for the targeted profile-shape tests below.
-fn ten_rows() -> Database {
-    small_world(
-        &(0..10)
-            .map(|i| (i, Some(i % 4), if i % 2 == 0 { "red" } else { "blue" }))
-            .collect::<Vec<_>>(),
-    )
 }
 
 #[test]
 fn join_profile_derives_rows_in_from_both_children() {
     let mut db = ten_rows().read_replica();
-    db.set_vectorized(false);
     let scan = |alias: &str| PhysicalPlan::SeqScan {
         table: "t".into(),
         alias: alias.into(),
@@ -270,7 +92,6 @@ fn join_profile_derives_rows_in_from_both_children() {
 #[test]
 fn limit_pushdown_flushes_unexhausted_operators() {
     let mut db = ten_rows().read_replica();
-    db.set_vectorized(false);
     let plan = PhysicalPlan::Limit {
         input: Box::new(PhysicalPlan::SeqScan {
             table: "t".into(),
@@ -283,18 +104,17 @@ fn limit_pushdown_flushes_unexhausted_operators() {
     let (rows, profile) = execute_analyzed(&mut db, &plan).unwrap();
     assert_eq!(rows.tuples.len(), 3);
     assert_eq!(profile.nodes[0].rows_out, 3, "limit emits its quota");
-    // The scan stops at page granularity — this table fits one page, so
-    // it emitted all 10 rows in one block — but it was never pulled to
-    // exhaustion (the limit stopped pulling), so its stats arrive via the
-    // drop flush rather than the end-of-stream flush.
-    assert_eq!(profile.nodes[1].rows_out, 10);
+    // The limit's stop hint sizes the scan's only batch to its quota, and
+    // the scan is never pulled to exhaustion (the limit stopped pulling),
+    // so its stats arrive via the drop flush rather than the end-of-stream
+    // flush.
+    assert_eq!(profile.nodes[1].rows_out, 3);
     assert_eq!(profile.nodes[1].batches, 1);
 }
 
 #[test]
-fn vectorized_fused_chain_keeps_preorder_indices() {
+fn fused_scan_chain_keeps_preorder_indices() {
     let mut db = ten_rows().read_replica();
-    db.set_vectorized(true);
     db.set_batch_size(4);
     let schema = db.catalog().table("t").unwrap().schema.qualified("a");
     let pred = Expr::Binary {
@@ -330,7 +150,6 @@ fn vectorized_fused_chain_keeps_preorder_indices() {
 #[test]
 fn traced_run_mirrors_operator_tree() {
     let mut db = ten_rows().read_replica();
-    db.set_vectorized(false);
     let schema = db.catalog().table("t").unwrap().schema.qualified("a");
     let pred = Expr::Binary {
         op: BinOp::Ge,

@@ -1,190 +1,39 @@
-//! Parallel-executor equivalence: for any worker count and any input
-//! size (hence any chunking), the parallel scan and the parallel
-//! hash-join build must produce output row-for-row identical to the
-//! serial path — same rows, same order, same counters.
-//!
-//! Two property suites, 300 cases each:
-//!
-//! 1. `parallel_scan_matches_serial_any_size` drives
-//!    [`wow_rel::exec::par::parallel_scan`] directly on freshly built
-//!    tables of arbitrary size (including empty and sub-page), so every
-//!    chunking edge case — zero chunks, one short chunk, more workers
-//!    than pages — is exercised.
-//! 2. `parallel_query_matches_serial` runs whole plans (scan + filter,
-//!    optionally a 5 000-row self-join whose build side crosses
-//!    `PAR_JOIN_BUILD_MIN_ROWS`) against a shared base table large
-//!    enough to take the parallel path, comparing a workers=1 replica
-//!    with a workers=N replica tuple-for-tuple and counter-for-counter.
+//! Parallel execution against the serial materializing reference: whole
+//! plans on a world big enough for the parallel scan and hash-join build
+//! to fire, and `par::parallel_scan` called directly on tables of any size.
+//! What is checked is documented in the shared [`exec_equivalence`] module.
 
+mod exec_equivalence;
+
+use exec_equivalence::{
+    batch_size, check_parallel_scan, check_plan, plan, query, rows_a, with_big_world, world,
+};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use wow_rel::db::Database;
-use wow_rel::exec::par;
-use wow_rel::expr::{BinOp, Expr};
-use wow_rel::plan::{build_query_block, optimize};
-use wow_rel::quel::ast::{RetrieveStmt, SortKey, Target};
-use wow_rel::value::Value;
-
-/// Rows in the shared base table — above both parallel thresholds.
-const BASE_ROWS: i64 = 5_000;
-
-thread_local! {
-    /// The big base table is expensive to populate, so it is built once
-    /// per test thread; each case runs against read replicas of it.
-    static BASE: RefCell<Option<Database>> = const { RefCell::new(None) };
-}
-
-fn with_base<R>(f: impl FnOnce(&Database) -> R) -> R {
-    BASE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let db = slot.get_or_insert_with(build_base);
-        f(db)
-    })
-}
-
-fn build_base() -> Database {
-    let mut db = Database::in_memory();
-    db.run(
-        "CREATE TABLE big (id INT KEY, grp INT, val TEXT)
-         RANGE OF a IS big
-         RANGE OF b IS big",
-    )
-    .unwrap();
-    for i in 0..BASE_ROWS {
-        db.insert(
-            "big",
-            vec![
-                Value::Int(i),
-                Value::Int(i % 53),
-                Value::Text(format!("v{:02}", i % 17)),
-            ],
-        )
-        .unwrap();
-    }
-    db
-}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
-
-    #[test]
-    fn parallel_scan_matches_serial_any_size(
-        rows in 0usize..600,
-        workers in 1usize..9,
-        bound in prop_oneof![Just(None), (0i64..700).prop_map(Some)],
-    ) {
-        let mut db = Database::in_memory();
-        db.set_workers(workers);
-        db.run("CREATE TABLE t (id INT KEY, grp INT)").unwrap();
-        for i in 0..rows {
-            db.insert("t", vec![Value::Int(i as i64), Value::Int(i as i64 % 7)])
-                .unwrap();
-        }
-        let t = db.catalog().table("t").unwrap().id;
-        let pred = bound.map(|b| Expr::Binary {
-            op: BinOp::Lt,
-            left: Box::new(Expr::Column(0)),
-            right: Box::new(Expr::Literal(Value::Int(b))),
-        });
-
-        db.reset_counters();
-        let par_rows = par::parallel_scan(&mut db, t, pred.as_ref()).unwrap();
-        let par_scanned = db.counters().rows_scanned;
-
-        db.reset_counters();
-        let serial: Vec<_> = db
-            .scan_table_raw(t)
-            .unwrap()
-            .into_iter()
-            .map(|(_, tup)| tup)
-            .filter(|tup| match (bound, &tup.values[0]) {
-                (Some(b), Value::Int(id)) => *id < b,
-                _ => true,
-            })
-            .collect();
-        let serial_scanned = db.counters().rows_scanned;
-
-        prop_assert_eq!(&par_rows, &serial, "rows differ at workers={}", workers);
-        prop_assert_eq!(par_scanned, serial_scanned, "scan counters differ");
-    }
+    #![proptest_config(ProptestConfig::with_cases(75))]
 
     #[test]
     fn parallel_query_matches_serial(
+        query in query(),
+        batch in batch_size(),
         workers in 2usize..9,
-        op in prop_oneof![
-            Just(BinOp::Lt),
-            Just(BinOp::Le),
-            Just(BinOp::Gt),
-            Just(BinOp::Ge),
-            Just(BinOp::Eq),
-            Just(BinOp::Ne),
-        ],
-        bound in 0i64..60,
-        join in any::<bool>(),
-        sorted in any::<bool>(),
     ) {
-        let filter = Expr::Binary {
-            op,
-            left: Box::new(Expr::ColumnRef("a.grp".into())),
-            right: Box::new(Expr::Literal(Value::Int(bound))),
-        };
-        let (targets, where_) = if join {
-            // Self-join on the 5 000-row table: the build side crosses
-            // PAR_JOIN_BUILD_MIN_ROWS, so the hash build partitions.
-            let join_pred = Expr::Binary {
-                op: BinOp::Eq,
-                left: Box::new(Expr::ColumnRef("a.id".into())),
-                right: Box::new(Expr::ColumnRef("b.id".into())),
-            };
-            (
-                vec![
-                    Target::Expr { name: None, expr: Expr::ColumnRef("a.id".into()) },
-                    Target::Expr { name: None, expr: Expr::ColumnRef("b.val".into()) },
-                ],
-                Some(Expr::conjunction(vec![filter, join_pred])),
-            )
-        } else {
-            (
-                vec![
-                    Target::Expr { name: None, expr: Expr::ColumnRef("a.id".into()) },
-                    Target::Expr { name: None, expr: Expr::ColumnRef("a.val".into()) },
-                ],
-                Some(filter),
-            )
-        };
-        let stmt = RetrieveStmt {
-            unique: false,
-            targets,
-            where_,
-            group_by: vec![],
-            sort_by: if sorted {
-                vec![SortKey { column: "a.id".into(), ascending: false }]
-            } else {
-                vec![]
-            },
-            limit: None,
-        };
+        with_big_world(|db| check_plan(db, &plan(db, &query, true), batch, workers))?;
+    }
+}
 
-        let (serial, serial_counters, par_rows, par_counters) = with_base(|base| {
-            let mut s = base.read_replica();
-            s.set_workers(1);
-            let mut p = base.read_replica();
-            p.set_workers(workers);
-            let block = build_query_block(&s, &stmt).unwrap();
-            let plan = optimize(&s, &block).unwrap();
-            let serial = wow_rel::exec::execute(&mut s, &plan).unwrap();
-            let par_rows = wow_rel::exec::execute(&mut p, &plan).unwrap();
-            (serial, s.counters(), par_rows, p.counters())
-        });
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(150))]
 
-        prop_assert_eq!(
-            &serial.tuples,
-            &par_rows.tuples,
-            "plans disagree at workers={} join={}",
-            workers,
-            join
-        );
-        prop_assert_eq!(serial_counters.rows_scanned, par_counters.rows_scanned);
-        prop_assert_eq!(serial_counters.join_rows, par_counters.join_rows);
+    #[test]
+    fn parallel_scan_matches_serial_any_size(
+        query in query(),
+        rows_a in prop_oneof![3 => rows_a(40), 1 => rows_a(600)],
+        batch in batch_size(),
+        workers in 1usize..9,
+    ) {
+        let db = world(&rows_a, &[]);
+        check_parallel_scan(&db, query.a_pred(), batch, workers)?;
     }
 }

@@ -1,170 +1,24 @@
-//! Executor equivalence: the streaming executor must produce exactly the
-//! same rows — same order, not just the same multiset — as the
-//! materializing reference on randomly generated plans combining scans,
-//! filters, projections, joins, sort, distinct, and limit/offset.
+//! The streaming executor against the materializing reference on small
+//! worlds with NULLs, at any batch size and worker count. What is checked
+//! is documented in the shared [`exec_equivalence`] module.
 
+mod exec_equivalence;
+
+use exec_equivalence::{batch_size, check_plan, plan, query, rows_a, rows_b, world};
 use proptest::prelude::*;
-use wow_rel::db::Database;
-use wow_rel::expr::{BinOp, Expr};
-use wow_rel::plan::{build_query_block, optimize};
-use wow_rel::quel::ast::{RetrieveStmt, SortKey, Target};
-use wow_rel::value::Value;
-
-/// A small, fully indexed world with deterministic data.
-fn world(rows_a: &[(i64, i64, &str)], rows_b: &[(i64, i64)]) -> Database {
-    let mut db = Database::in_memory();
-    db.run(
-        "CREATE TABLE ta (id INT KEY, x INT, tag TEXT)
-         CREATE TABLE tb (id INT KEY, x INT)
-         CREATE INDEX ta_x ON ta (x)
-         CREATE INDEX tb_x ON tb (x) USING HASH
-         RANGE OF a IS ta
-         RANGE OF b IS tb",
-    )
-    .unwrap();
-    for (id, x, tag) in rows_a {
-        db.insert(
-            "ta",
-            vec![Value::Int(*id), Value::Int(*x), Value::text(*tag)],
-        )
-        .unwrap();
-    }
-    for (id, x) in rows_b {
-        db.insert("tb", vec![Value::Int(*id), Value::Int(*x)])
-            .unwrap();
-    }
-    db
-}
-
-/// One conjunct over the generated schema.
-#[derive(Debug, Clone)]
-enum Conj {
-    AXCmp(BinOp, i64),
-    ATagEq(String),
-    BXCmp(BinOp, i64),
-    JoinAxBx,
-    JoinAidBid,
-}
-
-impl Conj {
-    fn to_expr(&self) -> Expr {
-        let col = |n: &str| Box::new(Expr::ColumnRef(n.to_string()));
-        let lit = |v: Value| Box::new(Expr::Literal(v));
-        match self {
-            Conj::AXCmp(op, v) => Expr::Binary {
-                op: *op,
-                left: col("a.x"),
-                right: lit(Value::Int(*v)),
-            },
-            Conj::ATagEq(s) => Expr::Binary {
-                op: BinOp::Eq,
-                left: col("a.tag"),
-                right: lit(Value::text(s.clone())),
-            },
-            Conj::BXCmp(op, v) => Expr::Binary {
-                op: *op,
-                left: col("b.x"),
-                right: lit(Value::Int(*v)),
-            },
-            Conj::JoinAxBx => Expr::Binary {
-                op: BinOp::Eq,
-                left: col("a.x"),
-                right: col("b.x"),
-            },
-            Conj::JoinAidBid => Expr::Binary {
-                op: BinOp::Eq,
-                left: col("a.id"),
-                right: col("b.id"),
-            },
-        }
-    }
-}
-
-fn conj_strategy() -> impl Strategy<Value = Conj> {
-    let cmp = prop_oneof![
-        Just(BinOp::Eq),
-        Just(BinOp::Ne),
-        Just(BinOp::Lt),
-        Just(BinOp::Le),
-        Just(BinOp::Gt),
-        Just(BinOp::Ge),
-    ];
-    prop_oneof![
-        (cmp.clone(), -2i64..8).prop_map(|(op, v)| Conj::AXCmp(op, v)),
-        prop_oneof![Just("red"), Just("blue"), Just("green")]
-            .prop_map(|s| Conj::ATagEq(s.to_string())),
-        (cmp, -2i64..8).prop_map(|(op, v)| Conj::BXCmp(op, v)),
-        Just(Conj::JoinAxBx),
-        Just(Conj::JoinAidBid),
-    ]
-}
-
-fn limit_strategy() -> impl Strategy<Value = Option<(usize, usize)>> {
-    prop_oneof![Just(None), ((0usize..6), (0usize..9)).prop_map(Some),]
-}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
+    #![proptest_config(ProptestConfig::with_cases(225))]
+
     #[test]
     fn streaming_matches_materializing(
-        conjs in proptest::collection::vec(conj_strategy(), 0..4),
-        rows_a in proptest::collection::vec(
-            ((-2i64..8), prop_oneof![Just("red"), Just("blue"), Just("green")]),
-            0..12,
-        ),
-        rows_b in proptest::collection::vec(-2i64..8, 0..10),
-        project_b in any::<bool>(),
-        unique in any::<bool>(),
-        sorted in any::<bool>(),
-        limit in limit_strategy(),
+        query in query(),
+        rows_a in prop_oneof![3 => rows_a(40), 1 => rows_a(600)],
+        rows_b in rows_b(),
+        batch in batch_size(),
+        workers in 1usize..9,
     ) {
-        let rows_a: Vec<(i64, i64, &str)> = rows_a
-            .iter()
-            .enumerate()
-            .map(|(i, (x, tag))| (i as i64, *x, *tag))
-            .collect();
-        let rows_b: Vec<(i64, i64)> = rows_b
-            .iter()
-            .enumerate()
-            .map(|(i, x)| (i as i64, *x))
-            .collect();
-        let mut db = world(&rows_a, &rows_b);
-
-        let mut targets = vec![
-            Target::Expr { name: None, expr: Expr::ColumnRef("a.x".into()) },
-            Target::Expr { name: None, expr: Expr::ColumnRef("a.tag".into()) },
-        ];
-        if project_b {
-            targets.push(Target::Expr { name: None, expr: Expr::ColumnRef("b.x".into()) });
-        }
-        let where_ = if conjs.is_empty() {
-            None
-        } else {
-            Some(Expr::conjunction(conjs.iter().map(Conj::to_expr).collect()))
-        };
-        let stmt = RetrieveStmt {
-            unique,
-            targets,
-            where_,
-            group_by: vec![],
-            sort_by: if sorted {
-                vec![SortKey { column: "a.x".into(), ascending: true }]
-            } else {
-                vec![]
-            },
-            limit,
-        };
-
-        let block = build_query_block(&db, &stmt).unwrap();
-        let plan = optimize(&db, &block).unwrap();
-        let streamed = wow_rel::exec::execute(&mut db, &plan).unwrap();
-        let materialized = wow_rel::exec::execute_materializing(&mut db, &plan).unwrap();
-        prop_assert_eq!(
-            &streamed.tuples,
-            &materialized.tuples,
-            "executors disagree (order matters); plan:\n{}",
-            plan.explain()
-        );
-        prop_assert_eq!(streamed.schema.len(), materialized.schema.len());
+        let db = world(&rows_a, &rows_b);
+        check_plan(&db, &plan(&db, &query, false), batch, workers)?;
     }
 }

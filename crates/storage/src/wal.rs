@@ -297,18 +297,17 @@ pub enum SyncPolicy {
     Never,
 }
 
-impl SyncPolicy {
-    /// Resolve the `WOW_FSYNC` environment override (`0`/`off`/`never` →
-    /// [`SyncPolicy::Never`], `1`/`on`/`commit` → [`SyncPolicy::Commit`])
-    /// over a configured default.
-    pub fn resolve(default: SyncPolicy) -> SyncPolicy {
-        match std::env::var("WOW_FSYNC") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "never" | "false" => SyncPolicy::Never,
-                "1" | "on" | "commit" | "true" => SyncPolicy::Commit,
-                _ => default,
-            },
-            Err(_) => default,
+/// The word forms of the `WOW_FSYNC` override, case-insensitive:
+/// `0`/`off`/`never`/`false` → [`SyncPolicy::Never`],
+/// `1`/`on`/`commit`/`true` → [`SyncPolicy::Commit`].
+impl std::str::FromStr for SyncPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SyncPolicy, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "0" | "off" | "never" | "false" => Ok(SyncPolicy::Never),
+            "1" | "on" | "commit" | "true" => Ok(SyncPolicy::Commit),
+            other => Err(format!("unknown sync policy {other:?}")),
         }
     }
 }
