@@ -1,27 +1,38 @@
 //! Browse cursors: how a window walks its view's extension.
 //!
-//! Three strategies, matching the Table 2 comparison:
+//! One navigation, three page sources, one chooser. A [`BrowseCursor`]
+//! holds the screenful on display and the cursor's slot in it; `next`,
+//! `prev`, `next_page` and `prev_page` are written once over that state and
+//! ask the source for nothing but "page *n*". The sources differ only in
+//! where a page comes from (the Table 2 comparison):
 //!
-//! * [`BrowseCursor::indexed`] — **incremental**: fetch one screenful at a
-//!   time through the base table's primary-key B+tree, filtering and
-//!   projecting through the view as pages stream in. Opening a window on a
-//!   million-row relation costs one page fetch.
-//! * [`BrowseCursor::streamed`] — **incremental for join views**: fetch one
-//!   screenful at a time by pushing `LIMIT page OFFSET k·page` through the
-//!   streaming executor; the join stops producing the moment the page is
-//!   full, so opening a window never materializes the whole extension.
-//! * [`BrowseCursor::materialized`] — **the baseline**: run the whole view
-//!   query (optionally sorted) up front and page through the copy.
+//! * **Index** — a seek into the base table's primary-key B+tree just past
+//!   the key that ended the page before, filtering and projecting through
+//!   the view as entries stream in. Opening a window on a million-row
+//!   relation costs one page fetch.
+//! * **Query** — the view query re-run with `LIMIT n+1 OFFSET k·n`, which
+//!   the streaming executor stops as soon as the page is full, so a join
+//!   window never materializes the whole extension; the extra row says
+//!   whether a further page exists.
+//! * **Snapshot** — the baseline: the whole extension (optionally sorted)
+//!   held in memory, a page being a slice of it. The only source that
+//!   knows the row count.
 //!
-//! Cursor positions survive refreshes: after another window commits a
-//! write, [`BrowseCursor::refresh`] re-fetches the current page in place.
+//! [`BrowseCursor::open`] is the one place a source is chosen. Whatever the
+//! source, PageDown/PageUp land on the first row of the new page, a
+//! position is `page · page_size + slot`, and a refresh — full or by view
+//! delta — stays on the current record when it survives and otherwise
+//! keeps the slot.
 
-use crate::error::{WowError, WowResult};
+use crate::error::WowResult;
+use crate::world::CursorStrategy;
 use std::cmp::Ordering;
 use wow_rel::db::Database;
 use wow_rel::eval::{eval, eval_pred};
 use wow_rel::exec::infer_type;
+use wow_rel::exec::sort::compare;
 use wow_rel::expr::Expr;
+use wow_rel::quel::ast::SortKey;
 use wow_rel::schema::{Column, Schema};
 use wow_rel::tuple::Tuple;
 use wow_rel::types::DataType;
@@ -56,78 +67,114 @@ pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
     Ok(Schema::new(columns))
 }
 
-/// State for the incremental, index-ordered strategy.
+/// One displayed row.
 #[derive(Debug, Clone)]
-pub struct Indexed {
-    upd: Updatability,
+struct Entry {
+    rid: Option<Rid>,
+    /// Primary-key index key on Index pages (empty elsewhere): places delta
+    /// rows without re-reading the index.
+    key: Vec<u8>,
+    row: Tuple,
+}
+
+impl Entry {
+    fn browse_row(&self) -> BrowseRow {
+        (self.rid, self.row.clone())
+    }
+}
+
+/// A view delta split into the rows leaving and entering a window.
+type DeltaRows<'d> = (Vec<&'d DeltaRow>, Vec<&'d DeltaRow>);
+
+/// Where pages come from.
+#[derive(Debug, Clone)]
+enum Source {
+    Index(IndexPages),
+    /// A fresh view query per page; any `limit` in `query` is overwritten.
+    Query {
+        view: String,
+        query: ViewQuery,
+    },
+    Snapshot(Box<Snapshot>),
+}
+
+/// Pages read through an updatable view's primary-key index.
+#[derive(Debug, Clone)]
+struct IndexPages {
+    table: String,
     index: String,
-    page_size: usize,
     /// Resolved view restriction over the base row.
     base_pred: Option<Expr>,
     /// Resolved projection over the base row.
     targets: Vec<Expr>,
-    /// Extra (QBF) restriction over the *view* row.
-    view_pred: Option<Expr>,
-    /// `page_starts[i]` = index key strictly before page `i` (None = start).
-    page_starts: Vec<Option<Vec<u8>>>,
-    page_no: usize,
-    /// The current screenful: `(rid, index key, view row)` — the key keeps
-    /// delta rows placeable without re-reading the index.
-    page: Vec<(Rid, Vec<u8>, Tuple)>,
-    /// Key to continue after for the *next* page.
-    next_start: Option<Vec<u8>>,
-    /// Rows on fully-consumed earlier pages (for position display).
-    rows_before: usize,
-    /// No further pages exist.
-    at_end: bool,
-    pos: usize,
+    /// `starts[i]` = index key strictly before page `i` (None = start), for
+    /// every page up to the current one.
+    starts: Vec<Option<Vec<u8>>>,
 }
 
-/// State for the materialize-everything baseline.
+/// The whole extension in memory.
 #[derive(Debug, Clone)]
-pub struct Materialized {
-    rows: Vec<BrowseRow>,
-    pos: usize,
-    /// Rows per screenful (pages are aligned to multiples of it).
-    page_size: usize,
-    /// How to rebuild on refresh.
+struct Snapshot {
     view: String,
     query: ViewQuery,
+    /// With an updatability proof rows carry base rids, so edits and delta
+    /// patches can find them; without one the window is read-only.
     upd: Option<Updatability>,
-}
-
-/// State for the incremental strategy over *non-updatable* (join /
-/// aggregate) views: each page is a fresh view query with
-/// `LIMIT page_size OFFSET page_no·page_size`, which the optimizer pushes
-/// into the streaming executor — production stops once the page fills.
-#[derive(Debug, Clone)]
-pub struct Streamed {
-    view: String,
-    /// Restriction/ordering from QBF; `limit` is overwritten per page.
-    query: ViewQuery,
-    page_size: usize,
-    page_no: usize,
-    page: Vec<Tuple>,
-    pos: usize,
-    /// The current page is the last one.
-    at_end: bool,
+    /// `query.sort` resolved over the view row (updatable views sort here;
+    /// the others sort in their query).
+    sort: Vec<(usize, bool)>,
+    rows: Vec<BrowseRow>,
 }
 
 /// A window's position in its view.
 #[derive(Debug, Clone)]
-pub enum BrowseCursor {
-    /// Incremental, index-ordered paging.
-    Indexed(Indexed),
-    /// Incremental, limit-pushdown paging (join/aggregate views).
-    Streamed(Streamed),
-    /// Materialized result paging.
-    Materialized(Materialized),
+pub struct BrowseCursor {
+    source: Source,
+    /// The window's query-by-form restriction resolved over the view row —
+    /// updatable views only (the others push it into their query).
+    filter: Option<Expr>,
+    page_size: usize,
+    page_no: usize,
+    /// The screenful on display.
+    page: Vec<Entry>,
+    /// The current row's slot in `page`.
+    pos: usize,
+    /// No page follows this one.
+    at_end: bool,
 }
 
 impl BrowseCursor {
-    /// Build the incremental cursor over an updatable view, paging through
-    /// `index` (the base table's primary-key B+tree). `view_pred` is an
-    /// extra restriction over bare view columns (from QBF).
+    /// Build a window's cursor — the one place a page source is chosen. A
+    /// sorted query, a forced [`CursorStrategy::Materialized`] or an
+    /// updatable view without a primary-key index gets a Snapshot; any other
+    /// updatable view pages through `pk_<base table>`; a read-only (join,
+    /// aggregate) view re-runs its query per page.
+    pub fn open(
+        db: &mut Database,
+        vc: &ViewCatalog,
+        view: &str,
+        upd: Option<&Updatability>,
+        query: &ViewQuery,
+        strategy: CursorStrategy,
+        page_size: usize,
+    ) -> WowResult<BrowseCursor> {
+        let incremental = strategy == CursorStrategy::Auto && query.sort.is_empty();
+        match upd {
+            Some(u) if incremental => {
+                let pk = format!("pk_{}", u.base_table);
+                if db.catalog().index(&pk).is_ok() {
+                    return Self::indexed(db, u, &pk, page_size, query.pred.clone());
+                }
+            }
+            None if incremental => return Self::streamed(db, vc, view, query.clone(), page_size),
+            _ => {}
+        }
+        Self::materialized(db, vc, view, query.clone(), upd, page_size)
+    }
+
+    /// An Index cursor over an updatable view, paging through `index` (the
+    /// base table's primary-key B+tree). `view_pred` is an extra restriction
+    /// over bare view columns (from QBF).
     pub fn indexed(
         db: &mut Database,
         upd: &Updatability,
@@ -135,7 +182,7 @@ impl BrowseCursor {
         page_size: usize,
         view_pred: Option<Expr>,
     ) -> WowResult<BrowseCursor> {
-        let info = db.catalog().table(&upd.base_table)?.clone();
+        let info = db.catalog().table(&upd.base_table)?;
         let base_schema = info.schema.qualified(&upd.base_alias);
         let base_pred = match &upd.base_pred {
             Some(p) => Some(p.clone().resolve(&base_schema)?),
@@ -146,33 +193,19 @@ impl BrowseCursor {
             .iter()
             .map(|e| e.clone().resolve(&base_schema))
             .collect::<Result<_, _>>()?;
-        let view_schema = view_schema_of(db, upd)?;
-        let view_pred = match view_pred {
-            Some(p) => Some(p.resolve(&view_schema)?),
-            None => None,
-        };
-        let mut ix = Indexed {
-            upd: upd.clone(),
+        let source = Source::Index(IndexPages {
+            table: upd.base_table.clone(),
             index: index.to_string(),
-            page_size: page_size.max(1),
             base_pred,
             targets,
-            view_pred,
-            page_starts: vec![None],
-            page_no: 0,
-            page: Vec::new(),
-            next_start: None,
-            rows_before: 0,
-            at_end: false,
-            pos: 0,
-        };
-        ix.fetch_page(db, None)?;
-        Ok(BrowseCursor::Indexed(ix))
+            starts: vec![None],
+        });
+        let filter = resolve_filter(db, Some(upd), view_pred)?;
+        Self::start(db, &ViewCatalog::new(), source, filter, page_size)
     }
 
-    /// Build the incremental cursor for a non-updatable (join/aggregate)
-    /// view. Any `limit` in `query` is ignored; paging supplies its own.
-    /// Rows carry no base rids, so the window is read-only.
+    /// A Query cursor: each page re-runs the view query. Rows carry no base
+    /// rids, so the window is read-only.
     pub fn streamed(
         db: &mut Database,
         vc: &ViewCatalog,
@@ -180,22 +213,16 @@ impl BrowseCursor {
         query: ViewQuery,
         page_size: usize,
     ) -> WowResult<BrowseCursor> {
-        let mut s = Streamed {
+        let source = Source::Query {
             view: view.to_string(),
             query,
-            page_size: page_size.max(1),
-            page_no: 0,
-            page: Vec::new(),
-            pos: 0,
-            at_end: true,
         };
-        s.fetch_page(db, vc, 0)?;
-        Ok(BrowseCursor::Streamed(s))
+        Self::start(db, vc, source, None, page_size)
     }
 
-    /// Build the materialized cursor, paging `page_size` rows at a time.
-    /// With an [`Updatability`] proof the rows carry base rids (edits
-    /// allowed); without one the window is read-only.
+    /// A Snapshot cursor: the whole (optionally sorted) extension, paged
+    /// `page_size` rows at a time. With an [`Updatability`] proof the rows
+    /// carry base rids (edits allowed); without one the window is read-only.
     pub fn materialized(
         db: &mut Database,
         vc: &ViewCatalog,
@@ -204,312 +231,426 @@ impl BrowseCursor {
         upd: Option<&Updatability>,
         page_size: usize,
     ) -> WowResult<BrowseCursor> {
-        let mut m = Materialized {
-            rows: Vec::new(),
-            pos: 0,
-            page_size: page_size.max(1),
+        let filter = resolve_filter(db, upd, query.pred.clone())?;
+        let sort = match upd {
+            Some(u) => {
+                let schema = view_schema_of(db, u)?;
+                let resolve = |k: &SortKey| -> WowResult<(usize, bool)> {
+                    Ok((schema.resolve(&k.column)?, k.ascending))
+                };
+                query.sort.iter().map(resolve).collect::<WowResult<_>>()?
+            }
+            None => Vec::new(),
+        };
+        let mut snap = Snapshot {
             view: view.to_string(),
             query,
             upd: upd.cloned(),
+            sort,
+            rows: Vec::new(),
         };
-        m.refill(db, vc)?;
-        Ok(BrowseCursor::Materialized(m))
+        snap.refill(db, vc, filter.as_ref())?;
+        Self::start(db, vc, Source::Snapshot(Box::new(snap)), filter, page_size)
     }
 
-    /// The current row, owned (uniform across strategies).
+    fn start(
+        db: &mut Database,
+        vc: &ViewCatalog,
+        source: Source,
+        filter: Option<Expr>,
+        page_size: usize,
+    ) -> WowResult<BrowseCursor> {
+        let mut cursor = BrowseCursor {
+            source,
+            filter,
+            page_size: page_size.max(1),
+            page_no: 0,
+            page: Vec::new(),
+            pos: 0,
+            at_end: true,
+        };
+        cursor.show(db, vc, 0, 0)?;
+        Ok(cursor)
+    }
+
+    /// The current row, owned.
     pub fn current_row(&self) -> Option<BrowseRow> {
-        match self {
-            BrowseCursor::Indexed(ix) => ix
-                .page
-                .get(ix.pos)
-                .map(|(rid, _, t)| (Some(*rid), t.clone())),
-            BrowseCursor::Streamed(s) => s.page.get(s.pos).map(|t| (None, t.clone())),
-            BrowseCursor::Materialized(m) => m.rows.get(m.pos).cloned(),
-        }
+        self.page.get(self.pos).map(Entry::browse_row)
     }
 
-    /// 0-based global position of the current row, when known.
+    /// 0-based position of the current row: its page's first slot plus its
+    /// slot in the page. Rows appearing or vanishing above an Index or Query
+    /// page move the page's contents, not its number.
     pub fn position(&self) -> Option<usize> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                if ix.page.is_empty() {
-                    None
-                } else {
-                    Some(ix.rows_before + ix.pos)
-                }
-            }
-            BrowseCursor::Streamed(s) => {
-                if s.page.is_empty() {
-                    None
-                } else {
-                    Some(s.page_no * s.page_size + s.pos)
-                }
-            }
-            BrowseCursor::Materialized(m) => {
-                if m.rows.is_empty() {
-                    None
-                } else {
-                    Some(m.pos)
-                }
-            }
-        }
+        (!self.page.is_empty()).then_some(self.page_no * self.page_size + self.pos)
     }
 
-    /// Total row count, when the strategy knows it (materialized only).
+    /// Total row count, when the source knows it (Snapshot only).
     pub fn known_len(&self) -> Option<usize> {
-        match self {
-            BrowseCursor::Indexed(_) | BrowseCursor::Streamed(_) => None,
-            BrowseCursor::Materialized(m) => Some(m.rows.len()),
+        match &self.source {
+            Source::Snapshot(s) => Some(s.rows.len()),
+            Source::Index(_) | Source::Query { .. } => None,
         }
     }
 
     /// Whether the cursor currently has no row.
     pub fn is_empty(&self) -> bool {
-        self.current_row().is_none()
+        self.page.is_empty()
     }
 
     /// Index of the current row within the page returned by
     /// [`BrowseCursor::page_rows`].
     pub fn pos_in_page(&self) -> usize {
-        match self {
-            BrowseCursor::Indexed(ix) => ix.pos,
-            BrowseCursor::Streamed(s) => s.pos,
-            BrowseCursor::Materialized(m) => m.pos % m.page_size,
-        }
-    }
-
-    /// Advance one row. Returns `false` at the end.
-    pub fn next(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                if ix.pos + 1 < ix.page.len() {
-                    ix.pos += 1;
-                    return Ok(true);
-                }
-                if ix.at_end {
-                    return Ok(false);
-                }
-                ix.advance_page(db)
-            }
-            BrowseCursor::Streamed(s) => {
-                if s.pos + 1 < s.page.len() {
-                    s.pos += 1;
-                    return Ok(true);
-                }
-                if s.at_end {
-                    return Ok(false);
-                }
-                s.advance_page(db, vc)
-            }
-            BrowseCursor::Materialized(m) => {
-                if m.pos + 1 < m.rows.len() {
-                    m.pos += 1;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// Step back one row. Returns `false` at the beginning.
-    pub fn prev(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                if ix.pos > 0 {
-                    ix.pos -= 1;
-                    return Ok(true);
-                }
-                if ix.page_no == 0 {
-                    return Ok(false);
-                }
-                ix.retreat_page(db)?;
-                ix.pos = ix.page.len().saturating_sub(1);
-                Ok(true)
-            }
-            BrowseCursor::Streamed(s) => {
-                if s.pos > 0 {
-                    s.pos -= 1;
-                    return Ok(true);
-                }
-                if s.page_no == 0 {
-                    return Ok(false);
-                }
-                let target = s.page_no - 1;
-                s.fetch_page(db, vc, target)?;
-                s.pos = s.page.len().saturating_sub(1);
-                Ok(true)
-            }
-            BrowseCursor::Materialized(m) => {
-                if m.pos > 0 {
-                    m.pos -= 1;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// Jump forward one page (a screenful). Returns `false` when already on
-    /// the last page.
-    pub fn next_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                if ix.at_end {
-                    return Ok(false);
-                }
-                ix.advance_page(db)
-            }
-            BrowseCursor::Streamed(s) => {
-                if s.at_end {
-                    return Ok(false);
-                }
-                s.advance_page(db, vc)
-            }
-            BrowseCursor::Materialized(m) => {
-                if m.pos + m.page_size < m.rows.len() {
-                    m.pos += m.page_size;
-                    Ok(true)
-                } else if m.pos + 1 < m.rows.len() {
-                    m.pos = m.rows.len() - 1;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// Jump back one page.
-    pub fn prev_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                if ix.page_no == 0 {
-                    if ix.pos == 0 {
-                        return Ok(false);
-                    }
-                    ix.pos = 0;
-                    return Ok(true);
-                }
-                ix.retreat_page(db)?;
-                Ok(true)
-            }
-            BrowseCursor::Streamed(s) => {
-                if s.page_no == 0 {
-                    if s.pos == 0 {
-                        return Ok(false);
-                    }
-                    s.pos = 0;
-                    return Ok(true);
-                }
-                let target = s.page_no - 1;
-                s.fetch_page(db, vc, target)?;
-                Ok(true)
-            }
-            BrowseCursor::Materialized(m) => {
-                if m.pos == 0 {
-                    return Ok(false);
-                }
-                m.pos = m.pos.saturating_sub(m.page_size);
-                Ok(true)
-            }
-        }
-    }
-
-    /// Re-fetch the current page after external writes, keeping the
-    /// position as stable as the data allows.
-    pub fn refresh(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<()> {
-        match self {
-            BrowseCursor::Indexed(ix) => {
-                let start = ix.page_starts[ix.page_no].clone();
-                let pos = ix.pos;
-                ix.fetch_page(db, start)?;
-                ix.pos = pos.min(ix.page.len().saturating_sub(1));
-                Ok(())
-            }
-            BrowseCursor::Streamed(s) => {
-                let pos = s.pos;
-                let mut page_no = s.page_no;
-                s.fetch_page(db, vc, page_no)?;
-                // Rows may have vanished; back up to the last surviving page.
-                while s.page.is_empty() && page_no > 0 {
-                    page_no -= 1;
-                    s.fetch_page(db, vc, page_no)?;
-                }
-                s.pos = pos.min(s.page.len().saturating_sub(1));
-                Ok(())
-            }
-            BrowseCursor::Materialized(m) => {
-                // Stay on the current record when it survives, as a delta
-                // patch does, so both paths land on the same page.
-                let cur_rid = m.rows.get(m.pos).and_then(|(r, _)| *r);
-                let pos = m.pos;
-                m.refill(db, vc)?;
-                m.pos = cur_rid
-                    .and_then(|rid| m.rows.iter().position(|(r, _)| *r == Some(rid)))
-                    .unwrap_or_else(|| pos.min(m.rows.len().saturating_sub(1)));
-                Ok(())
-            }
-        }
-    }
-
-    /// Apply a view delta to the displayed rows in place instead of
-    /// re-running the view query. Returns `false` when the strategy cannot
-    /// (streamed cursors, non-updatable materialized views, delta rows
-    /// without identity, or a page/delta mismatch) — the caller then falls
-    /// back to a full [`BrowseCursor::refresh`].
-    pub fn apply_delta(&mut self, db: &mut Database, delta: &ViewDelta) -> WowResult<bool> {
-        match self {
-            BrowseCursor::Indexed(ix) => ix.apply_delta(db, delta),
-            // Streamed pages are a fresh query per screenful; there is no
-            // materialized state to patch.
-            BrowseCursor::Streamed(_) => Ok(false),
-            BrowseCursor::Materialized(m) => m.apply_delta(db, delta),
-        }
+        self.pos
     }
 
     /// The rows of the current page (for grid displays).
     pub fn page_rows(&self) -> Vec<BrowseRow> {
-        match self {
-            BrowseCursor::Indexed(ix) => ix
-                .page
-                .iter()
-                .map(|(rid, _, t)| (Some(*rid), t.clone()))
-                .collect(),
-            BrowseCursor::Streamed(s) => s.page.iter().map(|t| (None, t.clone())).collect(),
-            BrowseCursor::Materialized(m) => {
-                let start = (m.pos / m.page_size) * m.page_size;
-                m.rows
+        self.page.iter().map(Entry::browse_row).collect()
+    }
+
+    /// Advance one row. Returns `false` at the end.
+    pub fn next(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+        if self.pos + 1 < self.page.len() {
+            self.pos += 1;
+            return Ok(true);
+        }
+        self.next_page(db, vc)
+    }
+
+    /// Step back one row. Returns `false` at the beginning.
+    pub fn prev(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+        if self.pos > 0 {
+            self.pos -= 1;
+            return Ok(true);
+        }
+        let moved = self.page_no > 0 && self.turn(db, vc, self.page_no - 1)?;
+        if moved {
+            self.pos = self.page.len() - 1;
+        }
+        Ok(moved)
+    }
+
+    /// Jump to the first row of the next page. Returns `false`, leaving the
+    /// cursor where it is, when already on the last page.
+    pub fn next_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+        if self.at_end {
+            return Ok(false);
+        }
+        let moved = self.turn(db, vc, self.page_no + 1)?;
+        // A full page can be the last one; that shows only now.
+        self.at_end = !moved;
+        Ok(moved)
+    }
+
+    /// Jump to the first row of the previous page (of this page, on the
+    /// first one).
+    pub fn prev_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+        if self.page_no == 0 {
+            let moved = self.pos > 0;
+            self.pos = 0;
+            return Ok(moved);
+        }
+        self.turn(db, vc, self.page_no - 1)
+    }
+
+    /// Re-read the current page after external writes. Stays on the current
+    /// record when it survives, otherwise keeps the slot, clamped to the
+    /// rows that are left.
+    pub fn refresh(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<()> {
+        let rid = self.page.get(self.pos).and_then(|e| e.rid);
+        let (mut page_no, mut pos) = (self.page_no, self.pos);
+        if let Source::Snapshot(s) = &mut self.source {
+            s.refill(db, vc, self.filter.as_ref())?;
+            // The whole extension is at hand: follow the record to its page.
+            if let Some(i) = rid.and_then(|rid| s.rows.iter().position(|(r, _)| *r == Some(rid))) {
+                (page_no, pos) = (i / self.page_size, i % self.page_size);
+            }
+        }
+        self.show(db, vc, page_no, pos)?;
+        if let Some(i) = rid.and_then(|rid| self.page.iter().position(|e| e.rid == Some(rid))) {
+            self.pos = i;
+        }
+        Ok(())
+    }
+
+    /// Apply a view delta to the displayed rows in place instead of
+    /// re-running the view query, landing where [`BrowseCursor::refresh`]
+    /// would. Returns `false` when the source cannot (Query pages, snapshots
+    /// of non-updatable views, delta rows without identity, or a page/delta
+    /// mismatch) — the caller then falls back to a full refresh.
+    pub fn apply_delta(
+        &mut self,
+        db: &mut Database,
+        vc: &ViewCatalog,
+        delta: &ViewDelta,
+    ) -> WowResult<bool> {
+        let Some((removes, inserts)) = self.delta_rows(delta)? else {
+            return Ok(false);
+        };
+        // The current row is tracked by identity across the patch; a running
+        // slot is the fallback when the row itself vanished.
+        let rid = self.page.get(self.pos).and_then(|e| e.rid);
+        let page_size = self.page_size;
+        match &mut self.source {
+            // A Query page is a fresh query; there is nothing to patch. A
+            // snapshot without rids has nothing to patch by.
+            Source::Query { .. } => return Ok(false),
+            Source::Snapshot(s) if s.upd.is_none() => return Ok(false),
+            Source::Snapshot(s) => {
+                let mut cur = self.page_no * page_size + self.pos;
+                for dr in removes {
+                    let Some(i) = s.rows.iter().position(|(r, _)| *r == dr.rid) else {
+                        // The caller's fallback refill rebuilds everything,
+                        // so partially applied removals are harmless here.
+                        return Ok(false);
+                    };
+                    s.rows.remove(i);
+                    if i < cur {
+                        cur -= 1;
+                    }
+                }
+                for dr in inserts {
+                    let i = s.slot_for(dr);
+                    s.rows.insert(i, (dr.rid, dr.row.clone()));
+                    if i <= cur && rid.is_some() {
+                        cur += 1;
+                    }
+                }
+                if let Some(i) =
+                    rid.and_then(|rid| s.rows.iter().position(|(r, _)| *r == Some(rid)))
+                {
+                    cur = i;
+                }
+                self.show(db, vc, cur / page_size, cur % page_size)?;
+            }
+            Source::Index(ix) => {
+                if removes.iter().chain(&inserts).any(|dr| dr.key.is_none()) {
+                    return Ok(false);
+                }
+                // The page holds the keys in `(start, last key]` — or to
+                // infinity on the last page; other rows are another page's.
+                let start = ix.starts[self.page_no].as_deref();
+                let end = match self.at_end {
+                    true => None,
+                    false => self.page.last().map(|e| e.key.as_slice()),
+                };
+                let on_page = |dr: &&DeltaRow| {
+                    let key = dr.key.as_deref().expect("keys checked above");
+                    start.is_none_or(|s| key > s) && end.is_none_or(|e| key <= e)
+                };
+                let removes: Vec<_> = removes.into_iter().filter(on_page).collect();
+                let inserts: Vec<_> = inserts.into_iter().filter(on_page).collect();
+                // The page and the delta disagree; re-query instead of
+                // guessing.
+                if !removes
                     .iter()
-                    .skip(start)
-                    .take(m.page_size)
-                    .cloned()
-                    .collect()
+                    .all(|dr| self.page.iter().any(|e| e.rid == dr.rid))
+                {
+                    return Ok(false);
+                }
+                let page = &mut self.page;
+                let mut cur = self.pos;
+                for dr in removes {
+                    if let Some(i) = page.iter().position(|e| e.rid == dr.rid) {
+                        page.remove(i);
+                        if i < cur {
+                            cur -= 1;
+                        }
+                    }
+                }
+                for dr in inserts {
+                    let key = dr.key.clone().expect("keys checked above");
+                    let i = page.partition_point(|e| e.key <= key);
+                    page.insert(
+                        i,
+                        Entry {
+                            rid: dr.rid,
+                            key,
+                            row: dr.row.clone(),
+                        },
+                    );
+                    if i <= cur && rid.is_some() {
+                        cur += 1;
+                    }
+                }
+                // Spill: the page holds one screenful; extra rows belong to
+                // the next page, which starts after the new last key.
+                if page.len() > page_size {
+                    page.truncate(page_size);
+                    self.at_end = false;
+                }
+                if let Some(i) = rid.and_then(|rid| page.iter().position(|e| e.rid == Some(rid))) {
+                    cur = i;
+                }
+                let short = page.len() < page_size;
+                self.pos = cur.min(page.len().saturating_sub(1));
+                // Backfill: removals made room for rows beyond the old page
+                // boundary, or emptied the last page; one page-local refetch
+                // restores the screenful (still no full view re-query).
+                if short && (!self.at_end || self.page.is_empty()) {
+                    self.show(db, vc, self.page_no, cur)?;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Split a view delta into the rows leaving and entering this window —
+    /// the delta honoured the view's predicate; the window's own restriction
+    /// applies on top. `None` when a row lacks the rid to place it by.
+    fn delta_rows<'d>(&self, delta: &'d ViewDelta) -> WowResult<Option<DeltaRows<'d>>> {
+        let shown = |dr: &DeltaRow| -> WowResult<bool> {
+            Ok(match &self.filter {
+                Some(p) => eval_pred(p, &dr.row)?,
+                None => true,
+            })
+        };
+        let olds = delta
+            .deleted
+            .iter()
+            .chain(delta.updated.iter().map(|u| &u.0));
+        let news = delta
+            .inserted
+            .iter()
+            .chain(delta.updated.iter().map(|u| &u.1));
+        let (mut removes, mut inserts) = (Vec::new(), Vec::new());
+        for dr in olds {
+            if shown(dr)? {
+                removes.push(dr);
+            }
+        }
+        for dr in news {
+            if shown(dr)? {
+                inserts.push(dr);
+            }
+        }
+        let placeable = removes.iter().chain(&inserts).all(|dr| dr.rid.is_some());
+        Ok(placeable.then_some((removes, inserts)))
+    }
+
+    /// Read page `page_no` from the source: its rows and whether it is the
+    /// last page. Navigation asks only for the current page, one already
+    /// visited, or the one after the current page.
+    fn fetch(
+        &mut self,
+        db: &mut Database,
+        vc: &ViewCatalog,
+        page_no: usize,
+    ) -> WowResult<(Vec<Entry>, bool)> {
+        let n = self.page_size;
+        match &mut self.source {
+            Source::Index(ix) => {
+                if page_no > self.page_no {
+                    // The next page starts after this page's last key.
+                    ix.starts.truncate(page_no);
+                    ix.starts.push(self.page.last().map(|e| e.key.clone()));
+                }
+                ix.fetch_page(db, self.filter.as_ref(), n, ix.starts[page_no].clone())
+            }
+            // LIMIT n+1: the extra row tells us whether a further page exists
+            // without another round trip.
+            Source::Query { view, query } => {
+                let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
+                let mut q = query.clone();
+                q.limit = Some((page_no * n, n + 1));
+                let mut tuples = run_view_query(db, vc, view, &q)?.tuples;
+                let at_end = tuples.len() <= n;
+                tuples.truncate(n);
+                span.arg(tuples.len() as u64);
+                let page = tuples.into_iter().map(|row| Entry {
+                    rid: None,
+                    key: Vec::new(),
+                    row,
+                });
+                Ok((page.collect(), at_end))
+            }
+            Source::Snapshot(s) => {
+                let page = s
+                    .rows
+                    .iter()
+                    .skip(page_no * n)
+                    .take(n)
+                    .map(|(rid, row)| Entry {
+                        rid: *rid,
+                        key: Vec::new(),
+                        row: row.clone(),
+                    });
+                Ok((page.collect(), (page_no + 1) * n >= s.rows.len()))
             }
         }
     }
+
+    /// Make page `page_no` current with the cursor on its first row. An
+    /// empty page is not entered.
+    fn turn(&mut self, db: &mut Database, vc: &ViewCatalog, page_no: usize) -> WowResult<bool> {
+        let (page, at_end) = self.fetch(db, vc, page_no)?;
+        if page.is_empty() {
+            return Ok(false);
+        }
+        (self.page, self.page_no, self.at_end, self.pos) = (page, page_no, at_end, 0);
+        Ok(true)
+    }
+
+    /// Display page `page_no` with the cursor at slot `pos`, clamped into
+    /// the page. A page that came back empty is the view shrinking under
+    /// the window: back up to the last row before it.
+    fn show(
+        &mut self,
+        db: &mut Database,
+        vc: &ViewCatalog,
+        mut page_no: usize,
+        mut pos: usize,
+    ) -> WowResult<()> {
+        loop {
+            let (page, at_end) = self.fetch(db, vc, page_no)?;
+            (self.page, self.page_no, self.at_end) = (page, page_no, at_end);
+            if !self.page.is_empty() || page_no == 0 {
+                break;
+            }
+            (page_no, pos) = (page_no - 1, usize::MAX);
+        }
+        self.pos = pos.min(self.page.len().saturating_sub(1));
+        Ok(())
+    }
 }
 
-impl Indexed {
-    /// Fetch the page that starts strictly after `start` into `self.page`,
-    /// setting `next_start`/`at_end` for the page after it.
-    fn fetch_page(&mut self, db: &mut Database, start: Option<Vec<u8>>) -> WowResult<()> {
+/// Resolve a QBF restriction over an updatable view's row.
+fn resolve_filter(
+    db: &Database,
+    upd: Option<&Updatability>,
+    pred: Option<Expr>,
+) -> WowResult<Option<Expr>> {
+    match (upd, pred) {
+        (Some(u), Some(p)) => Ok(Some(p.resolve(&view_schema_of(db, u)?)?)),
+        _ => Ok(None),
+    }
+}
+
+impl IndexPages {
+    /// Fetch the page that starts strictly after `start`: up to `page_size`
+    /// rows, and whether the index ran dry.
+    fn fetch_page(
+        &self,
+        db: &mut Database,
+        view_pred: Option<&Expr>,
+        page_size: usize,
+        start: Option<Vec<u8>>,
+    ) -> WowResult<(Vec<Entry>, bool)> {
         let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
-        let info = db.catalog().table(&self.upd.base_table)?.clone();
-        self.page.clear();
-        self.pos = 0;
-        let mut after = start.clone();
-        self.at_end = false;
+        let info = db.catalog().table(&self.table)?.clone();
+        let mut page = Vec::with_capacity(page_size);
+        let mut after = start;
+        let mut at_end = false;
         // Keep pulling index chunks until the page is full (predicates can
         // reject arbitrarily many base rows) or the index runs dry.
         loop {
-            let chunk = db.index_scan_page(&self.index, after.as_deref(), self.page_size)?;
+            let chunk = db.index_scan_page(&self.index, after.as_deref(), page_size)?;
             if chunk.is_empty() {
-                self.at_end = true;
+                at_end = true;
                 break;
             }
-            let exhausted_chunk = chunk.len() < self.page_size;
+            let exhausted_chunk = chunk.len() < page_size;
             for (key, rid) in chunk {
                 after = Some(key.clone());
                 let Some(base) = db.get_row(info.id, rid)? else {
@@ -527,270 +668,58 @@ impl Indexed {
                     vals.push(eval(t, &base)?);
                 }
                 let view_row = Tuple::new(vals);
-                let keep = match &self.view_pred {
+                let keep = match view_pred {
                     Some(p) => eval_pred(p, &view_row)?,
                     None => true,
                 };
                 if !keep {
                     continue;
                 }
-                self.page.push((rid, key, view_row));
-                if self.page.len() == self.page_size {
+                page.push(Entry {
+                    rid: Some(rid),
+                    key,
+                    row: view_row,
+                });
+                if page.len() == page_size {
                     break;
                 }
             }
-            if self.page.len() == self.page_size {
+            if page.len() == page_size {
                 break;
             }
             if exhausted_chunk {
-                self.at_end = true;
+                at_end = true;
                 break;
             }
         }
-        self.next_start = after;
         // A full page might still be the last one; that is discovered on
         // the next advance (same trade every cursor implementation makes).
-        if self.page.is_empty() {
-            self.at_end = true;
-        }
-        span.arg(self.page.len() as u64);
-        Ok(())
-    }
-
-    fn advance_page(&mut self, db: &mut Database) -> WowResult<bool> {
-        let start = self.next_start.clone();
-        let prev_len = self.page.len();
-        let prev_start = self.page_starts[self.page_no].clone();
-        self.fetch_page(db, start.clone())?;
-        if self.page.is_empty() {
-            // Walked off the end: restore the previous page.
-            self.fetch_page(db, prev_start)?;
-            self.pos = self.page.len().saturating_sub(1);
-            self.at_end = true;
-            return Ok(false);
-        }
-        self.rows_before += prev_len;
-        self.page_no += 1;
-        if self.page_starts.len() == self.page_no {
-            self.page_starts.push(start);
-        } else {
-            self.page_starts[self.page_no] = start;
-        }
-        Ok(true)
-    }
-
-    fn retreat_page(&mut self, db: &mut Database) -> WowResult<()> {
-        debug_assert!(self.page_no > 0);
-        self.page_no -= 1;
-        let start = self.page_starts[self.page_no].clone();
-        self.fetch_page(db, start)?;
-        self.rows_before = self.rows_before.saturating_sub(self.page.len());
-        Ok(())
-    }
-
-    /// Patch the current page from a view delta: rows keyed before the page
-    /// adjust the position counter, rows within the page's key range are
-    /// inserted/removed in place, rows beyond it are a later page's problem.
-    fn apply_delta(&mut self, db: &mut Database, delta: &ViewDelta) -> WowResult<bool> {
-        // Classify every delta row into remove/insert primitives, applying
-        // the window's extra QBF restriction on top of the view's own
-        // predicate (which the delta already honored).
-        let mut removes: Vec<(Rid, Vec<u8>)> = Vec::new();
-        let mut inserts: Vec<(Rid, Vec<u8>, Tuple)> = Vec::new();
-        {
-            let passes = |row: &Tuple| -> WowResult<bool> {
-                Ok(match &self.view_pred {
-                    Some(p) => eval_pred(p, row)?,
-                    None => true,
-                })
-            };
-            let ident = |dr: &DeltaRow| Some((dr.rid?, dr.key.clone()?));
-            for dr in &delta.inserted {
-                if !passes(&dr.row)? {
-                    continue;
-                }
-                let Some((rid, key)) = ident(dr) else {
-                    return Ok(false);
-                };
-                inserts.push((rid, key, dr.row.clone()));
-            }
-            for dr in &delta.deleted {
-                if !passes(&dr.row)? {
-                    continue;
-                }
-                let Some((rid, key)) = ident(dr) else {
-                    return Ok(false);
-                };
-                removes.push((rid, key));
-            }
-            for (old, new) in &delta.updated {
-                if passes(&old.row)? {
-                    let Some((rid, key)) = ident(old) else {
-                        return Ok(false);
-                    };
-                    removes.push((rid, key));
-                }
-                if passes(&new.row)? {
-                    let Some((rid, key)) = ident(new) else {
-                        return Ok(false);
-                    };
-                    inserts.push((rid, key, new.row.clone()));
-                }
-            }
-        }
-        // Snapshot for rollback: a mid-apply mismatch must not leave the
-        // position bookkeeping half-adjusted before the caller's fallback
-        // refresh (which re-fetches the page but not `rows_before`).
-        let saved = (
-            self.page.clone(),
-            self.pos,
-            self.rows_before,
-            self.next_start.clone(),
-            self.at_end,
-        );
-        let start = self.page_starts[self.page_no].clone();
-        let before_start = |key: &[u8]| match &start {
-            Some(s) => key <= s.as_slice(),
-            None => false,
-        };
-        // The page covers keys in `(start, next_start]` — or to infinity on
-        // the last page.
-        let in_page = |key: &[u8], at_end: bool, next_start: &Option<Vec<u8>>| {
-            at_end
-                || match next_start {
-                    Some(ns) => key <= ns.as_slice(),
-                    None => true,
-                }
-        };
-        // The current row is tracked by identity (rid) across the patch; a
-        // running index is the fallback when the row itself vanished.
-        let cur_rid = self.page.get(self.pos).map(|(r, _, _)| *r);
-        let mut cur_idx = self.pos;
-        for (rid, key) in removes {
-            if before_start(&key) {
-                self.rows_before = self.rows_before.saturating_sub(1);
-            } else if in_page(&key, self.at_end, &self.next_start) {
-                let Some(idx) = self.page.iter().position(|(r, _, _)| *r == rid) else {
-                    // The page and the delta disagree; re-query instead of
-                    // guessing.
-                    (
-                        self.page,
-                        self.pos,
-                        self.rows_before,
-                        self.next_start,
-                        self.at_end,
-                    ) = saved;
-                    return Ok(false);
-                };
-                self.page.remove(idx);
-                if idx < cur_idx {
-                    cur_idx -= 1;
-                }
-            }
-        }
-        for (rid, key, row) in inserts {
-            if before_start(&key) {
-                self.rows_before += 1;
-            } else if in_page(&key, self.at_end, &self.next_start) {
-                let idx = self
-                    .page
-                    .partition_point(|(_, k, _)| k.as_slice() <= key.as_slice());
-                self.page.insert(idx, (rid, key, row));
-                if idx <= cur_idx && cur_rid.is_some() {
-                    cur_idx += 1;
-                }
-            }
-        }
-        self.pos = cur_rid
-            .and_then(|rid| self.page.iter().position(|(r, _, _)| *r == rid))
-            .unwrap_or_else(|| cur_idx.min(self.page.len().saturating_sub(1)));
-        // Spill: the page holds one screenful; extra rows belong to the
-        // next page, which now starts after our new last key.
-        if self.page.len() > self.page_size {
-            self.page.truncate(self.page_size);
-            self.next_start = self.page.last().map(|(_, k, _)| k.clone());
-            self.at_end = false;
-        }
-        self.pos = self.pos.min(self.page.len().saturating_sub(1));
-        // Backfill: removals may have made room for rows sitting beyond the
-        // old page boundary; one page-local refetch restores a full
-        // screenful (still incremental — no full view re-query).
-        if self.page.len() < self.page_size && !self.at_end {
-            let pos = self.pos;
-            self.fetch_page(db, start)?;
-            self.pos = pos.min(self.page.len().saturating_sub(1));
-        }
-        Ok(true)
+        span.arg(page.len() as u64);
+        Ok((page, at_end))
     }
 }
 
-impl Streamed {
-    /// Fetch page `page_no` by running the view query with
-    /// `LIMIT page_size+1 OFFSET page_no·page_size` — the extra row tells
-    /// us whether a further page exists without another round trip.
-    fn fetch_page(&mut self, db: &mut Database, vc: &ViewCatalog, page_no: usize) -> WowResult<()> {
-        let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
-        let mut q = self.query.clone();
-        q.limit = Some((page_no * self.page_size, self.page_size + 1));
-        let mut tuples = run_view_query(db, vc, &self.view, &q)?.tuples;
-        self.at_end = tuples.len() <= self.page_size;
-        tuples.truncate(self.page_size);
-        span.arg(tuples.len() as u64);
-        self.page = tuples;
-        self.page_no = page_no;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn advance_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
-        let prev = self.page_no;
-        self.fetch_page(db, vc, prev + 1)?;
-        if self.page.is_empty() {
-            // Walked off the end: restore the previous page.
-            self.fetch_page(db, vc, prev)?;
-            self.pos = self.page.len().saturating_sub(1);
-            self.at_end = true;
-            return Ok(false);
-        }
-        Ok(true)
-    }
-}
-
-impl Materialized {
-    fn refill(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<()> {
+impl Snapshot {
+    fn refill(
+        &mut self,
+        db: &mut Database,
+        vc: &ViewCatalog,
+        filter: Option<&Expr>,
+    ) -> WowResult<()> {
         let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
         self.rows = match &self.upd {
+            // Updatable: fetch with rids, filter and sort here.
             Some(upd) => {
-                // Updatable: fetch with rids, filter/sort client-side.
-                let mut rows = view_rows_with_rids(db, upd)?;
-                if let Some(pred) = &self.query.pred {
-                    let schema = view_schema_of(db, upd)?;
-                    let resolved = pred.clone().resolve(&schema)?;
-                    let mut err = None;
-                    rows.retain(|(_, t)| match eval_pred(&resolved, t) {
-                        Ok(k) => k,
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    });
-                    if let Some(e) = err {
-                        return Err(WowError::Rel(e));
+                let mut rows = Vec::new();
+                for (rid, t) in view_rows_with_rids(db, upd)? {
+                    if filter.map_or(Ok(true), |p| eval_pred(p, &t))? {
+                        rows.push((Some(rid), t));
                     }
                 }
-                if !self.query.sort.is_empty() {
-                    let schema = view_schema_of(db, upd)?;
-                    let keys: Vec<(usize, bool)> = self
-                        .query
-                        .sort
-                        .iter()
-                        .map(|k| {
-                            Ok::<_, wow_rel::RelError>((schema.resolve(&k.column)?, k.ascending))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    rows.sort_by(|a, b| wow_rel::exec::sort::compare(&a.1, &b.1, &keys));
+                if !self.sort.is_empty() {
+                    rows.sort_by(|a, b| compare(&a.1, &b.1, &self.sort));
                 }
-                rows.into_iter().map(|(rid, t)| (Some(rid), t)).collect()
+                rows
             }
             None => {
                 let result = run_view_query(db, vc, &self.view, &self.query)?;
@@ -801,103 +730,77 @@ impl Materialized {
         Ok(())
     }
 
-    /// Patch the materialized rows from a view delta: remove by rid, insert
-    /// at the position a full refill would have produced (heap order when
-    /// unsorted, the resolved sort keys with rid tie-break otherwise).
-    fn apply_delta(&mut self, db: &mut Database, delta: &ViewDelta) -> WowResult<bool> {
-        // Without an updatability proof rows carry no rids to patch by.
-        let Some(upd) = self.upd.clone() else {
-            return Ok(false);
-        };
-        let schema = view_schema_of(db, &upd)?;
-        let pred = match &self.query.pred {
-            Some(p) => Some(p.clone().resolve(&schema)?),
-            None => None,
-        };
-        let keys: Vec<(usize, bool)> = self
-            .query
-            .sort
-            .iter()
-            .map(|k| Ok::<_, wow_rel::RelError>((schema.resolve(&k.column)?, k.ascending)))
-            .collect::<Result<_, _>>()?;
-        let passes = |row: &Tuple| -> WowResult<bool> {
-            Ok(match &pred {
-                Some(p) => eval_pred(p, row)?,
-                None => true,
+    /// Where a refill would put a delta row: by the sort keys, ties (and
+    /// every row, unsorted) in rid order — `view_rows_with_rids` yields heap
+    /// order, which is rid order.
+    fn slot_for(&self, dr: &DeltaRow) -> usize {
+        let rid = dr.rid.expect("delta rows checked for rids");
+        self.rows
+            .partition_point(|(r, t)| match compare(t, &dr.row, &self.sort) {
+                Ordering::Less => true,
+                Ordering::Equal => r.is_some_and(|r| r <= rid),
+                Ordering::Greater => false,
             })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::WorldConfig;
+    use crate::window_mgr::WindowStyle;
+    use crate::world::World;
+
+    #[test]
+    fn open_picks_one_source_per_case() {
+        let mut w = World::new(WorldConfig::default());
+        w.db_mut()
+            .run(
+                r#"CREATE TABLE emp (id INT KEY, dept TEXT, salary INT)
+                   CREATE TABLE dept (name TEXT KEY, floor INT)
+                   CREATE TABLE note (id INT KEY, body TEXT)
+                   DROP INDEX pk_note
+                   APPEND TO emp (id = 1, dept = "toy", salary = 10)
+                   APPEND TO dept (name = "toy", floor = 2)
+                   APPEND TO note (id = 1, body = "hi")"#,
+            )
+            .unwrap();
+        for (name, src) in [
+            ("emps", "RANGE OF e IS emp RETRIEVE (e.id, e.salary)"),
+            ("notes", "RANGE OF n IS note RETRIEVE (n.id, n.body)"),
+            (
+                "floors",
+                "RANGE OF e IS emp RANGE OF d IS dept RETRIEVE (e.id, d.floor) WHERE e.dept = d.name",
+            ),
+            (
+                "totals",
+                "RANGE OF e IS emp RETRIEVE (e.dept, t = SUM(e.salary)) GROUP BY e.dept",
+            ),
+        ] {
+            w.define_view(name, src).unwrap();
+        }
+        let source = |w: &World, win| match &w.window(win).unwrap().cursor.source {
+            Source::Index(_) => "index",
+            Source::Query { .. } => "query",
+            Source::Snapshot(_) => "snapshot",
         };
-        let mut removes: Vec<Rid> = Vec::new();
-        let mut inserts: Vec<(Rid, Tuple)> = Vec::new();
-        for dr in &delta.inserted {
-            if !passes(&dr.row)? {
-                continue;
-            }
-            let Some(rid) = dr.rid else {
-                return Ok(false);
-            };
-            inserts.push((rid, dr.row.clone()));
+        let s = w.open_session();
+        let auto = CursorStrategy::Auto;
+        for (view, strategy, want) in [
+            ("emps", auto, "index"),
+            ("notes", auto, "snapshot"),
+            ("floors", auto, "query"),
+            ("totals", auto, "query"),
+            ("__wow_metrics", auto, "snapshot"),
+            ("emps", CursorStrategy::Materialized, "snapshot"),
+        ] {
+            let win = w
+                .open_window_using(s, view, None, WindowStyle::Form, strategy)
+                .unwrap();
+            assert_eq!(source(&w, win), want, "{view} under {strategy:?}");
         }
-        for dr in &delta.deleted {
-            if !passes(&dr.row)? {
-                continue;
-            }
-            let Some(rid) = dr.rid else {
-                return Ok(false);
-            };
-            removes.push(rid);
-        }
-        for (old, new) in &delta.updated {
-            if passes(&old.row)? {
-                let Some(rid) = old.rid else {
-                    return Ok(false);
-                };
-                removes.push(rid);
-            }
-            if passes(&new.row)? {
-                let Some(rid) = new.rid else {
-                    return Ok(false);
-                };
-                inserts.push((rid, new.row.clone()));
-            }
-        }
-        // Track the current row by identity across the patch, with a
-        // running index as the fallback when it was itself removed.
-        let cur_rid = self.rows.get(self.pos).and_then(|(r, _)| *r);
-        let mut cur_idx = self.pos;
-        for rid in removes {
-            let Some(idx) = self.rows.iter().position(|(r, _)| *r == Some(rid)) else {
-                // Mismatch: the caller's fallback refill rebuilds everything,
-                // so partially applied removals are harmless here.
-                return Ok(false);
-            };
-            self.rows.remove(idx);
-            if idx < cur_idx {
-                cur_idx -= 1;
-            }
-        }
-        for (rid, row) in inserts {
-            let idx = if keys.is_empty() {
-                // `view_rows_with_rids` yields heap-scan order, which is rid
-                // order (pages ascending, slots ascending).
-                self.rows
-                    .partition_point(|(r, _)| r.is_some_and(|r| r <= rid))
-            } else {
-                self.rows.partition_point(|(r, t)| {
-                    match wow_rel::exec::sort::compare(t, &row, &keys) {
-                        Ordering::Less => true,
-                        Ordering::Equal => r.is_some_and(|r| r <= rid),
-                        Ordering::Greater => false,
-                    }
-                })
-            };
-            self.rows.insert(idx, (Some(rid), row));
-            if idx <= cur_idx && cur_rid.is_some() {
-                cur_idx += 1;
-            }
-        }
-        self.pos = cur_rid
-            .and_then(|rid| self.rows.iter().position(|(r, _)| *r == Some(rid)))
-            .unwrap_or_else(|| cur_idx.min(self.rows.len().saturating_sub(1)));
-        Ok(true)
+        let sorted = w.open_window(s, "emps", None).unwrap();
+        w.sort_window(sorted, "salary", true).unwrap();
+        assert_eq!(source(&w, sorted), "snapshot", "sorted emps");
     }
 }

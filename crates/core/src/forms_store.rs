@@ -97,39 +97,22 @@ impl World {
         Ok(self.db_mut().delete_rid(FORMS_TABLE, rid)?)
     }
 
-    /// Re-order a window's browsing by a view column. This switches the
-    /// window to a materialized cursor sorted by that column (the primary
-    /// key's index order is the only free ordering; anything else pays the
-    /// sort — the Table 2 trade, now user-selectable).
+    /// Re-order a window's browsing by a view column, keeping its query
+    /// restriction. A sorted window browses a snapshot (the primary key's
+    /// index order is the only free ordering; anything else pays the sort —
+    /// the Table 2 trade, now user-selectable).
     pub fn sort_window(&mut self, win: WinId, column: &str, ascending: bool) -> WowResult<()> {
-        let (view, upd, pred) = {
-            let w = self.window(win)?;
-            (w.view.clone(), w.upd.clone(), w.qbf_pred.clone())
-        };
+        let sort = vec![wow_rel::quel::ast::SortKey {
+            column: column.to_string(),
+            ascending,
+        }];
         let query = ViewQuery {
-            pred,
-            sort: vec![wow_rel::quel::ast::SortKey {
-                column: column.to_string(),
-                ascending,
-            }],
-            limit: None,
+            sort,
+            ..self.window(win)?.query.clone()
         };
-        let page_size = self.config().page_size;
-        let cursor = {
-            let (db, vc, _) = self.parts(win)?;
-            crate::browse::BrowseCursor::materialized(
-                db,
-                vc,
-                &view,
-                query,
-                upd.as_ref(),
-                page_size,
-            )?
-        };
-        let w = self.window_mut(win)?;
-        w.cursor = cursor;
-        w.status = format!("sorted by {column}{}", if ascending { "" } else { " desc" });
-        w.show_current();
+        self.requery_window(win, query)?;
+        let order = if ascending { "" } else { " desc" };
+        self.set_status(win, &format!("sorted by {column}{order}"));
         Ok(())
     }
 }

@@ -91,8 +91,8 @@ impl World {
                     let mut span = wow_obs::span(wow_obs::Op::DeltaRefresh);
                     span.arg(vd.len() as u64);
                     let applied = {
-                        let (db, _vc, w) = self.parts(id)?;
-                        w.cursor.apply_delta(db, vd)?
+                        let (db, vc, w) = self.parts(id)?;
+                        w.cursor.apply_delta(db, vc, vd)?
                     };
                     if applied {
                         self.note_refresh(id, RefreshKind::Delta);

@@ -1,6 +1,5 @@
 //! Query-by-form: restricting a window to the rows the user described.
 
-use crate::browse::BrowseCursor;
 use crate::error::{WowError, WowResult};
 use crate::window_mgr::{Mode, WinId};
 use crate::world::World;
@@ -32,9 +31,10 @@ impl World {
         Ok(())
     }
 
-    /// Execute the query entered on the form (Enter in Query mode).
+    /// Execute the query entered on the form (Enter in Query mode). The
+    /// restriction replaces any earlier one; the window's sort stays.
     pub fn apply_query(&mut self, win: WinId) -> WowResult<()> {
-        let (pred, view, upd) = {
+        let query = {
             let w = self.window(win)?;
             if !matches!(w.mode, Mode::Query) {
                 return Err(WowError::WrongMode {
@@ -42,97 +42,42 @@ impl World {
                     mode: w.mode.name(),
                 });
             }
-            let entries = w.form.texts();
-            let pred = form_predicate(&w.form.spec, &entries)?;
-            (pred, w.view.clone(), w.upd.clone())
-        };
-        // Rebuild the cursor under the restriction.
-        let page_size = self.config().page_size;
-        let cursor = match &upd {
-            Some(u) => {
-                let pk_index = format!("pk_{}", u.base_table);
-                if self.db().catalog().index(&pk_index).is_ok() {
-                    BrowseCursor::indexed(self.db_mut(), u, &pk_index, page_size, pred.clone())?
-                } else {
-                    let query = ViewQuery {
-                        pred: pred.clone(),
-                        ..Default::default()
-                    };
-                    let (db, vc, _) = self.parts(win)?;
-                    BrowseCursor::materialized(db, vc, &view, query, Some(u), page_size)?
-                }
-            }
-            None => {
-                let query = ViewQuery {
-                    pred: pred.clone(),
-                    ..Default::default()
-                };
-                let (db, vc, _) = self.parts(win)?;
-                BrowseCursor::streamed(db, vc, &view, query, page_size)?
+            let pred = form_predicate(&w.form.spec, &w.form.texts())?;
+            ViewQuery {
+                pred,
+                ..w.query.clone()
             }
         };
+        self.requery_window(win, query)?;
         // Restore the original (writability-correct) form.
-        let schema = self.window(win)?.schema.clone();
-        let writable: Vec<bool> = match &upd {
-            Some(u) => (0..schema.len()).map(|i| u.is_writable(i)).collect(),
-            None => vec![false; schema.len()],
+        let w = self.window_mut(win)?;
+        let writable: Vec<bool> = (0..w.schema.len())
+            .map(|i| w.upd.as_ref().is_some_and(|u| u.is_writable(i)))
+            .collect();
+        let spec = wow_forms::compiler::compile_form(&w.view, &w.view, &w.schema, &writable);
+        w.form = wow_forms::FormInstance::new(spec);
+        w.mode = Mode::Browse;
+        w.show_current();
+        w.status = match w.cursor.is_empty() {
+            true => "no rows match the query".into(),
+            false => String::new(),
         };
-        let spec = wow_forms::compiler::compile_form(&view, &view, &schema, &writable);
-        let matched = {
-            let w = self.window_mut(win)?;
-            w.cursor = cursor;
-            w.form = wow_forms::FormInstance::new(spec);
-            w.qbf_pred = pred;
-            w.mode = Mode::Browse;
-            // The rebuilt cursor read the current data, so any staleness
-            // accrued while the user typed the query is gone.
-            w.stale = false;
-            w.show_current();
-            !w.cursor.is_empty()
-        };
-        self.set_status(
-            win,
-            if matched {
-                ""
-            } else {
-                "no rows match the query"
-            },
-        );
         Ok(())
     }
 
-    /// Drop the window's active restriction and show everything again.
+    /// Drop the window's active restriction and show everything again, in
+    /// the window's sort order.
     pub fn clear_query(&mut self, win: WinId) -> WowResult<()> {
-        let (view, upd) = {
-            let w = self.window(win)?;
-            if w.qbf_pred.is_none() {
-                return Ok(());
-            }
-            (w.view.clone(), w.upd.clone())
+        let w = self.window(win)?;
+        if w.query.pred.is_none() {
+            return Ok(());
+        }
+        let query = ViewQuery {
+            pred: None,
+            ..w.query.clone()
         };
-        let page_size = self.config().page_size;
-        let cursor = match &upd {
-            Some(u) => {
-                let pk_index = format!("pk_{}", u.base_table);
-                if self.db().catalog().index(&pk_index).is_ok() {
-                    BrowseCursor::indexed(self.db_mut(), u, &pk_index, page_size, None)?
-                } else {
-                    let (db, vc, _) = self.parts(win)?;
-                    let query = ViewQuery::default();
-                    BrowseCursor::materialized(db, vc, &view, query, Some(u), page_size)?
-                }
-            }
-            None => {
-                let (db, vc, _) = self.parts(win)?;
-                BrowseCursor::streamed(db, vc, &view, ViewQuery::default(), page_size)?
-            }
-        };
-        let w = self.window_mut(win)?;
-        w.cursor = cursor;
-        w.qbf_pred = None;
-        w.stale = false;
-        w.status.clear();
-        w.show_current();
+        self.requery_window(win, query)?;
+        self.window_mut(win)?.status.clear();
         Ok(())
     }
 }
@@ -140,8 +85,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use crate::config::WorldConfig;
-    use crate::window_mgr::Mode;
-    use crate::world::World;
+    use crate::window_mgr::{Mode, WinId, WindowStyle};
+    use crate::world::{CursorStrategy, World};
     use wow_tui::event::parse_script;
 
     fn world() -> (World, crate::session::SessionId, crate::window_mgr::WinId) {
@@ -210,7 +155,7 @@ mod tests {
         assert_eq!(names, vec!["carol", "dave"]);
         // 'x' clears the restriction.
         send(&mut w, "x");
-        assert!(w.window(win).unwrap().qbf_pred.is_none());
+        assert!(w.window(win).unwrap().query.pred.is_none());
         let row = w.current_row(win).unwrap().unwrap();
         assert_eq!(row.values[0].to_string(), "alice");
     }
@@ -253,5 +198,47 @@ mod tests {
         // updatable ones; here we expect a clean error in the status.
         let result = w.apply_query(win);
         assert!(result.is_err() || w.current_row(win).unwrap().is_some());
+    }
+
+    /// Run a query with `text` typed into field `field`.
+    fn query(w: &mut World, win: WinId, field: usize, text: &str) {
+        w.enter_query(win).unwrap();
+        w.window_mut(win).unwrap().form.set_text(field, text);
+        w.apply_query(win).unwrap();
+    }
+
+    #[test]
+    fn system_windows_stay_snapshots_through_query_and_clear() {
+        let (mut w, s, _) = world();
+        let win = w.open_window(s, "__wow_metrics", None).unwrap();
+        query(&mut w, win, 0, "pool*");
+        assert!(w.window(win).unwrap().cursor.known_len().is_some());
+        w.clear_query(win).unwrap();
+        assert!(w.window(win).unwrap().cursor.known_len().is_some());
+    }
+
+    #[test]
+    fn forced_snapshot_windows_stay_snapshots_through_query() {
+        let (mut w, s, _) = world();
+        let strategy = CursorStrategy::Materialized;
+        let win = w
+            .open_window_using(s, "emps", None, WindowStyle::Form, strategy)
+            .unwrap();
+        query(&mut w, win, 1, "toy");
+        assert_eq!(w.window(win).unwrap().cursor.known_len(), Some(2));
+    }
+
+    #[test]
+    fn sort_survives_query_and_clear() {
+        let (mut w, _, win) = world();
+        let names = |w: &World| -> Vec<String> {
+            let rows = w.window(win).unwrap().cursor.page_rows();
+            rows.iter().map(|(_, t)| t.values[0].to_string()).collect()
+        };
+        w.sort_window(win, "name", false).unwrap();
+        query(&mut w, win, 1, "toy");
+        assert_eq!(names(&w), ["carol", "alice"]);
+        w.clear_query(win).unwrap();
+        assert_eq!(names(&w), ["dave", "carol", "bob", "alice"]);
     }
 }

@@ -2,14 +2,15 @@
 
 use crate::browse::BrowseCursor;
 use crate::session::SessionId;
+use crate::world::CursorStrategy;
 use std::fmt;
 use wow_forms::FormInstance;
-use wow_rel::expr::Expr;
 use wow_rel::schema::Schema;
 use wow_rel::value::Value;
 use wow_tui::geom::Rect;
 use wow_tui::tree::WindowId as TuiId;
 use wow_tui::widget::Widget;
+use wow_views::expand::ViewQuery;
 use wow_views::updatable::Updatability;
 
 /// Identifier of a logical window (a form over a view).
@@ -120,8 +121,11 @@ pub struct WindowState {
     pub style: WindowStyle,
     /// Row image captured when Edit mode was entered.
     pub original: Option<Vec<Value>>,
-    /// The active query-by-form restriction, if any.
-    pub qbf_pred: Option<Expr>,
+    /// What the window browses: the active query-by-form restriction (if
+    /// any) and sort order. The cursor is rebuilt from it.
+    pub query: ViewQuery,
+    /// How the cursor's page source is chosen.
+    pub strategy: CursorStrategy,
     /// Status-line message (errors, confirmations).
     pub status: String,
     /// Set when another window changed data this window may display while
@@ -160,7 +164,7 @@ impl WindowState {
             } else {
                 " [read-only]"
             };
-            let q = if self.qbf_pred.is_some() {
+            let q = if self.query.pred.is_some() {
                 " [query]"
             } else {
                 ""

@@ -91,11 +91,12 @@ pub struct RefreshEvent {
     pub generation: u64,
 }
 
-/// How a window's browse cursor is chosen at open time.
+/// How a window's browse cursor is chosen; the window keeps it, so a QBF
+/// query, clearing it and a sort rebuild the cursor the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CursorStrategy {
-    /// Indexed when the base table has a primary-key index, materialized
-    /// for key-less updatable views, streamed otherwise.
+    /// Let [`BrowseCursor::open`] pick the page source from the view and
+    /// the window's query.
     #[default]
     Auto,
     /// Force a fully materialized cursor (benches measure the O(N) refill
@@ -490,52 +491,20 @@ impl World {
         } else {
             (upd, reasons, strategy)
         };
-        let (schema, cursor) = match &upd {
-            Some(u) => {
-                let schema = view_schema_of(&self.db, u)?;
-                let pk_index = format!("pk_{}", u.base_table);
-                let use_index = matches!(strategy, CursorStrategy::Auto)
-                    && self.db.catalog().index(&pk_index).is_ok();
-                let cursor = if use_index {
-                    BrowseCursor::indexed(&mut self.db, u, &pk_index, self.cfg.page_size, None)?
-                } else {
-                    BrowseCursor::materialized(
-                        &mut self.db,
-                        &self.views,
-                        view,
-                        ViewQuery::default(),
-                        Some(u),
-                        self.cfg.page_size,
-                    )?
-                };
-                (schema, cursor)
-            }
-            None => {
-                // Join/aggregate views have no base rids to seek by, but
-                // they still open incrementally: the streamed cursor pages
-                // through limit pushdown, so the first screenful is all the
-                // join ever produces.
-                let schema = view_schema(&self.db, &self.views, view)?;
-                let cursor = match strategy {
-                    CursorStrategy::Materialized => BrowseCursor::materialized(
-                        &mut self.db,
-                        &self.views,
-                        view,
-                        ViewQuery::default(),
-                        None,
-                        self.cfg.page_size,
-                    )?,
-                    CursorStrategy::Auto => BrowseCursor::streamed(
-                        &mut self.db,
-                        &self.views,
-                        view,
-                        ViewQuery::default(),
-                        self.cfg.page_size,
-                    )?,
-                };
-                (schema, cursor)
-            }
+        let schema = match &upd {
+            Some(u) => view_schema_of(&self.db, u)?,
+            None => view_schema(&self.db, &self.views, view)?,
         };
+        let query = ViewQuery::default();
+        let cursor = BrowseCursor::open(
+            &mut self.db,
+            &self.views,
+            view,
+            upd.as_ref(),
+            &query,
+            strategy,
+            self.cfg.page_size,
+        )?;
         // Writable mask: updatable views expose their plain base columns.
         let writable: Vec<bool> = match &upd {
             Some(u) => (0..schema.len()).map(|i| u.is_writable(i)).collect(),
@@ -576,7 +545,8 @@ impl World {
             tui,
             style,
             original: None,
-            qbf_pred: None,
+            query,
+            strategy,
             status: String::new(),
             stale: false,
             last_refresh: crate::window_mgr::RefreshKind::Open,
@@ -700,6 +670,22 @@ impl World {
         let moved = w.cursor.prev_page(db, vc)?;
         w.show_current();
         Ok(moved)
+    }
+
+    /// Rebuild a window's cursor for `query` (QBF restriction plus sort)
+    /// under the window's own strategy. Query-by-form, clearing it and
+    /// sorting all come through here.
+    pub(crate) fn requery_window(&mut self, win: WinId, query: ViewQuery) -> WowResult<()> {
+        let page_size = self.cfg.page_size;
+        let (db, vc, w) = self.parts(win)?;
+        let upd = w.upd.as_ref();
+        w.cursor = BrowseCursor::open(db, vc, &w.view, upd, &query, w.strategy, page_size)?;
+        w.query = query;
+        // The rebuilt cursor read the current data, so any staleness
+        // accrued meanwhile (say, while the user typed a query) is gone.
+        w.stale = false;
+        w.show_current();
+        Ok(())
     }
 
     /// Re-fetch a window's data explicitly.

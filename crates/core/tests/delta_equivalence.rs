@@ -6,9 +6,11 @@
 //! Two worlds receive identical random write sequences; one has
 //! `delta_propagation` on (cursors are patched in place), the other off
 //! (every dependent window re-queries). After every single write, every
-//! watcher window's page must agree across the worlds.
+//! watcher window's page, current row, position and slot must agree across
+//! the worlds.
 
 use proptest::prelude::*;
+use wow_core::browse::BrowseRow;
 use wow_core::config::WorldConfig;
 use wow_core::window_mgr::{WinId, WindowStyle};
 use wow_core::world::{CursorStrategy, World};
@@ -183,6 +185,17 @@ fn apply(wd: &mut World, wf: &mut World, live: &mut Live, op: &Op) -> bool {
     }
 }
 
+/// What a window shows: its page, current row, position and slot.
+fn shown(w: &World, win: WinId) -> (Vec<BrowseRow>, Option<BrowseRow>, Option<usize>, usize) {
+    let c = &w.window(win).unwrap().cursor;
+    (
+        c.page_rows(),
+        c.current_row(),
+        c.position(),
+        c.pos_in_page(),
+    )
+}
+
 /// (id, rid) pairs of the initial `ta` rows, in insertion order.
 fn ta_rids(w: &mut World) -> Vec<(i64, Rid)> {
     let id = w.db_mut().catalog().table("ta").unwrap().id;
@@ -204,13 +217,18 @@ proptest! {
         rows in proptest::collection::vec(((-2i64..8), tag_strategy()), 0..14),
         ops in proptest::collection::vec(op_strategy(), 1..12),
         page_forward in any::<bool>(),
+        steps in 0usize..5,
     ) {
         let (mut wd, wins_d) = build_world(true, &rows, false);
         let (mut wf, wins_f) = build_world(false, &rows, false);
-        if page_forward {
-            for (a, b) in wins_d.iter().zip(&wins_f) {
+        for (a, b) in wins_d.iter().zip(&wins_f) {
+            if page_forward {
                 wd.browse_next_page(*a).unwrap();
                 wf.browse_next_page(*b).unwrap();
+            }
+            for _ in 0..steps {
+                wd.browse_next(*a).unwrap();
+                wf.browse_next(*b).unwrap();
             }
         }
         let mut live = Live {
@@ -224,21 +242,15 @@ proptest! {
                 continue;
             }
             for (a, b) in wins_d.iter().zip(&wins_f) {
-                let pa = wd.window(*a).unwrap().cursor.page_rows();
-                let pb = wf.window(*b).unwrap().cursor.page_rows();
-                prop_assert_eq!(&pa, &pb, "window pages diverged after {:?}", op);
+                let (page, current, _, pos_in_page) = shown(&wd, *a);
+                prop_assert_eq!(
+                    shown(&wd, *a),
+                    shown(&wf, *b),
+                    "windows diverged after {:?}", op
+                );
                 // The patched cursor must still sit on a row of its page.
-                let cursor = &wd.window(*a).unwrap().cursor;
-                let current = cursor.current_row();
-                prop_assert_eq!(current.is_some(), !pa.is_empty());
-                if let Some(row) = current {
-                    let at_pos = pa.get(cursor.pos_in_page());
-                    prop_assert_eq!(
-                        Some(&row),
-                        at_pos,
-                        "current row not at pos_in_page after {:?}", op
-                    );
-                }
+                prop_assert_eq!(current.as_ref(), page.get(pos_in_page));
+                prop_assert_eq!(current.is_some(), !page.is_empty());
             }
         }
         // Single-table watchers are deltable by construction: the patched
@@ -268,9 +280,11 @@ proptest! {
                 continue;
             }
             for (a, b) in wins_d.iter().zip(&wins_f) {
-                let pa = wd.window(*a).unwrap().cursor.page_rows();
-                let pb = wf.window(*b).unwrap().cursor.page_rows();
-                prop_assert_eq!(&pa, &pb, "window pages diverged after {:?}", op);
+                prop_assert_eq!(
+                    shown(&wd, *a),
+                    shown(&wf, *b),
+                    "windows diverged after {:?}", op
+                );
             }
         }
         prop_assert_eq!(wf.stats.delta_refreshes, 0);

@@ -194,9 +194,9 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(w.window(win).unwrap().qbf_pred.is_some());
+        assert!(w.window(win).unwrap().query.pred.is_some());
         apply(&mut w, win, &WindowOp::ClearQuery).unwrap();
-        assert!(w.window(win).unwrap().qbf_pred.is_none());
+        assert!(w.window(win).unwrap().query.pred.is_none());
     }
 
     #[test]
