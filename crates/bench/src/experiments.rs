@@ -836,35 +836,24 @@ pub fn figure4_propagate(scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 5 — parallel scaling: scan, join build, multi-window fan-out
+// Figure 5 — parallel scaling: scan and join build
 // ---------------------------------------------------------------------------
 
-/// Figure 5: wall-clock scaling of the three parallelized layers as the
+/// Figure 5: wall-clock scaling of the two parallelized layers as the
 /// worker count grows — a predicated full-table scan through the streaming
-/// executor, a hash-join build over the same rows, and a commit fan-out
-/// that fully refreshes many materialized windows. Workers are pinned per
-/// row with [`Database::set_workers`] (the documented env bypass), so the
-/// sweep is deterministic even under a `WOW_WORKERS` CI matrix. The
+/// executor and a hash-join build over the same rows. Workers are pinned
+/// per row with [`Database::set_workers`] (the documented env bypass), so
+/// the sweep is deterministic even under a `WOW_WORKERS` CI matrix. The
 /// workers=1 row *is* the pre-existing serial code path: every parallel
 /// gate requires `workers > 1`.
 pub fn figure5_parallel_scaling(scale: Scale) -> Table {
     let mut t = Table::new(
         "Figure 5",
-        "parallel scaling: scan / join build / window fan-out vs worker count",
-        &[
-            "workers",
-            "scan",
-            "scan ×",
-            "join build",
-            "join ×",
-            "fan-out",
-            "fan-out ×",
-        ],
-        "speedups need real cores: flat on one CPU, ≥2× scan and ≥1.5× fan-out at 4 workers otherwise",
+        "parallel scaling: scan / join build vs worker count",
+        &["workers", "scan", "scan ×", "join build", "join ×"],
+        "speedups need real cores: flat on one CPU, ≥2× scan at 4 workers otherwise",
     );
     let scan_rows = scale.pick(6_000, 100_000);
-    let fan_rows = scale.pick(2_000, 20_000);
-    let fan_windows = scale.pick(4, 16);
     let reps = scale.pick(3, 7);
 
     // Scan + join share one table; the plan is built once so every worker
@@ -909,59 +898,9 @@ pub fn figure5_parallel_scaling(scale: Scale) -> Table {
         .map(|(_, tup)| tup)
         .collect();
 
-    // Fan-out: a commit against a base watched by materialized windows,
-    // with delta propagation off so every commit fully re-runs every
-    // window's query (the Figure 4 baseline path, now fanned out).
-    let mut world = World::new(WorldConfig {
-        screen: Size::new(200, 60),
-        delta_propagation: false,
-        ..WorldConfig::default()
-    });
-    world
-        .db_mut()
-        .run("CREATE TABLE item (id INT KEY, grp INT, val INT) RANGE OF i IS item")
-        .unwrap();
-    for i in 0..fan_rows {
-        world
-            .db_mut()
-            .insert(
-                "item",
-                vec![
-                    Value::Int(i as i64),
-                    Value::Int((i % fan_windows) as i64),
-                    Value::Int(i as i64),
-                ],
-            )
-            .unwrap();
-    }
-    for k in 0..fan_windows {
-        world
-            .define_view(
-                &format!("w{k}"),
-                &format!("RANGE OF i IS item RETRIEVE (i.id, i.val) WHERE i.grp = {k}"),
-            )
-            .unwrap();
-    }
-    let s = world.open_session();
-    for k in 0..fan_windows {
-        world
-            .open_window_using(
-                s,
-                &format!("w{k}"),
-                None,
-                WindowStyle::Form,
-                CursorStrategy::Materialized,
-            )
-            .unwrap();
-    }
-    let item_id = world.db().catalog().table("item").unwrap().id;
-    let (rid, row) = world.db_mut().scan_table_raw(item_id).unwrap()[0].clone();
-
     let mut serial_scan = Duration::ZERO;
     let mut serial_join = Duration::ZERO;
-    let mut serial_fan = Duration::ZERO;
-    let mut speedups: Vec<(usize, f64, f64)> = Vec::new();
-    let mut val = fan_rows as i64;
+    let mut speedups: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         db.set_workers(workers);
         let rows_out = execute(&mut db, &plan).unwrap().len();
@@ -973,61 +912,36 @@ pub fn figure5_parallel_scaling(scale: Scale) -> Table {
         let d_join = time_median(reps, || {
             std::hint::black_box(wow_rel::exec::par::build_join_table(&db, &build_rows, &[1]))
         });
-        world.db_mut().set_workers(workers);
-        // Warm-up so dependency sets and page caches are steady.
-        val += 1;
-        world
-            .apply_update("item", rid, item_row(&row, val))
-            .unwrap();
-        let d_fan = time_median(reps, || {
-            val += 1;
-            world
-                .apply_update("item", rid, item_row(&row, val))
-                .unwrap();
-        });
         if workers == 1 {
-            (serial_scan, serial_join, serial_fan) = (d_scan, d_join, d_fan);
+            (serial_scan, serial_join) = (d_scan, d_join);
         }
         let sx = serial_scan.as_secs_f64() / d_scan.as_secs_f64().max(1e-12);
         let jx = serial_join.as_secs_f64() / d_join.as_secs_f64().max(1e-12);
-        let fx = serial_fan.as_secs_f64() / d_fan.as_secs_f64().max(1e-12);
-        speedups.push((workers, sx, fx));
+        speedups.push((workers, sx));
         t.push(vec![
             workers.to_string(),
             fmt_duration(d_scan),
             format!("{sx:.2}×"),
             fmt_duration(d_join),
             format!("{jx:.2}×"),
-            fmt_duration(d_fan),
-            format!("{fx:.2}×"),
         ]);
     }
-    // The scaling targets only hold when the machine has cores to scale
+    // The scaling target only holds when the machine has cores to scale
     // onto; a single-CPU runner measures overhead, not parallelism.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     if scale == Scale::Full && cores >= 4 {
-        let &(_, sx, fx) = speedups
+        let &(_, sx) = speedups
             .iter()
-            .find(|(w, _, _)| *w == 4)
+            .find(|(w, _)| *w == 4)
             .expect("4-worker row");
         assert!(
             sx >= 2.0,
             "100k-row scan at 4 workers: want ≥2×, got {sx:.2}×"
         );
-        assert!(
-            fx >= 1.5,
-            "window fan-out at 4 workers: want ≥1.5×, got {fx:.2}×"
-        );
     }
     t
-}
-
-fn item_row(base: &wow_rel::tuple::Tuple, val: i64) -> Vec<Value> {
-    let mut values = base.values.clone();
-    values[2] = Value::Int(val);
-    values
 }
 
 // ---------------------------------------------------------------------------

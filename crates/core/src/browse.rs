@@ -68,7 +68,7 @@ pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
 }
 
 /// One displayed row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     rid: Option<Rid>,
     /// Primary-key index key on Index pages (empty elsewhere): places delta
@@ -87,7 +87,7 @@ impl Entry {
 type DeltaRows<'d> = (Vec<&'d DeltaRow>, Vec<&'d DeltaRow>);
 
 /// Where pages come from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Source {
     Index(IndexPages),
     /// A fresh view query per page; any `limit` in `query` is overwritten.
@@ -99,7 +99,7 @@ enum Source {
 }
 
 /// Pages read through an updatable view's primary-key index.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct IndexPages {
     table: String,
     index: String,
@@ -113,7 +113,7 @@ struct IndexPages {
 }
 
 /// The whole extension in memory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Snapshot {
     view: String,
     query: ViewQuery,
@@ -127,7 +127,7 @@ struct Snapshot {
 }
 
 /// A window's position in its view.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BrowseCursor {
     source: Source,
     /// The window's query-by-form restriction resolved over the view row —

@@ -21,10 +21,10 @@ pub struct WorldConfig {
     /// algebra and patches browse cursors in place; off forces the full
     /// re-query path on every affected window (the Figure 4 baseline).
     pub delta_propagation: bool,
-    /// Worker threads for intra-query and fan-out parallelism. `0` means
-    /// auto (available parallelism, capped); the `WOW_WORKERS` environment
-    /// variable overrides either way (see [`wow_par::resolve_workers`]).
-    /// `1` is exact serial execution.
+    /// Worker threads for intra-query parallelism (partitioned scans and
+    /// hash-join builds). `0` means auto (available parallelism, capped);
+    /// the `WOW_WORKERS` environment variable overrides either way (see
+    /// [`wow_par::resolve_workers`]). `1` is exact serial execution.
     pub workers: usize,
     /// Slow-query threshold: traced root spans at least this slow are
     /// copied into the tracer's slow-query log. `0` disables the log; the

@@ -360,9 +360,15 @@ impl World {
         Ok(())
     }
 
-    /// Abort a batch: undo every write made since `begin_batch`, release
-    /// locks, refresh affected windows. Returns the number of writes
-    /// rolled back.
+    /// Abort a batch: undo every write made since `begin_batch`, propagate
+    /// each inverse write's delta, release the session's locks. Returns the
+    /// number of writes rolled back.
+    ///
+    /// The session still holds its batch locks, so no other session's
+    /// commit can block an inverse write — but a write that bypasses the
+    /// lock manager (raw QUEL, `apply_*`) can still make one fail, say by
+    /// taking a deleted row's key. Every other entry is undone regardless,
+    /// the locks are always released, and the first failure is returned.
     pub fn abort_batch(&mut self, session: SessionId) -> WowResult<u64> {
         let mark = {
             let s = self.session_mut(session)?;
@@ -370,28 +376,24 @@ impl World {
                 .take()
                 .ok_or(WowError::Rel(wow_rel::RelError::Txn("no open batch")))?
         };
-        let mut tables: Vec<String> = Vec::new();
+        let mut first_err = None;
         let mut undone = 0;
         while self.undo_stack(session)?.len() > mark {
             let entry = self.undo_stack(session)?.pop().expect("len checked");
-            let table = match &entry {
-                UndoEntry::Update { table, .. }
-                | UndoEntry::Insert { table, .. }
-                | UndoEntry::Delete { table, .. } => table.clone(),
+            let failure = match self.apply_undo_entry(entry) {
+                Ok(delta) => {
+                    undone += 1;
+                    self.propagate_delta(&delta, None).err()
+                }
+                Err(e) => Some(e),
             };
-            // The session still holds its batch locks, so the inverse
-            // writes cannot be blocked by anyone else.
-            self.apply_undo_entry(entry)?;
-            if !tables.contains(&table) {
-                tables.push(table);
-            }
-            undone += 1;
+            first_err = first_err.or(failure);
         }
         self.release_locks(session);
-        for t in tables {
-            self.propagate_write(&t, None)?;
+        match first_err {
+            None => Ok(undone),
+            Some(e) => Err(e),
         }
-        Ok(undone)
     }
 
     /// Release the session's locks unless it is inside a batch (strict 2PL

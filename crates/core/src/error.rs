@@ -49,8 +49,8 @@ pub enum WowError {
         /// The window's mode.
         mode: &'static str,
     },
-    /// One or more windows failed to refresh during a propagation fan-out.
-    /// Every healthy window was still refreshed — the fan-out runs to
+    /// One or more windows failed to catch up during propagation. Every
+    /// healthy window was still brought current — propagation runs to
     /// completion and reports the casualties afterwards.
     PropagationFailed {
         /// `(window id, error)` for each window whose refresh failed.

@@ -19,7 +19,7 @@
 //! * [`locks`] — a strict two-phase relation-lock manager with waits-for
 //!   deadlock detection (Table 5's ablation subject).
 //! * [`sys`] — system tables (`__wow_metrics`, `__wow_traces`,
-//!   `__wow_windows`, `__wow_locks`, `__wow_pool`, `__wow_connections`):
+//!   `__wow_windows`, `__wow_locks`, `__wow_connections`):
 //!   the world's own runtime state exposed as read-only windows through the
 //!   standard `open_window` path.
 //! * [`undo`] — per-session undo of through-window writes.

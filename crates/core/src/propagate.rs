@@ -1,24 +1,16 @@
-//! Cross-window consistency: after a commit, refresh every window whose
-//! view can see the written relation.
+//! Cross-window consistency: after a write, bring every window whose view
+//! can see it current.
 //!
 //! This is the "windows stay consistent" half of the paper's thesis and
 //! the subject of Figure 4: propagation cost is proportional to the number
 //! of *affected* windows; windows over disjoint data cost nothing.
 
-use crate::browse::BrowseCursor;
 use crate::error::{WowError, WowResult};
 use crate::window_mgr::{Mode, RefreshKind, WinId};
 use crate::world::World;
 use std::collections::BTreeMap;
-use wow_par::stats::{decision, Layer};
-use wow_rel::db::ExecCounters;
 use wow_rel::delta::BaseDelta;
 use wow_views::delta::{compute_view_delta, ViewDelta};
-
-/// Minimum refreshable windows before a fan-out goes parallel: with a
-/// single window there is nothing to overlap, and the scoped pool's thread
-/// spawn would be pure overhead.
-pub const PAR_FANOUT_MIN_WINDOWS: usize = 2;
 
 impl World {
     /// Push a typed write delta through the view algebra and patch every
@@ -30,238 +22,90 @@ impl World {
     /// Windows whose view provably cannot see the change (the view delta is
     /// empty — e.g. a filtered view the written row never matched, or a
     /// join the written row joins with nothing through) are skipped
-    /// entirely: no refresh, no query, no counter.
-    ///
-    /// Mid-edit windows are marked stale, exactly like
-    /// [`World::propagate_write`]. Returns the ids of the windows updated.
-    pub fn propagate_delta(
-        &mut self,
-        delta: &BaseDelta,
-        source: Option<WinId>,
-    ) -> WowResult<Vec<WinId>> {
-        self.stats.propagations += 1;
-        let table = delta.table.clone();
-        // Phase 1: which windows can see the table at all (cached map).
-        let mut affected: Vec<(WinId, String)> = Vec::new();
-        {
-            let (db, views, windows, deps) = self.dep_parts();
-            for (id, w) in windows {
-                if Some(*id) == source {
-                    continue;
-                }
-                if deps.reads(db, views, &w.view, &table).unwrap_or(false) {
-                    affected.push((*id, w.view.clone()));
-                }
-            }
-        }
-        // Phase 2: translate the base delta once per distinct view. `None`
-        // means "fall back to a full refresh" for that view's windows.
-        let mut view_deltas: BTreeMap<String, Option<ViewDelta>> = BTreeMap::new();
-        if self.config().delta_propagation {
-            for (_, view) in &affected {
-                if view_deltas.contains_key(view) {
-                    continue;
-                }
-                let (db, views, deps) = self.delta_parts();
-                let plan = deps.delta_plan(db, views, view, &table)?.clone();
-                let vd = compute_view_delta(db, &plan, delta)?;
-                view_deltas.insert(view.clone(), vd);
-            }
-        }
-        // Phase 3: patch deltable windows in place; everything else joins
-        // the full-refresh fan-out (parallel when wide enough) at the end.
-        let mut refreshed = Vec::new();
-        let mut full = Vec::new();
-        for (id, view) in affected {
-            let mid_edit = matches!(
-                self.window(id)?.mode,
-                Mode::Edit | Mode::Insert | Mode::Query
-            );
-            if mid_edit {
-                self.window_mut(id)?.stale = true;
-                continue;
-            }
-            match view_deltas.get(&view) {
-                Some(Some(vd)) if vd.is_empty() => {
-                    // The write is invisible to this view; leave the
-                    // window untouched.
-                    continue;
-                }
-                Some(Some(vd)) => {
-                    let mut span = wow_obs::span(wow_obs::Op::DeltaRefresh);
-                    span.arg(vd.len() as u64);
-                    let applied = {
-                        let (db, vc, w) = self.parts(id)?;
-                        w.cursor.apply_delta(db, vc, vd)?
-                    };
-                    if applied {
-                        self.note_refresh(id, RefreshKind::Delta);
-                        span.finish();
-                        self.stats.delta_refreshes += 1;
-                        self.stats.delta_rows += vd.len() as u64;
-                        self.stats.windows_refreshed += 1;
-                        refreshed.push(id);
-                    } else {
-                        // The delta didn't land; don't count its span.
-                        span.cancel();
-                        full.push(id);
-                    }
-                }
-                _ => {
-                    // Non-deltable view, oversized delta, or delta
-                    // propagation disabled: the classic full re-query.
-                    full.push(id);
-                }
-            }
-        }
-        refreshed.extend(self.refresh_fanout(full)?);
-        Ok(refreshed)
-    }
-
-    /// Refresh every window whose view (transitively) reads `table`.
-    /// `source` is the window that performed the write (refreshed already
-    /// by its commit path, so skipped here). Windows that are mid-edit are
-    /// not yanked out from under the user — they are marked stale instead.
+    /// entirely: no refresh, no query, no counter. `source` is the window
+    /// that performed the write, refreshed already by its commit path.
     ///
     /// The view → base-table reachability comes from the cached
     /// [`wow_views::DepIndex`]: on the warm path (no DDL since the last
     /// propagation) deciding whether a window is affected is a map lookup,
     /// not a walk of the view definitions.
     ///
-    /// Returns the ids of the windows refreshed.
-    pub fn propagate_write(&mut self, table: &str, source: Option<WinId>) -> WowResult<Vec<WinId>> {
-        self.stats.propagations += 1;
-        // Collect affected windows first (borrow discipline: the refresh
-        // loop needs &mut self).
+    /// Mid-edit windows and failures are handled as in
+    /// [`World::refresh_all_windows`]. Returns the ids of the windows
+    /// updated.
+    pub fn propagate_delta(
+        &mut self,
+        delta: &BaseDelta,
+        source: Option<WinId>,
+    ) -> WowResult<Vec<WinId>> {
         let mut affected = Vec::new();
         {
             let (db, views, windows, deps) = self.dep_parts();
             for (id, w) in windows {
-                if Some(*id) == source {
-                    continue;
-                }
-                let touches = deps.reads(db, views, &w.view, table).unwrap_or(false);
-                if touches {
+                if Some(*id) != source
+                    && deps
+                        .reads(db, views, &w.view, &delta.table)
+                        .unwrap_or(false)
+                {
                     affected.push(*id);
                 }
             }
         }
-        let mut candidates = Vec::new();
-        for id in affected {
-            let mid_edit = matches!(
-                self.window(id)?.mode,
-                Mode::Edit | Mode::Insert | Mode::Query
-            );
-            if mid_edit {
-                self.window_mut(id)?.stale = true;
+        self.bring_current(affected, Some(delta))
+    }
+
+    /// Re-query every open window: the blunt instrument for writes whose
+    /// footprint is unknown — a raw QUEL statement executed over the
+    /// network can touch any table, so the server brings every window
+    /// current rather than guessing.
+    ///
+    /// A window mid-edit (Edit, Insert or Query mode) is not yanked out
+    /// from under the user: it is marked stale and catches up when it
+    /// returns to Browse. A failing window does not stop the others: every
+    /// healthy window is still brought current, the failed ones are left
+    /// stale, and the failures come back together as one
+    /// [`WowError::PropagationFailed`]. Returns the ids refreshed.
+    pub fn refresh_all_windows(&mut self) -> WowResult<Vec<WinId>> {
+        let all = self.window_ids();
+        self.bring_current(all, None)
+    }
+
+    /// The one propagation loop behind both entry points: each window is
+    /// patched by `delta`'s view delta when there is one, re-queried when
+    /// not, and any error is recorded against that window alone.
+    fn bring_current(
+        &mut self,
+        wins: Vec<WinId>,
+        delta: Option<&BaseDelta>,
+    ) -> WowResult<Vec<WinId>> {
+        self.stats.propagations += 1;
+        let delta = delta.filter(|_| self.config().delta_propagation);
+        // The base delta is translated once per distinct view.
+        let mut view_deltas: BTreeMap<String, Result<Option<ViewDelta>, String>> = BTreeMap::new();
+        let mut refreshed = Vec::new();
+        let mut failures = Vec::new();
+        for id in wins {
+            let w = self.window_mut(id)?;
+            if matches!(w.mode, Mode::Edit | Mode::Insert | Mode::Query) {
+                w.stale = true;
                 continue;
             }
-            candidates.push(id);
-        }
-        self.refresh_fanout(candidates)
-    }
-
-    /// Refresh every open window that is not mid-edit (mid-edit windows go
-    /// stale, exactly like [`World::propagate_write`]). The blunt
-    /// instrument for writes whose footprint is unknown — a raw QUEL
-    /// statement executed over the network can touch any table, so the
-    /// server brings every window current rather than guessing. Returns
-    /// the ids refreshed.
-    pub fn refresh_all_windows(&mut self) -> WowResult<Vec<WinId>> {
-        self.stats.propagations += 1;
-        let mut candidates = Vec::new();
-        for id in self.window_ids() {
-            let mid_edit = matches!(
-                self.window(id)?.mode,
-                Mode::Edit | Mode::Insert | Mode::Query
-            );
-            if mid_edit {
-                self.window_mut(id)?.stale = true;
-            } else {
-                candidates.push(id);
-            }
-        }
-        self.refresh_fanout(candidates)
-    }
-
-    /// Refresh a set of windows, overlapping the re-queries across the
-    /// worker pool when the fan-out is wide enough.
-    ///
-    /// The split is *compute then apply*: the compute phase clones each
-    /// window's cursor and refreshes the clone against a
-    /// [`read replica`](wow_rel::db::Database::read_replica) (read-only
-    /// over shared pages, so any number may run concurrently); the apply
-    /// phase then splices the refreshed cursors back into the window states
-    /// sequentially, so counters, spans, and visible effects land in the
-    /// same deterministic order as a serial fan-out.
-    ///
-    /// A failing window does not abort the fan-out: every healthy window
-    /// still refreshes, and the failures come back together as one
-    /// [`WowError::PropagationFailed`].
-    fn refresh_fanout(&mut self, candidates: Vec<WinId>) -> WowResult<Vec<WinId>> {
-        if candidates.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.db().workers();
-        // System windows re-materialize their backing tables on refresh,
-        // which needs the whole world mutably — any fan-out containing one
-        // stays serial.
-        let has_sys = candidates.iter().any(|id| {
-            self.windows
-                .get(id)
-                .is_none_or(|w| crate::sys::is_sys_view(&w.view))
-        });
-        let parallel = workers > 1 && candidates.len() >= PAR_FANOUT_MIN_WINDOWS && !has_sys;
-        decision(Layer::Fanout, parallel);
-        let mut refreshed = Vec::new();
-        let mut failures: Vec<(u32, String)> = Vec::new();
-        if parallel {
-            type Computed = (WinId, WowResult<(BrowseCursor, ExecCounters)>);
-            let computed: Vec<Computed> = {
-                let mut span = wow_obs::span(wow_obs::Op::ParCompute);
-                span.arg(candidates.len() as u64);
-                let db = self.db();
-                let views = self.views();
-                let windows = &self.windows;
-                let pool = wow_par::Pool::new(workers);
-                pool.map(candidates, |_, id| {
-                    let Some(w) = windows.get(&id) else {
-                        return (id, Err(WowError::NoSuchWindow(id.0)));
-                    };
-                    let mut replica = db.read_replica();
-                    let mut cursor = w.cursor.clone();
-                    let refresh = wow_obs::span(wow_obs::Op::FullRefresh);
-                    let r = cursor.refresh(&mut replica, views);
-                    refresh.finish();
-                    (id, r.map(|()| (cursor, replica.counters())))
-                })
+            let view = w.view.clone();
+            let vd = match delta {
+                None => Ok(None),
+                Some(d) => view_deltas
+                    .entry(view)
+                    .or_insert_with_key(|view| self.view_delta(view, d).map_err(|e| e.to_string()))
+                    .as_ref()
+                    .map(Option::as_ref)
+                    .map_err(Clone::clone),
             };
-            let mut span = wow_obs::span(wow_obs::Op::ParApply);
-            for (id, res) in computed {
-                match res {
-                    Ok((cursor, counters)) => {
-                        self.db_mut().merge_counters(counters);
-                        let w = self.windows.get_mut(&id).expect("window seen in compute");
-                        w.cursor = cursor;
-                        self.note_refresh(id, RefreshKind::Full);
-                        self.stats.full_refreshes += 1;
-                        self.stats.windows_refreshed += 1;
-                        refreshed.push(id);
-                    }
-                    Err(e) => failures.push((id.0, e.to_string())),
-                }
-            }
-            span.arg(refreshed.len() as u64);
-            span.finish();
-        } else {
-            for id in candidates {
-                match self.refresh_window(id) {
-                    Ok(()) => {
-                        self.stats.full_refreshes += 1;
-                        self.stats.windows_refreshed += 1;
-                        refreshed.push(id);
-                    }
-                    Err(e) => failures.push((id.0, e.to_string())),
+            match vd.and_then(|vd| self.catch_up(id, vd).map_err(|e| e.to_string())) {
+                Ok(true) => refreshed.push(id),
+                Ok(false) => {}
+                Err(e) => {
+                    self.window_mut(id)?.stale = true;
+                    failures.push((id.0, e));
                 }
             }
         }
@@ -271,11 +115,49 @@ impl World {
             Err(WowError::PropagationFailed { failures })
         }
     }
+
+    /// Translate a base delta into `view`'s delta: `None` when the view is
+    /// not delta-maintainable or the delta is too large to translate.
+    fn view_delta(&mut self, view: &str, delta: &BaseDelta) -> WowResult<Option<ViewDelta>> {
+        let (db, views, deps) = self.delta_parts();
+        let plan = deps.delta_plan(db, views, view, &delta.table)?;
+        Ok(compute_view_delta(db, plan, delta)?)
+    }
+
+    /// Bring one browsing window current: patch it by `vd` when the cursor
+    /// places the delta rows, otherwise re-run its query. Returns `false`
+    /// when `vd` is empty — the write is invisible to the view and the
+    /// window is left untouched.
+    fn catch_up(&mut self, id: WinId, vd: Option<&ViewDelta>) -> WowResult<bool> {
+        if let Some(vd) = vd {
+            if vd.is_empty() {
+                return Ok(false);
+            }
+            let mut span = wow_obs::span(wow_obs::Op::DeltaRefresh);
+            span.arg(vd.len() as u64);
+            let (db, vc, w) = self.parts(id)?;
+            if w.cursor.apply_delta(db, vc, vd)? {
+                self.note_refresh(id, RefreshKind::Delta);
+                span.finish();
+                self.stats.delta_refreshes += 1;
+                self.stats.delta_rows += vd.len() as u64;
+                self.stats.windows_refreshed += 1;
+                return Ok(true);
+            }
+            // The delta didn't land; don't count its span.
+            span.cancel();
+        }
+        self.refresh_window(id)?;
+        self.stats.full_refreshes += 1;
+        self.stats.windows_refreshed += 1;
+        Ok(true)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::WorldConfig;
+    use crate::error::WowError;
     use crate::window_mgr::Mode;
     use crate::world::World;
 
@@ -539,13 +421,17 @@ mod tests {
         w.db_mut()
             .run(r#"REPLACE emp (salary = 200) WHERE emp.name = "alice""#)
             .unwrap();
-        let err = w.propagate_write("emp", None).unwrap_err();
-        let crate::error::WowError::PropagationFailed { failures } = err else {
+        let err = w.refresh_all_windows().unwrap_err();
+        let WowError::PropagationFailed { failures } = err else {
             panic!("expected PropagationFailed");
         };
         assert_eq!(failures.len(), 1, "exactly the poisoned window failed");
         assert_eq!(failures[0].0, doomed.0);
-        // The healthy window was still refreshed — the fan-out ran to
+        assert!(
+            w.window(doomed).unwrap().stale,
+            "the failed window is stale"
+        );
+        // The healthy window was still refreshed — the loop ran to
         // completion instead of aborting at the first failure.
         assert_eq!(
             w.current_row(healthy).unwrap().unwrap().values[1].to_string(),
@@ -556,67 +442,45 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_serial_pages_and_stats() {
-        // Two identical worlds, one serial, one maximally parallel: after
-        // the same write propagates, every window's visible page and every
-        // WorldStats counter must agree.
-        let build = |workers: usize| {
-            let cfg = WorldConfig {
-                delta_propagation: false,
-                workers,
-                ..WorldConfig::default()
-            };
-            let mut w = World::with_db(cfg, wow_rel::db::Database::in_memory());
-            // Exact width: benches and this test bypass the WOW_WORKERS
-            // override so "serial" stays serial under any environment.
-            w.db_mut().set_workers(workers);
-            w.db_mut()
-                .run("CREATE TABLE emp (name TEXT KEY, dept TEXT, salary INT)")
-                .unwrap();
-            for i in 0..64 {
-                w.db_mut()
-                    .run(&format!(
-                        r#"APPEND TO emp (name = "e{i:03}", dept = "d{}", salary = {})"#,
-                        i % 4,
-                        100 + i
-                    ))
-                    .unwrap();
-            }
-            let s = w.open_session();
-            let mut wins = Vec::new();
-            for v in 0..8 {
-                let name = format!("v{v}");
-                w.define_view(
-                    &name,
-                    &format!(
-                        r#"RANGE OF e IS emp RETRIEVE (e.name, e.salary) WHERE e.dept = "d{}""#,
-                        v % 4
-                    ),
-                )
-                .unwrap();
-                wins.push(w.open_window(s, &name, None).unwrap());
-            }
-            (w, wins)
+    fn a_failing_view_delta_fails_only_its_window() {
+        let mut w = world();
+        w.define_view(
+            "poisoned",
+            "RANGE OF e IS emp RETRIEVE (e.name, e.salary / (e.salary - 200))",
+        )
+        .unwrap();
+        let s1 = w.open_session();
+        let s2 = w.open_session();
+        let editor = w.open_window(s1, "emps", None).unwrap();
+        let poisoned = w.open_window(s2, "poisoned", None).unwrap();
+        let healthy = w.open_window(s2, "toy_emps", None).unwrap();
+        // Translating alice's new salary through `poisoned` divides by zero.
+        w.enter_edit(editor).unwrap();
+        w.window_mut(editor).unwrap().form.set_text(2, "200");
+        let err = w.commit(editor).unwrap_err();
+        let WowError::PropagationFailed { failures } = err else {
+            panic!("expected PropagationFailed, got {err:?}");
         };
-        let (mut serial, serial_wins) = build(1);
-        let (mut par, par_wins) = build(8);
-        assert_eq!(serial.db().workers(), 1);
-        assert_eq!(par.db().workers(), 8);
-        for w in [&mut serial, &mut par] {
-            w.db_mut().run("RANGE OF emp IS emp").unwrap();
-            w.db_mut()
-                .run(r#"REPLACE emp (salary = 999) WHERE emp.name = "e000""#)
-                .unwrap();
-        }
-        let a = serial.propagate_write("emp", None).unwrap();
-        let b = par.propagate_write("emp", None).unwrap();
-        assert_eq!(a.len(), b.len());
-        assert_eq!(serial.stats, par.stats, "WorldStats must agree exactly");
-        for (sw, pw) in serial_wins.iter().zip(&par_wins) {
-            let sp: Vec<_> = serial.window(*sw).unwrap().cursor.page_rows();
-            let pp: Vec<_> = par.window(*pw).unwrap().cursor.page_rows();
-            assert_eq!(sp, pp, "window pages diverged");
-        }
+        assert_eq!(failures.len(), 1, "exactly the poisoned window failed");
+        assert_eq!(failures[0].0, poisoned.0);
+        assert!(
+            failures[0].1.contains("division by zero"),
+            "{}",
+            failures[0].1
+        );
+        assert!(w.window(poisoned).unwrap().stale);
+        // The write committed, and the healthy watcher was patched anyway.
+        let rows = w
+            .db_mut()
+            .run(r#"RANGE OF e IS emp RETRIEVE (e.salary) WHERE e.name = "alice""#)
+            .unwrap();
+        assert_eq!(rows.tuples[0].values[0].to_string(), "200");
+        assert_eq!(
+            w.current_row(healthy).unwrap().unwrap().values[1].to_string(),
+            "200"
+        );
+        assert_eq!(w.stats.windows_refreshed, 1);
+        assert_eq!(w.stats.delta_refreshes, 1);
     }
 
     #[test]

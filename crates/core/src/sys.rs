@@ -2,8 +2,8 @@
 //!
 //! The paper's thesis is that every interaction with shared data happens
 //! through a window on a view. This module makes the system's *runtime
-//! state* — metrics, causal traces, open windows, held locks, the worker
-//! pool, live connections — shared data too: ordinary base tables
+//! state* — metrics, causal traces, open windows, held locks, live
+//! connections — shared data too: ordinary base tables
 //! (`__sys_*`) are materialized from live state and ordinary views
 //! (`__wow_*`) are registered over them, so
 //! `open_window(session, "__wow_metrics", None)` goes through the exact
@@ -58,7 +58,7 @@ pub struct ConnectionInfo {
 pub type ConnectionsProvider = Box<dyn Fn() -> Vec<ConnectionInfo> + Send>;
 
 /// The system views, with the QUEL definitions registered for them.
-pub const SYS_VIEWS: [(&str, &str); 6] = [
+pub const SYS_VIEWS: [(&str, &str); 5] = [
     (
         "__wow_metrics",
         "RANGE OF m IS __sys_metrics RETRIEVE (m.metric, m.value)",
@@ -79,10 +79,6 @@ pub const SYS_VIEWS: [(&str, &str); 6] = [
         "RANGE OF l IS __sys_locks RETRIEVE (l.seq, l.relation, l.holder, l.mode)",
     ),
     (
-        "__wow_pool",
-        "RANGE OF p IS __sys_pool RETRIEVE (p.stat, p.value)",
-    ),
-    (
         "__wow_connections",
         "RANGE OF c IS __sys_connections \
          RETRIEVE (c.conn, c.session, c.peer, c.state, c.requests, c.pushes, c.coalesced, \
@@ -90,14 +86,13 @@ pub const SYS_VIEWS: [(&str, &str); 6] = [
     ),
 ];
 
-const SYS_DDL: [&str; 6] = [
+const SYS_DDL: [&str; 5] = [
     "CREATE TABLE __sys_metrics (metric TEXT KEY, value INT)",
     "CREATE TABLE __sys_traces (seq INT KEY, trace INT, span INT, parent INT, op TEXT, \
      start_us INT, dur_us INT, arg INT)",
     "CREATE TABLE __sys_windows (win INT KEY, view TEXT, session INT, mode TEXT, \
      refresh TEXT, age_ms INT, stale INT, updatable INT, generation INT)",
     "CREATE TABLE __sys_locks (seq INT KEY, relation TEXT, holder INT, mode TEXT)",
-    "CREATE TABLE __sys_pool (stat TEXT KEY, value INT)",
     "CREATE TABLE __sys_connections (conn INT KEY, session INT, peer TEXT, state TEXT, \
      requests INT, pushes INT, coalesced INT, queued INT, age_ms INT)",
 ];
@@ -189,13 +184,11 @@ impl World {
         let traces = trace_rows();
         let windows = self.window_rows();
         let locks = self.lock_rows();
-        let pool = self.pool_rows();
         let conns = self.conn_rows();
         self.sys_rewrite("__sys_metrics", metrics)?;
         self.sys_rewrite("__sys_traces", traces)?;
         self.sys_rewrite("__sys_windows", windows)?;
         self.sys_rewrite("__sys_locks", locks)?;
-        self.sys_rewrite("__sys_pool", pool)?;
         self.sys_rewrite("__sys_connections", conns)?;
         Ok(())
     }
@@ -268,19 +261,6 @@ impl World {
                 ]
             })
             .collect()
-    }
-
-    /// `__sys_pool` rows: the worker-pool width plus the global scatter and
-    /// per-layer parallel-vs-serial decision counters from [`wow_par`].
-    fn pool_rows(&self) -> Vec<Vec<Value>> {
-        let mut rows = vec![vec![
-            Value::Text("workers".to_string()),
-            Value::Int(self.db().workers() as i64),
-        ]];
-        for (name, v) in wow_par::stats::snapshot().rows() {
-            rows.push(vec![Value::Text(name.to_string()), Value::Int(v as i64)]);
-        }
-        rows
     }
 
     fn lock_rows(&self) -> Vec<Vec<Value>> {
@@ -455,40 +435,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_window_reports_workers_and_decisions() {
+    fn metrics_window_reports_pool_workers_and_decisions() {
         let mut w = world();
         let s = w.open_session();
-        let win = w.open_window(s, "__wow_pool", None).unwrap();
-        let state = w.window(win).unwrap();
-        assert!(!state.is_updatable(), "__wow_pool is read-only");
+        w.open_window(s, "__wow_metrics", None).unwrap();
         let rows = w
             .db_mut()
-            .run("RANGE OF p IS __sys_pool RETRIEVE (p.stat, p.value)")
+            .run("RANGE OF m IS __sys_metrics RETRIEVE (m.metric, m.value)")
             .unwrap();
-        let stats: Vec<String> = rows
-            .tuples
-            .iter()
-            .map(|t| t.values[0].to_string())
-            .collect();
-        for expected in [
-            "workers",
-            "tasks",
-            "chunks",
-            "scan_parallel",
-            "scan_serial",
-            "join_parallel",
-            "join_serial",
-            "fanout_parallel",
-            "fanout_serial",
-        ] {
-            assert!(stats.contains(&expected.to_string()), "missing {expected}");
+        let value = |metric: &str| {
+            rows.tuples
+                .iter()
+                .find(|t| t.values[0].to_string() == metric)
+                .map(|t| t.values[1].to_string())
+        };
+        for metric in ["par.scan_parallel", "par.join_serial"] {
+            assert!(value(metric).is_some(), "missing {metric}");
         }
-        let workers = rows
-            .tuples
-            .iter()
-            .find(|t| t.values[0].to_string() == "workers")
-            .unwrap();
-        assert_eq!(workers.values[1].to_string(), w.db().workers().to_string());
+        assert_eq!(value("par.workers"), Some(w.db().workers().to_string()));
     }
 
     #[test]

@@ -136,6 +136,45 @@ fn batch_with_insert_and_delete_aborts_cleanly() {
 }
 
 #[test]
+fn failed_abort_undoes_the_rest_and_releases_locks() {
+    let mut w = world();
+    let s = w.open_session();
+    let win = w.open_window(s, "accts", None).unwrap();
+    let watching = w.open_session();
+    let watcher = w.open_window(watching, "accts", None).unwrap();
+    w.begin_batch(s).unwrap();
+    w.enter_edit(win).unwrap();
+    w.window_mut(win).unwrap().form.set_text(2, "55");
+    w.commit(win).unwrap();
+    w.browse_next(win).unwrap();
+    w.delete_current(win).unwrap();
+    // A write that bypasses the lock manager takes bob's key, so the
+    // abort cannot re-insert him.
+    let eve = vec![Value::Int(2), Value::text("eve"), Value::Int(1)];
+    w.apply_insert("acct", eve).unwrap();
+    let before = w.stats.snapshot();
+    let err = w.abort_batch(s).unwrap_err();
+    assert!(err.to_string().contains("pk_acct"), "{err}");
+    // Alice's edit is still undone, and by delta.
+    assert_eq!(balance(&mut w, 1), 100);
+    let done = w.stats.since(&before);
+    assert_eq!(done.full_refreshes, 0);
+    assert!(done.delta_refreshes >= 1);
+    assert_eq!(
+        w.window(watcher).unwrap().last_refresh,
+        wow_core::RefreshKind::Delta
+    );
+    assert_eq!(
+        w.current_row(watcher).unwrap().unwrap().values[2],
+        Value::Int(100)
+    );
+    // The session's locks are gone.
+    let other = w.open_session();
+    assert!(w.try_lock(other, "acct", LockMode::Exclusive));
+    w.release_locks(other);
+}
+
+#[test]
 fn batch_misuse_errors() {
     let mut w = world();
     let s = w.open_session();

@@ -56,10 +56,6 @@ pub enum Op {
     Commit,
     /// Partitioning work into chunks and dispatching it to the pool.
     ParScatter,
-    /// Parallel read-only compute phase of a refresh fan-out.
-    ParCompute,
-    /// Sequential apply phase splicing parallel results into cursors.
-    ParApply,
     /// Accepting one network connection (handshake included).
     NetAccept,
     /// Handling one wire-protocol request end to end (decode → execute →
@@ -84,7 +80,7 @@ pub enum Op {
 impl Op {
     /// Every operation, in declaration order (indexes the registry's
     /// histogram table).
-    pub const ALL: [Op; 21] = [
+    pub const ALL: [Op; 19] = [
         Op::FormCompile,
         Op::BrowseOpen,
         Op::BrowsePage,
@@ -96,8 +92,6 @@ impl Op {
         Op::TuiRedraw,
         Op::Commit,
         Op::ParScatter,
-        Op::ParCompute,
-        Op::ParApply,
         Op::NetAccept,
         Op::NetRequest,
         Op::NetPush,
@@ -122,8 +116,6 @@ impl Op {
             Op::TuiRedraw => "tui_redraw",
             Op::Commit => "commit",
             Op::ParScatter => "par_scatter",
-            Op::ParCompute => "par_compute",
-            Op::ParApply => "par_apply",
             Op::NetAccept => "net_accept",
             Op::NetRequest => "net_request",
             Op::NetPush => "net_push",
@@ -557,7 +549,7 @@ mod tests {
         assert_eq!(Op::NetPush.name(), "net_push");
         assert_eq!(Op::VecEval.name(), "vec_eval");
         assert_eq!(Op::ExecOp.name(), "exec_op");
-        assert_eq!(Op::ALL.len(), 21);
+        assert_eq!(Op::ALL.len(), 19);
         assert_eq!(Op::WalFsync.name(), "wal_fsync");
         assert_eq!(Op::Recovery.name(), "recovery");
     }

@@ -7,11 +7,10 @@
 //! to `workers` OS threads via [`std::thread::scope`], which keeps the
 //! design free of lifetime erasure (`'static` bounds) and shutdown
 //! protocol, at the cost of a thread-spawn per parallel region. The
-//! regions this pool serves (multi-page scans, hash-join builds,
-//! multi-window refresh fan-out) run for hundreds of microseconds to
-//! milliseconds, so the ~10µs spawn cost amortizes away; work below that
-//! scale should stay on the serial path (see the threshold constants in
-//! the consuming crates).
+//! regions this pool serves (multi-page scans, hash-join builds) run for
+//! hundreds of microseconds to milliseconds, so the ~10µs spawn cost
+//! amortizes away; work below that scale should stay on the serial path
+//! (see the threshold constants in the consuming crates).
 //!
 //! Semantics:
 //!
@@ -375,12 +374,10 @@ mod tests {
         stats::decision(stats::Layer::Scan, true);
         stats::decision(stats::Layer::Scan, false);
         stats::decision(stats::Layer::JoinBuild, true);
-        stats::decision(stats::Layer::Fanout, false);
         let snap = stats::snapshot();
         assert_eq!(snap.scan_parallel, 1);
         assert_eq!(snap.scan_serial, 1);
         assert_eq!(snap.join_parallel, 1);
         assert_eq!(snap.join_serial, 0);
-        assert_eq!(snap.fanout_serial, 1);
     }
 }

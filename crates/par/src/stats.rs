@@ -1,5 +1,5 @@
-//! Process-wide pool counters backing the `__wow_pool` system view and
-//! the `par.*` metric gauges.
+//! Process-wide pool counters backing the `par.*` metric gauges of
+//! `__wow_metrics`.
 //!
 //! Counters are plain relaxed atomics: they are monotone tallies read for
 //! observability, never used for synchronization.
@@ -12,8 +12,6 @@ static SCAN_PAR: AtomicU64 = AtomicU64::new(0);
 static SCAN_SER: AtomicU64 = AtomicU64::new(0);
 static JOIN_PAR: AtomicU64 = AtomicU64::new(0);
 static JOIN_SER: AtomicU64 = AtomicU64::new(0);
-static FANOUT_PAR: AtomicU64 = AtomicU64::new(0);
-static FANOUT_SER: AtomicU64 = AtomicU64::new(0);
 
 /// The subsystem making a parallel-vs-serial decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +20,6 @@ pub enum Layer {
     Scan,
     /// Hash-join build-side partitioning in the executor.
     JoinBuild,
-    /// Multi-window refresh fan-out in the world layer.
-    Fanout,
 }
 
 /// Record that `layer` chose the parallel (`true`) or serial (`false`)
@@ -34,8 +30,6 @@ pub fn decision(layer: Layer, parallel: bool) {
         (Layer::Scan, false) => &SCAN_SER,
         (Layer::JoinBuild, true) => &JOIN_PAR,
         (Layer::JoinBuild, false) => &JOIN_SER,
-        (Layer::Fanout, true) => &FANOUT_PAR,
-        (Layer::Fanout, false) => &FANOUT_SER,
     };
     c.fetch_add(1, Ordering::Relaxed);
 }
@@ -64,10 +58,6 @@ pub struct PoolSnapshot {
     pub join_parallel: u64,
     /// Hash-join builds that stayed serial.
     pub join_serial: u64,
-    /// Refresh fan-outs that took the parallel path.
-    pub fanout_parallel: u64,
-    /// Refresh fan-outs that stayed serial.
-    pub fanout_serial: u64,
 }
 
 impl PoolSnapshot {
@@ -80,8 +70,6 @@ impl PoolSnapshot {
             ("scan_serial", self.scan_serial),
             ("join_parallel", self.join_parallel),
             ("join_serial", self.join_serial),
-            ("fanout_parallel", self.fanout_parallel),
-            ("fanout_serial", self.fanout_serial),
         ]
     }
 }
@@ -95,23 +83,12 @@ pub fn snapshot() -> PoolSnapshot {
         scan_serial: SCAN_SER.load(Ordering::Relaxed),
         join_parallel: JOIN_PAR.load(Ordering::Relaxed),
         join_serial: JOIN_SER.load(Ordering::Relaxed),
-        fanout_parallel: FANOUT_PAR.load(Ordering::Relaxed),
-        fanout_serial: FANOUT_SER.load(Ordering::Relaxed),
     }
 }
 
 /// Zero every counter (tests and bench isolation).
 pub fn reset() {
-    for c in [
-        &TASKS,
-        &CHUNKS,
-        &SCAN_PAR,
-        &SCAN_SER,
-        &JOIN_PAR,
-        &JOIN_SER,
-        &FANOUT_PAR,
-        &FANOUT_SER,
-    ] {
+    for c in [&TASKS, &CHUNKS, &SCAN_PAR, &SCAN_SER, &JOIN_PAR, &JOIN_SER] {
         c.store(0, Ordering::Relaxed);
     }
 }
