@@ -339,14 +339,16 @@ pub fn table3_view_update(scale: Scale) -> Table {
     // Through-view updates (same field, different values so rows dirty).
     let (through, _) = time_once(|| {
         for (i, (rid, _)) in rows.iter().enumerate() {
-            wow_views::translate::update_through_view(
+            let row = wow_views::translate::update_through_view(
                 world.db_mut(),
                 &upd,
                 *rid,
                 &[(3, Value::Int(60 + i as i64 % 10))],
                 wow_views::translate::CheckOption::Checked,
             )
-            .unwrap();
+            .unwrap()
+            .expect("row exists");
+            world.db_mut().update_rid("supplier", *rid, row).unwrap();
         }
     });
     let us = |d: Duration| d.as_micros() as f64 / n as f64;

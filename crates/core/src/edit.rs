@@ -3,39 +3,35 @@
 //! The protocol for every write is the same five steps:
 //!
 //! 1. take an exclusive lock on the base relation,
-//! 2. translate the form edit into base-table DML through the view,
-//! 3. record the inverse on the session's undo stack,
-//! 4. release the lock (strict 2PL, transaction = one commit), and
-//! 5. **propagate**: refresh every other window whose view overlaps.
+//! 2. translate the form edit into one base write through the view and
+//!    perform it, which yields the [`BaseDelta`] the write made,
+//! 3. release the lock (strict 2PL, transaction = one commit; a batch
+//!    holds it until the batch ends),
+//! 4. record the delta on the session's undo stack (undo writes its
+//!    inverse), and
+//! 5. **propagate** the delta: every window whose view overlaps catches
+//!    up, the writer's own window included.
 
 use crate::error::{WowError, WowResult};
 use crate::locks::LockMode;
 use crate::session::SessionId;
-use crate::undo::UndoEntry;
-use crate::window_mgr::{Mode, WinId};
+use crate::window_mgr::{Mode, WinId, WindowState};
 use crate::world::World;
+use wow_rel::db::Database;
 use wow_rel::delta::BaseDelta;
-use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
-use wow_views::translate::{delete_through_view, insert_through_view, update_through_view};
+use wow_storage::Rid;
+use wow_views::translate::{insert_through_view, update_through_view};
+use wow_views::updatable::Updatability;
+
+/// One base write as [`World::write_base`] takes it: the rid to overwrite
+/// or delete (none for an insert) and the row to write (none for a delete).
+type BaseWrite = (Option<Rid>, Option<Vec<Value>>);
 
 impl World {
     /// Enter Edit mode on the current row.
     pub fn enter_edit(&mut self, win: WinId) -> WowResult<()> {
-        let w = self.window_mut(win)?;
-        if !matches!(w.mode, Mode::Browse) {
-            return Err(WowError::WrongMode {
-                wanted: "edit",
-                mode: w.mode.name(),
-            });
-        }
-        let Some(upd) = &w.upd else {
-            return Err(WowError::ReadOnly {
-                view: w.view.clone(),
-                reasons: w.read_only_reasons.clone(),
-            });
-        };
-        let _ = upd;
+        let w = self.writable_window(win, "edit")?;
         let Some((_, tuple)) = w.cursor.current_row() else {
             return Err(WowError::NoCurrentRow);
         };
@@ -48,10 +44,21 @@ impl World {
 
     /// Enter Insert mode with a blank form.
     pub fn enter_insert(&mut self, win: WinId) -> WowResult<()> {
+        let w = self.writable_window(win, "insert")?;
+        w.form.clear();
+        w.original = None;
+        w.mode = Mode::Insert;
+        w.status.clear();
+        Ok(())
+    }
+
+    /// The window, provided it browses an updatable view: where every
+    /// write through a window starts.
+    fn writable_window(&mut self, win: WinId, wanted: &'static str) -> WowResult<&mut WindowState> {
         let w = self.window_mut(win)?;
         if !matches!(w.mode, Mode::Browse) {
             return Err(WowError::WrongMode {
-                wanted: "insert",
+                wanted,
                 mode: w.mode.name(),
             });
         }
@@ -61,11 +68,7 @@ impl World {
                 reasons: w.read_only_reasons.clone(),
             });
         }
-        w.form.clear();
-        w.original = None;
-        w.mode = Mode::Insert;
-        w.status.clear();
-        Ok(())
+        Ok(w)
     }
 
     /// Leave Edit/Insert/Query mode without committing. A window that went
@@ -99,236 +102,183 @@ impl World {
 
     /// Commit an edit: write the dirty fields through the view.
     pub fn commit_edit(&mut self, win: WinId) -> WowResult<()> {
-        let (session, view, upd, rid, original) = {
-            let w = self.window(win)?;
-            if !matches!(w.mode, Mode::Edit) {
-                return Err(WowError::WrongMode {
-                    wanted: "commit an edit",
-                    mode: w.mode.name(),
-                });
-            }
-            let upd = w.upd.clone().expect("edit mode requires updatability");
-            let Some((Some(rid), _)) = w.cursor.current_row() else {
-                return Err(WowError::NoCurrentRow);
-            };
-            (
-                w.session,
-                w.view.clone(),
-                upd,
-                rid,
-                w.original.clone().unwrap_or_default(),
-            )
+        let w = self.window(win)?;
+        if !matches!(w.mode, Mode::Edit) {
+            return Err(WowError::WrongMode {
+                wanted: "commit an edit",
+                mode: w.mode.name(),
+            });
+        }
+        let Some((Some(rid), _)) = w.cursor.current_row() else {
+            return Err(WowError::NoCurrentRow);
         };
         // Validate the form and compute the dirty assignment set.
-        let (values, dirty) = {
-            let w = self.window(win)?;
-            let values = w.form.values()?;
-            let dirty = w.form.dirty_fields(&original);
-            (values, dirty)
-        };
+        let values = w.form.values()?;
+        let dirty = w
+            .form
+            .dirty_fields(w.original.as_deref().unwrap_or_default());
         if dirty.is_empty() {
-            let w = self.window_mut(win)?;
-            w.mode = Mode::Browse;
-            w.status = "no changes".into();
+            self.cancel_mode(win)?;
+            self.set_status(win, "no changes");
             return Ok(());
         }
         let assigns: Vec<(usize, Value)> = dirty.iter().map(|&i| (i, values[i].clone())).collect();
         let mut span = wow_obs::span(wow_obs::Op::Commit);
         span.arg(assigns.len() as u64);
-        // Lock, snapshot the old base row (for undo and the delta), write,
-        // re-read the new image, unlock.
-        self.lock(session, &upd.base_table, LockMode::Exclusive)?;
-        let result = (|| -> WowResult<(Tuple, Tuple)> {
-            let info = self.db_mut().catalog().table(&upd.base_table)?.clone();
-            let old_base = self
-                .db_mut()
-                .get_row(info.id, rid)?
-                .ok_or(WowError::NoCurrentRow)?;
-            let check = self.config().check_option;
-            update_through_view(self.db_mut(), &upd, rid, &assigns, check)?;
-            let new_base = self
-                .db_mut()
-                .get_row(info.id, rid)?
-                .ok_or(WowError::NoCurrentRow)?;
-            Ok((old_base, new_base))
-        })();
-        self.maybe_release(session);
-        let (old_base, new_base) = result?;
-        self.undo_stack(session)?.push(UndoEntry::Update {
-            table: upd.base_table.clone(),
-            rid,
-            old: old_base.values.clone(),
-        });
-        self.stats.commits += 1;
-        self.session_mut(session)?.commits += 1;
-        // Back to browse; refresh self; propagate the delta to overlapping
-        // windows.
-        {
-            let w = self.window_mut(win)?;
-            w.mode = Mode::Browse;
-            w.original = None;
-            w.status = "saved".into();
-        }
-        self.refresh_window(win)?;
-        let delta = BaseDelta::update(upd.base_table.clone(), rid, old_base, new_base);
-        self.propagate_delta(&delta, Some(win))?;
+        let check = self.config().check_option;
+        self.write_through(win, "saved", |db, upd| {
+            let row = update_through_view(db, upd, rid, &assigns, check)?;
+            Ok((Some(rid), Some(row.ok_or(WowError::NoCurrentRow)?)))
+        })?;
         span.finish();
-        let _ = view;
         Ok(())
     }
 
     /// Commit an insert: the blank form becomes a new row.
     pub fn commit_insert(&mut self, win: WinId) -> WowResult<()> {
-        let (session, upd) = {
-            let w = self.window(win)?;
-            if !matches!(w.mode, Mode::Insert) {
-                return Err(WowError::WrongMode {
-                    wanted: "commit an insert",
-                    mode: w.mode.name(),
-                });
-            }
-            (
-                w.session,
-                w.upd.clone().expect("insert mode requires updatability"),
-            )
-        };
-        let values = self.window(win)?.form.values()?;
-        let span = wow_obs::span(wow_obs::Op::Commit);
-        self.lock(session, &upd.base_table, LockMode::Exclusive)?;
-        let result = (|| -> WowResult<wow_storage::Rid> {
-            let check = self.config().check_option;
-            Ok(insert_through_view(self.db_mut(), &upd, &values, check)?)
-        })();
-        self.maybe_release(session);
-        let rid = result?;
-        self.undo_stack(session)?.push(UndoEntry::Insert {
-            table: upd.base_table.clone(),
-            rid,
-        });
-        self.stats.commits += 1;
-        self.session_mut(session)?.commits += 1;
-        {
-            let w = self.window_mut(win)?;
-            w.mode = Mode::Browse;
-            w.status = "inserted".into();
+        let w = self.window(win)?;
+        if !matches!(w.mode, Mode::Insert) {
+            return Err(WowError::WrongMode {
+                wanted: "commit an insert",
+                mode: w.mode.name(),
+            });
         }
-        self.refresh_window(win)?;
-        let info = self.db_mut().catalog().table(&upd.base_table)?.clone();
-        let new_row = self
-            .db_mut()
-            .get_row(info.id, rid)?
-            .ok_or(WowError::NoCurrentRow)?;
-        let delta = BaseDelta::insert(upd.base_table.clone(), rid, new_row);
-        self.propagate_delta(&delta, Some(win))?;
+        let values = w.form.values()?;
+        let span = wow_obs::span(wow_obs::Op::Commit);
+        let check = self.config().check_option;
+        self.write_through(win, "inserted", |db, upd| {
+            Ok((None, Some(insert_through_view(db, upd, &values, check)?)))
+        })?;
         span.finish();
         Ok(())
     }
 
     /// Delete the current row (Browse mode).
     pub fn delete_current(&mut self, win: WinId) -> WowResult<()> {
-        let (session, upd, rid, old_view_row) = {
-            let w = self.window(win)?;
-            if !matches!(w.mode, Mode::Browse) {
-                return Err(WowError::WrongMode {
-                    wanted: "delete",
-                    mode: w.mode.name(),
-                });
-            }
-            let Some(upd) = w.upd.clone() else {
-                return Err(WowError::ReadOnly {
-                    view: w.view.clone(),
-                    reasons: w.read_only_reasons.clone(),
-                });
-            };
-            let Some((Some(rid), row)) = w.cursor.current_row() else {
-                return Err(WowError::NoCurrentRow);
-            };
-            (w.session, upd, rid, row)
+        let w = self.writable_window(win, "delete")?;
+        let Some((Some(rid), _)) = w.cursor.current_row() else {
+            return Err(WowError::NoCurrentRow);
         };
-        let _ = old_view_row;
         let span = wow_obs::span(wow_obs::Op::Commit);
-        self.lock(session, &upd.base_table, LockMode::Exclusive)?;
-        let result = (|| -> WowResult<Tuple> {
-            let info = self.db_mut().catalog().table(&upd.base_table)?.clone();
-            let old_base = self
-                .db_mut()
-                .get_row(info.id, rid)?
-                .ok_or(WowError::NoCurrentRow)?;
-            delete_through_view(self.db_mut(), &upd, rid)?;
-            Ok(old_base)
-        })();
-        self.maybe_release(session);
-        let old = result?;
-        self.undo_stack(session)?.push(UndoEntry::Delete {
-            table: upd.base_table.clone(),
-            old: old.values.clone(),
-        });
-        self.stats.commits += 1;
-        self.session_mut(session)?.commits += 1;
-        self.set_status(win, "deleted");
-        self.refresh_window(win)?;
-        let delta = BaseDelta::delete(upd.base_table.clone(), rid, old);
-        self.propagate_delta(&delta, Some(win))?;
+        self.write_through(win, "deleted", |_, _| Ok((Some(rid), None)))?;
         span.finish();
         Ok(())
     }
 
-    /// Undo the session's most recent write.
-    pub fn undo_last(&mut self, session: SessionId) -> WowResult<()> {
-        let entry = self
-            .undo_stack(session)?
-            .pop()
-            .ok_or(WowError::NothingToUndo)?;
-        let table = match &entry {
-            UndoEntry::Update { table, .. }
-            | UndoEntry::Insert { table, .. }
-            | UndoEntry::Delete { table, .. } => table.clone(),
+    /// Steps 1–5 for one write through `win`'s view: lock the base table,
+    /// `translate` the form into a base write and perform it, release the
+    /// lock, record the write's delta for undo, and — with the window back
+    /// in Browse mode — propagate the delta to every window, this one too.
+    fn write_through(
+        &mut self,
+        win: WinId,
+        status: &str,
+        translate: impl FnOnce(&mut Database, &Updatability) -> WowResult<BaseWrite>,
+    ) -> WowResult<()> {
+        let (session, table) = {
+            let w = self.window(win)?;
+            let upd = w.upd.as_ref().expect("writes need an updatable view");
+            (w.session, upd.base_table.clone())
         };
         self.lock(session, &table, LockMode::Exclusive)?;
-        let result = self.apply_undo_entry(entry);
+        let result = self
+            .parts(win)
+            .and_then(|(db, _, w)| translate(db, w.upd.as_ref().expect("checked above")))
+            .and_then(|(rid, row)| self.write_base(&table, rid, row));
         self.maybe_release(session);
         let delta = result?;
-        self.propagate_delta(&delta, None)?;
+        if delta.is_empty() {
+            // The row went away under the window.
+            return Err(WowError::NoCurrentRow);
+        }
+        self.stats.commits += 1;
+        let s = self.session_mut(session)?;
+        s.commits += 1;
+        s.undo.push(delta.clone());
+        {
+            let w = self.window_mut(win)?;
+            w.mode = Mode::Browse;
+            w.original = None;
+            w.status = status.into();
+            w.show_current();
+        }
+        self.propagate_delta(&delta)?;
         Ok(())
     }
 
-    /// Apply the inverse write and return the delta it produced (empty when
-    /// the target row no longer exists).
-    fn apply_undo_entry(&mut self, entry: UndoEntry) -> WowResult<BaseDelta> {
-        match entry {
-            UndoEntry::Update { table, rid, old } => {
-                let info = self.db_mut().catalog().table(&table)?.clone();
-                let before = self.db_mut().get_row(info.id, rid)?;
-                let mut delta = BaseDelta::new(&table);
-                if self.db_mut().update_rid(&table, rid, old)? {
-                    let after = self.db_mut().get_row(info.id, rid)?;
-                    if let (Some(before), Some(after)) = (before, after) {
-                        delta.updated.push((rid, before, after));
-                    }
-                }
-                Ok(delta)
+    /// Perform one base write and return the delta it made: insert `row`
+    /// (no `rid`), overwrite `rid` with `row`, or delete `rid` (no `row`).
+    /// A `rid` that is already gone gives an empty delta. Every write the
+    /// world makes to a base table — through a window, by `apply_*`, or
+    /// undoing either — comes through here.
+    pub(crate) fn write_base(
+        &mut self,
+        table: &str,
+        rid: Option<Rid>,
+        row: Option<Vec<Value>>,
+    ) -> WowResult<BaseDelta> {
+        let db = self.db_mut();
+        let id = db.catalog().table(table)?.id;
+        let mut delta = BaseDelta::new(table);
+        // The stored image is read back: it is the validated row.
+        let Some(rid) = rid else {
+            if let Some(row) = row {
+                let rid = db.insert(table, row)?;
+                let new = db
+                    .get_row(id, rid)?
+                    .expect("a row just written is readable");
+                delta.inserted.push((rid, new));
             }
-            UndoEntry::Insert { table, rid } => {
-                let info = self.db_mut().catalog().table(&table)?.clone();
-                let before = self.db_mut().get_row(info.id, rid)?;
-                let mut delta = BaseDelta::new(&table);
-                if self.db_mut().delete_rid(&table, rid)? {
-                    if let Some(before) = before {
-                        delta.deleted.push((rid, before));
-                    }
-                }
-                Ok(delta)
+            return Ok(delta);
+        };
+        let Some(old) = db.get_row(id, rid)? else {
+            return Ok(delta);
+        };
+        match row {
+            Some(row) => {
+                db.update_rid(table, rid, row)?;
+                let new = db
+                    .get_row(id, rid)?
+                    .expect("a row just written is readable");
+                delta.updated.push((rid, old, new));
             }
-            UndoEntry::Delete { table, old } => {
-                let rid = self.db_mut().insert(&table, old)?;
-                let info = self.db_mut().catalog().table(&table)?.clone();
-                let row = self
-                    .db_mut()
-                    .get_row(info.id, rid)?
-                    .ok_or(WowError::NoCurrentRow)?;
-                Ok(BaseDelta::insert(table, rid, row))
+            None => {
+                db.delete_rid(table, rid)?;
+                delta.deleted.push((rid, old));
             }
         }
+        Ok(delta)
+    }
+
+    /// Write the inverse of a recorded write through [`World::write_base`]:
+    /// an insert is deleted by rid, a delete re-inserts the old image, an
+    /// update writes the old image back.
+    fn write_inverse(&mut self, done: &BaseDelta) -> WowResult<BaseDelta> {
+        let (rid, row) = match (
+            done.inserted.first(),
+            done.deleted.first(),
+            done.updated.first(),
+        ) {
+            (Some((rid, _)), _, _) => (Some(*rid), None),
+            (_, Some((_, old)), _) => (None, Some(old.values.clone())),
+            (_, _, Some((rid, old, _))) => (Some(*rid), Some(old.values.clone())),
+            _ => (None, None),
+        };
+        self.write_base(&done.table, rid, row)
+    }
+
+    /// Undo the session's most recent write.
+    pub fn undo_last(&mut self, session: SessionId) -> WowResult<()> {
+        let done = self
+            .session_mut(session)?
+            .undo
+            .pop()
+            .ok_or(WowError::NothingToUndo)?;
+        self.lock(session, &done.table, LockMode::Exclusive)?;
+        let result = self.write_inverse(&done);
+        self.maybe_release(session);
+        self.propagate_delta(&result?)?;
+        Ok(())
     }
 
     // -- Batch transactions ---------------------------------------------------
@@ -339,70 +289,58 @@ impl World {
 
     /// Begin a batch transaction for a session.
     pub fn begin_batch(&mut self, session: SessionId) -> WowResult<()> {
-        let mark = self.undo_stack(session)?.len();
-        let s = self.session_mut(session)?;
-        if s.batch_mark.is_some() {
+        if !self.session_mut(session)?.undo.begin_batch() {
             return Err(WowError::Rel(wow_rel::RelError::Txn(
                 "batch already open for this session",
             )));
         }
-        s.batch_mark = Some(mark);
         Ok(())
     }
 
     /// Commit a batch: keep every write, release the session's locks.
     pub fn commit_batch(&mut self, session: SessionId) -> WowResult<()> {
-        let s = self.session_mut(session)?;
-        if s.batch_mark.take().is_none() {
+        if !self.session_mut(session)?.undo.commit_batch() {
             return Err(WowError::Rel(wow_rel::RelError::Txn("no open batch")));
         }
         self.release_locks(session);
         Ok(())
     }
 
-    /// Abort a batch: undo every write made since `begin_batch`, propagate
-    /// each inverse write's delta, release the session's locks. Returns the
-    /// number of writes rolled back.
+    /// Abort a batch: undo every write made since `begin_batch`, newest
+    /// first, propagate each inverse write's delta, release the session's
+    /// locks. Returns the number of writes rolled back.
     ///
     /// The session still holds its batch locks, so no other session's
     /// commit can block an inverse write — but a write that bypasses the
     /// lock manager (raw QUEL, `apply_*`) can still make one fail, say by
-    /// taking a deleted row's key. Every other entry is undone regardless,
+    /// taking a deleted row's key. Every other write is undone regardless,
     /// the locks are always released, and the first failure is returned.
     pub fn abort_batch(&mut self, session: SessionId) -> WowResult<u64> {
-        let mark = {
-            let s = self.session_mut(session)?;
-            s.batch_mark
-                .take()
-                .ok_or(WowError::Rel(wow_rel::RelError::Txn("no open batch")))?
-        };
+        let batch = self
+            .session_mut(session)?
+            .undo
+            .take_batch()
+            .ok_or(WowError::Rel(wow_rel::RelError::Txn("no open batch")))?;
         let mut first_err = None;
         let mut undone = 0;
-        while self.undo_stack(session)?.len() > mark {
-            let entry = self.undo_stack(session)?.pop().expect("len checked");
-            let failure = match self.apply_undo_entry(entry) {
+        for done in batch.iter().rev() {
+            let failure = match self.write_inverse(done) {
                 Ok(delta) => {
                     undone += 1;
-                    self.propagate_delta(&delta, None).err()
+                    self.propagate_delta(&delta).err()
                 }
                 Err(e) => Some(e),
             };
             first_err = first_err.or(failure);
         }
         self.release_locks(session);
-        match first_err {
-            None => Ok(undone),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(undone), Err)
     }
 
     /// Release the session's locks unless it is inside a batch (strict 2PL
     /// holds them until the batch ends).
     fn maybe_release(&mut self, session: SessionId) {
-        let in_batch = self
-            .session_mut(session)
-            .map(|s| s.batch_mark.is_some())
-            .unwrap_or(false);
+        let in_batch = self.session_mut(session).is_ok_and(|s| s.undo.in_batch());
         if !in_batch {
             self.release_locks(session);
         }

@@ -22,8 +22,9 @@ impl World {
     /// Windows whose view provably cannot see the change (the view delta is
     /// empty — e.g. a filtered view the written row never matched, or a
     /// join the written row joins with nothing through) are skipped
-    /// entirely: no refresh, no query, no counter. `source` is the window
-    /// that performed the write, refreshed already by its commit path.
+    /// entirely: no refresh, no query, no counter. The window that made the
+    /// write is one of the windows: its commit returned it to Browse, so it
+    /// takes the delta like any other.
     ///
     /// The view → base-table reachability comes from the cached
     /// [`wow_views::DepIndex`]: on the warm path (no DDL since the last
@@ -33,19 +34,17 @@ impl World {
     /// Mid-edit windows and failures are handled as in
     /// [`World::refresh_all_windows`]. Returns the ids of the windows
     /// updated.
-    pub fn propagate_delta(
-        &mut self,
-        delta: &BaseDelta,
-        source: Option<WinId>,
-    ) -> WowResult<Vec<WinId>> {
+    pub fn propagate_delta(&mut self, delta: &BaseDelta) -> WowResult<Vec<WinId>> {
+        if delta.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut affected = Vec::new();
         {
             let (db, views, windows, deps) = self.dep_parts();
             for (id, w) in windows {
-                if Some(*id) != source
-                    && deps
-                        .reads(db, views, &w.view, &delta.table)
-                        .unwrap_or(false)
+                if deps
+                    .reads(db, views, &w.view, &delta.table)
+                    .unwrap_or(false)
                 {
                     affected.push(*id);
                 }
@@ -72,7 +71,10 @@ impl World {
 
     /// The one propagation loop behind both entry points: each window is
     /// patched by `delta`'s view delta when there is one, re-queried when
-    /// not, and any error is recorded against that window alone.
+    /// not, and any error is recorded against that window alone. A stale
+    /// window — one that sat out writes in Edit, Insert or Query mode, or
+    /// whose last catch-up failed — no longer shows the rows a delta
+    /// patches, so it is always re-queried, never spliced.
     fn bring_current(
         &mut self,
         wins: Vec<WinId>,
@@ -90,15 +92,15 @@ impl World {
                 w.stale = true;
                 continue;
             }
-            let view = w.view.clone();
+            let (stale, view) = (w.stale, w.view.clone());
             let vd = match delta {
-                None => Ok(None),
-                Some(d) => view_deltas
+                Some(d) if !stale => view_deltas
                     .entry(view)
                     .or_insert_with_key(|view| self.view_delta(view, d).map_err(|e| e.to_string()))
                     .as_ref()
                     .map(Option::as_ref)
                     .map_err(Clone::clone),
+                _ => Ok(None),
             };
             match vd.and_then(|vd| self.catch_up(id, vd).map_err(|e| e.to_string())) {
                 Ok(true) => refreshed.push(id),
@@ -158,7 +160,7 @@ impl World {
 mod tests {
     use crate::config::WorldConfig;
     use crate::error::WowError;
-    use crate::window_mgr::Mode;
+    use crate::window_mgr::{Mode, RefreshKind};
     use crate::world::World;
 
     fn world() -> World {
@@ -215,7 +217,7 @@ mod tests {
             w.current_row(watcher).unwrap().unwrap().values[1].to_string(),
             "130"
         );
-        assert_eq!(w.stats.windows_refreshed, 1);
+        assert_eq!(w.stats.windows_refreshed, 2, "watcher and editor");
     }
 
     #[test]
@@ -228,8 +230,8 @@ mod tests {
         w.window_mut(editor).unwrap().form.set_text(2, "121");
         w.commit(editor).unwrap();
         assert_eq!(
-            w.stats.windows_refreshed, 0,
-            "parts window reads a disjoint table"
+            w.stats.windows_refreshed, 1,
+            "only the editor: the parts window reads a disjoint table"
         );
     }
 
@@ -254,6 +256,37 @@ mod tests {
             w.current_row(other).unwrap().unwrap().values[1].to_string(),
             "500"
         );
+    }
+
+    #[test]
+    fn a_stale_writer_window_is_requeried_not_spliced() {
+        let mut w = world();
+        let s1 = w.open_session();
+        let s2 = w.open_session();
+        let writer = w.open_window(s1, "emps", None).unwrap();
+        let other = w.open_window(s2, "emps", None).unwrap();
+        // The writer starts typing on alice...
+        w.enter_edit(writer).unwrap();
+        w.window_mut(writer).unwrap().form.set_text(2, "130");
+        // ...while another session changes bob, on the writer's page.
+        w.browse_next(other).unwrap();
+        w.enter_edit(other).unwrap();
+        w.window_mut(other).unwrap().form.set_text(2, "777");
+        w.commit(other).unwrap();
+        assert!(w.window(writer).unwrap().stale);
+        // The writer's commit must not splice its own delta into a page
+        // that never saw bob's raise.
+        w.commit(writer).unwrap();
+        let state = w.window(writer).unwrap();
+        let salaries: Vec<String> = state
+            .cursor
+            .page_rows()
+            .iter()
+            .map(|(_, t)| format!("{} {}", t.values[0], t.values[2]))
+            .collect();
+        assert_eq!(salaries, ["alice 130", "bob 777"]);
+        assert!(!state.stale);
+        assert_eq!(state.last_refresh, RefreshKind::Full);
     }
 
     #[test]
@@ -305,15 +338,15 @@ mod tests {
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "95");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.windows_refreshed, 0, "empty view delta → skip");
-        assert_eq!(w.stats.delta_refreshes, 0);
+        assert_eq!(w.stats.windows_refreshed, 1, "empty view delta → skip");
+        assert_eq!(w.stats.delta_refreshes, 1, "the editor's own window");
         assert_eq!(w.stats.full_refreshes, 0);
         // alice is a toy employee: her raise patches the watcher in place.
         w.browse_prev(editor).unwrap();
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "121");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.delta_refreshes, 1, "visible delta applied");
+        assert_eq!(w.stats.delta_refreshes, 3, "visible delta applied");
         assert_eq!(w.stats.full_refreshes, 0, "no fallback on deltable view");
         assert_eq!(
             w.current_row(toys).unwrap().unwrap().values[1].to_string(),
@@ -352,7 +385,7 @@ mod tests {
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "130");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.full_refreshes, 1, "baseline re-queries");
+        assert_eq!(w.stats.full_refreshes, 2, "baseline re-queries both");
         assert_eq!(w.stats.delta_refreshes, 0);
         assert_eq!(
             w.current_row(watcher).unwrap().unwrap().values[1].to_string(),
@@ -371,7 +404,7 @@ mod tests {
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "121");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.windows_refreshed, 0);
+        assert_eq!(w.stats.windows_refreshed, 1, "the editor alone");
         let warm = w.dep_index().rebuilds();
         // A second commit reuses the cache verbatim.
         w.enter_edit(editor).unwrap();
@@ -390,7 +423,7 @@ mod tests {
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "123");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.windows_refreshed, 1, "watcher now reads emp");
+        assert_eq!(w.stats.windows_refreshed, 4, "watcher now reads emp");
         assert_eq!(w.dep_index().rebuilds(), warm + 1);
     }
 
@@ -479,8 +512,8 @@ mod tests {
             w.current_row(healthy).unwrap().unwrap().values[1].to_string(),
             "200"
         );
-        assert_eq!(w.stats.windows_refreshed, 1);
-        assert_eq!(w.stats.delta_refreshes, 1);
+        assert_eq!(w.stats.windows_refreshed, 2, "healthy and editor");
+        assert_eq!(w.stats.delta_refreshes, 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! User sessions.
 
+use crate::undo::UndoStack;
 use crate::window_mgr::WinId;
 use std::fmt;
 
@@ -13,24 +14,27 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// A session: a user with a set of open windows and (while a write is in
-/// flight) a set of locks.
+/// A session: a user with a set of open windows, the writes it can undo,
+/// and (while a write is in flight) a set of locks.
 #[derive(Debug, Default)]
 pub struct Session {
     /// Windows owned by this session, in creation order.
     pub windows: Vec<WinId>,
     /// Writes committed by this session (status display, tests).
     pub commits: u64,
-    /// When a batch transaction is open: the undo-stack depth at `BEGIN`,
-    /// so `abort_batch` knows how far to roll back. Locks taken by commits
-    /// are held (strict 2PL) until the batch ends.
-    pub batch_mark: Option<usize>,
+    /// The session's writes, newest last, and those of its open batch
+    /// transaction, if any. Locks taken by commits inside a batch are held
+    /// (strict 2PL) until the batch ends.
+    pub undo: UndoStack,
 }
 
 impl Session {
-    /// A fresh session.
-    pub fn new() -> Session {
-        Session::default()
+    /// A fresh session remembering up to `undo_depth` writes.
+    pub fn new(undo_depth: usize) -> Session {
+        Session {
+            undo: UndoStack::new(undo_depth),
+            ..Session::default()
+        }
     }
 
     /// Register a window.
@@ -50,7 +54,7 @@ mod tests {
 
     #[test]
     fn window_bookkeeping() {
-        let mut s = Session::new();
+        let mut s = Session::new(4);
         s.add_window(WinId(1));
         s.add_window(WinId(2));
         s.remove_window(WinId(1));

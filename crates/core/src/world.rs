@@ -5,13 +5,15 @@ use crate::config::WorldConfig;
 use crate::error::{WowError, WowResult};
 use crate::locks::{LockManager, LockMode, LockOutcome};
 use crate::session::{Session, SessionId};
-use crate::undo::UndoStack;
 use crate::window_mgr::{Mode, WinId, WindowState};
 use std::collections::BTreeMap;
 use wow_forms::compiler::compile_form;
 use wow_forms::FormInstance;
 use wow_rel::db::Database;
+use wow_rel::delta::BaseDelta;
 use wow_rel::tuple::Tuple;
+use wow_rel::value::Value;
+use wow_storage::Rid;
 use wow_tui::buffer::Patch;
 use wow_tui::damage::DamageTracker;
 use wow_tui::event::Key;
@@ -115,7 +117,6 @@ pub struct World {
     deps: DepIndex,
     locks: LockManager,
     sessions: BTreeMap<SessionId, Session>,
-    undo: BTreeMap<SessionId, UndoStack>,
     pub(crate) windows: BTreeMap<WinId, WindowState>,
     tree: WindowTree,
     damage: DamageTracker,
@@ -173,7 +174,6 @@ impl World {
             deps: DepIndex::new(),
             locks: LockManager::new(),
             sessions: BTreeMap::new(),
-            undo: BTreeMap::new(),
             windows: BTreeMap::new(),
             tree: WindowTree::new(),
             damage: DamageTracker::new(),
@@ -350,8 +350,7 @@ impl World {
     pub fn open_session(&mut self) -> SessionId {
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        self.sessions.insert(id, Session::new());
-        self.undo.insert(id, UndoStack::new(self.cfg.undo_depth));
+        self.sessions.insert(id, Session::new(self.cfg.undo_depth));
         id
     }
 
@@ -367,7 +366,6 @@ impl World {
             }
         }
         self.locks.release_all(session.0);
-        self.undo.remove(&session);
         Ok(())
     }
 
@@ -378,12 +376,6 @@ impl World {
 
     pub(crate) fn session_mut(&mut self, session: SessionId) -> WowResult<&mut Session> {
         self.sessions
-            .get_mut(&session)
-            .ok_or(WowError::NoSuchSession(session.0))
-    }
-
-    pub(crate) fn undo_stack(&mut self, session: SessionId) -> WowResult<&mut UndoStack> {
-        self.undo
             .get_mut(&session)
             .ok_or(WowError::NoSuchSession(session.0))
     }
@@ -707,59 +699,33 @@ impl World {
 
     /// Insert a base row from outside any window (scripts, loaders, tests)
     /// and propagate the delta to every watching window.
-    pub fn apply_insert(
-        &mut self,
-        table: &str,
-        values: Vec<wow_rel::value::Value>,
-    ) -> WowResult<wow_storage::Rid> {
-        let rid = self.db.insert(table, values)?;
-        let id = self.db.catalog().table(table)?.id;
-        let row = self
-            .db
-            .get_row(id, rid)?
-            .expect("row just inserted is readable");
-        let delta = wow_rel::delta::BaseDelta::insert(table, rid, row);
-        self.propagate_delta(&delta, None)?;
-        Ok(rid)
+    pub fn apply_insert(&mut self, table: &str, values: Vec<Value>) -> WowResult<Rid> {
+        let delta = self.apply(table, None, Some(values))?;
+        Ok(delta.inserted[0].0)
     }
 
     /// Update a base row in place from outside any window and propagate.
     /// Returns whether the rid existed.
-    pub fn apply_update(
-        &mut self,
-        table: &str,
-        rid: wow_storage::Rid,
-        values: Vec<wow_rel::value::Value>,
-    ) -> WowResult<bool> {
-        let id = self.db.catalog().table(table)?.id;
-        let Some(old) = self.db.get_row(id, rid)? else {
-            return Ok(false);
-        };
-        if !self.db.update_rid(table, rid, values)? {
-            return Ok(false);
-        }
-        let new = self
-            .db
-            .get_row(id, rid)?
-            .expect("row just updated is readable");
-        let delta = wow_rel::delta::BaseDelta::update(table, rid, old, new);
-        self.propagate_delta(&delta, None)?;
-        Ok(true)
+    pub fn apply_update(&mut self, table: &str, rid: Rid, values: Vec<Value>) -> WowResult<bool> {
+        Ok(!self.apply(table, Some(rid), Some(values))?.is_empty())
     }
 
     /// Delete a base row from outside any window and propagate. Returns
     /// whether the rid existed.
-    pub fn apply_delete(&mut self, table: &str, rid: wow_storage::Rid) -> WowResult<bool> {
-        let id = self.db.catalog().table(table)?.id;
-        let Some(old) = self.db.get_row(id, rid)? else {
-            return Ok(false);
-        };
-        if !self.db.delete_rid(table, rid)? {
-            return Ok(false);
-        }
-        let delta = wow_rel::delta::BaseDelta::delete(table, rid, old);
-        self.propagate_delta(&delta, None)?;
-        Ok(true)
+    pub fn apply_delete(&mut self, table: &str, rid: Rid) -> WowResult<bool> {
+        Ok(!self.apply(table, Some(rid), None)?.is_empty())
+    }
+
+    /// One base write from outside any window, propagated.
+    fn apply(
+        &mut self,
+        table: &str,
+        rid: Option<Rid>,
+        row: Option<Vec<Value>>,
+    ) -> WowResult<BaseDelta> {
+        let delta = self.write_base(table, rid, row)?;
+        self.propagate_delta(&delta)?;
+        Ok(delta)
     }
 
     // -- Rendering -----------------------------------------------------------------
@@ -833,12 +799,9 @@ impl World {
             Key::Char('i') => self.enter_insert(win)?,
             Key::Char('q') => self.enter_query(win)?,
             Key::Char('d') => {
-                let session = self.window(win)?.session;
-                match self.delete_current(win) {
-                    Ok(()) => {}
-                    Err(e) => self.set_status(win, &e.to_string()),
+                if let Err(e) = self.delete_current(win) {
+                    self.set_status(win, &e.to_string());
                 }
-                let _ = session;
             }
             Key::Char('u') => {
                 let session = self.window(win)?.session;

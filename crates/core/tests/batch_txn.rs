@@ -100,6 +100,46 @@ fn abort_batch_rolls_back_everything() {
 }
 
 #[test]
+fn abort_rolls_back_a_batch_longer_than_the_undo_depth() {
+    let mut w = World::new(WorldConfig {
+        undo_depth: 4,
+        ..WorldConfig::default()
+    });
+    w.db_mut()
+        .run(
+            r#"CREATE TABLE acct (id INT KEY, owner TEXT, balance INT)
+               RANGE OF a IS acct
+               APPEND TO acct (id = 1, owner = "alice", balance = 100)"#,
+        )
+        .unwrap();
+    w.define_view(
+        "accts",
+        "RANGE OF a IS acct RETRIEVE (a.id, a.owner, a.balance)",
+    )
+    .unwrap();
+    let s = w.open_session();
+    let win = w.open_window(s, "accts", None).unwrap();
+    w.begin_batch(s).unwrap();
+    for balance in 101..=106 {
+        w.enter_edit(win).unwrap();
+        w.window_mut(win)
+            .unwrap()
+            .form
+            .set_text(2, &balance.to_string());
+        w.commit(win).unwrap();
+    }
+    assert_eq!(w.abort_batch(s).unwrap(), 6, "every write is rolled back");
+    assert_eq!(balance(&mut w, 1), 100);
+    assert_eq!(
+        w.current_row(win).unwrap().unwrap().values[2],
+        Value::Int(100)
+    );
+    // The aborted writes are gone from the history too.
+    assert!(w.undo_last(s).is_err());
+    assert_eq!(balance(&mut w, 1), 100);
+}
+
+#[test]
 fn batch_with_insert_and_delete_aborts_cleanly() {
     let mut w = world();
     let s = w.open_session();

@@ -5,9 +5,11 @@
 //!
 //! Two worlds receive identical random write sequences; one has
 //! `delta_propagation` on (cursors are patched in place), the other off
-//! (every dependent window re-queries). After every single write, every
-//! watcher window's page, current row, position and slot must agree across
-//! the worlds.
+//! (every dependent window re-queries). Writes come from outside any window
+//! (`apply_*`), through the windows themselves (edit, insert, delete) and
+//! from undo. After every single write, every window's page, current row,
+//! position and slot must agree across the worlds — the writer's own
+//! window included.
 
 use proptest::prelude::*;
 use wow_core::browse::BrowseRow;
@@ -30,6 +32,21 @@ enum Op {
     InsertB { idx: usize, q: i64, dangle: bool },
     /// Delete a live `tb` row.
     DeleteB { idx: usize },
+    /// Move window `win` down `steps` rows, then edit its current row's
+    /// `x` and `tag` (where the view shows them) and commit.
+    WinEdit {
+        win: usize,
+        steps: usize,
+        x: i64,
+        tag: String,
+    },
+    /// Insert a `ta` row through window `win` (refused by the check option
+    /// when the view cannot show it).
+    WinInsert { win: usize, x: i64, tag: String },
+    /// Move window `win` down `steps` rows, then delete its current row.
+    WinDelete { win: usize, steps: usize },
+    /// Undo the session's most recent through-window write.
+    Undo,
 }
 
 fn tag_strategy() -> impl Strategy<Value = String> {
@@ -51,8 +68,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             dangle
         }),
         (0usize..16).prop_map(|idx| Op::DeleteB { idx }),
+        ((0usize..WRITERS), (0usize..4), (-2i64..8), tag_strategy())
+            .prop_map(|(win, steps, x, tag)| Op::WinEdit { win, steps, x, tag }),
+        ((0usize..WRITERS), (-2i64..8), tag_strategy()).prop_map(|(win, x, tag)| Op::WinInsert {
+            win,
+            x,
+            tag
+        }),
+        ((0usize..WRITERS), (0usize..4)).prop_map(|(win, steps)| Op::WinDelete { win, steps }),
+        Just(Op::Undo),
     ]
 }
+
+/// The single-table windows every world opens first; writes go through
+/// them.
+const WRITERS: usize = 3;
 
 /// Live-row bookkeeping shared by both worlds. The rids returned by the two
 /// worlds must stay identical (same storage, same op order), which we assert
@@ -106,8 +136,8 @@ fn build_world(delta_on: bool, rows: &[(i64, String)], with_join: bool) -> (Worl
     )
     .unwrap();
     let s = w.open_session();
-    // An indexed cursor over a selection view and a forced-materialized
-    // cursor over the whole table; the join watcher streams.
+    // An indexed cursor over a selection view, a forced-materialized and an
+    // indexed cursor over the whole table; the join watcher streams.
     let mut wins = vec![
         w.open_window(s, "va_sel", None).unwrap(),
         w.open_window_using(
@@ -118,6 +148,7 @@ fn build_world(delta_on: bool, rows: &[(i64, String)], with_join: bool) -> (Worl
             CursorStrategy::Materialized,
         )
         .unwrap(),
+        w.open_window(s, "va", None).unwrap(),
     ];
     if with_join {
         wins.push(w.open_window(s, "detail", None).unwrap());
@@ -127,8 +158,32 @@ fn build_world(delta_on: bool, rows: &[(i64, String)], with_join: bool) -> (Worl
 
 /// Apply one op to both worlds, keeping the shared live lists in sync.
 /// Returns false if the op degenerated to a no-op (empty live list).
-fn apply(wd: &mut World, wf: &mut World, live: &mut Live, op: &Op) -> bool {
+fn apply(
+    wd: &mut World,
+    wf: &mut World,
+    wins_d: &[WinId],
+    wins_f: &[WinId],
+    live: &mut Live,
+    op: &Op,
+) -> bool {
     match op {
+        Op::WinEdit { .. } | Op::WinInsert { .. } | Op::WinDelete { .. } | Op::Undo => {
+            let id = live.next_id;
+            live.next_id += 1;
+            let done_d = through_window(wd, wins_d, op, id);
+            let done_f = through_window(wf, wins_f, op, id);
+            assert_eq!(
+                done_d, done_f,
+                "worlds disagree on whether {op:?} committed"
+            );
+            // Window writes move rows around (undo re-inserts at fresh
+            // rids): re-read the live list, which must match across worlds.
+            live.a = ta_rids(wd);
+            assert_eq!(live.a, ta_rids(wf), "worlds assign different rids");
+            // Compare the windows even after a refused write: the cursor
+            // moves and the return to Browse happened either way.
+            true
+        }
         Op::Insert { x, tag } => {
             let id = live.next_id;
             live.next_id += 1;
@@ -185,6 +240,59 @@ fn apply(wd: &mut World, wf: &mut World, live: &mut Live, op: &Op) -> bool {
     }
 }
 
+/// Run a through-window op (or an undo) on one world; `id` keys an insert.
+/// Returns whether it committed. A refused write leaves its window back in
+/// Browse mode.
+fn through_window(w: &mut World, wins: &[WinId], op: &Op, id: i64) -> bool {
+    let (win, steps, key) = match op {
+        Op::WinEdit { win, steps, .. } => (wins[*win], *steps, None),
+        Op::WinInsert { win, .. } => (wins[*win], 0, Some(id)),
+        Op::WinDelete { win, steps } => (wins[*win], *steps, None),
+        _ => {
+            let session = w.window(wins[0]).unwrap().session;
+            return w.undo_last(session).is_ok();
+        }
+    };
+    for _ in 0..steps {
+        w.browse_next(win).unwrap();
+    }
+    let (x, tag) = match op {
+        Op::WinEdit { x, tag, .. } => {
+            if w.enter_edit(win).is_err() {
+                return false; // an empty window has no row to edit
+            }
+            (x, tag)
+        }
+        Op::WinInsert { x, tag, .. } => {
+            w.enter_insert(win).unwrap();
+            (x, tag)
+        }
+        _ => return w.delete_current(win).is_ok(),
+    };
+    let names: Vec<String> = w
+        .window(win)
+        .unwrap()
+        .schema
+        .columns
+        .iter()
+        .map(|c| c.name.clone())
+        .collect();
+    let form = &mut w.window_mut(win).unwrap().form;
+    for (i, name) in names.iter().enumerate() {
+        match (name.as_str(), key) {
+            ("id", Some(key)) => form.set_text(i, &key.to_string()),
+            ("x", _) => form.set_text(i, &x.to_string()),
+            ("tag", _) => form.set_text(i, tag),
+            _ => {}
+        }
+    }
+    let committed = w.commit(win).is_ok();
+    if !committed {
+        w.cancel_mode(win).unwrap();
+    }
+    committed
+}
+
 /// What a window shows: its page, current row, position and slot.
 fn shown(w: &World, win: WinId) -> (Vec<BrowseRow>, Option<BrowseRow>, Option<usize>, usize) {
     let c = &w.window(win).unwrap().cursor;
@@ -238,7 +346,7 @@ proptest! {
             next_b_id: 0,
         };
         for op in &ops {
-            if !apply(&mut wd, &mut wf, &mut live, op) {
+            if !apply(&mut wd, &mut wf, &wins_d, &wins_f, &mut live, op) {
                 continue;
             }
             for (a, b) in wins_d.iter().zip(&wins_f) {
@@ -276,7 +384,7 @@ proptest! {
             next_b_id: 0,
         };
         for op in &ops {
-            if !apply(&mut wd, &mut wf, &mut live, op) {
+            if !apply(&mut wd, &mut wf, &wins_d, &wins_f, &mut live, op) {
                 continue;
             }
             for (a, b) in wins_d.iter().zip(&wins_f) {

@@ -4,7 +4,7 @@
 //! through a window on a view; this crate makes the system's *runtime
 //! state* shared data too. It has three layers:
 //!
-//! * [`tracer`] — a ring-buffered span tracer with fixed-size records
+//! * [`mod@tracer`] — a ring-buffered span tracer with fixed-size records
 //!   (zero-alloc hot path) and causal linkage: every span carries
 //!   `trace_id`/`span_id`/`parent_id`, so one request assembles into one
 //!   tree from wire decode to the last push frame. Root spans over a
@@ -13,7 +13,7 @@
 //!   spans across nesting, thread, and wire boundaries.
 //! * [`histogram`] — HDR-style fixed-bucket latency histograms, one per
 //!   traced operation, giving p50/p95/p99 instead of means.
-//! * [`metrics`] — the unified [`metrics::MetricsRegistry`] that absorbs
+//! * [`mod@metrics`] — the unified [`metrics::MetricsRegistry`] that absorbs
 //!   the formerly scattered counter structs (`PoolStats`, `WorldStats`,
 //!   `StatsRegistry`) as named gauges behind one API, renderable as a
 //!   Prometheus text dump ([`metrics::prometheus`]).

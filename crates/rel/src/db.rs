@@ -12,68 +12,18 @@ use crate::stats::StatsRegistry;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
-use std::path::Path;
 use std::sync::Arc;
 use wow_storage::btree::BTree;
 use wow_storage::buffer::BufferPool;
 use wow_storage::hash_index::{HashIndex, DEFAULT_BUCKETS};
 use wow_storage::heap::HeapFile;
-use wow_storage::page::{Page, PageId};
-use wow_storage::store::{FileStore, MemStore, PageStore};
+use wow_storage::page::PageId;
+use wow_storage::store::MemStore;
 use wow_storage::wal::{TxnId, Wal};
 use wow_storage::Rid;
-use wow_storage::StorageResult;
 
 /// Number of buffer-pool frames used by default (8 MiB of cache).
 pub const DEFAULT_POOL_FRAMES: usize = 1024;
-
-/// A page store that is either memory- or file-backed, so [`Database`]
-/// stays non-generic and pleasant to embed.
-pub enum AnyStore {
-    /// In-memory pages.
-    Mem(MemStore),
-    /// File-backed pages.
-    File(FileStore),
-}
-
-impl PageStore for AnyStore {
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        match self {
-            AnyStore::Mem(s) => s.allocate(),
-            AnyStore::File(s) => s.allocate(),
-        }
-    }
-    fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
-        match self {
-            AnyStore::Mem(s) => s.read(id, out),
-            AnyStore::File(s) => s.read(id, out),
-        }
-    }
-    fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
-        match self {
-            AnyStore::Mem(s) => s.write(id, page),
-            AnyStore::File(s) => s.write(id, page),
-        }
-    }
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        match self {
-            AnyStore::Mem(s) => s.free(id),
-            AnyStore::File(s) => s.free(id),
-        }
-    }
-    fn page_count(&self) -> u64 {
-        match self {
-            AnyStore::Mem(s) => s.page_count(),
-            AnyStore::File(s) => s.page_count(),
-        }
-    }
-    fn sync(&mut self) -> StorageResult<()> {
-        match self {
-            AnyStore::Mem(s) => s.sync(),
-            AnyStore::File(s) => s.sync(),
-        }
-    }
-}
 
 /// Physical index handle.
 #[derive(Clone)]
@@ -141,7 +91,7 @@ pub struct ExecCounters {
 /// everything else a replica holds is a snapshot clone of cheap in-memory
 /// metadata (catalog, heap page lists, index roots, stats).
 pub struct Database {
-    pub(crate) pool: Arc<BufferPool<AnyStore>>,
+    pub(crate) pool: Arc<BufferPool<MemStore>>,
     pub(crate) catalog: Catalog,
     pub(crate) heaps: HashMap<TableId, HeapFile>,
     pub(crate) indexes: HashMap<String, IndexHandle>,
@@ -169,24 +119,15 @@ pub(crate) fn wal_logged(table: &str) -> bool {
 impl Database {
     /// An in-memory database with the default pool size and no WAL.
     pub fn in_memory() -> Database {
-        Self::with_store(AnyStore::Mem(MemStore::new()), DEFAULT_POOL_FRAMES)
+        Self::with_store(MemStore::new(), DEFAULT_POOL_FRAMES)
     }
 
     /// An in-memory database with an explicit buffer-pool frame count.
     pub fn in_memory_with_frames(frames: usize) -> Database {
-        Self::with_store(AnyStore::Mem(MemStore::new()), frames)
+        Self::with_store(MemStore::new(), frames)
     }
 
-    /// A file-backed database (pages persist; catalog is rebuilt by the
-    /// embedding application, see `DESIGN.md`).
-    pub fn open_file(path: &Path) -> RelResult<Database> {
-        Ok(Self::with_store(
-            AnyStore::File(FileStore::open(path)?),
-            DEFAULT_POOL_FRAMES,
-        ))
-    }
-
-    pub(crate) fn with_store(store: AnyStore, frames: usize) -> Database {
+    pub(crate) fn with_store(store: MemStore, frames: usize) -> Database {
         Database {
             pool: Arc::new(BufferPool::new(store, frames)),
             catalog: Catalog::new(),
@@ -877,15 +818,6 @@ impl Database {
                 self.stats.on_insert(table, 1);
             }
         }
-        Ok(())
-    }
-
-    /// Flush all dirty pages (and the WAL) to the backing store.
-    pub fn checkpoint(&mut self) -> RelResult<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.flush()?;
-        }
-        self.pool.flush_all()?;
         Ok(())
     }
 }

@@ -34,7 +34,7 @@
 //! level, which is all the relational layer above can observe.
 
 use crate::catalog::{IndexKind, TableId};
-use crate::db::{AnyStore, Database, DEFAULT_POOL_FRAMES};
+use crate::db::{Database, DEFAULT_POOL_FRAMES};
 use crate::error::{RelError, RelResult};
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
@@ -43,7 +43,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use wow_storage::heap::HeapFile;
 use wow_storage::page::{Page, PageId};
-use wow_storage::recovery::{analyze, RecoveryReport};
+use wow_storage::recovery::{replay, RecoveryReport};
 use wow_storage::store::{FileStore, MemStore, PageStore};
 use wow_storage::wal::{LogRecord, SyncPolicy, Wal};
 use wow_storage::{Rid, StorageError};
@@ -454,10 +454,7 @@ impl Database {
                 pages.push(Some(p));
             }
         }
-        let mut db = Database::with_store(
-            AnyStore::Mem(MemStore::from_parts(pages)),
-            DEFAULT_POOL_FRAMES,
-        );
+        let mut db = Database::with_store(MemStore::from_parts(pages), DEFAULT_POOL_FRAMES);
         for t in &snap.tables {
             let heap = HeapFile::open(&db.pool, PageId(t.heap_meta))?;
             let rows = heap.len();
@@ -583,18 +580,14 @@ impl Database {
     /// Apply the committed operations of `records`, in log order, to this
     /// database. DML targets are resolved by rid hint with a content
     /// fallback (see the module docs); DDL payloads are decoded and applied
-    /// through the non-logging internal paths. Returns the analysis report
-    /// with replay counters filled in.
+    /// through the non-logging internal paths. Returns the report of
+    /// [`wow_storage::recovery::replay`], which picks the committed
+    /// operations and counts the rest as skipped.
     pub(crate) fn apply_committed(&mut self, records: &[LogRecord]) -> RelResult<RecoveryReport> {
-        let mut report = analyze(records);
-        let committed: HashSet<u64> = report.committed.iter().copied().collect();
         // Rid hints: logged rid -> rid in this database.
         let mut rid_map: std::collections::HashMap<(TableId, Rid), Rid> =
             std::collections::HashMap::new();
-        for rec in records {
-            if !committed.contains(&rec.txn()) {
-                continue;
-            }
+        replay(records, |rec| {
             match rec {
                 LogRecord::Insert {
                     table, rid, bytes, ..
@@ -603,7 +596,6 @@ impl Database {
                     let tuple = Tuple::decode(bytes)?;
                     let new_rid = self.insert(&tname, tuple.values)?;
                     rid_map.insert((*table, *rid), new_rid);
-                    report.replayed_ops += 1;
                 }
                 LogRecord::Update {
                     table,
@@ -613,44 +605,33 @@ impl Database {
                     ..
                 } => {
                     let hint = rid_map.get(&(*table, *rid)).copied().unwrap_or(*rid);
-                    match self.resolve_replay_rid(*table, hint, old)? {
-                        Some(target) => {
-                            let tname = self.catalog.table_by_id(*table)?.name.clone();
-                            let tuple = Tuple::decode(new)?;
-                            self.update_rid(&tname, target, tuple.values)?;
-                            rid_map.insert((*table, *rid), target);
-                            report.replayed_ops += 1;
-                        }
-                        None => report.skipped_ops += 1,
+                    if let Some(target) = self.resolve_replay_rid(*table, hint, old)? {
+                        let tname = self.catalog.table_by_id(*table)?.name.clone();
+                        let tuple = Tuple::decode(new)?;
+                        self.update_rid(&tname, target, tuple.values)?;
+                        rid_map.insert((*table, *rid), target);
                     }
                 }
                 LogRecord::Delete {
                     table, rid, old, ..
                 } => {
                     let hint = rid_map.get(&(*table, *rid)).copied().unwrap_or(*rid);
-                    match self.resolve_replay_rid(*table, hint, old)? {
-                        Some(target) => {
-                            let tname = self.catalog.table_by_id(*table)?.name.clone();
-                            self.delete_rid(&tname, target)?;
-                            rid_map.remove(&(*table, *rid));
-                            report.replayed_ops += 1;
-                        }
-                        None => report.skipped_ops += 1,
+                    if let Some(target) = self.resolve_replay_rid(*table, hint, old)? {
+                        let tname = self.catalog.table_by_id(*table)?.name.clone();
+                        self.delete_rid(&tname, target)?;
+                        rid_map.remove(&(*table, *rid));
                     }
                 }
-                LogRecord::Ddl { bytes, .. } => {
-                    self.apply_ddl(bytes)?;
-                    report.replayed_ops += 1;
-                }
+                LogRecord::Ddl { bytes, .. } => self.apply_ddl(bytes)?,
                 _ => {}
             }
-        }
-        Ok(report)
+            Ok(())
+        })
     }
 
     /// Find the rid currently holding the exact bytes `old` in `table`:
     /// the hint if it matches, else a content scan. `None` means the row is
-    /// gone (a replay no-op, counted as skipped by the caller).
+    /// gone: replaying the operation is a no-op.
     fn resolve_replay_rid(
         &mut self,
         table: TableId,
@@ -752,7 +733,7 @@ impl Database {
     }
 }
 
-fn page_count_arg(pool: &std::sync::Arc<wow_storage::buffer::BufferPool<AnyStore>>) -> u64 {
+fn page_count_arg(pool: &std::sync::Arc<wow_storage::buffer::BufferPool<MemStore>>) -> u64 {
     pool.with_store(|s| s.page_count())
 }
 
@@ -817,6 +798,31 @@ mod tests {
                 .len(),
             1
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_report_counts_loser_ops_as_skipped() {
+        let dir = tmp_world("skipped");
+        {
+            let mut db = Database::open_durable(&dir).unwrap();
+            db.create_table("emp", emp_schema(), &["name"]).unwrap();
+            db.insert("emp", row("alice", 100)).unwrap();
+            db.begin().unwrap();
+            db.insert("emp", row("bob", 90)).unwrap();
+            db.insert("emp", row("carol", 80)).unwrap();
+            db.abort().unwrap();
+            db.begin().unwrap();
+            db.insert("emp", row("ghost", 1)).unwrap();
+        }
+        let mut db = Database::open_durable(&dir).unwrap();
+        let report = db.recovery_report().unwrap().clone();
+        assert_eq!(report.committed, vec![1, 2]);
+        assert_eq!(report.aborted, vec![3]);
+        assert_eq!(report.in_flight, vec![4]);
+        assert_eq!(report.replayed_ops, 2, "create table + alice");
+        assert_eq!(report.skipped_ops, 3, "bob, carol and ghost");
+        assert_eq!(sorted_rows(&mut db, "emp"), vec![row("alice", 100)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,7 +21,7 @@
 //!
 //! Kleene three-valued logic, checked arithmetic, `LIKE`, and `IS NULL`
 //! all delegate to the same kernels as the row interpreter
-//! ([`super::compare_op`], [`super::arithmetic`], [`super::truth`]), so the
+//! (`compare_op`, `arithmetic`, `truth` in the parent module), so the
 //! two evaluators cannot drift apart.
 
 use super::{arithmetic, compare_op, truth};

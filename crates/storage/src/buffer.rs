@@ -241,8 +241,8 @@ pub struct BufferPool<S: PageStore> {
 
 impl<S: PageStore> BufferPool<S> {
     /// Create a pool caching up to `capacity` pages, sharded so that each
-    /// shard holds at least [`FRAMES_PER_SHARD`] frames (one shard for
-    /// small pools, up to [`MAX_SHARDS`] for large ones).
+    /// shard holds at least `FRAMES_PER_SHARD` frames (one shard for
+    /// small pools, up to `MAX_SHARDS` for large ones).
     pub fn new(store: S, capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         let nshards = (capacity / FRAMES_PER_SHARD).clamp(1, MAX_SHARDS);

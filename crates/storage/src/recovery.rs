@@ -11,8 +11,7 @@
 //! Replay is expressed as a visitor so the relational layer can rebuild its
 //! own heap files and indexes without this crate knowing about tuples.
 
-use crate::error::StorageResult;
-use crate::wal::{LogRecord, TxnId, Wal};
+use crate::wal::{LogRecord, TxnId};
 use std::collections::HashSet;
 
 /// Summary of a recovery analysis pass.
@@ -24,7 +23,9 @@ pub struct RecoveryReport {
     pub in_flight: Vec<TxnId>,
     /// Transactions explicitly aborted.
     pub aborted: Vec<TxnId>,
-    /// Number of data operations replayed.
+    /// Number of data operations of committed transactions replayed. An
+    /// update or delete whose target row is already gone replays as a
+    /// no-op and is counted here too.
     pub replayed_ops: u64,
     /// Number of data operations skipped (loser/aborted transactions).
     pub skipped_ops: u64,
@@ -72,11 +73,12 @@ pub fn analyze(records: &[LogRecord]) -> RecoveryReport {
 }
 
 /// Redo pass: invoke `apply` for every data operation of every committed
-/// transaction, in log order. Returns the filled-in [`RecoveryReport`].
-pub fn replay(
+/// transaction, in log order. Returns the filled-in [`RecoveryReport`], or
+/// the first error `apply` returns.
+pub fn replay<E>(
     records: &[LogRecord],
-    mut apply: impl FnMut(&LogRecord) -> StorageResult<()>,
-) -> StorageResult<RecoveryReport> {
+    mut apply: impl FnMut(&LogRecord) -> Result<(), E>,
+) -> Result<RecoveryReport, E> {
     let mut report = analyze(records);
     let committed: HashSet<TxnId> = report.committed.iter().copied().collect();
     for rec in records {
@@ -98,20 +100,13 @@ pub fn replay(
     Ok(report)
 }
 
-/// Convenience: read a WAL and replay it in one step.
-pub fn recover(
-    wal: &mut Wal,
-    apply: impl FnMut(&LogRecord) -> StorageResult<()>,
-) -> StorageResult<RecoveryReport> {
-    let records: Vec<LogRecord> = wal.read_all()?.into_iter().map(|(_, r)| r).collect();
-    replay(&records, apply)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageResult;
     use crate::page::PageId;
     use crate::rid::Rid;
+    use crate::wal::Wal;
 
     fn ins(txn: TxnId, n: u8) -> LogRecord {
         LogRecord::Insert {
@@ -139,7 +134,7 @@ mod tests {
             if let LogRecord::Insert { bytes, .. } = rec {
                 applied.push(bytes[0]);
             }
-            Ok(())
+            StorageResult::Ok(())
         })
         .unwrap();
         assert_eq!(applied, vec![10, 11]);
@@ -156,7 +151,10 @@ mod tests {
             ins(5, 50),
             LogRecord::Abort { txn: 5 },
         ];
-        let report = replay(&log, |_| panic!("nothing should replay")).unwrap();
+        let report = replay(&log, |_| -> StorageResult<()> {
+            panic!("nothing should replay")
+        })
+        .unwrap();
         assert_eq!(report.aborted, vec![5]);
         assert_eq!(report.skipped_ops, 1);
     }
@@ -171,8 +169,7 @@ mod tests {
 
     #[test]
     fn empty_log_recovers_to_empty() {
-        let mut wal = Wal::in_memory();
-        let report = recover(&mut wal, |_| Ok(())).unwrap();
+        let report = replay(&[], |_| StorageResult::Ok(())).unwrap();
         assert_eq!(report, RecoveryReport::default());
     }
 
@@ -200,7 +197,7 @@ mod tests {
             if let LogRecord::Insert { bytes, .. } = rec {
                 survived.push(bytes[0]);
             }
-            Ok(())
+            StorageResult::Ok(())
         })
         .unwrap();
         assert_eq!(survived, vec![1], "only txn 1 committed before the crash");

@@ -1,12 +1,12 @@
-//! Translating window edits on view rows into base-table DML.
+//! Translating window edits on view rows into base rows.
 //!
 //! A window shows a view row; the user edits a field and commits. The
 //! translation uses the [`Updatability`] proof to locate the base row (by
-//! rid, carried alongside every fetched view row) and rewrite it. The
-//! "check option" is on by default: a write that would make the row fall
-//! outside the view's restriction is rejected with
-//! [`ViewError::EscapesView`] — otherwise a user could edit a row and watch
-//! it silently vanish from the window.
+//! rid, carried alongside every fetched view row) and compute its new
+//! image; performing the write is the caller's job. The "check option" is
+//! on by default: a write that would make the row fall outside the view's
+//! restriction is rejected with [`ViewError::EscapesView`] — otherwise a
+//! user could edit a row and watch it silently vanish from the window.
 
 use crate::error::{ViewError, ViewResult};
 use crate::updatable::Updatability;
@@ -97,18 +97,18 @@ fn check_membership(db: &Database, upd: &Updatability, new_vals: &[Value]) -> Vi
     Ok(eval_pred(&resolved, &Tuple::new(new_vals.to_vec()))?)
 }
 
-/// Update the base row behind a view row. Returns `false` if the base row
-/// no longer exists (deleted by a concurrent window).
+/// The base row to write at `rid` for an update of the view row behind it.
+/// `None` if the base row no longer exists (deleted by a concurrent window).
 pub fn update_through_view(
     db: &mut Database,
     upd: &Updatability,
     rid: Rid,
     assigns: &[(usize, Value)],
     check: CheckOption,
-) -> ViewResult<bool> {
+) -> ViewResult<Option<Vec<Value>>> {
     let info = db.catalog().table(&upd.base_table)?.clone();
     let Some(base) = db.get_row(info.id, rid)? else {
-        return Ok(false);
+        return Ok(None);
     };
     let new_vals = rewrite_base_row(upd, &base, assigns)?;
     if check == CheckOption::Checked && !check_membership(db, upd, &new_vals)? {
@@ -116,25 +116,26 @@ pub fn update_through_view(
             view: upd.view.clone(),
         });
     }
-    Ok(db.update_rid(&upd.base_table, rid, new_vals)?)
+    Ok(Some(new_vals))
 }
 
-/// Insert a new row through the view. View values map onto base columns;
-/// unprojected base columns become NULL (and must therefore be nullable).
+/// The base row to insert for a new view row. View values map onto base
+/// columns; unprojected base columns become NULL (and must therefore be
+/// nullable).
 pub fn insert_through_view(
-    db: &mut Database,
+    db: &Database,
     upd: &Updatability,
     view_vals: &[Value],
     check: CheckOption,
-) -> ViewResult<Rid> {
-    let info = db.catalog().table(&upd.base_table)?.clone();
+) -> ViewResult<Vec<Value>> {
+    let width = db.catalog().table(&upd.base_table)?.schema.len();
     if view_vals.len() != upd.column_map.len() {
         return Err(ViewError::Rel(wow_rel::RelError::TypeMismatch {
             expected: format!("{} view columns", upd.column_map.len()),
             got: format!("{} values", view_vals.len()),
         }));
     }
-    let mut base_vals = vec![Value::Null; info.schema.len()];
+    let mut base_vals = vec![Value::Null; width];
     for (vcol, val) in view_vals.iter().enumerate() {
         match upd.column_map[vcol] {
             Some(bcol) => base_vals[bcol] = val.clone(),
@@ -151,10 +152,5 @@ pub fn insert_through_view(
             view: upd.view.clone(),
         });
     }
-    Ok(db.insert(&upd.base_table, base_vals)?)
-}
-
-/// Delete the base row behind a view row.
-pub fn delete_through_view(db: &mut Database, upd: &Updatability, rid: Rid) -> ViewResult<bool> {
-    Ok(db.delete_rid(&upd.base_table, rid)?)
+    Ok(base_vals)
 }

@@ -7,7 +7,7 @@ use wow_rel::quel::ast::SortKey;
 use wow_rel::value::Value;
 use wow_views::expand::{query_via_materialization, run_view_query, view_schema, ViewQuery};
 use wow_views::translate::{
-    delete_through_view, insert_through_view, update_through_view, view_rows_with_rids, CheckOption,
+    insert_through_view, update_through_view, view_rows_with_rids, CheckOption,
 };
 use wow_views::updatable::{analyze, why_not};
 use wow_views::{deps, ViewCatalog, ViewDef, ViewError};
@@ -228,14 +228,16 @@ fn update_through_view_rewrites_base() {
         .unwrap();
     assert_eq!(tuple.values[1], Value::Int(120));
     // Raise alice's salary through the view.
-    assert!(update_through_view(
+    let row = update_through_view(
         &mut db,
         &upd,
         *rid,
         &[(1, Value::Int(130))],
-        CheckOption::Checked
+        CheckOption::Checked,
     )
-    .unwrap());
+    .unwrap()
+    .unwrap();
+    assert!(db.update_rid("emp", *rid, row).unwrap());
     let base = db
         .run(r#"RANGE OF e IS emp RETRIEVE (e.salary) WHERE e.name = "alice""#)
         .unwrap();
@@ -276,14 +278,16 @@ fn escape_check_blocks_vanishing_rows() {
     .unwrap_err();
     assert!(matches!(err, ViewError::EscapesView { .. }));
     // Unchecked mode allows it.
-    assert!(update_through_view(
+    let row = update_through_view(
         &mut db,
         &upd,
         *rid,
         &[(1, Value::Int(50))],
-        CheckOption::Unchecked
+        CheckOption::Unchecked,
     )
-    .unwrap());
+    .unwrap()
+    .unwrap();
+    assert!(db.update_rid("emp", *rid, row).unwrap());
     let rows = view_rows_with_rids(&mut db, &upd).unwrap();
     assert!(rows
         .iter()
@@ -291,13 +295,13 @@ fn escape_check_blocks_vanishing_rows() {
 }
 
 #[test]
-fn insert_and_delete_through_view() {
+fn insert_through_view_then_delete_the_row() {
     let (mut db, vc) = world();
     let upd = analyze(&db, &vc, "toy_emps").unwrap();
     // Inserting through toy_emps fails the membership check (dept is not
     // projected, so it would be NULL ≠ "toy").
     let err = insert_through_view(
-        &mut db,
+        &db,
         &upd,
         &[Value::text("zed"), Value::Int(80)],
         CheckOption::Checked,
@@ -305,16 +309,17 @@ fn insert_and_delete_through_view() {
     .unwrap_err();
     assert!(matches!(err, ViewError::EscapesView { .. }));
     // Unchecked, it inserts with NULL dept.
-    let rid = insert_through_view(
-        &mut db,
+    let row = insert_through_view(
+        &db,
         &upd,
         &[Value::text("zed"), Value::Int(80)],
         CheckOption::Unchecked,
     )
     .unwrap();
+    let rid = db.insert("emp", row).unwrap();
     let rows = db.run(r#"RETRIEVE (e.dept) WHERE e.name = "zed""#).unwrap();
     assert!(rows.tuples[0].values[0].is_null());
-    assert!(delete_through_view(&mut db, &upd, rid).unwrap());
+    assert!(db.delete_rid("emp", rid).unwrap());
     let rows = db.run(r#"RETRIEVE (e.name) WHERE e.name = "zed""#).unwrap();
     assert!(rows.is_empty());
 }
@@ -331,8 +336,8 @@ fn full_row_view_permits_checked_inserts() {
     )
     .unwrap();
     let upd = analyze(&db, &vc, "all_emps").unwrap();
-    let rid = insert_through_view(
-        &mut db,
+    let row = insert_through_view(
+        &db,
         &upd,
         &[
             Value::text("frank"),
@@ -343,6 +348,7 @@ fn full_row_view_permits_checked_inserts() {
         CheckOption::Checked,
     )
     .unwrap();
+    let rid = db.insert("emp", row).unwrap();
     assert!(rid.is_valid());
     let rows = view_rows_with_rids(&mut db, &upd).unwrap();
     assert_eq!(rows.len(), 6);
@@ -404,12 +410,13 @@ fn stale_rid_update_returns_false() {
     let rows = view_rows_with_rids(&mut db, &upd).unwrap();
     let (rid, _) = rows[0];
     db.delete_rid("emp", rid).unwrap();
-    assert!(!update_through_view(
+    assert!(update_through_view(
         &mut db,
         &upd,
         rid,
         &[(1, Value::Int(1))],
         CheckOption::Checked
     )
-    .unwrap());
+    .unwrap()
+    .is_none());
 }

@@ -156,45 +156,3 @@ fn torn_log_tail_recovers_the_committed_prefix() {
         "only the fully-flushed insert survives the tear"
     );
 }
-
-#[test]
-fn file_backed_store_round_trips_pages() {
-    // The FileStore path: build a database on disk, flush, reopen the
-    // store, and verify pages persist (catalog is rebuilt by the app).
-    let dir = std::env::temp_dir().join(format!("wow-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("world.db");
-    let _ = std::fs::remove_file(&path);
-    let meta;
-    {
-        let mut db = Database::open_file(&path).unwrap();
-        schema_ddl(&mut db);
-        meta = db.catalog().table("account").unwrap().heap_meta;
-        for i in 0..50 {
-            db.insert(
-                "account",
-                vec![
-                    Value::Int(i),
-                    Value::text(format!("o{i}")),
-                    Value::Int(i * 10),
-                ],
-            )
-            .unwrap();
-        }
-        db.checkpoint().unwrap();
-    }
-    {
-        // Reopen the raw pages and walk the heap directly.
-        use wow::storage::buffer::BufferPool;
-        use wow::storage::heap::HeapFile;
-        use wow::storage::store::FileStore;
-        let store = FileStore::open(&path).unwrap();
-        let pool = BufferPool::new(store, 64);
-        let heap = HeapFile::open(&pool, meta).unwrap();
-        assert_eq!(heap.len(), 50);
-        let rows = heap.scan_all(&pool).unwrap();
-        let t = wow::rel::tuple::Tuple::decode(&rows[0].1).unwrap();
-        assert_eq!(t.values[0], Value::Int(0));
-    }
-    std::fs::remove_file(&path).unwrap();
-}
