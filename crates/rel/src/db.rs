@@ -368,9 +368,10 @@ impl Database {
         let tinfo = self.catalog.table(table)?.clone();
         let handle = match kind {
             IndexKind::BTree => {
-                // Non-unique B+trees store composite (key ++ rid) entries, so
-                // the tree itself is created unique either way.
-                IndexHandle::BTree(BTree::create(&self.pool, unique)?)
+                // Every B+tree rejects duplicate keys. A non-unique index
+                // stores composite `key ++ rid` entries (see `index_insert`),
+                // so equal values still make distinct entries.
+                IndexHandle::BTree(BTree::create(&self.pool)?)
             }
             IndexKind::Hash => IndexHandle::Hash(HashIndex::create(&self.pool, DEFAULT_BUCKETS)?),
         };

@@ -56,7 +56,9 @@ pub const WAL_FILE: &str = "world.wal";
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
 const SNAP_MAGIC: u32 = 0x574F_5753; // "WOWS"
-const SNAP_VERSION: u32 = 1;
+/// Version 2: B+tree nodes are key-ordered slotted pages. A checkpoint is
+/// a verbatim page image, so an older one is refused, not misread.
+const SNAP_VERSION: u32 = 2;
 
 /// Durability bookkeeping attached to a [`Database`] opened with
 /// [`Database::open_durable`].
@@ -1048,6 +1050,34 @@ mod tests {
         assert!(db.checkpoint_durable().is_err());
         db.commit().unwrap();
         db.checkpoint_durable().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_of_an_older_version_is_refused() {
+        // A checkpoint is a verbatim page image; one written under the
+        // packed B+tree node format (snapshot version 1) must not be read.
+        let dir = tmp_world("old-version");
+        {
+            let mut db = Database::open_durable(&dir).unwrap();
+            db.create_table("emp", emp_schema(), &["name"]).unwrap();
+            db.insert("emp", row("alice", 100)).unwrap();
+            db.checkpoint_durable().unwrap();
+        }
+        {
+            let mut fs = FileStore::open(&dir.join(CKPT_FILE)).unwrap();
+            let mut meta = fs.get_meta().unwrap().unwrap();
+            meta[4..8].copy_from_slice(&1u32.to_le_bytes());
+            fs.set_meta(&meta).unwrap();
+            fs.sync().unwrap();
+        }
+        match Database::open_durable(&dir) {
+            Err(RelError::Storage(StorageError::Corrupt(why))) => {
+                assert_eq!(why, "unsupported snapshot version")
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a version-1 checkpoint was opened"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

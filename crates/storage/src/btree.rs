@@ -2,33 +2,37 @@
 //!
 //! This is the ordered access path underneath browse cursors: the *Windows
 //! on the World* browse model fetches one screenful of records at a time by
-//! walking the leaf chain, so the tree exposes both point/range queries and
-//! a resumable [`BTreeCursor`].
+//! walking the leaf chain, so the tree exposes point and range queries over
+//! one leaf walk, [`BTree::range_scan`]. A browse cursor resumes by seeking
+//! past the last key it showed.
 //!
 //! Keys are arbitrary byte strings compared lexicographically; the typed
-//! layer (`wow-rel`) produces order-preserving encodings. Non-unique indexes
-//! disambiguate duplicates by appending the rid to the key (see
-//! [`composite_key`]), so every entry in the tree is physically unique.
+//! layer (`wow-rel`) produces order-preserving encodings. Every tree rejects
+//! a duplicate key. Non-unique indexes disambiguate duplicates by appending
+//! the rid to the key (see [`composite_key`]), so every entry in the tree is
+//! physically unique.
 //!
 //! Deletion is *lazy*: entries are removed from leaves but nodes are never
 //! merged. Underfull nodes cost some space, never correctness — the same
 //! trade early commercial engines made.
 //!
-//! Node pages are (de)serialized whole:
+//! A node page is a [`slotted`](crate::slotted) region whose directory is
+//! kept in key order, so a search is a binary search over the directory and
+//! every read borrows the page in place:
 //!
 //! ```text
 //! 0      tag: 0 = leaf, 1 = internal
-//! 1..3   entry count (u16)
-//! 3..11  leaf: next-leaf page id   | internal: leftmost child page id
-//! 11..   entries
-//!         leaf:     {klen: u16, key, rid: 10 bytes}
-//!         internal: {klen: u16, key, child: 8 bytes}  (child holds keys >= key)
+//! 1..9   leaf: next-leaf page id   | internal: leftmost child page id
+//! 9..    slotted region; slot i holds the i-th cell in key order
+//!         leaf:     key ++ rid (10 bytes)
+//!         internal: key ++ child (8 bytes)  (child holds keys >= key)
 //! ```
 
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
-use crate::page::{get_u16, get_u64, put_u16, put_u64, PageId, PAGE_SIZE};
+use crate::page::{get_u64, put_u64, PageId};
 use crate::rid::Rid;
+use crate::slotted::{Slotted, SlottedRead, SLOT_ENTRY};
 use crate::store::PageStore;
 use std::ops::Bound;
 
@@ -37,130 +41,96 @@ pub const MAX_KEY: usize = 1024;
 
 const TAG_LEAF: u8 = 0;
 const TAG_INTERNAL: u8 = 1;
-const NODE_HEADER: usize = 11;
-const LEAF_ENTRY_OVERHEAD: usize = 2 + 10;
-const INTERNAL_ENTRY_OVERHEAD: usize = 2 + 8;
+/// Offset of a node's link: the next leaf, or the leftmost child.
+const LINK: usize = 1;
+/// Offset of a node's slotted region.
+const REGION: usize = 9;
+const RID_LEN: usize = 10;
+const CHILD_LEN: usize = 8;
 
 /// Meta-page field offsets.
 const META_ROOT: usize = 0;
 const META_COUNT: usize = 8;
-const META_UNIQUE: usize = 16;
 
 /// Build the composite key used by non-unique indexes: `key ++ rid`, which
 /// sorts by key then rid and makes every entry unique.
 pub fn composite_key(key: &[u8], rid: Rid) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 10);
+    let mut out = Vec::with_capacity(key.len() + RID_LEN);
     out.extend_from_slice(key);
     out.extend_from_slice(&rid.to_bytes());
     out
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        next: PageId,
-        entries: Vec<(Vec<u8>, Rid)>,
-    },
-    Internal {
-        first_child: PageId,
-        entries: Vec<(Vec<u8>, PageId)>,
-    },
+/// An internal-node cell: `key ++ child`.
+fn internal_cell(mut key: Vec<u8>, child: PageId) -> Vec<u8> {
+    key.extend_from_slice(&child.0.to_le_bytes());
+    key
 }
 
-impl Node {
-    fn serialized_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                NODE_HEADER
-                    + entries
-                        .iter()
-                        .map(|(k, _)| LEAF_ENTRY_OVERHEAD + k.len())
-                        .sum::<usize>()
+/// A node page read in place: its kind, its link and its key-ordered cells.
+struct NodeRef<'a> {
+    leaf: bool,
+    link: PageId,
+    cells: SlottedRead<'a>,
+}
+
+impl<'a> NodeRef<'a> {
+    fn open(page: &'a [u8]) -> StorageResult<NodeRef<'a>> {
+        let leaf = match page[0] {
+            TAG_LEAF => true,
+            TAG_INTERNAL => false,
+            _ => return Err(StorageError::Corrupt("bad btree node tag")),
+        };
+        Ok(NodeRef {
+            leaf,
+            link: PageId(get_u64(page, LINK)),
+            cells: SlottedRead::open(&page[REGION..]),
+        })
+    }
+
+    fn len(&self) -> u16 {
+        self.cells.slot_count()
+    }
+
+    fn cell(&self, i: u16) -> &'a [u8] {
+        self.cells.get(i).expect("node directory has no holes")
+    }
+
+    /// Cell `i` split into its key and its trailer (a rid or a child id).
+    fn entry(&self, i: u16) -> (&'a [u8], &'a [u8]) {
+        let cell = self.cell(i);
+        cell.split_at(cell.len() - if self.leaf { RID_LEN } else { CHILD_LEN })
+    }
+
+    /// Number of keys `< key`, or `<= key` when `inclusive`: a binary
+    /// search over the borrowed directory.
+    fn search(&self, key: &[u8], inclusive: bool) -> u16 {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let k = self.entry(mid).0;
+            if k < key || (inclusive && k == key) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            Node::Internal { entries, .. } => {
-                NODE_HEADER
-                    + entries
-                        .iter()
-                        .map(|(k, _)| INTERNAL_ENTRY_OVERHEAD + k.len())
-                        .sum::<usize>()
-            }
+        }
+        lo
+    }
+
+    /// Child `i` of an internal node: the link for 0, else the child of
+    /// cell `i - 1`.
+    fn child(&self, i: u16) -> PageId {
+        match i {
+            0 => self.link,
+            _ => PageId(get_u64(self.entry(i - 1).1, 0)),
         }
     }
 
-    fn write_to(&self, buf: &mut [u8]) {
-        match self {
-            Node::Leaf { next, entries } => {
-                buf[0] = TAG_LEAF;
-                put_u16(buf, 1, entries.len() as u16);
-                put_u64(buf, 3, next.0);
-                let mut off = NODE_HEADER;
-                for (k, rid) in entries {
-                    put_u16(buf, off, k.len() as u16);
-                    off += 2;
-                    buf[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                    buf[off..off + 10].copy_from_slice(&rid.to_bytes());
-                    off += 10;
-                }
-            }
-            Node::Internal {
-                first_child,
-                entries,
-            } => {
-                buf[0] = TAG_INTERNAL;
-                put_u16(buf, 1, entries.len() as u16);
-                put_u64(buf, 3, first_child.0);
-                let mut off = NODE_HEADER;
-                for (k, child) in entries {
-                    put_u16(buf, off, k.len() as u16);
-                    off += 2;
-                    buf[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                    put_u64(buf, off, child.0);
-                    off += 8;
-                }
-            }
-        }
-    }
-
-    fn read_from(buf: &[u8]) -> StorageResult<Node> {
-        let count = get_u16(buf, 1) as usize;
-        let mut off = NODE_HEADER;
-        match buf[0] {
-            TAG_LEAF => {
-                let next = PageId(get_u64(buf, 3));
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let klen = get_u16(buf, off) as usize;
-                    off += 2;
-                    let key = buf[off..off + klen].to_vec();
-                    off += klen;
-                    let rid = Rid::from_bytes(&buf[off..off + 10])
-                        .ok_or(StorageError::Corrupt("bad leaf rid"))?;
-                    off += 10;
-                    entries.push((key, rid));
-                }
-                Ok(Node::Leaf { next, entries })
-            }
-            TAG_INTERNAL => {
-                let first_child = PageId(get_u64(buf, 3));
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let klen = get_u16(buf, off) as usize;
-                    off += 2;
-                    let key = buf[off..off + klen].to_vec();
-                    off += klen;
-                    let child = PageId(get_u64(buf, off));
-                    off += 8;
-                    entries.push((key, child));
-                }
-                Ok(Node::Internal {
-                    first_child,
-                    entries,
-                })
-            }
-            _ => Err(StorageError::Corrupt("bad btree node tag")),
-        }
+    /// The child whose subtree holds `key`: under the last separator
+    /// `<= key`.
+    fn route(&self, key: &[u8]) -> PageId {
+        self.child(self.search(key, true))
     }
 }
 
@@ -170,49 +140,30 @@ pub struct BTree {
     meta: PageId,
     root: PageId,
     count: u64,
-    unique: bool,
 }
 
 impl BTree {
-    /// Create an empty tree. `unique` rejects duplicate keys on insert.
-    pub fn create<S: PageStore>(pool: &BufferPool<S>, unique: bool) -> StorageResult<BTree> {
+    /// Create an empty tree.
+    pub fn create<S: PageStore>(pool: &BufferPool<S>) -> StorageResult<BTree> {
         let meta = pool.allocate_page()?;
         let root = pool.allocate_page()?;
-        let empty = Node::Leaf {
-            next: PageId::INVALID,
-            entries: Vec::new(),
-        };
-        pool.with_page_mut(root, |p| empty.write_to(p.as_mut_slice()))?;
-        pool.with_page_mut(meta, |p| {
-            let b = p.as_mut_slice();
-            put_u64(b, META_ROOT, root.0);
-            put_u64(b, META_COUNT, 0);
-            b[META_UNIQUE] = unique as u8;
-        })?;
-        Ok(BTree {
+        Self::write_node(pool, root, TAG_LEAF, PageId::INVALID, &[])?;
+        let tree = BTree {
             meta,
             root,
             count: 0,
-            unique,
-        })
+        };
+        tree.persist_meta(pool)?;
+        Ok(tree)
     }
 
     /// Open an existing tree rooted at `meta`.
     pub fn open<S: PageStore>(pool: &BufferPool<S>, meta: PageId) -> StorageResult<BTree> {
-        let (root, count, unique) = pool.with_page(meta, |p| {
+        let (root, count) = pool.with_page(meta, |p| {
             let b = p.as_slice();
-            (
-                PageId(get_u64(b, META_ROOT)),
-                get_u64(b, META_COUNT),
-                b[META_UNIQUE] != 0,
-            )
+            (PageId(get_u64(b, META_ROOT)), get_u64(b, META_COUNT))
         })?;
-        Ok(BTree {
-            meta,
-            root,
-            count,
-            unique,
-        })
+        Ok(BTree { meta, root, count })
     }
 
     /// The meta page id (persist this to reopen the index).
@@ -230,22 +181,23 @@ impl BTree {
         self.count == 0
     }
 
-    /// Whether the tree enforces key uniqueness.
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
-
-    fn read_node<S: PageStore>(pool: &BufferPool<S>, pid: PageId) -> StorageResult<Node> {
-        pool.with_page(pid, |p| Node::read_from(p.as_slice()))?
-    }
-
+    /// Rebuild page `pid` as a node holding `cells` in order.
     fn write_node<S: PageStore>(
         pool: &BufferPool<S>,
         pid: PageId,
-        node: &Node,
+        tag: u8,
+        link: PageId,
+        cells: &[Vec<u8>],
     ) -> StorageResult<()> {
-        debug_assert!(node.serialized_size() <= PAGE_SIZE);
-        pool.with_page_mut(pid, |p| node.write_to(p.as_mut_slice()))
+        pool.with_page_mut(pid, |p| {
+            let b = p.as_mut_slice();
+            b[0] = tag;
+            put_u64(b, LINK, link.0);
+            let mut region = Slotted::init(&mut b[REGION..]);
+            for (i, cell) in cells.iter().enumerate() {
+                assert!(region.insert_at(i as u16, cell), "node cells fit a page");
+            }
+        })
     }
 
     fn persist_meta<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<()> {
@@ -257,8 +209,8 @@ impl BTree {
         })
     }
 
-    /// Insert an entry. For unique trees, returns [`StorageError::DuplicateKey`]
-    /// if the key is already present.
+    /// Insert an entry. Returns [`StorageError::DuplicateKey`] if the key is
+    /// already present.
     pub fn insert<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
@@ -271,176 +223,120 @@ impl BTree {
                 max: MAX_KEY,
             });
         }
-        if let Some((split_key, right)) = self.insert_rec(pool, self.root, key, rid)? {
+        // A leaf cell is `key ++ rid`: the same bytes as a composite key.
+        let cell = composite_key(key, rid);
+        if let Some((split_key, right)) = Self::insert_rec(pool, self.root, key, &cell)? {
             // Root split: grow the tree by one level.
             let new_root = pool.allocate_page()?;
-            let node = Node::Internal {
-                first_child: self.root,
-                entries: vec![(split_key, right)],
-            };
-            Self::write_node(pool, new_root, &node)?;
+            let cells = [internal_cell(split_key, right)];
+            Self::write_node(pool, new_root, TAG_INTERNAL, self.root, &cells)?;
             self.root = new_root;
         }
         self.count += 1;
         self.persist_meta(pool)
     }
 
+    /// Insert the leaf `cell` for `key` into the subtree at `pid`. Returns
+    /// the separator and new right sibling when `pid` split.
     fn insert_rec<S: PageStore>(
-        &mut self,
         pool: &BufferPool<S>,
         pid: PageId,
         key: &[u8],
-        rid: Rid,
+        cell: &[u8],
     ) -> StorageResult<Option<(Vec<u8>, PageId)>> {
-        let node = Self::read_node(pool, pid)?;
-        match node {
-            Node::Leaf { next, mut entries } => {
-                let pos = entries.partition_point(|(k, _)| k.as_slice() < key);
-                if self.unique && entries.get(pos).is_some_and(|(k, _)| k == key) {
+        // The slot for `key` here and, in an internal node, the child below.
+        let (pos, child) = pool.with_page(pid, |p| {
+            let node = NodeRef::open(p.as_slice())?;
+            if node.leaf {
+                let pos = node.search(key, false);
+                if pos < node.len() && node.entry(pos).0 == key {
                     return Err(StorageError::DuplicateKey);
                 }
-                entries.insert(pos, (key.to_vec(), rid));
-                let node = Node::Leaf { next, entries };
-                if node.serialized_size() <= PAGE_SIZE {
-                    Self::write_node(pool, pid, &node)?;
-                    return Ok(None);
-                }
-                // Split the leaf at the size midpoint.
-                let Node::Leaf { next, entries } = node else {
-                    unreachable!()
-                };
-                let mid = split_point(entries.iter().map(|(k, _)| LEAF_ENTRY_OVERHEAD + k.len()));
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let right_pid = pool.allocate_page()?;
-                let split_key = right_entries[0].0.clone();
-                Self::write_node(
-                    pool,
-                    right_pid,
-                    &Node::Leaf {
-                        next,
-                        entries: right_entries,
-                    },
-                )?;
-                Self::write_node(
-                    pool,
-                    pid,
-                    &Node::Leaf {
-                        next: right_pid,
-                        entries: left_entries,
-                    },
-                )?;
-                Ok(Some((split_key, right_pid)))
+                return Ok((pos, None));
             }
-            Node::Internal {
-                first_child,
-                mut entries,
-            } => {
-                // Child for `key`: last entry with sep <= key, else first_child.
-                let pos = entries.partition_point(|(k, _)| k.as_slice() <= key);
-                let child = if pos == 0 {
-                    first_child
-                } else {
-                    entries[pos - 1].1
-                };
-                let Some((split_key, right)) = self.insert_rec(pool, child, key, rid)? else {
-                    return Ok(None);
-                };
-                entries.insert(pos, (split_key, right));
-                let node = Node::Internal {
-                    first_child,
-                    entries,
-                };
-                if node.serialized_size() <= PAGE_SIZE {
-                    Self::write_node(pool, pid, &node)?;
-                    return Ok(None);
-                }
-                let Node::Internal {
-                    first_child,
-                    entries,
-                } = node
-                else {
-                    unreachable!()
-                };
-                let mid = split_point(
-                    entries
-                        .iter()
-                        .map(|(k, _)| INTERNAL_ENTRY_OVERHEAD + k.len()),
-                );
-                // The separator at `mid` moves *up*, not into the right node.
-                let promote = entries[mid].0.clone();
-                let right_first = entries[mid].1;
-                let right_entries = entries[mid + 1..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let right_pid = pool.allocate_page()?;
-                Self::write_node(
-                    pool,
-                    right_pid,
-                    &Node::Internal {
-                        first_child: right_first,
-                        entries: right_entries,
-                    },
-                )?;
-                Self::write_node(
-                    pool,
-                    pid,
-                    &Node::Internal {
-                        first_child,
-                        entries: left_entries,
-                    },
-                )?;
-                Ok(Some((promote, right_pid)))
+            let pos = node.search(key, true);
+            Ok((pos, Some(node.child(pos))))
+        })??;
+        let Some(child) = child else {
+            return Self::place(pool, pid, pos, cell);
+        };
+        match Self::insert_rec(pool, child, key, cell)? {
+            Some((split_key, right)) => {
+                Self::place(pool, pid, pos, &internal_cell(split_key, right))
             }
+            None => Ok(None),
         }
+    }
+
+    /// Put `cell` at slot `pos` of node `pid`. When it does not fit, split
+    /// the node at its size midpoint, rebuilding both halves from the cell
+    /// list, and return the separator and the new right sibling.
+    fn place<S: PageStore>(
+        pool: &BufferPool<S>,
+        pid: PageId,
+        pos: u16,
+        cell: &[u8],
+    ) -> StorageResult<Option<(Vec<u8>, PageId)>> {
+        let full = pool.with_page_mut(pid, |p| -> StorageResult<_> {
+            if Slotted::open(&mut p.as_mut_slice()[REGION..]).insert_at(pos, cell) {
+                return Ok(None);
+            }
+            let node = NodeRef::open(p.as_slice())?;
+            let mut cells: Vec<Vec<u8>> = (0..node.len()).map(|i| node.cell(i).to_vec()).collect();
+            cells.insert(pos as usize, cell.to_vec());
+            Ok(Some((node.leaf, node.link, cells)))
+        })??;
+        let Some((leaf, link, mut left)) = full else {
+            return Ok(None);
+        };
+        let mut right = left.split_off(split_point(left.iter().map(|c| c.len() + SLOT_ENTRY)));
+        let right_pid = pool.allocate_page()?;
+        if leaf {
+            let split_key = right[0][..right[0].len() - RID_LEN].to_vec();
+            Self::write_node(pool, right_pid, TAG_LEAF, link, &right)?;
+            Self::write_node(pool, pid, TAG_LEAF, right_pid, &left)?;
+            return Ok(Some((split_key, right_pid)));
+        }
+        // The separator at the midpoint moves *up*; its child becomes the
+        // right node's leftmost child.
+        let mut promote = right.remove(0);
+        let first = PageId(get_u64(&promote, promote.len() - CHILD_LEN));
+        promote.truncate(promote.len() - CHILD_LEN);
+        Self::write_node(pool, right_pid, TAG_INTERNAL, first, &right)?;
+        Self::write_node(pool, pid, TAG_INTERNAL, link, &left)?;
+        Ok(Some((promote, right_pid)))
     }
 
     /// Find the leaf that would contain `key`, returning its page id.
     fn find_leaf<S: PageStore>(&self, pool: &BufferPool<S>, key: &[u8]) -> StorageResult<PageId> {
         let mut pid = self.root;
         loop {
-            match Self::read_node(pool, pid)? {
-                Node::Leaf { .. } => return Ok(pid),
-                Node::Internal {
-                    first_child,
-                    entries,
-                } => {
-                    let pos = entries.partition_point(|(k, _)| k.as_slice() <= key);
-                    pid = if pos == 0 {
-                        first_child
-                    } else {
-                        entries[pos - 1].1
-                    };
-                }
+            let child = pool.with_page(pid, |p| {
+                NodeRef::open(p.as_slice()).map(|n| (!n.leaf).then(|| n.route(key)))
+            })??;
+            match child {
+                Some(child) => pid = child,
+                None => return Ok(pid),
             }
         }
     }
 
-    /// All rids stored under exactly `key`.
+    /// All rids stored under exactly `key` (at most one: keys are unique).
     pub fn lookup<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
         key: &[u8],
     ) -> StorageResult<Vec<Rid>> {
         let mut out = Vec::new();
-        let mut pid = self.find_leaf(pool, key)?;
-        'chain: while pid.is_valid() {
-            let Node::Leaf { next, entries } = Self::read_node(pool, pid)? else {
-                return Err(StorageError::Corrupt("expected leaf"));
-            };
-            let start = entries.partition_point(|(k, _)| k.as_slice() < key);
-            for (k, rid) in &entries[start..] {
-                if k.as_slice() != key {
-                    break 'chain;
-                }
-                out.push(*rid);
-            }
-            // Key run may continue on the next leaf only if it reached the end.
-            if entries.is_empty() || entries.last().unwrap().0.as_slice() == key {
-                pid = next;
-            } else {
-                break;
-            }
-        }
+        self.range_scan(
+            pool,
+            Bound::Included(key),
+            Bound::Included(key),
+            |_, rid| {
+                out.push(rid);
+                true
+            },
+        )?;
         Ok(out)
     }
 
@@ -498,38 +394,32 @@ impl BTree {
         key: &[u8],
         rid: Rid,
     ) -> StorageResult<bool> {
-        let mut pid = self.find_leaf(pool, key)?;
-        while pid.is_valid() {
-            let Node::Leaf { next, mut entries } = Self::read_node(pool, pid)? else {
-                return Err(StorageError::Corrupt("expected leaf"));
-            };
-            let start = entries.partition_point(|(k, _)| k.as_slice() < key);
-            if start == entries.len() {
-                // Run may continue on the next leaf.
-                pid = next;
-                continue;
+        let leaf = self.find_leaf(pool, key)?;
+        let found = pool.with_page_mut(leaf, |p| -> StorageResult<bool> {
+            let node = NodeRef::open(p.as_slice())?;
+            let pos = node.search(key, false);
+            let found = pos < node.len() && node.entry(pos) == (key, &rid.to_bytes()[..]);
+            if found {
+                Slotted::open(&mut p.as_mut_slice()[REGION..]).remove_at(pos);
             }
-            let mut i = start;
-            while i < entries.len() && entries[i].0.as_slice() == key {
-                if entries[i].1 == rid {
-                    entries.remove(i);
-                    Self::write_node(pool, pid, &Node::Leaf { next, entries })?;
-                    self.count -= 1;
-                    self.persist_meta(pool)?;
-                    return Ok(true);
-                }
-                i += 1;
-            }
-            if i < entries.len() {
-                return Ok(false); // passed the key run without a rid match
-            }
-            pid = next;
+            Ok(found)
+        })??;
+        if found {
+            self.count -= 1;
+            self.persist_meta(pool)?;
         }
-        Ok(false)
+        Ok(found)
     }
 
-    /// Scan entries in `[lower, upper]` order, calling `f(key, rid)`; stop
-    /// early when `f` returns `false`.
+    /// Scan entries from `lower` to `upper` in key order, calling
+    /// `f(key, rid)`; stop early when `f` returns `false`.
+    ///
+    /// This is the tree's one leaf walk: a descent seeks `lower`, then the
+    /// walk follows the leaf chain, reading each page in place under one
+    /// [`BufferPool::with_page`] borrow, and hands `f` the key borrowed from
+    /// the leaf. `f` therefore runs while that page's buffer-pool shard lock
+    /// is held: it must not touch the pool, and should copy out what it
+    /// keeps and return.
     pub fn range_scan<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -537,16 +427,38 @@ impl BTree {
         upper: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], Rid) -> bool,
     ) -> StorageResult<()> {
-        let mut cursor = self.cursor_at(pool, lower)?;
-        while let Some((key, rid)) = cursor.next(pool, self)? {
-            let in_range = match upper {
-                Bound::Unbounded => true,
-                Bound::Included(u) => key.as_slice() <= u,
-                Bound::Excluded(u) => key.as_slice() < u,
-            };
-            if !in_range || !f(&key, rid) {
-                break;
-            }
+        let mut lower = lower;
+        let mut pid = self.root;
+        while pid.is_valid() {
+            pid = pool.with_page(pid, |p| -> StorageResult<PageId> {
+                let node = NodeRef::open(p.as_slice())?;
+                if !node.leaf {
+                    return Ok(match lower {
+                        Bound::Included(k) | Bound::Excluded(k) => node.route(k),
+                        Bound::Unbounded => node.link,
+                    });
+                }
+                let start = match lower {
+                    Bound::Included(k) => node.search(k, false),
+                    Bound::Excluded(k) => node.search(k, true),
+                    Bound::Unbounded => 0,
+                };
+                // Only the first leaf is sought; later ones are walked whole.
+                lower = Bound::Unbounded;
+                for i in start..node.len() {
+                    let (key, rid) = node.entry(i);
+                    let in_range = match upper {
+                        Bound::Included(u) => key <= u,
+                        Bound::Excluded(u) => key < u,
+                        Bound::Unbounded => true,
+                    };
+                    let rid = Rid::from_bytes(rid).ok_or(StorageError::Corrupt("bad leaf rid"))?;
+                    if !in_range || !f(key, rid) {
+                        return Ok(PageId::INVALID);
+                    }
+                }
+                Ok(node.link)
+            })??;
         }
         Ok(())
     }
@@ -566,53 +478,17 @@ impl BTree {
         Ok(out)
     }
 
-    /// Position a cursor at the first entry >= `lower`.
-    pub fn cursor_at<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        lower: Bound<&[u8]>,
-    ) -> StorageResult<BTreeCursor> {
-        let (leaf, idx) = match lower {
-            Bound::Unbounded => {
-                // Descend to the leftmost leaf.
-                let mut pid = self.root;
-                loop {
-                    match Self::read_node(pool, pid)? {
-                        Node::Leaf { .. } => break (pid, 0),
-                        Node::Internal { first_child, .. } => pid = first_child,
-                    }
-                }
-            }
-            Bound::Included(key) | Bound::Excluded(key) => {
-                let pid = self.find_leaf(pool, key)?;
-                let Node::Leaf { entries, .. } = Self::read_node(pool, pid)? else {
-                    return Err(StorageError::Corrupt("expected leaf"));
-                };
-                let idx = match lower {
-                    Bound::Included(_) => entries.partition_point(|(k, _)| k.as_slice() < key),
-                    _ => entries.partition_point(|(k, _)| k.as_slice() <= key),
-                };
-                (pid, idx)
-            }
-        };
-        Ok(BTreeCursor {
-            leaf,
-            idx: idx as u32,
-        })
-    }
-
     /// Free every page of the tree.
     pub fn destroy<S: PageStore>(self, pool: &BufferPool<S>) -> StorageResult<()> {
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
-            if let Node::Internal {
-                first_child,
-                entries,
-            } = Self::read_node(pool, pid)?
-            {
-                stack.push(first_child);
-                stack.extend(entries.iter().map(|(_, c)| *c));
-            }
+            pool.with_page(pid, |p| -> StorageResult<()> {
+                let node = NodeRef::open(p.as_slice())?;
+                if !node.leaf {
+                    stack.extend((0..=node.len()).map(|i| node.child(i)));
+                }
+                Ok(())
+            })??;
             pool.free_page(pid)?;
         }
         pool.free_page(self.meta)
@@ -623,12 +499,15 @@ impl BTree {
         let mut h = 1;
         let mut pid = self.root;
         loop {
-            match Self::read_node(pool, pid)? {
-                Node::Leaf { .. } => return Ok(h),
-                Node::Internal { first_child, .. } => {
-                    pid = first_child;
+            let node = pool.with_page(pid, |p| {
+                NodeRef::open(p.as_slice()).map(|n| (!n.leaf).then_some(n.link))
+            })??;
+            match node {
+                Some(child) => {
+                    pid = child;
                     h += 1;
                 }
+                None => return Ok(h),
             }
         }
     }
@@ -650,51 +529,14 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
     sizes.len() / 2
 }
 
-/// A resumable position in the leaf chain.
-///
-/// The cursor is a *hint*: if the tree is mutated between `next` calls the
-/// position may drift (a split moves entries right). Layers that interleave
-/// mutation with browsing re-seek by the last-seen key instead of trusting a
-/// stale cursor; within a read-only browse the cursor is exact.
-#[derive(Debug, Clone, Copy)]
-pub struct BTreeCursor {
-    leaf: PageId,
-    idx: u32,
-}
-
-impl BTreeCursor {
-    /// Advance and return the next `(key, rid)` entry, or `None` at the end.
-    pub fn next<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        tree: &BTree,
-    ) -> StorageResult<Option<(Vec<u8>, Rid)>> {
-        let _ = tree;
-        while self.leaf.is_valid() {
-            let node = BTree::read_node(pool, self.leaf)?;
-            let Node::Leaf { next, entries } = node else {
-                return Err(StorageError::Corrupt("cursor not on a leaf"));
-            };
-            if (self.idx as usize) < entries.len() {
-                let (k, rid) = entries[self.idx as usize].clone();
-                self.idx += 1;
-                return Ok(Some((k, rid)));
-            }
-            self.leaf = next;
-            self.idx = 0;
-        }
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::MemStore;
 
-    fn setup(unique: bool) -> (BufferPool<MemStore>, BTree) {
+    fn setup() -> (BufferPool<MemStore>, BTree) {
         let pool = BufferPool::new(MemStore::new(), 64);
-        let tree = BTree::create(&pool, unique).unwrap();
+        let tree = BTree::create(&pool).unwrap();
         (pool, tree)
     }
 
@@ -702,9 +544,31 @@ mod tests {
         Rid::new(PageId(n), (n % 7) as u16)
     }
 
+    /// Leaves on the chain, counted from the leftmost.
+    fn leaf_count(pool: &BufferPool<MemStore>, t: &BTree) -> usize {
+        let mut pid = t.root;
+        while let Some(child) = pool
+            .with_page(pid, |p| {
+                let n = NodeRef::open(p.as_slice()).unwrap();
+                (!n.leaf).then_some(n.link)
+            })
+            .unwrap()
+        {
+            pid = child;
+        }
+        let mut leaves = 0;
+        while pid.is_valid() {
+            leaves += 1;
+            pid = pool
+                .with_page(pid, |p| NodeRef::open(p.as_slice()).unwrap().link)
+                .unwrap();
+        }
+        leaves
+    }
+
     #[test]
     fn insert_lookup_small() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         t.insert(&pool, b"banana", rid(1)).unwrap();
         t.insert(&pool, b"apple", rid(2)).unwrap();
         t.insert(&pool, b"cherry", rid(3)).unwrap();
@@ -716,7 +580,7 @@ mod tests {
 
     #[test]
     fn unique_tree_rejects_duplicates() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         t.insert(&pool, b"k", rid(1)).unwrap();
         assert!(matches!(
             t.insert(&pool, b"k", rid(2)),
@@ -726,18 +590,40 @@ mod tests {
     }
 
     #[test]
-    fn non_unique_tree_accumulates_duplicates() {
-        let (pool, mut t) = setup(false);
-        for i in 0..10 {
-            t.insert(&pool, b"same", rid(i)).unwrap();
+    fn composite_key_run_spans_leaves() {
+        // A non-unique index's duplicates are one run of composite keys
+        // under a shared prefix; here the run covers many leaves.
+        let (pool, mut t) = setup();
+        let prefix = vec![b'p'; 200];
+        t.insert(&pool, &[b'a'; 8], rid(9999)).unwrap();
+        t.insert(&pool, &[b'q'; 8], rid(9998)).unwrap();
+        for i in 0..400u64 {
+            t.insert(&pool, &composite_key(&prefix, rid(i)), rid(i))
+                .unwrap();
         }
-        let rids = t.lookup(&pool, b"same").unwrap();
-        assert_eq!(rids.len(), 10);
+        assert!(
+            leaf_count(&pool, &t) >= 3,
+            "the run spans at least 3 leaves"
+        );
+        let mut hits = t.lookup_prefix(&pool, &prefix).unwrap();
+        hits.sort();
+        let mut want: Vec<Rid> = (0..400).map(rid).collect();
+        want.sort();
+        assert_eq!(hits, want);
+        assert!(t.contains_prefix(&pool, &prefix).unwrap());
+        for i in 0..400u64 {
+            assert!(t
+                .delete(&pool, &composite_key(&prefix, rid(i)), rid(i))
+                .unwrap());
+        }
+        assert!(t.lookup_prefix(&pool, &prefix).unwrap().is_empty());
+        assert!(!t.contains_prefix(&pool, &prefix).unwrap());
+        assert_eq!(t.len(), 2, "the neighbours either side remain");
     }
 
     #[test]
     fn many_inserts_split_and_stay_sorted() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         let n = 5000u32;
         // Insert in a scrambled order.
         let mut keys: Vec<u32> = (0..n).collect();
@@ -769,7 +655,7 @@ mod tests {
 
     #[test]
     fn range_bounds_are_respected() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         for k in 0..100u32 {
             t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
@@ -788,19 +674,25 @@ mod tests {
 
     #[test]
     fn delete_removes_exact_entry() {
-        let (pool, mut t) = setup(false);
-        t.insert(&pool, b"k", rid(1)).unwrap();
-        t.insert(&pool, b"k", rid(2)).unwrap();
-        assert!(t.delete(&pool, b"k", rid(1)).unwrap());
-        assert_eq!(t.lookup(&pool, b"k").unwrap(), vec![rid(2)]);
-        assert!(!t.delete(&pool, b"k", rid(1)).unwrap());
+        let (pool, mut t) = setup();
+        t.insert(&pool, b"k1", rid(1)).unwrap();
+        t.insert(&pool, b"k2", rid(2)).unwrap();
+        assert!(
+            !t.delete(&pool, b"k1", rid(2)).unwrap(),
+            "a wrong rid is not deleted"
+        );
+        assert_eq!(t.lookup(&pool, b"k1").unwrap(), vec![rid(1)]);
+        assert!(t.delete(&pool, b"k1", rid(1)).unwrap());
+        assert_eq!(t.lookup(&pool, b"k1").unwrap(), Vec::<Rid>::new());
+        assert_eq!(t.lookup(&pool, b"k2").unwrap(), vec![rid(2)]);
+        assert!(!t.delete(&pool, b"k1", rid(1)).unwrap());
         assert!(!t.delete(&pool, b"missing", rid(1)).unwrap());
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn delete_across_split_leaves() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         let n = 3000u32;
         for k in 0..n {
             t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
@@ -817,35 +709,53 @@ mod tests {
 
     #[test]
     fn cursor_walks_whole_tree_incrementally() {
-        let (pool, mut t) = setup(true);
+        // A browse cursor pages by seeking past the last key it showed.
+        let (pool, mut t) = setup();
         for k in 0..1000u32 {
             t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
-        let mut cur = t.cursor_at(&pool, Bound::Unbounded).unwrap();
         let mut seen = 0u32;
-        while let Some((k, _)) = cur.next(&pool, &t).unwrap() {
-            assert_eq!(k, seen.to_be_bytes());
-            seen += 1;
+        let mut last: Option<Vec<u8>> = None;
+        loop {
+            let lower = last.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+            let mut page = Vec::new();
+            t.range_scan(&pool, lower, Bound::Unbounded, |k, _| {
+                page.push(k.to_vec());
+                page.len() < 16
+            })
+            .unwrap();
+            let Some(tail) = page.last().cloned() else {
+                break;
+            };
+            for k in page {
+                assert_eq!(k, seen.to_be_bytes());
+                seen += 1;
+            }
+            last = Some(tail);
         }
         assert_eq!(seen, 1000);
     }
 
     #[test]
     fn cursor_seek_positions_mid_tree() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         for k in (0..1000u32).step_by(2) {
             t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
         // Seek to a key that is absent (odd): next entry is the even above it.
         let probe = 501u32.to_be_bytes();
-        let mut cur = t.cursor_at(&pool, Bound::Included(&probe)).unwrap();
-        let (k, _) = cur.next(&pool, &t).unwrap().unwrap();
-        assert_eq!(k, 502u32.to_be_bytes());
+        let mut first = None;
+        t.range_scan(&pool, Bound::Included(&probe), Bound::Unbounded, |k, _| {
+            first = Some(k.to_vec());
+            false
+        })
+        .unwrap();
+        assert_eq!(first.unwrap(), 502u32.to_be_bytes());
     }
 
     #[test]
     fn composite_keys_give_per_duplicate_deletion() {
-        let (pool, mut t) = setup(true); // physically unique
+        let (pool, mut t) = setup();
         for i in 0..50u64 {
             let ck = composite_key(b"dept=sales", rid(i));
             t.insert(&pool, &ck, rid(i)).unwrap();
@@ -862,31 +772,34 @@ mod tests {
         let pool = BufferPool::new(MemStore::new(), 64);
         let meta;
         {
-            let mut t = BTree::create(&pool, true).unwrap();
+            let mut t = BTree::create(&pool).unwrap();
             meta = t.meta_page();
             for k in 0..2000u32 {
                 t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
             }
         }
-        let t = BTree::open(&pool, meta).unwrap();
+        let mut t = BTree::open(&pool, meta).unwrap();
         assert_eq!(t.len(), 2000);
-        assert!(t.is_unique());
         assert_eq!(
             t.lookup(&pool, &1234u32.to_be_bytes()).unwrap(),
             vec![rid(1234)]
         );
+        assert!(matches!(
+            t.insert(&pool, &1234u32.to_be_bytes(), rid(1)),
+            Err(StorageError::DuplicateKey)
+        ));
     }
 
     #[test]
     fn oversized_key_is_rejected() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         let big = vec![0u8; MAX_KEY + 1];
         assert!(t.insert(&pool, &big, rid(0)).is_err());
     }
 
     #[test]
     fn variable_length_keys_sort_lexicographically() {
-        let (pool, mut t) = setup(true);
+        let (pool, mut t) = setup();
         let keys: &[&[u8]] = &[b"a", b"aa", b"ab", b"b", b"ba", b""];
         for (i, k) in keys.iter().enumerate() {
             t.insert(&pool, k, rid(i as u64)).unwrap();
@@ -904,39 +817,106 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Vec<u8>),
+        Delete(Vec<u8>),
+        /// Delete the model's `n`-th key (modulo its size).
+        DeleteNth(usize),
+    }
+
+    /// Short keys collide often; long ones reach `MAX_KEY` so nodes hold a
+    /// handful of cells and internal nodes split.
+    fn key() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            1 => proptest::collection::vec(any::<u8>(), 0..4),
+            3 => proptest::collection::vec(any::<u8>(), 0..MAX_KEY + 1),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => key().prop_map(Op::Insert),
+            1 => key().prop_map(Op::Delete),
+            2 => any::<usize>().prop_map(Op::DeleteNth),
+        ]
+    }
+
+    fn bound() -> impl Strategy<Value = Bound<Vec<u8>>> {
+        prop_oneof![
+            key().prop_map(Bound::Included),
+            key().prop_map(Bound::Excluded),
+            Just(Bound::Unbounded),
+        ]
+    }
+
+    /// Whether (and which) model key a range bound sits on.
+    fn pick() -> impl Strategy<Value = Option<usize>> {
+        prop_oneof![Just(None), any::<usize>().prop_map(Some)]
+    }
+
+    /// A bound on a model key: the `n`-th (modulo) when `pick`, else `b`.
+    fn anchor(
+        b: Bound<Vec<u8>>,
+        pick: Option<usize>,
+        model: &BTreeMap<Vec<u8>, Rid>,
+    ) -> Bound<Vec<u8>> {
+        let Some(n) = pick.filter(|_| !model.is_empty()) else {
+            return b;
+        };
+        let k = model.keys().nth(n % model.len()).unwrap().clone();
+        match b {
+            Bound::Excluded(_) => Bound::Excluded(k),
+            _ => Bound::Included(k),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
         fn matches_std_btreemap(
-            ops in proptest::collection::vec(
-                (proptest::collection::vec(any::<u8>(), 0..24), any::<bool>()),
-                1..300,
-            )
+            ops in proptest::collection::vec(op(), 1..2000),
+            ranges in proptest::collection::vec(
+                (bound(), pick(), bound(), pick()),
+                1..8,
+            ),
         ) {
             let pool = BufferPool::new(MemStore::new(), 64);
-            let mut tree = BTree::create(&pool, true).unwrap();
+            let mut tree = BTree::create(&pool).unwrap();
             let mut model: BTreeMap<Vec<u8>, Rid> = BTreeMap::new();
             let mut next_rid = 0u64;
-            for (key, is_insert) in ops {
-                if is_insert {
-                    let r = Rid::new(PageId(next_rid), 0);
-                    next_rid += 1;
-                    match tree.insert(&pool, &key, r) {
-                        Ok(()) => {
-                            prop_assert!(!model.contains_key(&key));
-                            model.insert(key, r);
+            for op in ops {
+                match op {
+                    Op::Insert(key) => {
+                        let r = Rid::new(PageId(next_rid), 0);
+                        next_rid += 1;
+                        match tree.insert(&pool, &key, r) {
+                            Ok(()) => {
+                                prop_assert!(!model.contains_key(&key));
+                                model.insert(key, r);
+                            }
+                            Err(StorageError::DuplicateKey) => {
+                                prop_assert!(model.contains_key(&key));
+                            }
+                            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                         }
-                        Err(StorageError::DuplicateKey) => {
-                            prop_assert!(model.contains_key(&key));
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                     }
-                } else if let Some(&r) = model.get(&key) {
-                    prop_assert!(tree.delete(&pool, &key, r).unwrap());
-                    model.remove(&key);
-                } else {
-                    // Deleting a missing key with an arbitrary rid is a no-op.
-                    let _ = tree.delete(&pool, &key, Rid::new(PageId(0), 0)).unwrap();
+                    Op::Delete(key) => {
+                        // A missing key, or a present key with a wrong rid,
+                        // is a no-op.
+                        let wrong = Rid::new(PageId(u64::MAX), 0);
+                        prop_assert!(!tree.delete(&pool, &key, wrong).unwrap());
+                        let r = model.remove(&key);
+                        prop_assert_eq!(tree.delete(&pool, &key, r.unwrap_or(wrong)).unwrap(), r.is_some());
+                    }
+                    Op::DeleteNth(n) => {
+                        if model.is_empty() {
+                            continue;
+                        }
+                        let key = model.keys().nth(n % model.len()).unwrap().clone();
+                        let r = model.remove(&key).unwrap();
+                        prop_assert!(tree.delete(&pool, &key, r).unwrap());
+                    }
                 }
             }
             prop_assert_eq!(tree.len() as usize, model.len());
@@ -944,6 +924,24 @@ mod proptests {
             let expect: Vec<(Vec<u8>, Rid)> =
                 model.iter().map(|(k, v)| (k.clone(), *v)).collect();
             prop_assert_eq!(all, expect);
+            for (lo, lo_pick, hi, hi_pick) in ranges {
+                let lo = anchor(lo, lo_pick, &model);
+                let hi = anchor(hi, hi_pick, &model);
+                let got = tree.range(&pool, lo.as_ref().map(|k| k.as_slice()), hi.as_ref().map(|k| k.as_slice())).unwrap();
+                // BTreeMap::range panics on an inverted range; the tree
+                // returns nothing for it.
+                let inverted = match (&lo, &hi) {
+                    (Bound::Included(a), Bound::Included(b)) => a > b,
+                    (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a >= b,
+                    _ => false,
+                };
+                let expect: Vec<(Vec<u8>, Rid)> = if inverted {
+                    Vec::new()
+                } else {
+                    model.range((lo, hi)).map(|(k, v)| (k.clone(), *v)).collect()
+                };
+                prop_assert_eq!(got, expect);
+            }
         }
     }
 }

@@ -20,6 +20,12 @@
 //!
 //! A directory entry with `offset == TOMBSTONE` is a deleted slot; its number
 //! may be reused by a later insert.
+//!
+//! The same region also serves as an *ordered* page (a B+tree node): there
+//! the directory is kept in the caller's order by [`Slotted::insert_at`] and
+//! [`Slotted::remove_at`], which shift directory entries instead of
+//! tombstoning them, so slot `i` is always the `i`-th cell. The two styles
+//! are not mixed on one region.
 
 use crate::page::{get_u16, put_u16};
 
@@ -245,28 +251,58 @@ impl<'a> Slotted<'a> {
     /// Rewrite all live cells to be contiguous at the end of the region,
     /// maximizing contiguous free space. Slot numbers are preserved.
     pub fn compact(&mut self) {
-        let count = self.slot_count();
-        // Collect live records (slot, bytes) — small vector, page-bounded.
-        let mut live: Vec<(u16, Vec<u8>)> = Vec::with_capacity(count as usize);
-        for s in 0..count {
-            if let Some(r) = self.get(s) {
-                live.push((s, r.to_vec()));
-            }
-        }
-        // Tombstoned cells are dropped entirely by the rewrite; zero their
-        // recorded lengths so total_free does not double-count them.
-        for s in 0..count {
-            if self.entry(s).0 == TOMBSTONE {
-                self.set_entry(s, TOMBSTONE, 0);
-            }
-        }
+        let old = self.buf.to_vec();
+        let old = SlottedRead::open(&old);
         let mut end = self.buf.len();
-        for (s, rec) in &live {
+        for s in 0..self.slot_count() {
+            // Tombstoned cells are dropped by the rewrite; zero their
+            // recorded lengths so total_free does not double-count them.
+            let Some(rec) = old.get(s) else {
+                self.set_entry(s, TOMBSTONE, 0);
+                continue;
+            };
             end -= rec.len();
             self.buf[end..end + rec.len()].copy_from_slice(rec);
-            self.set_entry(*s, end as u16, rec.len() as u16);
+            self.set_entry(s, end as u16, rec.len() as u16);
         }
         put_u16(self.buf, OFF_FREE_END, end as u16);
+    }
+
+    /// Insert `cell` as directory entry `at`, shifting entries `at..` up
+    /// one place, so an ordered region stays in order. Compacts only when
+    /// contiguous space runs short; returns `false`, leaving the region
+    /// unchanged, if the cell cannot fit even then.
+    pub fn insert_at(&mut self, at: u16, cell: &[u8]) -> bool {
+        let count = self.slot_count();
+        assert!(at <= count, "insert_at past the end of the directory");
+        let need = cell.len() + SLOT_ENTRY;
+        if self.contiguous_free() < need {
+            let live: usize = (0..count).map(|s| self.entry(s).1 as usize).sum();
+            if self.buf.len() - self.free_start() - live < need {
+                return false;
+            }
+            self.compact();
+        }
+        let (start, entry) = (self.free_start(), SLOTTED_HEADER + at as usize * SLOT_ENTRY);
+        self.buf.copy_within(entry..start, entry + SLOT_ENTRY);
+        let new_end = self.free_end() - cell.len();
+        self.buf[new_end..new_end + cell.len()].copy_from_slice(cell);
+        put_u16(self.buf, OFF_COUNT, count + 1);
+        put_u16(self.buf, OFF_FREE_START, (start + SLOT_ENTRY) as u16);
+        put_u16(self.buf, OFF_FREE_END, new_end as u16);
+        self.set_entry(at, new_end as u16, cell.len() as u16);
+        true
+    }
+
+    /// Remove directory entry `at`, shifting entries `at + 1..` down one
+    /// place. The cell's bytes are reclaimed by the next [`Slotted::compact`].
+    pub fn remove_at(&mut self, at: u16) {
+        let count = self.slot_count();
+        assert!(at < count, "remove_at past the end of the directory");
+        let (start, entry) = (self.free_start(), SLOTTED_HEADER + at as usize * SLOT_ENTRY);
+        self.buf.copy_within(entry + SLOT_ENTRY..start, entry);
+        put_u16(self.buf, OFF_COUNT, count - 1);
+        put_u16(self.buf, OFF_FREE_START, (start - SLOT_ENTRY) as u16);
     }
 }
 
@@ -437,6 +473,26 @@ mod tests {
     }
 
     #[test]
+    fn insert_at_keeps_directory_order_and_reuses_removed_space() {
+        let mut buf = region(32);
+        let mut p = Slotted::init(&mut buf);
+        assert!(p.insert_at(0, b"cc"));
+        assert!(p.insert_at(0, b"aa"));
+        assert!(p.insert_at(1, b"bb"));
+        let got: Vec<&[u8]> = p.iter().map(|(_, r)| r).collect();
+        assert_eq!(got, vec![&b"aa"[..], b"bb", b"cc"]);
+        p.remove_at(1);
+        assert_eq!(p.get(1), Some(&b"cc"[..]));
+        assert_eq!(p.slot_count(), 2);
+        // 32 bytes hold the header, three entries and 14 bytes of cells:
+        // only compaction, reclaiming "bb", makes room for 10 more.
+        assert!(!p.insert_at(0, &[9u8; 11]), "no room for 11 more bytes");
+        assert!(p.insert_at(0, &[9u8; 10]), "compaction frees removed cells");
+        let got: Vec<&[u8]> = p.iter().map(|(_, r)| r).collect();
+        assert_eq!(got, vec![&[9u8; 10][..], b"aa", b"cc"]);
+    }
+
+    #[test]
     fn reopen_preserves_contents() {
         let mut buf = region(256);
         {
@@ -513,6 +569,60 @@ mod proptests {
                     prop_assert_eq!(page.get(*slot), Some(&bytes[..]));
                 }
                 prop_assert_eq!(page.live_count() as usize, model.len());
+            }
+        }
+    }
+
+    /// Model-based test of the ordered operations: a region driven only by
+    /// `insert_at`/`remove_at` behaves like a `Vec` of cells, and an insert
+    /// fails exactly when the cells, their directory and the new one would
+    /// overflow the region, so compaction must reclaim every removed cell.
+    #[derive(Debug, Clone)]
+    enum OrderedOp {
+        InsertAt(usize, Vec<u8>),
+        RemoveAt(usize),
+    }
+
+    fn ordered_op_strategy() -> impl Strategy<Value = OrderedOp> {
+        prop_oneof![
+            3 => (any::<usize>(), proptest::collection::vec(any::<u8>(), 0..40))
+                .prop_map(|(i, v)| OrderedOp::InsertAt(i, v)),
+            2 => any::<usize>().prop_map(OrderedOp::RemoveAt),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn ordered_ops_behave_like_vec(ops in proptest::collection::vec(ordered_op_strategy(), 1..120)) {
+            const LEN: usize = 256;
+            let mut buf = vec![0u8; LEN];
+            let mut page = Slotted::init(&mut buf);
+            let mut model: Vec<Vec<u8>> = Vec::new();
+            for op in ops {
+                match op {
+                    OrderedOp::InsertAt(i, cell) => {
+                        let at = i % (model.len() + 1);
+                        let used: usize = model.iter().map(|c| c.len() + SLOT_ENTRY).sum();
+                        let fits = SLOTTED_HEADER + used + cell.len() + SLOT_ENTRY <= LEN;
+                        prop_assert_eq!(page.insert_at(at as u16, &cell), fits);
+                        if fits {
+                            model.insert(at, cell);
+                        }
+                    }
+                    OrderedOp::RemoveAt(i) => {
+                        if model.is_empty() {
+                            continue;
+                        }
+                        let at = i % model.len();
+                        page.remove_at(at as u16);
+                        model.remove(at);
+                    }
+                }
+                prop_assert_eq!(page.slot_count() as usize, model.len());
+                for (i, cell) in model.iter().enumerate() {
+                    prop_assert_eq!(page.get(i as u16), Some(&cell[..]));
+                }
             }
         }
     }
