@@ -8,16 +8,8 @@ use wow_storage::PageId;
 /// Identifier of a table (also used in WAL records).
 pub type TableId = u32;
 
-/// The kind of physical index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Ordered B+tree: supports equality, ranges, and ordered browsing.
-    BTree,
-    /// Hash index: equality only.
-    Hash,
-}
-
-/// Catalog entry for an index.
+/// Catalog entry for an index. Every index is a B+tree, so one index
+/// answers equality probes, range scans and ordered browsing alike.
 #[derive(Debug, Clone)]
 pub struct IndexInfo {
     /// Index name (unique across the database).
@@ -26,11 +18,9 @@ pub struct IndexInfo {
     pub table: TableId,
     /// Indexed column positions (in table schema order).
     pub columns: Vec<usize>,
-    /// Physical kind.
-    pub kind: IndexKind,
     /// Whether the key must be unique.
     pub unique: bool,
-    /// Root meta page of the index structure.
+    /// Meta page of the index's B+tree.
     pub meta: PageId,
 }
 
@@ -199,7 +189,6 @@ impl Catalog {
         name: &str,
         table: &str,
         columns: Vec<usize>,
-        kind: IndexKind,
         unique: bool,
         meta: PageId,
     ) -> RelResult<()> {
@@ -213,7 +202,6 @@ impl Catalog {
                 name: name.to_string(),
                 table: table_id,
                 columns,
-                kind,
                 unique,
                 meta,
             },
@@ -252,32 +240,14 @@ impl Catalog {
         self.indexes.values().filter(|i| i.table == table).collect()
     }
 
-    /// Find an index whose *first* key column is `column` (used for access-
-    /// path selection). Prefers: unique over non-unique, then the requested
-    /// kind, so equality probes hit the cheapest structure.
-    pub fn index_on_column(
-        &self,
-        table: TableId,
-        column: usize,
-        prefer: Option<IndexKind>,
-    ) -> Option<&IndexInfo> {
-        let mut best: Option<&IndexInfo> = None;
-        for idx in self.indexes.values() {
-            if idx.table != table || idx.columns.first() != Some(&column) {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let score = |i: &IndexInfo| (i.unique as u8, (Some(i.kind) == prefer) as u8);
-                    score(idx) > score(b)
-                }
-            };
-            if better {
-                best = Some(idx);
-            }
-        }
-        best
+    /// Find an index whose key is exactly the single column `column` (used
+    /// for access-path selection), preferring a unique one. A composite
+    /// index is never returned: its key cannot be built from one value.
+    pub fn index_on_column(&self, table: TableId, column: usize) -> Option<&IndexInfo> {
+        self.indexes
+            .values()
+            .filter(|i| i.table == table && i.columns == [column])
+            .min_by_key(|i| !i.unique)
     }
 }
 
@@ -318,15 +288,8 @@ mod tests {
     fn index_lifecycle() {
         let mut c = Catalog::new();
         let tid = c.add_table("emp", schema(), PageId(1), vec![0]).unwrap();
-        c.add_index(
-            "emp_name",
-            "emp",
-            vec![1],
-            IndexKind::BTree,
-            false,
-            PageId(5),
-        )
-        .unwrap();
+        c.add_index("emp_name", "emp", vec![1], false, PageId(5))
+            .unwrap();
         assert_eq!(c.index("emp_name").unwrap().table, tid);
         assert_eq!(c.indexes_on(tid).len(), 1);
         assert_eq!(c.table("emp").unwrap().indexes, vec!["emp_name"]);
@@ -340,26 +303,38 @@ mod tests {
     fn remove_table_drops_its_indexes() {
         let mut c = Catalog::new();
         c.add_table("emp", schema(), PageId(1), vec![0]).unwrap();
-        c.add_index("i1", "emp", vec![0], IndexKind::Hash, true, PageId(2))
-            .unwrap();
-        c.add_index("i2", "emp", vec![1], IndexKind::BTree, false, PageId(3))
-            .unwrap();
+        c.add_index("i1", "emp", vec![0], true, PageId(2)).unwrap();
+        c.add_index("i2", "emp", vec![1], false, PageId(3)).unwrap();
         let (_, dropped) = c.remove_table("emp").unwrap();
         assert_eq!(dropped.len(), 2);
         assert!(c.index("i1").is_err());
     }
 
     #[test]
-    fn index_on_column_prefers_unique_then_kind() {
+    fn index_on_column_prefers_unique() {
         let mut c = Catalog::new();
         let tid = c.add_table("emp", schema(), PageId(1), vec![0]).unwrap();
-        c.add_index("plain", "emp", vec![0], IndexKind::BTree, false, PageId(2))
+        c.add_index("plain", "emp", vec![0], false, PageId(2))
             .unwrap();
-        c.add_index("uniq", "emp", vec![0], IndexKind::Hash, true, PageId(3))
+        c.add_index("uniq", "emp", vec![0], true, PageId(3))
             .unwrap();
-        let got = c.index_on_column(tid, 0, Some(IndexKind::BTree)).unwrap();
-        assert_eq!(got.name, "uniq", "unique beats kind preference");
-        assert!(c.index_on_column(tid, 1, None).is_none());
+        assert_eq!(c.index_on_column(tid, 0).unwrap().name, "uniq");
+        assert!(c.index_on_column(tid, 1).is_none());
+    }
+
+    #[test]
+    fn index_on_column_skips_composite_keys() {
+        // A unique composite key on (id, name) must not hide the plain
+        // single-column index on id: only the latter can be probed with
+        // one value.
+        let mut c = Catalog::new();
+        let tid = c.add_table("emp", schema(), PageId(1), vec![0, 1]).unwrap();
+        c.add_index("pk_emp", "emp", vec![0, 1], true, PageId(2))
+            .unwrap();
+        assert!(c.index_on_column(tid, 0).is_none());
+        c.add_index("emp_id", "emp", vec![0], false, PageId(3))
+            .unwrap();
+        assert_eq!(c.index_on_column(tid, 0).unwrap().name, "emp_id");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! statistics registry, and — when durability is enabled — the write-ahead
 //! log.
 
-use crate::catalog::{Catalog, IndexInfo, IndexKind, TableId, TableInfo};
+use crate::catalog::{Catalog, IndexInfo, TableId, TableInfo};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::stats::StatsRegistry;
@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wow_storage::btree::BTree;
 use wow_storage::buffer::BufferPool;
-use wow_storage::hash_index::{HashIndex, DEFAULT_BUCKETS};
 use wow_storage::heap::HeapFile;
 use wow_storage::page::PageId;
 use wow_storage::store::MemStore;
@@ -24,13 +23,6 @@ use wow_storage::Rid;
 
 /// Number of buffer-pool frames used by default (8 MiB of cache).
 pub const DEFAULT_POOL_FRAMES: usize = 1024;
-
-/// Physical index handle.
-#[derive(Clone)]
-pub(crate) enum IndexHandle {
-    BTree(BTree),
-    Hash(HashIndex),
-}
 
 /// One logged-and-undoable data operation (for `ABORT`). `Delete` keeps
 /// the original rid for diagnostics even though replay re-inserts at a
@@ -94,7 +86,7 @@ pub struct Database {
     pub(crate) pool: Arc<BufferPool<MemStore>>,
     pub(crate) catalog: Catalog,
     pub(crate) heaps: HashMap<TableId, HeapFile>,
-    pub(crate) indexes: HashMap<String, IndexHandle>,
+    pub(crate) indexes: HashMap<String, BTree>,
     pub(crate) wal: Option<Wal>,
     pub(crate) stats: StatsRegistry,
     pub(crate) txn: TxnState,
@@ -292,28 +284,27 @@ impl Database {
         self.heaps.insert(id, heap);
         if !key_idx.is_empty() {
             let pk_name = format!("pk_{name}");
-            self.create_index_internal(&pk_name, name, key_idx, IndexKind::BTree, true)?;
+            self.create_index_internal(&pk_name, name, key_idx, true)?;
         }
         Ok(id)
     }
 
-    /// Create a secondary index on one column, backfilling existing rows.
+    /// Create a secondary B+tree index on one column, backfilling existing
+    /// rows.
     pub fn create_index(
         &mut self,
         index_name: &str,
         table: &str,
         column: &str,
-        kind: IndexKind,
         unique: bool,
     ) -> RelResult<()> {
         let col = self.catalog.table(table)?.schema.resolve(column)?;
-        self.create_index_internal(index_name, table, vec![col], kind, unique)?;
+        self.create_index_internal(index_name, table, vec![col], unique)?;
         if wal_logged(table) {
             self.log_ddl(crate::durable::encode_create_index(
                 index_name,
                 table,
                 &[col],
-                kind,
                 unique,
             ))?;
         }
@@ -340,17 +331,9 @@ impl Database {
 
     /// Open an index handle from its meta page and register it (checkpoint
     /// restore; the catalog entry must already exist).
-    pub(crate) fn open_index_handle(
-        &mut self,
-        name: &str,
-        kind: IndexKind,
-        meta: PageId,
-    ) -> RelResult<()> {
-        let handle = match kind {
-            IndexKind::BTree => IndexHandle::BTree(BTree::open(&self.pool, meta)?),
-            IndexKind::Hash => IndexHandle::Hash(HashIndex::open(&self.pool, meta)?),
-        };
-        self.indexes.insert(name.to_string(), handle);
+    pub(crate) fn open_index_handle(&mut self, name: &str, meta: PageId) -> RelResult<()> {
+        let tree = BTree::open(&self.pool, meta)?;
+        self.indexes.insert(name.to_string(), tree);
         Ok(())
     }
 
@@ -359,29 +342,19 @@ impl Database {
         index_name: &str,
         table: &str,
         columns: Vec<usize>,
-        kind: IndexKind,
         unique: bool,
     ) -> RelResult<()> {
         if self.indexes.contains_key(index_name) {
             return Err(RelError::AlreadyExists(index_name.to_string()));
         }
         let tinfo = self.catalog.table(table)?.clone();
-        let handle = match kind {
-            IndexKind::BTree => {
-                // Every B+tree rejects duplicate keys. A non-unique index
-                // stores composite `key ++ rid` entries (see `index_insert`),
-                // so equal values still make distinct entries.
-                IndexHandle::BTree(BTree::create(&self.pool)?)
-            }
-            IndexKind::Hash => IndexHandle::Hash(HashIndex::create(&self.pool, DEFAULT_BUCKETS)?),
-        };
-        let meta = match &handle {
-            IndexHandle::BTree(t) => t.meta_page(),
-            IndexHandle::Hash(h) => h.meta_page(),
-        };
+        // Every B+tree rejects duplicate keys. A non-unique index stores
+        // composite `key ++ rid` entries (see `index_insert`), so equal
+        // values still make distinct entries.
+        let tree = BTree::create(&self.pool)?;
         self.catalog
-            .add_index(index_name, table, columns.clone(), kind, unique, meta)?;
-        self.indexes.insert(index_name.to_string(), handle);
+            .add_index(index_name, table, columns.clone(), unique, tree.meta_page())?;
+        self.indexes.insert(index_name.to_string(), tree);
         // Backfill from existing rows.
         let rows = self.scan_table_raw(tinfo.id)?;
         for (rid, tuple) in rows {
@@ -399,11 +372,8 @@ impl Database {
             heap.destroy(&self.pool)?;
         }
         for idx in indexes {
-            if let Some(handle) = self.indexes.remove(&idx.name) {
-                match handle {
-                    IndexHandle::BTree(t) => t.destroy(&self.pool)?,
-                    IndexHandle::Hash(h) => h.destroy(&self.pool)?,
-                }
+            if let Some(tree) = self.indexes.remove(&idx.name) {
+                tree.destroy(&self.pool)?;
             }
         }
         self.stats.remove(info.id);
@@ -425,11 +395,8 @@ impl Database {
             Err(_) => false,
         };
         let info = self.catalog.remove_index(name)?;
-        if let Some(handle) = self.indexes.remove(&info.name) {
-            match handle {
-                IndexHandle::BTree(t) => t.destroy(&self.pool)?,
-                IndexHandle::Hash(h) => h.destroy(&self.pool)?,
-            }
+        if let Some(tree) = self.indexes.remove(&info.name) {
+            tree.destroy(&self.pool)?;
         }
         if logged {
             self.log_ddl(crate::durable::encode_drop_index(name))?;
@@ -585,26 +552,17 @@ impl Database {
         rid: Rid,
     ) -> RelResult<()> {
         let key = Self::index_key(idx, tuple);
-        match self.indexes.get_mut(&idx.name).expect("handle exists") {
-            IndexHandle::BTree(t) => {
-                if idx.unique {
-                    t.insert(&self.pool, &key, rid).map_err(|e| match e {
-                        wow_storage::StorageError::DuplicateKey => {
-                            RelError::UniqueViolation(idx.name.clone())
-                        }
-                        other => other.into(),
-                    })?;
-                } else {
-                    let ck = wow_storage::btree::composite_key(&key, rid);
-                    t.insert(&self.pool, &ck, rid)?;
+        let tree = self.indexes.get_mut(&idx.name).expect("handle exists");
+        if idx.unique {
+            tree.insert(&self.pool, &key, rid).map_err(|e| match e {
+                wow_storage::StorageError::DuplicateKey => {
+                    RelError::UniqueViolation(idx.name.clone())
                 }
-            }
-            IndexHandle::Hash(h) => {
-                if idx.unique && !h.lookup(&self.pool, &key)?.is_empty() {
-                    return Err(RelError::UniqueViolation(idx.name.clone()));
-                }
-                h.insert(&self.pool, &key, rid)?;
-            }
+                other => other.into(),
+            })?;
+        } else {
+            let ck = wow_storage::btree::composite_key(&key, rid);
+            tree.insert(&self.pool, &ck, rid)?;
         }
         Ok(())
     }
@@ -616,18 +574,12 @@ impl Database {
         rid: Rid,
     ) -> RelResult<()> {
         let key = Self::index_key(idx, tuple);
-        match self.indexes.get_mut(&idx.name).expect("handle exists") {
-            IndexHandle::BTree(t) => {
-                if idx.unique {
-                    t.delete(&self.pool, &key, rid)?;
-                } else {
-                    let ck = wow_storage::btree::composite_key(&key, rid);
-                    t.delete(&self.pool, &ck, rid)?;
-                }
-            }
-            IndexHandle::Hash(h) => {
-                h.delete(&self.pool, &key, rid)?;
-            }
+        let tree = self.indexes.get_mut(&idx.name).expect("handle exists");
+        if idx.unique {
+            tree.delete(&self.pool, &key, rid)?;
+        } else {
+            let ck = wow_storage::btree::composite_key(&key, rid);
+            tree.delete(&self.pool, &ck, rid)?;
         }
         Ok(())
     }
@@ -638,15 +590,11 @@ impl Database {
         let idx = self.catalog.index(index_name)?.clone();
         let key = Value::encode_composite(values);
         self.counters.index_probes += 1;
-        match self.indexes.get_mut(&idx.name).expect("handle exists") {
-            IndexHandle::BTree(t) => {
-                if idx.unique {
-                    Ok(t.lookup(&self.pool, &key)?)
-                } else {
-                    Ok(t.lookup_prefix(&self.pool, &key)?)
-                }
-            }
-            IndexHandle::Hash(h) => Ok(h.lookup(&self.pool, &key)?),
+        let tree = self.indexes.get(&idx.name).expect("handle exists");
+        if idx.unique {
+            Ok(tree.lookup(&self.pool, &key)?)
+        } else {
+            Ok(tree.lookup_prefix(&self.pool, &key)?)
         }
     }
 
@@ -657,31 +605,22 @@ impl Database {
         let idx = self.catalog.index(index_name)?.clone();
         let key = Value::encode_composite(values);
         self.counters.index_probes += 1;
-        match self.indexes.get_mut(&idx.name).expect("handle exists") {
-            IndexHandle::BTree(t) => {
-                if idx.unique {
-                    Ok(t.contains(&self.pool, &key)?)
-                } else {
-                    Ok(t.contains_prefix(&self.pool, &key)?)
-                }
-            }
-            IndexHandle::Hash(h) => Ok(h.contains(&self.pool, &key)?),
+        let tree = self.indexes.get(&idx.name).expect("handle exists");
+        if idx.unique {
+            Ok(tree.contains(&self.pool, &key)?)
+        } else {
+            Ok(tree.contains_prefix(&self.pool, &key)?)
         }
     }
 
     /// The name of an index of `table` whose key is exactly the single
     /// column `column`, if one exists (primary-key indexes included when
-    /// the key is that one column).
+    /// the key is that one column), chosen as the optimizer chooses it.
     pub fn index_on(&self, table: &str, column: &str) -> Option<String> {
         let info = self.catalog.table(table).ok()?;
         let col = info.schema.resolve(column).ok()?;
-        for idx_name in &info.indexes {
-            let idx = self.catalog.index(idx_name).ok()?;
-            if idx.columns == [col] {
-                return Some(idx_name.clone());
-            }
-        }
-        None
+        let idx = self.catalog.index_on_column(info.id, col)?;
+        Some(idx.name.clone())
     }
 
     /// Fetch one *page* of index entries in key order, starting strictly
@@ -695,12 +634,8 @@ impl Database {
         after: Option<&[u8]>,
         limit: usize,
     ) -> RelResult<Vec<(Vec<u8>, Rid)>> {
-        let idx = self.catalog.index(index)?.clone();
-        let IndexHandle::BTree(tree) = self.indexes.get(&idx.name).expect("handle exists") else {
-            return Err(RelError::Unsupported(
-                "ordered paging requires a B+tree index".into(),
-            ));
-        };
+        self.catalog.index(index)?;
+        let tree = self.indexes.get(index).expect("handle exists");
         self.counters.index_probes += 1;
         let mut out = Vec::with_capacity(limit);
         let lower = match after {
@@ -857,10 +792,9 @@ impl Database {
                     name,
                     table,
                     column,
-                    kind,
                     unique,
                 } => {
-                    self.create_index(&name, &table, &column, kind, unique)?;
+                    self.create_index(&name, &table, &column, unique)?;
                 }
                 Statement::DropTable(name) => self.drop_table(&name)?,
                 Statement::DropIndex(name) => self.drop_index(&name)?,
@@ -1038,7 +972,6 @@ mod tests {
         assert_eq!(info.indexes, vec!["pk_emp"]);
         let idx = db.catalog().index("pk_emp").unwrap();
         assert!(idx.unique);
-        assert_eq!(idx.kind, IndexKind::BTree);
     }
 
     #[test]
@@ -1080,8 +1013,7 @@ mod tests {
     fn drop_table_frees_everything() {
         let mut db = Database::in_memory();
         db.create_table("emp", emp_schema(), &["name"]).unwrap();
-        db.create_index("by_dept", "emp", "dept", IndexKind::Hash, false)
-            .unwrap();
+        db.create_index("by_dept", "emp", "dept", false).unwrap();
         db.drop_table("emp").unwrap();
         assert!(db.catalog().table("emp").is_err());
         assert!(db.catalog().index("pk_emp").is_err());

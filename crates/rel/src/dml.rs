@@ -217,7 +217,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::IndexKind;
     use crate::schema::{Column, Schema};
     use crate::types::DataType;
 
@@ -265,8 +264,7 @@ mod tests {
     #[test]
     fn update_maintains_indexes() {
         let mut db = db_with_emp();
-        db.create_index("by_dept", "emp", "dept", IndexKind::Hash, false)
-            .unwrap();
+        db.create_index("by_dept", "emp", "dept", false).unwrap();
         let rid = db.insert("emp", row("alice", "toy", 100)).unwrap();
         db.insert("emp", row("bob", "toy", 90)).unwrap();
         assert_eq!(

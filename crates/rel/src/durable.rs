@@ -33,7 +33,7 @@
 //! with those exact bytes. State equivalence is at the multiset-of-rows
 //! level, which is all the relational layer above can observe.
 
-use crate::catalog::{IndexKind, TableId};
+use crate::catalog::TableId;
 use crate::db::{Database, DEFAULT_POOL_FRAMES};
 use crate::error::{RelError, RelResult};
 use crate::schema::{Column, Schema};
@@ -56,9 +56,11 @@ pub const WAL_FILE: &str = "world.wal";
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
 const SNAP_MAGIC: u32 = 0x574F_5753; // "WOWS"
-/// Version 2: B+tree nodes are key-ordered slotted pages. A checkpoint is
-/// a verbatim page image, so an older one is refused, not misread.
-const SNAP_VERSION: u32 = 2;
+/// Version 3: every index is a B+tree, so index entries carry no kind
+/// byte (version 2 could hold hash-bucket pages under an index meta page).
+/// A checkpoint is a verbatim page image, so an older one is refused, not
+/// misread.
+const SNAP_VERSION: u32 = 3;
 
 /// Durability bookkeeping attached to a [`Database`] opened with
 /// [`Database::open_durable`].
@@ -170,23 +172,6 @@ fn decode_positions(r: &mut Reader) -> RelResult<Vec<usize>> {
     Ok(out)
 }
 
-fn kind_byte(kind: IndexKind) -> u8 {
-    match kind {
-        IndexKind::BTree => 0,
-        IndexKind::Hash => 1,
-    }
-}
-
-fn byte_kind(b: u8) -> RelResult<IndexKind> {
-    match b {
-        0 => Ok(IndexKind::BTree),
-        1 => Ok(IndexKind::Hash),
-        _ => Err(RelError::Storage(StorageError::Corrupt(
-            "unknown index kind",
-        ))),
-    }
-}
-
 // -- DDL payloads (carried opaquely in `LogRecord::Ddl`) --------------------
 
 const DDL_CREATE_TABLE: u8 = 1;
@@ -212,14 +197,15 @@ pub(crate) fn encode_create_index(
     name: &str,
     table: &str,
     columns: &[usize],
-    kind: IndexKind,
     unique: bool,
 ) -> Vec<u8> {
     let mut out = vec![DDL_CREATE_INDEX];
     put_str(&mut out, name);
     put_str(&mut out, table);
     encode_positions(&mut out, columns);
-    out.push(kind_byte(kind));
+    // Reserved byte: older builds wrote an index kind here. Replay ignores
+    // it, so their hash indexes come back as B+trees.
+    out.push(0);
     out.push(unique as u8);
     out
 }
@@ -252,7 +238,6 @@ struct SnapIndex {
     name: String,
     table: TableId,
     columns: Vec<usize>,
-    kind: IndexKind,
     unique: bool,
     meta: u64,
 }
@@ -294,7 +279,6 @@ impl Snapshot {
             put_str(&mut out, &i.name);
             out.extend_from_slice(&i.table.to_le_bytes());
             encode_positions(&mut out, &i.columns);
-            out.push(kind_byte(i.kind));
             out.push(i.unique as u8);
             out.extend_from_slice(&i.meta.to_le_bytes());
         }
@@ -349,14 +333,12 @@ impl Snapshot {
             let name = r.str()?;
             let table = r.u32()?;
             let columns = decode_positions(&mut r)?;
-            let kind = byte_kind(r.u8()?)?;
             let unique = r.u8()? != 0;
             let meta = r.u64()?;
             indexes.push(SnapIndex {
                 name,
                 table,
                 columns,
-                kind,
                 unique,
                 meta,
             });
@@ -473,15 +455,9 @@ impl Database {
         db.catalog.set_next_table_id(snap.next_table_id);
         for i in &snap.indexes {
             let tname = db.catalog.table_by_id(i.table)?.name.clone();
-            db.catalog.add_index(
-                &i.name,
-                &tname,
-                i.columns.clone(),
-                i.kind,
-                i.unique,
-                PageId(i.meta),
-            )?;
-            db.open_index_handle(&i.name, i.kind, PageId(i.meta))?;
+            db.catalog
+                .add_index(&i.name, &tname, i.columns.clone(), i.unique, PageId(i.meta))?;
+            db.open_index_handle(&i.name, PageId(i.meta))?;
         }
         for (var, table) in &snap.ranges {
             db.ranges.insert(var.clone(), table.clone());
@@ -557,7 +533,6 @@ impl Database {
                     name: i.name.clone(),
                     table: i.table,
                     columns: i.columns.clone(),
-                    kind: i.kind,
                     unique: i.unique,
                     meta: i.meta.0,
                 });
@@ -673,9 +648,9 @@ impl Database {
                 let name = r.str()?;
                 let table = r.str()?;
                 let columns = decode_positions(&mut r)?;
-                let kind = byte_kind(r.u8()?)?;
+                let _reserved = r.u8()?;
                 let unique = r.u8()? != 0;
-                self.create_index_internal(&name, &table, columns, kind, unique)?;
+                self.create_index_internal(&name, &table, columns, unique)?;
             }
             DDL_DROP_TABLE => {
                 let name = r.str()?;
@@ -965,14 +940,41 @@ mod tests {
     }
 
     #[test]
+    fn create_index_ddl_with_an_old_kind_byte_replays_as_a_btree() {
+        // Older builds wrote the index kind into the reserved byte, 1 for a
+        // hash index. Replay must ignore it, not read it as `unique`.
+        let mut db = Database::in_memory();
+        db.create_table("emp", emp_schema(), &["name"]).unwrap();
+        db.insert("emp", row("alice", 90)).unwrap();
+        db.insert("emp", row("bob", 90)).unwrap();
+        let mut bytes = encode_create_index("by_sal", "emp", &[1], false);
+        let reserved = bytes.len() - 2;
+        bytes[reserved] = 1;
+        let records = vec![
+            LogRecord::Ddl { txn: 1, bytes },
+            LogRecord::Commit { txn: 1 },
+        ];
+        db.apply_committed(&records).unwrap();
+        assert!(!db.catalog().index("by_sal").unwrap().unique);
+        assert_eq!(
+            db.index_lookup("by_sal", &[Value::Int(90)]).unwrap().len(),
+            2
+        );
+        db.insert("emp", row("carol", 90)).unwrap();
+        assert_eq!(
+            db.index_lookup("by_sal", &[Value::Int(90)]).unwrap().len(),
+            3
+        );
+    }
+
+    #[test]
     fn drop_table_and_index_replay() {
         let dir = tmp_world("ddl-drop");
         {
             let mut db = Database::open_durable(&dir).unwrap();
             db.create_table("keep", emp_schema(), &["name"]).unwrap();
             db.create_table("gone", emp_schema(), &["name"]).unwrap();
-            db.create_index("by_sal", "keep", "salary", IndexKind::BTree, false)
-                .unwrap();
+            db.create_index("by_sal", "keep", "salary", false).unwrap();
             db.insert("keep", row("alice", 100)).unwrap();
             db.drop_index("by_sal").unwrap();
             db.drop_table("gone").unwrap();
@@ -1055,29 +1057,32 @@ mod tests {
 
     #[test]
     fn checkpoint_of_an_older_version_is_refused() {
-        // A checkpoint is a verbatim page image; one written under the
-        // packed B+tree node format (snapshot version 1) must not be read.
-        let dir = tmp_world("old-version");
-        {
-            let mut db = Database::open_durable(&dir).unwrap();
-            db.create_table("emp", emp_schema(), &["name"]).unwrap();
-            db.insert("emp", row("alice", 100)).unwrap();
-            db.checkpoint_durable().unwrap();
-        }
-        {
-            let mut fs = FileStore::open(&dir.join(CKPT_FILE)).unwrap();
-            let mut meta = fs.get_meta().unwrap().unwrap();
-            meta[4..8].copy_from_slice(&1u32.to_le_bytes());
-            fs.set_meta(&meta).unwrap();
-            fs.sync().unwrap();
-        }
-        match Database::open_durable(&dir) {
-            Err(RelError::Storage(StorageError::Corrupt(why))) => {
-                assert_eq!(why, "unsupported snapshot version")
+        // A checkpoint is a verbatim page image. One written under the
+        // packed B+tree node format (version 1), or one that may hold hash
+        // bucket pages (version 2), must not be read.
+        for old in [1u32, 2] {
+            let dir = tmp_world(&format!("old-version-{old}"));
+            {
+                let mut db = Database::open_durable(&dir).unwrap();
+                db.create_table("emp", emp_schema(), &["name"]).unwrap();
+                db.insert("emp", row("alice", 100)).unwrap();
+                db.checkpoint_durable().unwrap();
             }
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("a version-1 checkpoint was opened"),
+            {
+                let mut fs = FileStore::open(&dir.join(CKPT_FILE)).unwrap();
+                let mut meta = fs.get_meta().unwrap().unwrap();
+                meta[4..8].copy_from_slice(&old.to_le_bytes());
+                fs.set_meta(&meta).unwrap();
+                fs.sync().unwrap();
+            }
+            match Database::open_durable(&dir) {
+                Err(RelError::Storage(StorageError::Corrupt(why))) => {
+                    assert_eq!(why, "unsupported snapshot version")
+                }
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("a version-{old} checkpoint was opened"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

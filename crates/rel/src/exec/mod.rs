@@ -30,9 +30,8 @@ pub use aggregate::{AggFunc, AggSpec};
 pub use analyze::{NodeStats, PlanProfile};
 pub use stream::{build_operator, Operator, TupleBlock, BLOCK_CAP};
 
-use crate::catalog::IndexKind;
-use crate::db::{Database, IndexHandle};
-use crate::error::{RelError, RelResult};
+use crate::db::Database;
+use crate::error::RelResult;
 use crate::eval::{eval, eval_pred};
 use crate::expr::Expr;
 use crate::schema::{Column, Schema};
@@ -667,29 +666,22 @@ fn index_scan_eq(
     Ok(Rows { schema, tuples })
 }
 
-/// Collect the rids of a B+tree index range scan in key order (shared by
-/// the materializing and streaming range-scan operators).
+/// Collect the rids of an index range scan in key order (shared by the
+/// materializing and streaming range-scan operators).
 pub(crate) fn range_rids(
     db: &mut Database,
     index: &str,
     lower: Option<&KeyBound>,
     upper: Option<&KeyBound>,
 ) -> RelResult<Vec<wow_storage::Rid>> {
-    let kind = db.catalog().index(index)?.kind;
-    if kind != IndexKind::BTree {
-        return Err(RelError::Unsupported(
-            "range scan requires a B+tree index".into(),
-        ));
-    }
+    db.catalog().index(index)?;
     let lower_key = lower.map(|b| Value::encode_composite(&b.values));
     let upper_key = upper.map(|b| Value::encode_composite(&b.values));
     let lower_incl = lower.map(|b| b.inclusive).unwrap_or(true);
     let upper_incl = upper.map(|b| b.inclusive).unwrap_or(true);
     db.counters.index_probes += 1;
     let mut rids = Vec::new();
-    let IndexHandle::BTree(tree) = db.indexes.get(index).expect("handle exists") else {
-        unreachable!("kind checked above");
-    };
+    let tree = db.indexes.get(index).expect("handle exists");
     let lb: Bound<&[u8]> = match &lower_key {
         Some(k) => Bound::Included(k.as_slice()),
         None => Bound::Unbounded,
@@ -747,7 +739,6 @@ fn index_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::IndexKind;
     use crate::expr::BinOp;
     use crate::schema::{Column, Schema};
     use crate::value::Value;
@@ -764,9 +755,8 @@ mod tests {
             &["name"],
         )
         .unwrap();
-        db.create_index("emp_dept", "emp", "dept", IndexKind::Hash, false)
-            .unwrap();
-        db.create_index("emp_salary", "emp", "salary", IndexKind::BTree, false)
+        db.create_index("emp_dept", "emp", "dept", false).unwrap();
+        db.create_index("emp_salary", "emp", "salary", false)
             .unwrap();
         for (n, d, s) in [
             ("alice", "toy", 120),

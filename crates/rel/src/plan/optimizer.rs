@@ -4,11 +4,12 @@
 //!
 //! 1. **Conjunct classification** — each WHERE conjunct is scan-local
 //!    (mentions ≤ 1 range variable), a join edge (`a.x = b.y`), or residual.
-//! 2. **Access-path selection** — an equality conjunct on an indexed column
-//!    becomes an index probe (hash preferred); range conjuncts on a B+tree
+//! 2. **Access-path selection** — an equality conjunct on a column with a
+//!    single-column index becomes an index probe; range conjuncts on such a
 //!    column become an index range scan *when estimated selectivity is low
 //!    enough*; everything else is a sequential scan with the conjuncts as a
-//!    pushed-down predicate.
+//!    pushed-down predicate. A conjunct reaches an index only when its
+//!    constant converts exactly to the column's declared type.
 //! 3. **Greedy join ordering** — start from the cheapest scan, repeatedly
 //!    join the cheapest connected relation (hash join on equi edges,
 //!    nested-loop otherwise).
@@ -16,7 +17,6 @@
 
 use super::logical::QueryBlock;
 use super::planner::default_target_name;
-use crate::catalog::IndexKind;
 use crate::db::Database;
 use crate::error::{RelError, RelResult};
 use crate::exec::{AggSpec, KeyBound, PhysicalPlan};
@@ -24,6 +24,7 @@ use crate::expr::{BinOp, Expr};
 use crate::quel::ast::Target;
 use crate::schema::Schema;
 use crate::stats::{TableStats, DEFAULT_RANGE_SELECTIVITY};
+use crate::types::DataType;
 use crate::value::Value;
 
 /// Range selectivity above which a sequential scan beats an index range
@@ -417,6 +418,45 @@ fn as_col_const(conj: &Expr) -> Option<ColConst> {
     }
 }
 
+/// A `col op const` conjunct an index can answer: the column's position
+/// and the constant as a value of the column's declared type.
+struct Sarg {
+    col: usize,
+    op: BinOp,
+    key: Value,
+}
+
+/// `conj` as a [`Sarg`] over `schema`, or `None` when it must stay in the
+/// residual. Index keys compare encoded bytes, and `Int` and `Float` encode
+/// differently though they compare equal, so a key built from the literal
+/// as written would miss rows: the constant must first convert exactly.
+fn as_sarg(conj: &Expr, schema: &Schema) -> Option<Sarg> {
+    let cc = as_col_const(conj)?;
+    let col = schema.index_of(&cc.col_name)?;
+    let key = exact_key(cc.value, schema.columns[col].ty)?;
+    Some(Sarg {
+        col,
+        op: cc.op,
+        key,
+    })
+}
+
+/// `value` converted to `ty` without changing how it compares with any
+/// value of `ty`: `Int` widens to `Float` (the comparison widens it the
+/// same way), and a `Float` narrows to `Int` only when it is integral and
+/// small enough that no other integer widens to it.
+fn exact_key(value: Value, ty: DataType) -> Option<Value> {
+    const EXACT_INT_LIMIT: f64 = (1u64 << 53) as f64;
+    match (value, ty) {
+        (Value::Int(i), DataType::Float) => Some(Value::Float(i as f64)),
+        (Value::Float(f), DataType::Int) if f.fract() == 0.0 && f.abs() < EXACT_INT_LIMIT => {
+            Some(Value::Int(f as i64))
+        }
+        (v, ty) if v.data_type() == Some(ty) => Some(v),
+        _ => None,
+    }
+}
+
 /// Choose the access path for one scan given its local conjuncts.
 fn build_access_path(
     db: &Database,
@@ -428,29 +468,20 @@ fn build_access_path(
     let schema = info.schema.qualified(alias);
     let stats = db_stats(db, &info);
     let base_rows = stats.rows.max(1) as f64;
+    let sargs: Vec<(usize, Sarg)> = conjuncts
+        .iter()
+        .enumerate()
+        .filter_map(|(ci, conj)| Some((ci, as_sarg(conj, &schema)?)))
+        .collect();
 
-    // Index every conjunct; find equality and range candidates.
-    let mut eq_pick: Option<(usize, usize, String, Value)> = None; // (conj idx, col, index name, value)
-    for (ci, conj) in conjuncts.iter().enumerate() {
-        let Some(cc) = as_col_const(conj) else {
-            continue;
-        };
-        if cc.op != BinOp::Eq {
-            continue;
-        }
-        let Some(col) = schema.index_of(&cc.col_name) else {
-            continue;
-        };
-        if let Some(idx) = db
-            .catalog()
-            .index_on_column(info.id, col, Some(IndexKind::Hash))
-        {
-            if idx.columns.len() == 1 {
-                eq_pick = Some((ci, col, idx.name.clone(), cc.value.clone()));
-                break;
-            }
-        }
-    }
+    // An equality on an indexed column is a probe.
+    let eq_pick = sargs
+        .iter()
+        .filter(|(_, sarg)| sarg.op == BinOp::Eq)
+        .find_map(|(ci, sarg)| {
+            let idx = db.catalog().index_on_column(info.id, sarg.col)?;
+            Some((*ci, sarg.col, idx.name.clone(), sarg.key.clone()))
+        });
     if let Some((ci, col, index, value)) = eq_pick {
         let residual = residual_pred(&conjuncts, &[ci], &schema)?;
         let est = base_rows * stats.eq_selectivity(col);
@@ -468,60 +499,36 @@ fn build_access_path(
         });
     }
 
-    // Range candidate: group bounds per indexed B+tree column.
+    // Range candidate: the bounds on the first indexed column that has any.
     let mut range_pick: Option<RangePick> = None;
     for col in 0..schema.len() {
-        let Some(idx) = db
-            .catalog()
-            .index_on_column(info.id, col, Some(IndexKind::BTree))
-        else {
+        let Some(idx) = db.catalog().index_on_column(info.id, col) else {
             continue;
         };
-        if idx.kind != IndexKind::BTree || idx.columns.len() != 1 {
-            continue;
-        }
-        let col_name = &schema.columns[col].name;
         let mut lower: Option<KeyBound> = None;
         let mut upper: Option<KeyBound> = None;
         let mut used: Vec<usize> = Vec::new();
-        for (ci, conj) in conjuncts.iter().enumerate() {
-            let Some(cc) = as_col_const(conj) else {
-                continue;
-            };
-            if schema.index_of(&cc.col_name) != Some(col) {
-                continue;
-            }
-            let _ = col_name;
-            match cc.op {
+        for (ci, sarg) in sargs.iter().filter(|(_, s)| s.col == col) {
+            match sarg.op {
                 BinOp::Gt | BinOp::Ge => {
                     let cand = KeyBound {
-                        values: vec![cc.value.clone()],
-                        inclusive: cc.op == BinOp::Ge,
+                        values: vec![sarg.key.clone()],
+                        inclusive: sarg.op == BinOp::Ge,
                     };
                     if tighter_lower(&lower, &cand) {
                         lower = Some(cand);
                     }
-                    used.push(ci);
+                    used.push(*ci);
                 }
                 BinOp::Lt | BinOp::Le => {
                     let cand = KeyBound {
-                        values: vec![cc.value.clone()],
-                        inclusive: cc.op == BinOp::Le,
+                        values: vec![sarg.key.clone()],
+                        inclusive: sarg.op == BinOp::Le,
                     };
                     if tighter_upper(&upper, &cand) {
                         upper = Some(cand);
                     }
-                    used.push(ci);
-                }
-                BinOp::Eq => {
-                    // An equality on a btree column (no hash index found).
-                    let cand = KeyBound {
-                        values: vec![cc.value.clone()],
-                        inclusive: true,
-                    };
-                    lower = Some(cand.clone());
-                    upper = Some(cand);
-                    used.push(ci);
+                    used.push(*ci);
                 }
                 _ => {}
             }
@@ -539,21 +546,14 @@ fn build_access_path(
     if let Some(pick) = range_pick {
         // Estimate selectivity; fall back to a seq scan when the range is
         // too wide to be worth random fetches.
-        let exact = pick
-            .lower
-            .as_ref()
-            .zip(pick.upper.as_ref())
-            .is_some_and(|(l, u)| l.values == u.values);
-        let sel = if exact {
-            stats.eq_selectivity(0)
-        } else if pick.lower.is_some() && pick.upper.is_some() {
+        let sel = if pick.lower.is_some() && pick.upper.is_some() {
             // Two-sided ranges are assumed independent one-sided cuts — the
             // System R default in the absence of histograms.
             DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY
         } else {
             DEFAULT_RANGE_SELECTIVITY
         };
-        if exact || sel <= INDEX_RANGE_MAX_SELECTIVITY || base_rows < 256.0 {
+        if sel <= INDEX_RANGE_MAX_SELECTIVITY || base_rows < 256.0 {
             let residual = residual_pred(&conjuncts, &pick.used, &schema)?;
             let est = (base_rows * sel).max(1.0);
             return Ok(PlanPart {

@@ -1,6 +1,5 @@
 //! Abstract syntax for the QUEL dialect.
 
-use crate::catalog::IndexKind;
 use crate::exec::AggFunc;
 use crate::expr::Expr;
 use crate::types::DataType;
@@ -89,7 +88,8 @@ pub enum Statement {
         /// Column definitions.
         columns: Vec<ColumnDef>,
     },
-    /// `CREATE [UNIQUE] INDEX name ON table (column) [USING BTREE|HASH]`
+    /// `CREATE [UNIQUE] INDEX name ON table (column) [USING BTREE|HASH]`.
+    /// Every index is a B+tree; `USING HASH` is an accepted alias.
     CreateIndex {
         /// Index name.
         name: String,
@@ -97,8 +97,6 @@ pub enum Statement {
         table: String,
         /// Column name.
         column: String,
-        /// Physical kind (default BTREE).
-        kind: IndexKind,
         /// Uniqueness.
         unique: bool,
     },

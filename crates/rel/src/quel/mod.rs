@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Plus the DDL/transaction statements an embedded engine needs:
-//! `CREATE TABLE`, `CREATE [UNIQUE] INDEX ... USING BTREE|HASH`,
+//! `CREATE TABLE`, `CREATE [UNIQUE] INDEX ... [USING BTREE|HASH]` (every
+//! index is a B+tree; `HASH` is an accepted alias),
 //! `DROP TABLE/INDEX`, `BEGIN`/`COMMIT`/`ABORT`, `ANALYZE`, and
 //! `EXPLAIN RETRIEVE ...`.
 

@@ -2,7 +2,6 @@
 
 use super::ast::{ColumnDef, RetrieveStmt, SortKey, Statement, Target};
 use super::lexer::{tokenize, Token, TokenKind};
-use crate::catalog::IndexKind;
 use crate::error::{RelError, RelResult};
 use crate::exec::AggFunc;
 use crate::expr::{BinOp, Expr, UnOp};
@@ -231,21 +230,18 @@ impl Parser {
         self.expect(TokenKind::LParen)?;
         let column = self.ident()?;
         self.expect(TokenKind::RParen)?;
-        let kind = if self.eat_kw("USING") {
+        // Every index is a B+tree. `USING HASH` is accepted as an alias so
+        // older schema scripts still load; any other method is an error.
+        if self.eat_kw("USING") {
             let word = self.ident()?;
-            match word.to_ascii_uppercase().as_str() {
-                "BTREE" => IndexKind::BTree,
-                "HASH" => IndexKind::Hash,
-                other => return Err(self.error(format!("unknown index kind `{other}`"))),
+            if !matches!(word.to_ascii_uppercase().as_str(), "BTREE" | "HASH") {
+                return Err(self.error(format!("unknown index method `{word}`")));
             }
-        } else {
-            IndexKind::BTree
-        };
+        }
         Ok(Statement::CreateIndex {
             name,
             table,
             column,
-            kind,
             unique,
         })
     }
@@ -656,19 +652,19 @@ mod tests {
     #[test]
     fn create_index_variants() {
         match one("CREATE UNIQUE INDEX i ON t (c) USING HASH") {
-            Statement::CreateIndex { kind, unique, .. } => {
-                assert_eq!(kind, IndexKind::Hash);
-                assert!(unique);
-            }
+            Statement::CreateIndex { unique, .. } => assert!(unique),
             other => panic!("{other:?}"),
         }
-        match one("CREATE INDEX i ON t (c)") {
-            Statement::CreateIndex { kind, unique, .. } => {
-                assert_eq!(kind, IndexKind::BTree);
-                assert!(!unique);
+        for src in [
+            "CREATE INDEX i ON t (c)",
+            "CREATE INDEX i ON t (c) USING btree",
+        ] {
+            match one(src) {
+                Statement::CreateIndex { unique, .. } => assert!(!unique),
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
+        assert!(parse_program("CREATE INDEX i ON t (c) USING GIST").is_err());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! This module is shared by the proptests that drive it, one per world
 //! (both worlds have the same schema: `ta (id, x, tag)` with an index on
-//! `x`, `tb (id, x)` with a hash index on `x`, range variables `a` and `b`):
+//! `x`, `tb (id, x)` with an index on `x` declared `USING HASH`, an alias for
+//! a B+tree, and range variables `a` and `b`):
 //!
 //! * `streaming_equivalence.rs` — a small world built per case: `ta` holds
 //!   0–40 rows (one case in four: 0–600) with NULLs in `x`, `tb` holds 0–10

@@ -2,6 +2,11 @@
 //! the same multiset of rows through the optimizer as through a brute-force
 //! reference evaluator (cross join + filter + project, no indexes, no join
 //! reordering, no pushdown).
+//!
+//! The schema mixes `INT` and `FLOAT` indexed columns compared with literals
+//! of either numeric type, and gives `tb` a composite key beside a
+//! single-column index on its first key column, so the access paths that
+//! build index keys from literals are all exercised.
 
 use proptest::prelude::*;
 use wow_rel::db::Database;
@@ -14,21 +19,28 @@ use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
 
 /// Build a small, fully indexed world with deterministic data.
-fn world(rows_a: &[(i64, i64, &str)], rows_b: &[(i64, i64)]) -> Database {
+fn world(rows_a: &[(i64, i64, &str, f64)], rows_b: &[(i64, i64)]) -> Database {
     let mut db = Database::in_memory();
     db.run(
-        "CREATE TABLE ta (id INT KEY, x INT, tag TEXT)
-         CREATE TABLE tb (id INT KEY, x INT)
+        "CREATE TABLE ta (id INT KEY, x INT, tag TEXT, g FLOAT)
+         CREATE TABLE tb (id INT KEY, x INT KEY)
          CREATE INDEX ta_x ON ta (x)
+         CREATE INDEX ta_g ON ta (g)
          CREATE INDEX tb_x ON tb (x) USING HASH
+         CREATE INDEX tb_id ON tb (id)
          RANGE OF a IS ta
          RANGE OF b IS tb",
     )
     .unwrap();
-    for (id, x, tag) in rows_a {
+    for (id, x, tag, g) in rows_a {
         db.insert(
             "ta",
-            vec![Value::Int(*id), Value::Int(*x), Value::text(*tag)],
+            vec![
+                Value::Int(*id),
+                Value::Int(*x),
+                Value::text(*tag),
+                Value::Float(*g),
+            ],
         )
         .unwrap();
     }
@@ -106,10 +118,12 @@ fn canon(mut rows: Vec<Tuple>) -> Vec<String> {
 /// One conjunct over the generated schema.
 #[derive(Debug, Clone)]
 enum Conj {
-    AXCmp(BinOp, i64),
+    AXCmp(BinOp, Value),
+    AGCmp(BinOp, Value),
     ATagEq(String),
     ATagLike(String),
     BXCmp(BinOp, i64),
+    BIdCmp(BinOp, Value),
     JoinAxBx,
     JoinAidBid,
     AXIsNullTest(bool),
@@ -123,7 +137,12 @@ impl Conj {
             Conj::AXCmp(op, v) => Expr::Binary {
                 op: *op,
                 left: col("a.x"),
-                right: lit(Value::Int(*v)),
+                right: lit(v.clone()),
+            },
+            Conj::AGCmp(op, v) => Expr::Binary {
+                op: *op,
+                left: col("a.g"),
+                right: lit(v.clone()),
             },
             Conj::ATagEq(s) => Expr::Binary {
                 op: BinOp::Eq,
@@ -138,6 +157,11 @@ impl Conj {
                 op: *op,
                 left: col("b.x"),
                 right: lit(Value::Int(*v)),
+            },
+            Conj::BIdCmp(op, v) => Expr::Binary {
+                op: *op,
+                left: col("b.id"),
+                right: lit(v.clone()),
             },
             Conj::JoinAxBx => Expr::Binary {
                 op: BinOp::Eq,
@@ -164,8 +188,20 @@ impl Conj {
     }
 
     fn uses_b(&self) -> bool {
-        matches!(self, Conj::BXCmp(..) | Conj::JoinAxBx | Conj::JoinAidBid)
+        matches!(
+            self,
+            Conj::BXCmp(..) | Conj::BIdCmp(..) | Conj::JoinAxBx | Conj::JoinAidBid
+        )
     }
+}
+
+/// A numeric literal of either type: an `INT`, or a `FLOAT` that is
+/// integral or halfway between two integers.
+fn num_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-2i64..8).prop_map(Value::Int),
+        (-4i64..16).prop_map(|h| Value::Float(h as f64 / 2.0)),
+    ]
 }
 
 fn conj_strategy() -> impl Strategy<Value = Conj> {
@@ -177,16 +213,20 @@ fn conj_strategy() -> impl Strategy<Value = Conj> {
         Just(BinOp::Gt),
         Just(BinOp::Ge),
     ];
+    // Comparisons with a numeric literal are weighted up: they are what
+    // the index access paths turn into keys.
     prop_oneof![
-        (cmp.clone(), -2i64..8).prop_map(|(op, v)| Conj::AXCmp(op, v)),
-        prop_oneof![Just("red"), Just("blue"), Just("green")]
+        3 => (cmp.clone(), num_strategy()).prop_map(|(op, v)| Conj::AXCmp(op, v)),
+        3 => (cmp.clone(), num_strategy()).prop_map(|(op, v)| Conj::AGCmp(op, v)),
+        1 => prop_oneof![Just("red"), Just("blue"), Just("green")]
             .prop_map(|s| Conj::ATagEq(s.to_string())),
-        prop_oneof![Just("r*"), Just("*e"), Just("b?ue"), Just("*")]
+        1 => prop_oneof![Just("r*"), Just("*e"), Just("b?ue"), Just("*")]
             .prop_map(|p| Conj::ATagLike(p.to_string())),
-        (cmp, -2i64..8).prop_map(|(op, v)| Conj::BXCmp(op, v)),
-        Just(Conj::JoinAxBx),
-        Just(Conj::JoinAidBid),
-        any::<bool>().prop_map(Conj::AXIsNullTest),
+        1 => (cmp.clone(), -2i64..8).prop_map(|(op, v)| Conj::BXCmp(op, v)),
+        2 => (cmp, num_strategy()).prop_map(|(op, v)| Conj::BIdCmp(op, v)),
+        1 => Just(Conj::JoinAxBx),
+        1 => Just(Conj::JoinAidBid),
+        1 => any::<bool>().prop_map(Conj::AXIsNullTest),
     ]
 }
 
@@ -196,16 +236,20 @@ proptest! {
     fn optimized_plans_match_brute_force(
         conjs in proptest::collection::vec(conj_strategy(), 0..4),
         rows_a in proptest::collection::vec(
-            ((-2i64..8), prop_oneof![Just("red"), Just("blue"), Just("green")]),
+            (
+                (-2i64..8),
+                prop_oneof![Just("red"), Just("blue"), Just("green")],
+                (-4i64..16),
+            ),
             0..12,
         ),
         rows_b in proptest::collection::vec(-2i64..8, 0..10),
         project_b in any::<bool>(),
     ) {
-        let rows_a: Vec<(i64, i64, &str)> = rows_a
+        let rows_a: Vec<(i64, i64, &str, f64)> = rows_a
             .iter()
             .enumerate()
-            .map(|(i, (x, tag))| (i as i64, *x, *tag))
+            .map(|(i, (x, tag, h))| (i as i64, *x, *tag, *h as f64 / 2.0))
             .collect();
         let rows_b: Vec<(i64, i64)> = rows_b
             .iter()
@@ -221,6 +265,7 @@ proptest! {
             Target::Expr { name: None, expr: Expr::ColumnRef("a.id".into()) },
             Target::Expr { name: None, expr: Expr::ColumnRef("a.x".into()) },
             Target::Expr { name: None, expr: Expr::ColumnRef("a.tag".into()) },
+            Target::Expr { name: None, expr: Expr::ColumnRef("a.g".into()) },
         ];
         if project_b {
             targets.push(Target::Expr { name: None, expr: Expr::ColumnRef("b.x".into()) });

@@ -276,7 +276,7 @@ fn explain_shows_access_paths() {
         .join("\n");
     assert!(
         text.contains("IndexScanEq") && text.contains("ship_sno"),
-        "equality on an indexed column should probe the hash index:\n{text}"
+        "equality on an indexed column should probe its index:\n{text}"
     );
     // Join plans use hash join on the equi edge.
     let rows = db
@@ -341,6 +341,90 @@ fn index_range_access_path_is_chosen_when_selective() {
         .unwrap();
     assert_eq!(rows.len(), 5);
     assert_eq!(rows.tuples[0].values[0], Value::text("x10"));
+}
+
+fn explain(db: &mut Database, query: &str) -> String {
+    let rows = db.run(&format!("EXPLAIN {query}")).unwrap();
+    rows.tuples
+        .iter()
+        .map(|t| t.values[0].to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn composite_key_does_not_hide_a_single_column_index() {
+    let mut db = Database::in_memory();
+    db.run(
+        "CREATE TABLE t (a INT KEY, b INT KEY)
+         CREATE INDEX t_a ON t (a)
+         RANGE OF y IS t",
+    )
+    .unwrap();
+    for i in 0..40 {
+        db.run(&format!("APPEND TO t (a = {}, b = {i})", i % 10))
+            .unwrap();
+    }
+    let text = explain(&mut db, "RETRIEVE (y.b) WHERE y.a = 7");
+    assert!(text.contains("IndexScanEq t AS y USING t_a"), "{text}");
+    let text = explain(&mut db, "RETRIEVE (y.b) WHERE y.a >= 7");
+    assert!(text.contains("IndexRange t AS y USING t_a"), "{text}");
+    let rows = db.run("RETRIEVE (y.b) WHERE y.a = 7 SORT BY y.b").unwrap();
+    let got: Vec<Value> = rows.tuples.iter().map(|t| t.values[0].clone()).collect();
+    assert_eq!(
+        got,
+        vec![
+            Value::Int(7),
+            Value::Int(17),
+            Value::Int(27),
+            Value::Int(37)
+        ]
+    );
+}
+
+#[test]
+fn index_keys_follow_the_column_type_not_the_literal() {
+    // `Int` and `Float` compare equal but encode differently, so a key
+    // built from the literal as written would miss rows.
+    let mut db = Database::in_memory();
+    db.run(
+        "CREATE TABLE s (sid INT KEY, gpa FLOAT)
+         CREATE INDEX s_gpa ON s (gpa)
+         RANGE OF x IS s",
+    )
+    .unwrap();
+    for sid in 0..100 {
+        db.run(&format!("APPEND TO s (sid = {sid}, gpa = {}.0)", sid % 5))
+            .unwrap();
+    }
+    let mut count = |q: &str| {
+        db.run(&format!("RETRIEVE (x.sid) WHERE {q}"))
+            .unwrap()
+            .len()
+    };
+    for (query, rows) in [
+        ("x.gpa = 4", 20),
+        ("x.gpa = 4.0", 20),
+        ("x.gpa >= 4", 20),
+        ("x.gpa >= 4.0", 20),
+        ("x.gpa < 2", 40),
+        ("x.gpa = 4.5", 0),
+        ("x.sid = 4.0", 1),
+        ("x.sid >= 98.0", 2),
+        ("x.sid = 4.5", 0),
+        ("x.sid < 2.5", 3),
+    ] {
+        assert_eq!(count(query), rows, "WHERE {query}");
+    }
+    // A converted literal still reaches the index; one that does not
+    // convert exactly stays a residual filter.
+    let text = explain(&mut db, "RETRIEVE (x.sid) WHERE x.gpa = 4");
+    assert!(
+        text.contains("IndexScanEq s AS x USING s_gpa KEY [Float(4.0)]"),
+        "{text}"
+    );
+    let text = explain(&mut db, "RETRIEVE (x.sid) WHERE x.sid = 4.5");
+    assert!(!text.contains("pk_s"), "{text}");
 }
 
 #[test]

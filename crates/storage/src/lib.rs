@@ -10,8 +10,8 @@
 //! * [`store`] — page stores: an in-memory store and a file-backed store.
 //! * [`buffer`] — a pinning buffer pool with clock eviction.
 //! * [`heap`] — heap files of variable-length records addressed by [`rid::Rid`].
-//! * [`btree`] — a B+tree over byte-comparable keys supporting range scans.
-//! * [`hash_index`] — a bucket-chained hash index for equality lookups.
+//! * [`btree`] — a B+tree over byte-comparable keys, the one index structure:
+//!   it answers point probes and ordered range scans alike.
 //! * [`wal`] — a write-ahead log with commit/abort records.
 //! * [`recovery`] — replay of committed work after a crash.
 //! * [`fault`] — deterministic fault injection for crash-torture tests.
@@ -35,7 +35,6 @@ pub mod btree;
 pub mod buffer;
 pub mod error;
 pub mod fault;
-pub mod hash_index;
 pub mod heap;
 pub mod page;
 pub mod recovery;

@@ -1,6 +1,6 @@
 //! Fixed-size pages and page identifiers.
 //!
-//! All on-disk structures — heap files, B+trees, hash buckets — are built
+//! All on-disk structures — heap files and B+trees — are built
 //! from [`PAGE_SIZE`]-byte pages addressed by a [`PageId`]. Page ids are
 //! allocated by a [`crate::store::PageStore`] and are never reused within a
 //! store's lifetime (freed pages go on a free list but keep their id).

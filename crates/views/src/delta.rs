@@ -13,7 +13,7 @@
 //!   variable is bound to each delta row (turning its column references
 //!   into literals), leaving a residual query over the remaining relations
 //!   whose equality conjuncts the optimizer satisfies with index probes.
-//!   Existence probes on `wow-storage`'s hash/B+tree indexes short-circuit
+//!   Existence probes on `wow-storage`'s B+tree indexes short-circuit
 //!   the common case where a written row joins with nothing.
 //! * **Aggregates, DISTINCT, grouping, self-joins** are not deltable here;
 //!   [`DeltaPlan::NonDeltable`] tells the caller to fall back to a full

@@ -33,7 +33,7 @@ fn main() {
     print!("{}", rows.to_table_string());
 
     // 2. EXPLAIN shows the optimizer's choices.
-    println!("== EXPLAIN: equality on an indexed column uses the hash index ==");
+    println!("== EXPLAIN: equality on an indexed column probes its index ==");
     let plan = world
         .db_mut()
         .run("EXPLAIN RETRIEVE (sp.qty) WHERE sp.sno = 3")
