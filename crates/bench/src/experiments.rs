@@ -200,9 +200,7 @@ pub fn table2_browse(scale: Scale) -> Table {
 
 /// Table 2b: `RETRIEVE ... LIMIT 16` over a growing relation, run by the
 /// streaming executor (the scan stops as soon as the limit quota fills) vs
-/// the materializing reference (scans everything, then truncates). The last
-/// column reports the buffer pool's sequential-readahead counters for the
-/// full scan, demonstrating prefetch hits.
+/// the materializing reference (scans everything, then truncates).
 pub fn table2b_limit_pushdown(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 2b",
@@ -213,15 +211,12 @@ pub fn table2b_limit_pushdown(scale: Scale) -> Table {
             "materializing",
             "speedup",
             "rows scanned (stream/mat)",
-            "prefetch hits (full scan)",
         ],
-        "streaming cost is flat in N; materializing grows with N; sequential scans prefetch",
+        "streaming cost is flat in N; materializing grows with N",
     );
     let sizes: Vec<usize> = scale.pick(vec![2_000, 8_000], vec![10_000, 100_000]);
     for n in sizes {
-        // A small pool so full scans actually cycle through storage (and
-        // exercise readahead) instead of finding everything resident.
-        let mut db = Database::in_memory_with_frames(16);
+        let mut db = Database::in_memory();
         db.run("CREATE TABLE big (id INT KEY, v INT, pad TEXT) RANGE OF g IS big")
             .unwrap();
         for id in 0..n {
@@ -261,16 +256,11 @@ pub fn table2b_limit_pushdown(scale: Scale) -> Table {
         db.reset_counters();
         let materialized = execute_materializing(&mut db, &plan).unwrap();
         let scanned_mat = db.counters().rows_scanned;
-        let pool = db.pool_stats();
         assert_eq!(streamed.tuples, materialized.tuples, "paths agree");
         assert_eq!(streamed.tuples.len(), 16);
         assert!(
             scanned_stream < n as u64 && scanned_mat >= n as u64,
             "limit pushdown must stop the scan early ({scanned_stream} vs {scanned_mat})"
-        );
-        assert!(
-            pool.prefetches > 0 && pool.prefetch_hits > 0,
-            "sequential full scan must prefetch (got {pool:?})"
         );
         // Wall-clock comparison.
         let reps = scale.pick(3, 5);
@@ -289,7 +279,6 @@ pub fn table2b_limit_pushdown(scale: Scale) -> Table {
             fmt_duration(d_mat),
             format!("{speedup:.1}×"),
             format!("{scanned_stream}/{scanned_mat}"),
-            format!("{}/{}", pool.prefetch_hits, pool.prefetches),
         ]);
     }
     t

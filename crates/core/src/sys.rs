@@ -104,20 +104,14 @@ pub fn is_sys_view(view: &str) -> bool {
 
 impl World {
     /// Push every legacy counter surface into the unified
-    /// [`wow_obs::MetricsRegistry`] as named gauges: the buffer pool's
-    /// `PoolStats`, the world's `WorldStats`, the per-table row counts the
-    /// optimizer's `StatsRegistry` tracks, the lock manager's counters, the
-    /// executor's counters, and the WAL append count. After this call the
-    /// registry snapshot is the one place to read all of them.
+    /// [`wow_obs::MetricsRegistry`] as named gauges: the world's
+    /// `WorldStats`, the per-table row counts the optimizer's
+    /// `StatsRegistry` tracks, the lock manager's counters, the executor's
+    /// counters, the WAL counters and the durable world's checkpoint
+    /// counts. After this call the registry snapshot is the one place to
+    /// read all of them.
     pub fn export_metrics(&self) {
         let m = wow_obs::metrics();
-        let p = self.db().pool_stats();
-        m.set("pool.hits", p.hits);
-        m.set("pool.misses", p.misses);
-        m.set("pool.evictions", p.evictions);
-        m.set("pool.writebacks", p.writebacks);
-        m.set("pool.prefetches", p.prefetches);
-        m.set("pool.prefetch_hits", p.prefetch_hits);
         let s = &self.stats;
         m.set("world.commits", s.commits);
         m.set("world.windows_refreshed", s.windows_refreshed);
@@ -157,6 +151,10 @@ impl World {
             m.set("recovery.replayed_ops", r.replayed_ops);
             m.set("recovery.skipped_ops", r.skipped_ops);
             m.set("recovery.checkpoints", self.db().checkpoints_taken());
+            m.set(
+                "recovery.checkpoint_failures",
+                self.db().checkpoint_failures(),
+            );
         }
         m.set("par.workers", self.db().workers() as u64);
         for (name, v) in wow_par::stats::snapshot().rows() {
@@ -382,7 +380,7 @@ mod tests {
         assert!(row.is_some(), "metrics table is not empty");
         let snap = wow_obs::metrics().snapshot();
         assert!(snap.counter("world.commits").is_some());
-        assert!(snap.counter("pool.hits").is_some());
+        assert!(snap.counter("exec.rows_scanned").is_some());
         assert!(snap.counter("rows.emp").is_some());
     }
 
@@ -516,7 +514,7 @@ mod tests {
             );
         }
         // The metrics export carries the tracer's drop/record gauges and
-        // the traced ops' histograms (the pool/world/row-count gauges are
+        // the traced ops' histograms (the world/row-count gauges are
         // asserted by `metrics_window_opens_and_has_rows`).
         w.export_metrics();
         let snap = wow_obs::metrics().snapshot();

@@ -14,8 +14,8 @@
 //! * [`histogram`] — HDR-style fixed-bucket latency histograms, one per
 //!   traced operation, giving p50/p95/p99 instead of means.
 //! * [`mod@metrics`] — the unified [`metrics::MetricsRegistry`] that absorbs
-//!   the formerly scattered counter structs (`PoolStats`, `WorldStats`,
-//!   `StatsRegistry`) as named gauges behind one API, renderable as a
+//!   the formerly scattered counter structs (`WorldStats`, `StatsRegistry`,
+//!   `ExecCounters`) as named gauges behind one API, renderable as a
 //!   Prometheus text dump ([`metrics::prometheus`]).
 //!
 //! `wow-core` exposes all of it as browsable **system tables**

@@ -1,8 +1,8 @@
 //! The unified metrics registry.
 //!
 //! One process-global [`MetricsRegistry`] absorbs every counter surface the
-//! system used to scatter across crates — the buffer pool's `PoolStats`,
-//! the world's `WorldStats`, the optimizer's `StatsRegistry` row counts —
+//! system used to scatter across crates — the world's `WorldStats`, the
+//! optimizer's `StatsRegistry` row counts, the executor's counters —
 //! as named gauges, and owns one latency [`Histogram`] per traced [`Op`].
 //! The `__wow_metrics` system table and the bench JSON both read the same
 //! [`MetricsRegistry::snapshot`].

@@ -1,7 +1,7 @@
 //! The [`Database`] facade: storage + catalog + WAL + transactions.
 //!
 //! Every higher layer (views, forms, the window manager) talks to this one
-//! object. It owns the buffer pool, the heap file and index handles, the
+//! object. It owns the page store, the heap file and index handles, the
 //! statistics registry, and — when durability is enabled — the write-ahead
 //! log.
 
@@ -14,15 +14,11 @@ use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wow_storage::btree::BTree;
-use wow_storage::buffer::BufferPool;
 use wow_storage::heap::HeapFile;
 use wow_storage::page::PageId;
 use wow_storage::store::MemStore;
 use wow_storage::wal::{TxnId, Wal};
 use wow_storage::Rid;
-
-/// Number of buffer-pool frames used by default (8 MiB of cache).
-pub const DEFAULT_POOL_FRAMES: usize = 1024;
 
 /// One logged-and-undoable data operation (for `ABORT`). `Delete` keeps
 /// the original rid for diagnostics even though replay re-inserts at a
@@ -78,12 +74,12 @@ pub struct ExecCounters {
 
 /// The database: the "world" that every window looks into.
 ///
-/// The buffer pool is shared (`Arc`) so [`Database::read_replica`] can hand
-/// worker threads an independent `Database` view over the same page cache;
+/// The page store is shared (`Arc`) so [`Database::read_replica`] can hand
+/// worker threads an independent `Database` view over the same pages;
 /// everything else a replica holds is a snapshot clone of cheap in-memory
 /// metadata (catalog, heap page lists, index roots, stats).
 pub struct Database {
-    pub(crate) pool: Arc<BufferPool<MemStore>>,
+    pub(crate) store: Arc<MemStore>,
     pub(crate) catalog: Catalog,
     pub(crate) heaps: HashMap<TableId, HeapFile>,
     pub(crate) indexes: HashMap<String, BTree>,
@@ -109,19 +105,14 @@ pub(crate) fn wal_logged(table: &str) -> bool {
 }
 
 impl Database {
-    /// An in-memory database with the default pool size and no WAL.
+    /// An in-memory database with no WAL.
     pub fn in_memory() -> Database {
-        Self::with_store(MemStore::new(), DEFAULT_POOL_FRAMES)
+        Self::with_store(MemStore::new())
     }
 
-    /// An in-memory database with an explicit buffer-pool frame count.
-    pub fn in_memory_with_frames(frames: usize) -> Database {
-        Self::with_store(MemStore::new(), frames)
-    }
-
-    pub(crate) fn with_store(store: MemStore, frames: usize) -> Database {
+    pub(crate) fn with_store(store: MemStore) -> Database {
         Database {
-            pool: Arc::new(BufferPool::new(store, frames)),
+            store: Arc::new(store),
             catalog: Catalog::new(),
             heaps: HashMap::new(),
             indexes: HashMap::new(),
@@ -158,18 +149,18 @@ impl Database {
         self.batch_size
     }
 
-    /// A read-only replica sharing this database's buffer pool.
+    /// A read-only replica sharing this database's page store.
     ///
     /// The replica clones the in-memory metadata (catalog, heap handles,
     /// index roots, statistics, range declarations) and shares the page
-    /// cache, so any read — scans, index probes, view queries — returns
+    /// store, so any read — scans, index probes, view queries — returns
     /// exactly what the source database would return *right now*. It has
     /// no WAL, a fresh transaction state, and a serial worker pool (no
     /// nested parallelism). Writing through a replica is a logic error:
     /// metadata changes would not propagate back.
     pub fn read_replica(&self) -> Database {
         Database {
-            pool: Arc::clone(&self.pool),
+            store: Arc::clone(&self.store),
             catalog: self.catalog.clone(),
             heaps: self.heaps.clone(),
             indexes: self.indexes.clone(),
@@ -231,12 +222,6 @@ impl Database {
     /// Reset executor counters (benches call this between phases).
     pub fn reset_counters(&mut self) {
         self.counters = ExecCounters::default();
-        self.pool.reset_stats();
-    }
-
-    /// Buffer-pool statistics.
-    pub fn pool_stats(&self) -> wow_storage::buffer::PoolStats {
-        self.pool.stats()
     }
 
     // -- DDL ----------------------------------------------------------------
@@ -276,7 +261,7 @@ impl Database {
         if self.catalog.has_table(name) {
             return Err(RelError::AlreadyExists(name.to_string()));
         }
-        let heap = HeapFile::create(&self.pool)?;
+        let heap = HeapFile::create(&self.store)?;
         let heap_meta = heap.meta_page();
         let id = self
             .catalog
@@ -332,7 +317,7 @@ impl Database {
     /// Open an index handle from its meta page and register it (checkpoint
     /// restore; the catalog entry must already exist).
     pub(crate) fn open_index_handle(&mut self, name: &str, meta: PageId) -> RelResult<()> {
-        let tree = BTree::open(&self.pool, meta)?;
+        let tree = BTree::open(&self.store, meta)?;
         self.indexes.insert(name.to_string(), tree);
         Ok(())
     }
@@ -351,7 +336,7 @@ impl Database {
         // Every B+tree rejects duplicate keys. A non-unique index stores
         // composite `key ++ rid` entries (see `index_insert`), so equal
         // values still make distinct entries.
-        let tree = BTree::create(&self.pool)?;
+        let tree = BTree::create(&self.store)?;
         self.catalog
             .add_index(index_name, table, columns.clone(), unique, tree.meta_page())?;
         self.indexes.insert(index_name.to_string(), tree);
@@ -369,11 +354,11 @@ impl Database {
         let logged = self.catalog.has_table(name) && wal_logged(name);
         let (info, indexes) = self.catalog.remove_table(name)?;
         if let Some(heap) = self.heaps.remove(&info.id) {
-            heap.destroy(&self.pool)?;
+            heap.destroy(&self.store)?;
         }
         for idx in indexes {
             if let Some(tree) = self.indexes.remove(&idx.name) {
-                tree.destroy(&self.pool)?;
+                tree.destroy(&self.store)?;
             }
         }
         self.stats.remove(info.id);
@@ -396,7 +381,7 @@ impl Database {
         };
         let info = self.catalog.remove_index(name)?;
         if let Some(tree) = self.indexes.remove(&info.name) {
-            tree.destroy(&self.pool)?;
+            tree.destroy(&self.store)?;
         }
         if logged {
             self.log_ddl(crate::durable::encode_drop_index(name))?;
@@ -437,7 +422,7 @@ impl Database {
             .heaps
             .get(&table)
             .ok_or_else(|| RelError::NoSuchTable(format!("#{table}")))?;
-        match heap.get(&self.pool, rid)? {
+        match heap.get(&self.store, rid)? {
             None => Ok(None),
             Some(bytes) => Ok(Some(Tuple::decode(&bytes)?)),
         }
@@ -451,7 +436,7 @@ impl Database {
             .ok_or_else(|| RelError::NoSuchTable(format!("#{table}")))?;
         let mut decode_err = None;
         let mut out = Vec::with_capacity(heap.len() as usize);
-        heap.scan(&self.pool, |rid, bytes| match Tuple::decode(bytes) {
+        heap.scan(&self.store, |rid, bytes| match Tuple::decode(bytes) {
             Ok(t) => out.push((rid, t)),
             Err(e) => decode_err = Some(e),
         })?;
@@ -467,10 +452,9 @@ impl Database {
     /// only sequential heap access path. It decodes only the columns a
     /// query touches ([`crate::value::decode_row_cols`]) and reuses
     /// `arena`/`bounds` across pages, so a page scan costs one region copy
-    /// and no per-row allocation; sequential calls trigger buffer-pool
-    /// readahead. Returns `false` once `page_idx` is past the end of the
-    /// page chain. Counts every visited row in `rows_scanned`, like
-    /// [`Database::scan_table_raw`].
+    /// and no per-row allocation. Returns `false` once `page_idx` is past
+    /// the end of the page chain. Counts every visited row in
+    /// `rows_scanned`, like [`Database::scan_table_raw`].
     pub(crate) fn scan_table_page_arena(
         &mut self,
         table: TableId,
@@ -483,7 +467,7 @@ impl Database {
             .get(&table)
             .ok_or_else(|| RelError::NoSuchTable(format!("#{table}")))?;
         let before = bounds.len();
-        let in_range = heap.scan_page_into(&self.pool, page_idx, arena, bounds)?;
+        let in_range = heap.scan_page_into(&self.store, page_idx, arena, bounds)?;
         self.counters.rows_scanned += (bounds.len() - before) as u64;
         Ok(in_range)
     }
@@ -554,7 +538,7 @@ impl Database {
         let key = Self::index_key(idx, tuple);
         let tree = self.indexes.get_mut(&idx.name).expect("handle exists");
         if idx.unique {
-            tree.insert(&self.pool, &key, rid).map_err(|e| match e {
+            tree.insert(&self.store, &key, rid).map_err(|e| match e {
                 wow_storage::StorageError::DuplicateKey => {
                     RelError::UniqueViolation(idx.name.clone())
                 }
@@ -562,7 +546,7 @@ impl Database {
             })?;
         } else {
             let ck = wow_storage::btree::composite_key(&key, rid);
-            tree.insert(&self.pool, &ck, rid)?;
+            tree.insert(&self.store, &ck, rid)?;
         }
         Ok(())
     }
@@ -576,10 +560,10 @@ impl Database {
         let key = Self::index_key(idx, tuple);
         let tree = self.indexes.get_mut(&idx.name).expect("handle exists");
         if idx.unique {
-            tree.delete(&self.pool, &key, rid)?;
+            tree.delete(&self.store, &key, rid)?;
         } else {
             let ck = wow_storage::btree::composite_key(&key, rid);
-            tree.delete(&self.pool, &ck, rid)?;
+            tree.delete(&self.store, &ck, rid)?;
         }
         Ok(())
     }
@@ -592,9 +576,9 @@ impl Database {
         self.counters.index_probes += 1;
         let tree = self.indexes.get(&idx.name).expect("handle exists");
         if idx.unique {
-            Ok(tree.lookup(&self.pool, &key)?)
+            Ok(tree.lookup(&self.store, &key)?)
         } else {
-            Ok(tree.lookup_prefix(&self.pool, &key)?)
+            Ok(tree.lookup_prefix(&self.store, &key)?)
         }
     }
 
@@ -607,9 +591,9 @@ impl Database {
         self.counters.index_probes += 1;
         let tree = self.indexes.get(&idx.name).expect("handle exists");
         if idx.unique {
-            Ok(tree.contains(&self.pool, &key)?)
+            Ok(tree.contains(&self.store, &key)?)
         } else {
-            Ok(tree.contains_prefix(&self.pool, &key)?)
+            Ok(tree.contains_prefix(&self.store, &key)?)
         }
     }
 
@@ -642,7 +626,7 @@ impl Database {
             Some(k) => std::ops::Bound::Excluded(k),
             None => std::ops::Bound::Unbounded,
         };
-        tree.range_scan(&self.pool, lower, std::ops::Bound::Unbounded, |k, rid| {
+        tree.range_scan(&self.store, lower, std::ops::Bound::Unbounded, |k, rid| {
             out.push((k.to_vec(), rid));
             out.len() < limit
         })?;
@@ -676,7 +660,7 @@ impl Database {
             wal.append(&wow_storage::wal::LogRecord::Commit { txn: id })?;
             wal.flush()?;
         }
-        self.note_commit()?;
+        self.note_commit();
         Ok(())
     }
 
@@ -725,7 +709,7 @@ impl Database {
                         self.index_delete(&idx, &tuple, rid)?;
                     }
                     let heap = self.heaps.get_mut(&table).expect("heap exists");
-                    heap.delete(&self.pool, rid)?;
+                    heap.delete(&self.store, rid)?;
                     self.stats.on_delete(table, 1);
                 }
             }
@@ -738,14 +722,14 @@ impl Database {
                         self.index_insert(&idx, &old, rid)?;
                     }
                     let heap = self.heaps.get_mut(&table).expect("heap exists");
-                    heap.update(&self.pool, rid, &old.encode())?;
+                    heap.update(&self.store, rid, &old.encode())?;
                 }
             }
             UndoOp::Delete { table, rid: _, old } => {
                 // Reverse of delete: re-insert. The rid may change; indexes
                 // are rebuilt against the new rid.
                 let heap = self.heaps.get_mut(&table).expect("heap exists");
-                let new_rid = heap.insert(&self.pool, &old.encode())?;
+                let new_rid = heap.insert(&self.store, &old.encode())?;
                 let info = self.catalog.table_by_id(table)?.clone();
                 for idx_name in &info.indexes {
                     let idx = self.catalog.index(idx_name)?.clone();

@@ -51,7 +51,7 @@ impl Database {
             .heaps
             .get_mut(&info.id)
             .ok_or_else(|| RelError::NoSuchTable(table.to_string()))?;
-        let rid = heap.insert(&self.pool, &encoded)?;
+        let rid = heap.insert(&self.store, &encoded)?;
         let logged = crate::db::wal_logged(&info.name);
         if logged {
             if let Some(wal) = &mut self.wal {
@@ -73,7 +73,7 @@ impl Database {
                     wal.append(&LogRecord::Commit { txn })?;
                     wal.flush()?;
                 }
-                self.note_commit()?;
+                self.note_commit();
             }
         } else {
             self.txn.undo.push(UndoOp::Insert {
@@ -125,7 +125,7 @@ impl Database {
         }
         {
             let heap = self.heaps.get_mut(&info.id).expect("heap exists");
-            heap.update(&self.pool, rid, &new.encode())?;
+            heap.update(&self.store, rid, &new.encode())?;
         }
         for idx_name in &info.indexes {
             let idx = self.catalog.index(idx_name)?.clone();
@@ -142,7 +142,7 @@ impl Database {
                     wal.append(&LogRecord::Commit { txn })?;
                     wal.flush()?;
                 }
-                self.note_commit()?;
+                self.note_commit();
             }
         } else {
             self.txn.undo.push(UndoOp::Update {
@@ -179,7 +179,7 @@ impl Database {
         }
         {
             let heap = self.heaps.get_mut(&info.id).expect("heap exists");
-            heap.delete(&self.pool, rid)?;
+            heap.delete(&self.store, rid)?;
         }
         if auto {
             if logged {
@@ -187,7 +187,7 @@ impl Database {
                     wal.append(&LogRecord::Commit { txn })?;
                     wal.flush()?;
                 }
-                self.note_commit()?;
+                self.note_commit();
             }
         } else {
             self.txn.undo.push(UndoOp::Delete {

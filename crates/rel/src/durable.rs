@@ -34,7 +34,7 @@
 //! level, which is all the relational layer above can observe.
 
 use crate::catalog::TableId;
-use crate::db::{Database, DEFAULT_POOL_FRAMES};
+use crate::db::Database;
 use crate::error::{RelError, RelResult};
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use wow_storage::heap::HeapFile;
 use wow_storage::page::{Page, PageId};
 use wow_storage::recovery::{replay, RecoveryReport};
-use wow_storage::store::{FileStore, MemStore, PageStore};
+use wow_storage::store::{FileStore, MemStore};
 use wow_storage::wal::{LogRecord, SyncPolicy, Wal};
 use wow_storage::{Rid, StorageError};
 
@@ -72,6 +72,8 @@ pub(crate) struct DurableState {
     pub commits_since: u64,
     /// Checkpoints taken through this handle.
     pub checkpoints: u64,
+    /// Automatic checkpoints that failed through this handle.
+    pub checkpoint_failures: u64,
     /// What recovery did when this database was opened.
     pub recovery: RecoveryReport,
 }
@@ -419,6 +421,7 @@ impl Database {
             checkpoint_every: resolve_checkpoint_every(DEFAULT_CHECKPOINT_EVERY),
             commits_since: 0,
             checkpoints: 0,
+            checkpoint_failures: 0,
             recovery,
         });
         Ok(db)
@@ -438,9 +441,9 @@ impl Database {
                 pages.push(Some(p));
             }
         }
-        let mut db = Database::with_store(MemStore::from_parts(pages), DEFAULT_POOL_FRAMES);
+        let mut db = Database::with_store(MemStore::from_parts(pages));
         for t in &snap.tables {
-            let heap = HeapFile::open(&db.pool, PageId(t.heap_meta))?;
+            let heap = HeapFile::open(&db.store, PageId(t.heap_meta))?;
             let rows = heap.len();
             let id = db.catalog.add_table_with_id(
                 &t.name,
@@ -479,27 +482,22 @@ impl Database {
         }
         let mut span = wow_obs::span(wow_obs::Op::Checkpoint);
         let epoch = self.wal.as_ref().map(|w| w.epoch()).unwrap_or(0) + 1;
-        self.pool.flush_all()?;
 
         let tmp = dir.join("world.ckpt.tmp");
         let _ = std::fs::remove_file(&tmp);
         {
             let mut target = FileStore::open(&tmp)?;
             let mut free: Vec<u64> = Vec::new();
-            let page_count = self.pool.with_store(|s| -> RelResult<u64> {
-                let n = s.page_count();
-                let mut buf = Page::zeroed();
-                for id in 0..n {
-                    let tid = target.allocate()?;
-                    debug_assert_eq!(tid.0, id, "snapshot page ids must align");
-                    match s.read(PageId(id), &mut buf) {
-                        Ok(()) => target.write(tid, &buf)?,
-                        Err(StorageError::PageNotFound(_)) => free.push(id),
-                        Err(e) => return Err(e.into()),
-                    }
+            let page_count = self.store.page_count();
+            for id in 0..page_count {
+                let tid = target.allocate()?;
+                debug_assert_eq!(tid.0, id, "snapshot page ids must align");
+                match self.store.with_page(PageId(id), |p| target.write(tid, p)) {
+                    Ok(written) => written?,
+                    Err(StorageError::PageNotFound(_)) => free.push(id),
+                    Err(e) => return Err(e.into()),
                 }
-                Ok(n)
-            })?;
+            }
             let snap = self.build_snapshot(epoch, page_count, free);
             target.set_meta(&snap.encode())?;
             target.sync()?;
@@ -511,7 +509,7 @@ impl Database {
         let d = self.durable.as_mut().expect("checked above");
         d.checkpoints += 1;
         d.commits_since = 0;
-        span.arg(page_count_arg(&self.pool));
+        span.arg(self.store.page_count());
         Ok(())
     }
 
@@ -625,7 +623,7 @@ impl Database {
             .get(&table)
             .ok_or_else(|| RelError::NoSuchTable(format!("#{table}")))?;
         let mut found = None;
-        heap.scan(&self.pool, |rid, bytes| {
+        heap.scan(&self.store, |rid, bytes| {
             if found.is_none() && bytes == old {
                 found = Some(rid);
             }
@@ -671,7 +669,12 @@ impl Database {
 
     /// Count one committed transaction toward the auto-checkpoint cadence,
     /// taking a checkpoint when it is reached.
-    pub(crate) fn note_commit(&mut self) -> RelResult<()> {
+    ///
+    /// Runs after the commit is durable in the WAL, so a failed checkpoint
+    /// never fails the commit: the old snapshot and the WAL still hold
+    /// everything. The failure is counted, and the next attempt comes
+    /// after another `checkpoint_every` commits.
+    pub(crate) fn note_commit(&mut self) {
         let due = match &mut self.durable {
             Some(d) if d.checkpoint_every > 0 => {
                 d.commits_since += 1;
@@ -679,10 +682,11 @@ impl Database {
             }
             _ => false,
         };
-        if due && self.txn.current.is_none() {
-            self.checkpoint_durable()?;
+        if due && self.txn.current.is_none() && self.checkpoint_durable().is_err() {
+            let d = self.durable.as_mut().expect("due implies durable");
+            d.checkpoint_failures += 1;
+            d.commits_since = 0;
         }
-        Ok(())
     }
 
     /// What recovery did when this database was opened durable (`None` for
@@ -694,6 +698,15 @@ impl Database {
     /// Checkpoints taken through this handle.
     pub fn checkpoints_taken(&self) -> u64 {
         self.durable.as_ref().map(|d| d.checkpoints).unwrap_or(0)
+    }
+
+    /// Automatic checkpoints that failed through this handle (the commits
+    /// that triggered them still succeeded).
+    pub fn checkpoint_failures(&self) -> u64 {
+        self.durable
+            .as_ref()
+            .map(|d| d.checkpoint_failures)
+            .unwrap_or(0)
     }
 
     /// The durable world directory, if this database was opened durable.
@@ -708,10 +721,6 @@ impl Database {
             d.checkpoint_every = every;
         }
     }
-}
-
-fn page_count_arg(pool: &std::sync::Arc<wow_storage::buffer::BufferPool<MemStore>>) -> u64 {
-    pool.with_store(|s| s.page_count())
 }
 
 #[cfg(test)]

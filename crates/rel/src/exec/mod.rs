@@ -686,7 +686,7 @@ pub(crate) fn range_rids(
         Some(k) => Bound::Included(k.as_slice()),
         None => Bound::Unbounded,
     };
-    tree.range_scan(&db.pool, lb, Bound::Unbounded, |ek, rid| {
+    tree.range_scan(&db.store, lb, Bound::Unbounded, |ek, rid| {
         if let Some(lk) = &lower_key {
             if !lower_incl && ek.starts_with(lk) {
                 return true; // skip the excluded lower key, keep going

@@ -6,7 +6,7 @@
 //! output is row-for-row identical to the serial path no matter how many
 //! workers ran or how the ranges interleaved in time. Worker threads never
 //! touch the caller's `Database` — each chunk runs against a
-//! [`Database::read_replica`] sharing the same buffer pool, and replica
+//! [`Database::read_replica`] sharing the same page store, and replica
 //! scan counters are merged back after the gather so `ExecCounters` agree
 //! with a serial run.
 //!

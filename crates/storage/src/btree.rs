@@ -28,12 +28,11 @@
 //!         internal: key ++ child (8 bytes)  (child holds keys >= key)
 //! ```
 
-use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{get_u64, put_u64, PageId};
 use crate::rid::Rid;
 use crate::slotted::{Slotted, SlottedRead, SLOT_ENTRY};
-use crate::store::PageStore;
+use crate::store::MemStore;
 use std::ops::Bound;
 
 /// Maximum key length accepted by the tree.
@@ -144,22 +143,22 @@ pub struct BTree {
 
 impl BTree {
     /// Create an empty tree.
-    pub fn create<S: PageStore>(pool: &BufferPool<S>) -> StorageResult<BTree> {
-        let meta = pool.allocate_page()?;
-        let root = pool.allocate_page()?;
-        Self::write_node(pool, root, TAG_LEAF, PageId::INVALID, &[])?;
+    pub fn create(store: &MemStore) -> StorageResult<BTree> {
+        let meta = store.allocate();
+        let root = store.allocate();
+        Self::write_node(store, root, TAG_LEAF, PageId::INVALID, &[])?;
         let tree = BTree {
             meta,
             root,
             count: 0,
         };
-        tree.persist_meta(pool)?;
+        tree.persist_meta(store)?;
         Ok(tree)
     }
 
     /// Open an existing tree rooted at `meta`.
-    pub fn open<S: PageStore>(pool: &BufferPool<S>, meta: PageId) -> StorageResult<BTree> {
-        let (root, count) = pool.with_page(meta, |p| {
+    pub fn open(store: &MemStore, meta: PageId) -> StorageResult<BTree> {
+        let (root, count) = store.with_page(meta, |p| {
             let b = p.as_slice();
             (PageId(get_u64(b, META_ROOT)), get_u64(b, META_COUNT))
         })?;
@@ -182,14 +181,14 @@ impl BTree {
     }
 
     /// Rebuild page `pid` as a node holding `cells` in order.
-    fn write_node<S: PageStore>(
-        pool: &BufferPool<S>,
+    fn write_node(
+        store: &MemStore,
         pid: PageId,
         tag: u8,
         link: PageId,
         cells: &[Vec<u8>],
     ) -> StorageResult<()> {
-        pool.with_page_mut(pid, |p| {
+        store.with_page_mut(pid, |p| {
             let b = p.as_mut_slice();
             b[0] = tag;
             put_u64(b, LINK, link.0);
@@ -200,9 +199,9 @@ impl BTree {
         })
     }
 
-    fn persist_meta<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<()> {
+    fn persist_meta(&self, store: &MemStore) -> StorageResult<()> {
         let (root, count) = (self.root, self.count);
-        pool.with_page_mut(self.meta, |p| {
+        store.with_page_mut(self.meta, |p| {
             let b = p.as_mut_slice();
             put_u64(b, META_ROOT, root.0);
             put_u64(b, META_COUNT, count);
@@ -211,12 +210,7 @@ impl BTree {
 
     /// Insert an entry. Returns [`StorageError::DuplicateKey`] if the key is
     /// already present.
-    pub fn insert<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        key: &[u8],
-        rid: Rid,
-    ) -> StorageResult<()> {
+    pub fn insert(&mut self, store: &MemStore, key: &[u8], rid: Rid) -> StorageResult<()> {
         if key.len() > MAX_KEY {
             return Err(StorageError::RecordTooLarge {
                 size: key.len(),
@@ -225,27 +219,27 @@ impl BTree {
         }
         // A leaf cell is `key ++ rid`: the same bytes as a composite key.
         let cell = composite_key(key, rid);
-        if let Some((split_key, right)) = Self::insert_rec(pool, self.root, key, &cell)? {
+        if let Some((split_key, right)) = Self::insert_rec(store, self.root, key, &cell)? {
             // Root split: grow the tree by one level.
-            let new_root = pool.allocate_page()?;
+            let new_root = store.allocate();
             let cells = [internal_cell(split_key, right)];
-            Self::write_node(pool, new_root, TAG_INTERNAL, self.root, &cells)?;
+            Self::write_node(store, new_root, TAG_INTERNAL, self.root, &cells)?;
             self.root = new_root;
         }
         self.count += 1;
-        self.persist_meta(pool)
+        self.persist_meta(store)
     }
 
     /// Insert the leaf `cell` for `key` into the subtree at `pid`. Returns
     /// the separator and new right sibling when `pid` split.
-    fn insert_rec<S: PageStore>(
-        pool: &BufferPool<S>,
+    fn insert_rec(
+        store: &MemStore,
         pid: PageId,
         key: &[u8],
         cell: &[u8],
     ) -> StorageResult<Option<(Vec<u8>, PageId)>> {
         // The slot for `key` here and, in an internal node, the child below.
-        let (pos, child) = pool.with_page(pid, |p| {
+        let (pos, child) = store.with_page(pid, |p| {
             let node = NodeRef::open(p.as_slice())?;
             if node.leaf {
                 let pos = node.search(key, false);
@@ -258,11 +252,11 @@ impl BTree {
             Ok((pos, Some(node.child(pos))))
         })??;
         let Some(child) = child else {
-            return Self::place(pool, pid, pos, cell);
+            return Self::place(store, pid, pos, cell);
         };
-        match Self::insert_rec(pool, child, key, cell)? {
+        match Self::insert_rec(store, child, key, cell)? {
             Some((split_key, right)) => {
-                Self::place(pool, pid, pos, &internal_cell(split_key, right))
+                Self::place(store, pid, pos, &internal_cell(split_key, right))
             }
             None => Ok(None),
         }
@@ -271,13 +265,13 @@ impl BTree {
     /// Put `cell` at slot `pos` of node `pid`. When it does not fit, split
     /// the node at its size midpoint, rebuilding both halves from the cell
     /// list, and return the separator and the new right sibling.
-    fn place<S: PageStore>(
-        pool: &BufferPool<S>,
+    fn place(
+        store: &MemStore,
         pid: PageId,
         pos: u16,
         cell: &[u8],
     ) -> StorageResult<Option<(Vec<u8>, PageId)>> {
-        let full = pool.with_page_mut(pid, |p| -> StorageResult<_> {
+        let full = store.with_page_mut(pid, |p| -> StorageResult<_> {
             if Slotted::open(&mut p.as_mut_slice()[REGION..]).insert_at(pos, cell) {
                 return Ok(None);
             }
@@ -290,11 +284,11 @@ impl BTree {
             return Ok(None);
         };
         let mut right = left.split_off(split_point(left.iter().map(|c| c.len() + SLOT_ENTRY)));
-        let right_pid = pool.allocate_page()?;
+        let right_pid = store.allocate();
         if leaf {
             let split_key = right[0][..right[0].len() - RID_LEN].to_vec();
-            Self::write_node(pool, right_pid, TAG_LEAF, link, &right)?;
-            Self::write_node(pool, pid, TAG_LEAF, right_pid, &left)?;
+            Self::write_node(store, right_pid, TAG_LEAF, link, &right)?;
+            Self::write_node(store, pid, TAG_LEAF, right_pid, &left)?;
             return Ok(Some((split_key, right_pid)));
         }
         // The separator at the midpoint moves *up*; its child becomes the
@@ -302,16 +296,16 @@ impl BTree {
         let mut promote = right.remove(0);
         let first = PageId(get_u64(&promote, promote.len() - CHILD_LEN));
         promote.truncate(promote.len() - CHILD_LEN);
-        Self::write_node(pool, right_pid, TAG_INTERNAL, first, &right)?;
-        Self::write_node(pool, pid, TAG_INTERNAL, link, &left)?;
+        Self::write_node(store, right_pid, TAG_INTERNAL, first, &right)?;
+        Self::write_node(store, pid, TAG_INTERNAL, link, &left)?;
         Ok(Some((promote, right_pid)))
     }
 
     /// Find the leaf that would contain `key`, returning its page id.
-    fn find_leaf<S: PageStore>(&self, pool: &BufferPool<S>, key: &[u8]) -> StorageResult<PageId> {
+    fn find_leaf(&self, store: &MemStore, key: &[u8]) -> StorageResult<PageId> {
         let mut pid = self.root;
         loop {
-            let child = pool.with_page(pid, |p| {
+            let child = store.with_page(pid, |p| {
                 NodeRef::open(p.as_slice()).map(|n| (!n.leaf).then(|| n.route(key)))
             })??;
             match child {
@@ -322,14 +316,10 @@ impl BTree {
     }
 
     /// All rids stored under exactly `key` (at most one: keys are unique).
-    pub fn lookup<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        key: &[u8],
-    ) -> StorageResult<Vec<Rid>> {
+    pub fn lookup(&self, store: &MemStore, key: &[u8]) -> StorageResult<Vec<Rid>> {
         let mut out = Vec::new();
         self.range_scan(
-            pool,
+            store,
             Bound::Included(key),
             Bound::Included(key),
             |_, rid| {
@@ -344,9 +334,9 @@ impl BTree {
     /// existence probe that stops at the first hit. Delta propagation uses
     /// this to decide whether a write joins with anything before paying for
     /// a residual query.
-    pub fn contains<S: PageStore>(&self, pool: &BufferPool<S>, key: &[u8]) -> StorageResult<bool> {
+    pub fn contains(&self, store: &MemStore, key: &[u8]) -> StorageResult<bool> {
         let mut found = false;
-        self.range_scan(pool, Bound::Included(key), Bound::Included(key), |_, _| {
+        self.range_scan(store, Bound::Included(key), Bound::Included(key), |_, _| {
             found = true;
             false
         })?;
@@ -355,13 +345,9 @@ impl BTree {
 
     /// Whether any entry's (composite) key starts with `prefix` — the
     /// existence probe counterpart of [`BTree::lookup_prefix`].
-    pub fn contains_prefix<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        prefix: &[u8],
-    ) -> StorageResult<bool> {
+    pub fn contains_prefix(&self, store: &MemStore, prefix: &[u8]) -> StorageResult<bool> {
         let mut found = false;
-        self.range_scan(pool, Bound::Included(prefix), Bound::Unbounded, |k, _| {
+        self.range_scan(store, Bound::Included(prefix), Bound::Unbounded, |k, _| {
             found = k.starts_with(prefix);
             false
         })?;
@@ -370,32 +356,28 @@ impl BTree {
 
     /// All rids whose (composite) key starts with `prefix` — the lookup used
     /// by non-unique indexes built with [`composite_key`].
-    pub fn lookup_prefix<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        prefix: &[u8],
-    ) -> StorageResult<Vec<Rid>> {
+    pub fn lookup_prefix(&self, store: &MemStore, prefix: &[u8]) -> StorageResult<Vec<Rid>> {
         let mut out = Vec::new();
-        self.range_scan(pool, Bound::Included(prefix), Bound::Unbounded, |k, rid| {
-            if k.starts_with(prefix) {
-                out.push(rid);
-                true
-            } else {
-                false
-            }
-        })?;
+        self.range_scan(
+            store,
+            Bound::Included(prefix),
+            Bound::Unbounded,
+            |k, rid| {
+                if k.starts_with(prefix) {
+                    out.push(rid);
+                    true
+                } else {
+                    false
+                }
+            },
+        )?;
         Ok(out)
     }
 
     /// Remove the entry `(key, rid)`. Returns whether it existed.
-    pub fn delete<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        key: &[u8],
-        rid: Rid,
-    ) -> StorageResult<bool> {
-        let leaf = self.find_leaf(pool, key)?;
-        let found = pool.with_page_mut(leaf, |p| -> StorageResult<bool> {
+    pub fn delete(&mut self, store: &MemStore, key: &[u8], rid: Rid) -> StorageResult<bool> {
+        let leaf = self.find_leaf(store, key)?;
+        let found = store.with_page_mut(leaf, |p| -> StorageResult<bool> {
             let node = NodeRef::open(p.as_slice())?;
             let pos = node.search(key, false);
             let found = pos < node.len() && node.entry(pos) == (key, &rid.to_bytes()[..]);
@@ -406,7 +388,7 @@ impl BTree {
         })??;
         if found {
             self.count -= 1;
-            self.persist_meta(pool)?;
+            self.persist_meta(store)?;
         }
         Ok(found)
     }
@@ -416,13 +398,13 @@ impl BTree {
     ///
     /// This is the tree's one leaf walk: a descent seeks `lower`, then the
     /// walk follows the leaf chain, reading each page in place under one
-    /// [`BufferPool::with_page`] borrow, and hands `f` the key borrowed from
-    /// the leaf. `f` therefore runs while that page's buffer-pool shard lock
-    /// is held: it must not touch the pool, and should copy out what it
-    /// keeps and return.
-    pub fn range_scan<S: PageStore>(
+    /// [`MemStore::with_page`] borrow, and hands `f` the key borrowed from
+    /// the leaf. `f` therefore runs while the store's read lock is held: it
+    /// must not touch the store, and should copy out what it keeps and
+    /// return.
+    pub fn range_scan(
         &self,
-        pool: &BufferPool<S>,
+        store: &MemStore,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], Rid) -> bool,
@@ -430,7 +412,7 @@ impl BTree {
         let mut lower = lower;
         let mut pid = self.root;
         while pid.is_valid() {
-            pid = pool.with_page(pid, |p| -> StorageResult<PageId> {
+            pid = store.with_page(pid, |p| -> StorageResult<PageId> {
                 let node = NodeRef::open(p.as_slice())?;
                 if !node.leaf {
                     return Ok(match lower {
@@ -464,14 +446,14 @@ impl BTree {
     }
 
     /// Collect a bounded range (convenience for tests).
-    pub fn range<S: PageStore>(
+    pub fn range(
         &self,
-        pool: &BufferPool<S>,
+        store: &MemStore,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
     ) -> StorageResult<Vec<(Vec<u8>, Rid)>> {
         let mut out = Vec::new();
-        self.range_scan(pool, lower, upper, |k, r| {
+        self.range_scan(store, lower, upper, |k, r| {
             out.push((k.to_vec(), r));
             true
         })?;
@@ -479,27 +461,27 @@ impl BTree {
     }
 
     /// Free every page of the tree.
-    pub fn destroy<S: PageStore>(self, pool: &BufferPool<S>) -> StorageResult<()> {
+    pub fn destroy(self, store: &MemStore) -> StorageResult<()> {
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
-            pool.with_page(pid, |p| -> StorageResult<()> {
+            store.with_page(pid, |p| -> StorageResult<()> {
                 let node = NodeRef::open(p.as_slice())?;
                 if !node.leaf {
                     stack.extend((0..=node.len()).map(|i| node.child(i)));
                 }
                 Ok(())
             })??;
-            pool.free_page(pid)?;
+            store.free(pid)?;
         }
-        pool.free_page(self.meta)
+        store.free(self.meta)
     }
 
     /// Depth of the tree (1 = just a root leaf). For tests and stats.
-    pub fn height<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<usize> {
+    pub fn height(&self, store: &MemStore) -> StorageResult<usize> {
         let mut h = 1;
         let mut pid = self.root;
         loop {
-            let node = pool.with_page(pid, |p| {
+            let node = store.with_page(pid, |p| {
                 NodeRef::open(p.as_slice()).map(|n| (!n.leaf).then_some(n.link))
             })??;
             match node {
@@ -532,12 +514,11 @@ fn split_point(sizes: impl Iterator<Item = usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
 
-    fn setup() -> (BufferPool<MemStore>, BTree) {
-        let pool = BufferPool::new(MemStore::new(), 64);
-        let tree = BTree::create(&pool).unwrap();
-        (pool, tree)
+    fn setup() -> (MemStore, BTree) {
+        let store = MemStore::new();
+        let tree = BTree::create(&store).unwrap();
+        (store, tree)
     }
 
     fn rid(n: u64) -> Rid {
@@ -545,9 +526,9 @@ mod tests {
     }
 
     /// Leaves on the chain, counted from the leftmost.
-    fn leaf_count(pool: &BufferPool<MemStore>, t: &BTree) -> usize {
+    fn leaf_count(store: &MemStore, t: &BTree) -> usize {
         let mut pid = t.root;
-        while let Some(child) = pool
+        while let Some(child) = store
             .with_page(pid, |p| {
                 let n = NodeRef::open(p.as_slice()).unwrap();
                 (!n.leaf).then_some(n.link)
@@ -559,7 +540,7 @@ mod tests {
         let mut leaves = 0;
         while pid.is_valid() {
             leaves += 1;
-            pid = pool
+            pid = store
                 .with_page(pid, |p| NodeRef::open(p.as_slice()).unwrap().link)
                 .unwrap();
         }
@@ -568,22 +549,22 @@ mod tests {
 
     #[test]
     fn insert_lookup_small() {
-        let (pool, mut t) = setup();
-        t.insert(&pool, b"banana", rid(1)).unwrap();
-        t.insert(&pool, b"apple", rid(2)).unwrap();
-        t.insert(&pool, b"cherry", rid(3)).unwrap();
-        assert_eq!(t.lookup(&pool, b"apple").unwrap(), vec![rid(2)]);
-        assert_eq!(t.lookup(&pool, b"banana").unwrap(), vec![rid(1)]);
-        assert_eq!(t.lookup(&pool, b"durian").unwrap(), Vec::<Rid>::new());
+        let (store, mut t) = setup();
+        t.insert(&store, b"banana", rid(1)).unwrap();
+        t.insert(&store, b"apple", rid(2)).unwrap();
+        t.insert(&store, b"cherry", rid(3)).unwrap();
+        assert_eq!(t.lookup(&store, b"apple").unwrap(), vec![rid(2)]);
+        assert_eq!(t.lookup(&store, b"banana").unwrap(), vec![rid(1)]);
+        assert_eq!(t.lookup(&store, b"durian").unwrap(), Vec::<Rid>::new());
         assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn unique_tree_rejects_duplicates() {
-        let (pool, mut t) = setup();
-        t.insert(&pool, b"k", rid(1)).unwrap();
+        let (store, mut t) = setup();
+        t.insert(&store, b"k", rid(1)).unwrap();
         assert!(matches!(
-            t.insert(&pool, b"k", rid(2)),
+            t.insert(&store, b"k", rid(2)),
             Err(StorageError::DuplicateKey)
         ));
         assert_eq!(t.len(), 1);
@@ -593,37 +574,37 @@ mod tests {
     fn composite_key_run_spans_leaves() {
         // A non-unique index's duplicates are one run of composite keys
         // under a shared prefix; here the run covers many leaves.
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         let prefix = vec![b'p'; 200];
-        t.insert(&pool, &[b'a'; 8], rid(9999)).unwrap();
-        t.insert(&pool, &[b'q'; 8], rid(9998)).unwrap();
+        t.insert(&store, &[b'a'; 8], rid(9999)).unwrap();
+        t.insert(&store, &[b'q'; 8], rid(9998)).unwrap();
         for i in 0..400u64 {
-            t.insert(&pool, &composite_key(&prefix, rid(i)), rid(i))
+            t.insert(&store, &composite_key(&prefix, rid(i)), rid(i))
                 .unwrap();
         }
         assert!(
-            leaf_count(&pool, &t) >= 3,
+            leaf_count(&store, &t) >= 3,
             "the run spans at least 3 leaves"
         );
-        let mut hits = t.lookup_prefix(&pool, &prefix).unwrap();
+        let mut hits = t.lookup_prefix(&store, &prefix).unwrap();
         hits.sort();
         let mut want: Vec<Rid> = (0..400).map(rid).collect();
         want.sort();
         assert_eq!(hits, want);
-        assert!(t.contains_prefix(&pool, &prefix).unwrap());
+        assert!(t.contains_prefix(&store, &prefix).unwrap());
         for i in 0..400u64 {
             assert!(t
-                .delete(&pool, &composite_key(&prefix, rid(i)), rid(i))
+                .delete(&store, &composite_key(&prefix, rid(i)), rid(i))
                 .unwrap());
         }
-        assert!(t.lookup_prefix(&pool, &prefix).unwrap().is_empty());
-        assert!(!t.contains_prefix(&pool, &prefix).unwrap());
+        assert!(t.lookup_prefix(&store, &prefix).unwrap().is_empty());
+        assert!(!t.contains_prefix(&store, &prefix).unwrap());
         assert_eq!(t.len(), 2, "the neighbours either side remain");
     }
 
     #[test]
     fn many_inserts_split_and_stay_sorted() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         let n = 5000u32;
         // Insert in a scrambled order.
         let mut keys: Vec<u32> = (0..n).collect();
@@ -634,11 +615,11 @@ mod tests {
             keys.swap(i, j);
         }
         for &k in &keys {
-            t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+            t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
-        assert!(t.height(&pool).unwrap() >= 2, "tree must have split");
+        assert!(t.height(&store).unwrap() >= 2, "tree must have split");
         // Full ordered scan returns every key in order.
-        let all = t.range(&pool, Bound::Unbounded, Bound::Unbounded).unwrap();
+        let all = t.range(&store, Bound::Unbounded, Bound::Unbounded).unwrap();
         assert_eq!(all.len(), n as usize);
         for (i, (k, r)) in all.iter().enumerate() {
             assert_eq!(k.as_slice(), (i as u32).to_be_bytes());
@@ -647,7 +628,7 @@ mod tests {
         // Point lookups all work.
         for probe in [0u32, 1, 17, 999, 2500, n - 1] {
             assert_eq!(
-                t.lookup(&pool, &probe.to_be_bytes()).unwrap(),
+                t.lookup(&store, &probe.to_be_bytes()).unwrap(),
                 vec![rid(probe as u64)]
             );
         }
@@ -655,18 +636,18 @@ mod tests {
 
     #[test]
     fn range_bounds_are_respected() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         for k in 0..100u32 {
-            t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+            t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
         let lo = 10u32.to_be_bytes();
         let hi = 20u32.to_be_bytes();
         let incl = t
-            .range(&pool, Bound::Included(&lo), Bound::Included(&hi))
+            .range(&store, Bound::Included(&lo), Bound::Included(&hi))
             .unwrap();
         assert_eq!(incl.len(), 11);
         let excl = t
-            .range(&pool, Bound::Excluded(&lo), Bound::Excluded(&hi))
+            .range(&store, Bound::Excluded(&lo), Bound::Excluded(&hi))
             .unwrap();
         assert_eq!(excl.len(), 9);
         assert_eq!(excl[0].0, 11u32.to_be_bytes());
@@ -674,34 +655,34 @@ mod tests {
 
     #[test]
     fn delete_removes_exact_entry() {
-        let (pool, mut t) = setup();
-        t.insert(&pool, b"k1", rid(1)).unwrap();
-        t.insert(&pool, b"k2", rid(2)).unwrap();
+        let (store, mut t) = setup();
+        t.insert(&store, b"k1", rid(1)).unwrap();
+        t.insert(&store, b"k2", rid(2)).unwrap();
         assert!(
-            !t.delete(&pool, b"k1", rid(2)).unwrap(),
+            !t.delete(&store, b"k1", rid(2)).unwrap(),
             "a wrong rid is not deleted"
         );
-        assert_eq!(t.lookup(&pool, b"k1").unwrap(), vec![rid(1)]);
-        assert!(t.delete(&pool, b"k1", rid(1)).unwrap());
-        assert_eq!(t.lookup(&pool, b"k1").unwrap(), Vec::<Rid>::new());
-        assert_eq!(t.lookup(&pool, b"k2").unwrap(), vec![rid(2)]);
-        assert!(!t.delete(&pool, b"k1", rid(1)).unwrap());
-        assert!(!t.delete(&pool, b"missing", rid(1)).unwrap());
+        assert_eq!(t.lookup(&store, b"k1").unwrap(), vec![rid(1)]);
+        assert!(t.delete(&store, b"k1", rid(1)).unwrap());
+        assert_eq!(t.lookup(&store, b"k1").unwrap(), Vec::<Rid>::new());
+        assert_eq!(t.lookup(&store, b"k2").unwrap(), vec![rid(2)]);
+        assert!(!t.delete(&store, b"k1", rid(1)).unwrap());
+        assert!(!t.delete(&store, b"missing", rid(1)).unwrap());
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn delete_across_split_leaves() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         let n = 3000u32;
         for k in 0..n {
-            t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+            t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
         for k in (0..n).step_by(2) {
-            assert!(t.delete(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap());
+            assert!(t.delete(&store, &k.to_be_bytes(), rid(k as u64)).unwrap());
         }
         assert_eq!(t.len() as u32, n / 2);
-        let all = t.range(&pool, Bound::Unbounded, Bound::Unbounded).unwrap();
+        let all = t.range(&store, Bound::Unbounded, Bound::Unbounded).unwrap();
         assert!(all
             .iter()
             .all(|(k, _)| { u32::from_be_bytes(k.as_slice().try_into().unwrap()) % 2 == 1 }));
@@ -710,16 +691,16 @@ mod tests {
     #[test]
     fn cursor_walks_whole_tree_incrementally() {
         // A browse cursor pages by seeking past the last key it showed.
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         for k in 0..1000u32 {
-            t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+            t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
         let mut seen = 0u32;
         let mut last: Option<Vec<u8>> = None;
         loop {
             let lower = last.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
             let mut page = Vec::new();
-            t.range_scan(&pool, lower, Bound::Unbounded, |k, _| {
+            t.range_scan(&store, lower, Bound::Unbounded, |k, _| {
                 page.push(k.to_vec());
                 page.len() < 16
             })
@@ -738,14 +719,14 @@ mod tests {
 
     #[test]
     fn cursor_seek_positions_mid_tree() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         for k in (0..1000u32).step_by(2) {
-            t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+            t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
         }
         // Seek to a key that is absent (odd): next entry is the even above it.
         let probe = 501u32.to_be_bytes();
         let mut first = None;
-        t.range_scan(&pool, Bound::Included(&probe), Bound::Unbounded, |k, _| {
+        t.range_scan(&store, Bound::Included(&probe), Bound::Unbounded, |k, _| {
             first = Some(k.to_vec());
             false
         })
@@ -755,56 +736,56 @@ mod tests {
 
     #[test]
     fn composite_keys_give_per_duplicate_deletion() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         for i in 0..50u64 {
             let ck = composite_key(b"dept=sales", rid(i));
-            t.insert(&pool, &ck, rid(i)).unwrap();
+            t.insert(&store, &ck, rid(i)).unwrap();
         }
-        let hits = t.lookup_prefix(&pool, b"dept=sales").unwrap();
+        let hits = t.lookup_prefix(&store, b"dept=sales").unwrap();
         assert_eq!(hits.len(), 50);
         let ck = composite_key(b"dept=sales", rid(7));
-        assert!(t.delete(&pool, &ck, rid(7)).unwrap());
-        assert_eq!(t.lookup_prefix(&pool, b"dept=sales").unwrap().len(), 49);
+        assert!(t.delete(&store, &ck, rid(7)).unwrap());
+        assert_eq!(t.lookup_prefix(&store, b"dept=sales").unwrap().len(), 49);
     }
 
     #[test]
     fn reopen_preserves_tree() {
-        let pool = BufferPool::new(MemStore::new(), 64);
+        let store = MemStore::new();
         let meta;
         {
-            let mut t = BTree::create(&pool).unwrap();
+            let mut t = BTree::create(&store).unwrap();
             meta = t.meta_page();
             for k in 0..2000u32 {
-                t.insert(&pool, &k.to_be_bytes(), rid(k as u64)).unwrap();
+                t.insert(&store, &k.to_be_bytes(), rid(k as u64)).unwrap();
             }
         }
-        let mut t = BTree::open(&pool, meta).unwrap();
+        let mut t = BTree::open(&store, meta).unwrap();
         assert_eq!(t.len(), 2000);
         assert_eq!(
-            t.lookup(&pool, &1234u32.to_be_bytes()).unwrap(),
+            t.lookup(&store, &1234u32.to_be_bytes()).unwrap(),
             vec![rid(1234)]
         );
         assert!(matches!(
-            t.insert(&pool, &1234u32.to_be_bytes(), rid(1)),
+            t.insert(&store, &1234u32.to_be_bytes(), rid(1)),
             Err(StorageError::DuplicateKey)
         ));
     }
 
     #[test]
     fn oversized_key_is_rejected() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         let big = vec![0u8; MAX_KEY + 1];
-        assert!(t.insert(&pool, &big, rid(0)).is_err());
+        assert!(t.insert(&store, &big, rid(0)).is_err());
     }
 
     #[test]
     fn variable_length_keys_sort_lexicographically() {
-        let (pool, mut t) = setup();
+        let (store, mut t) = setup();
         let keys: &[&[u8]] = &[b"a", b"aa", b"ab", b"b", b"ba", b""];
         for (i, k) in keys.iter().enumerate() {
-            t.insert(&pool, k, rid(i as u64)).unwrap();
+            t.insert(&store, k, rid(i as u64)).unwrap();
         }
-        let all = t.range(&pool, Bound::Unbounded, Bound::Unbounded).unwrap();
+        let all = t.range(&store, Bound::Unbounded, Bound::Unbounded).unwrap();
         let got: Vec<&[u8]> = all.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(got, vec![&b""[..], b"a", b"aa", b"ab", b"b", b"ba"]);
     }
@@ -813,7 +794,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::store::MemStore;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -881,8 +861,8 @@ mod proptests {
                 1..8,
             ),
         ) {
-            let pool = BufferPool::new(MemStore::new(), 64);
-            let mut tree = BTree::create(&pool).unwrap();
+            let store = MemStore::new();
+            let mut tree = BTree::create(&store).unwrap();
             let mut model: BTreeMap<Vec<u8>, Rid> = BTreeMap::new();
             let mut next_rid = 0u64;
             for op in ops {
@@ -890,7 +870,7 @@ mod proptests {
                     Op::Insert(key) => {
                         let r = Rid::new(PageId(next_rid), 0);
                         next_rid += 1;
-                        match tree.insert(&pool, &key, r) {
+                        match tree.insert(&store, &key, r) {
                             Ok(()) => {
                                 prop_assert!(!model.contains_key(&key));
                                 model.insert(key, r);
@@ -905,9 +885,9 @@ mod proptests {
                         // A missing key, or a present key with a wrong rid,
                         // is a no-op.
                         let wrong = Rid::new(PageId(u64::MAX), 0);
-                        prop_assert!(!tree.delete(&pool, &key, wrong).unwrap());
+                        prop_assert!(!tree.delete(&store, &key, wrong).unwrap());
                         let r = model.remove(&key);
-                        prop_assert_eq!(tree.delete(&pool, &key, r.unwrap_or(wrong)).unwrap(), r.is_some());
+                        prop_assert_eq!(tree.delete(&store, &key, r.unwrap_or(wrong)).unwrap(), r.is_some());
                     }
                     Op::DeleteNth(n) => {
                         if model.is_empty() {
@@ -915,19 +895,19 @@ mod proptests {
                         }
                         let key = model.keys().nth(n % model.len()).unwrap().clone();
                         let r = model.remove(&key).unwrap();
-                        prop_assert!(tree.delete(&pool, &key, r).unwrap());
+                        prop_assert!(tree.delete(&store, &key, r).unwrap());
                     }
                 }
             }
             prop_assert_eq!(tree.len() as usize, model.len());
-            let all = tree.range(&pool, Bound::Unbounded, Bound::Unbounded).unwrap();
+            let all = tree.range(&store, Bound::Unbounded, Bound::Unbounded).unwrap();
             let expect: Vec<(Vec<u8>, Rid)> =
                 model.iter().map(|(k, v)| (k.clone(), *v)).collect();
             prop_assert_eq!(all, expect);
             for (lo, lo_pick, hi, hi_pick) in ranges {
                 let lo = anchor(lo, lo_pick, &model);
                 let hi = anchor(hi, hi_pick, &model);
-                let got = tree.range(&pool, lo.as_ref().map(|k| k.as_slice()), hi.as_ref().map(|k| k.as_slice())).unwrap();
+                let got = tree.range(&store, lo.as_ref().map(|k| k.as_slice()), hi.as_ref().map(|k| k.as_slice())).unwrap();
                 // BTreeMap::range panics on an inverted range; the tree
                 // returns nothing for it.
                 let inverted = match (&lo, &hi) {

@@ -21,8 +21,6 @@ pub enum StorageError {
     SlotNotFound { page: u64, slot: u16 },
     /// A record was too large to ever fit on a page.
     RecordTooLarge { size: usize, max: usize },
-    /// The buffer pool had no evictable frame (every frame pinned).
-    PoolExhausted { capacity: usize },
     /// A page's bytes failed a structural sanity check.
     Corrupt(&'static str),
     /// A unique index rejected a duplicate key.
@@ -41,9 +39,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::RecordTooLarge { size, max } => {
                 write!(f, "record of {size} bytes exceeds maximum {max}")
-            }
-            StorageError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
             }
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
             StorageError::DuplicateKey => write!(f, "duplicate key in unique index"),
@@ -90,10 +85,6 @@ mod tests {
             }
             .to_string(),
             "record of 9000 bytes exceeds maximum 8000"
-        );
-        assert_eq!(
-            StorageError::PoolExhausted { capacity: 4 }.to_string(),
-            "buffer pool exhausted: all 4 frames pinned"
         );
     }
 

@@ -4,21 +4,14 @@
 //! failure, so everything here is driven by a [`SplitMix64`] generator seeded
 //! from the test plan — never by wall-clock time or OS randomness.
 //!
-//! Two injection points mirror the two media the engine writes:
-//!
-//! * [`FaultLog`] — a WAL backend (see [`crate::wal::Wal::with_faults`]) that
-//!   splits the log image into a *durable* region (made it through fsync) and
-//!   a *buffered* region (written but not yet synced). Appends can short-write
-//!   and fail; flushes can fail outright (nothing promoted) or "time out"
-//!   (data promoted, acknowledgment lost — the classic indeterminate commit).
-//!   [`FaultLog::crash_image`] simulates power loss: the durable bytes plus a
-//!   torn prefix of the buffered bytes.
-//! * [`FaultStore`] — a [`PageStore`] wrapper that fails page writes and
-//!   syncs on seeded countdowns, for exercising checkpoint error paths.
+//! [`FaultLog`] is a WAL backend (see [`crate::wal::Wal::with_faults`]) that
+//! splits the log image into a *durable* region (made it through fsync) and
+//! a *buffered* region (written but not yet synced). Appends can short-write
+//! and fail; flushes can fail outright (nothing promoted) or "time out"
+//! (data promoted, acknowledgment lost — the classic indeterminate commit).
+//! [`FaultLog::crash_image`] simulates power loss: the durable bytes plus a
+//! torn prefix of the buffered bytes.
 
-use crate::error::StorageResult;
-use crate::page::{Page, PageId};
-use crate::store::PageStore;
 use std::io;
 
 /// A tiny, high-quality, deterministic PRNG (splitmix64). Not cryptographic;
@@ -193,79 +186,9 @@ impl FaultLog {
     }
 }
 
-/// Countdown-based fault plan for a [`FaultStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct StoreFaultPlan {
-    /// Fail the Nth page write (1-based; `0` = never).
-    pub fail_write_at: u64,
-    /// Fail the Nth sync (1-based; `0` = never).
-    pub fail_sync_at: u64,
-}
-
-/// A [`PageStore`] wrapper that injects `io::Error`s at exact, deterministic
-/// points — checkpoint code must surface (not swallow) them.
-pub struct FaultStore<S: PageStore> {
-    inner: S,
-    plan: StoreFaultPlan,
-    writes: u64,
-    syncs: u64,
-}
-
-impl<S: PageStore> FaultStore<S> {
-    /// Wrap `inner` with the given countdown plan.
-    pub fn new(inner: S, plan: StoreFaultPlan) -> FaultStore<S> {
-        FaultStore {
-            inner,
-            plan,
-            writes: 0,
-            syncs: 0,
-        }
-    }
-
-    /// Unwrap the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for FaultStore<S> {
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
-        self.inner.read(id, out)
-    }
-
-    fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.writes += 1;
-        if self.plan.fail_write_at != 0 && self.writes == self.plan.fail_write_at {
-            return Err(injected(io::ErrorKind::Other, "injected page-write failure").into());
-        }
-        self.inner.write(id, page)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.inner.free(id)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.inner.page_count()
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.syncs += 1;
-        if self.plan.fail_sync_at != 0 && self.syncs == self.plan.fail_sync_at {
-            return Err(injected(io::ErrorKind::Other, "injected sync failure").into());
-        }
-        self.inner.sync()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -365,23 +288,5 @@ mod tests {
             (outcomes, log.crash_image(), log.stats())
         };
         assert_eq!(run(plan), run(plan));
-    }
-
-    #[test]
-    fn fault_store_fails_on_countdown() {
-        let mut s = FaultStore::new(
-            MemStore::new(),
-            StoreFaultPlan {
-                fail_write_at: 2,
-                fail_sync_at: 1,
-            },
-        );
-        let a = s.allocate().unwrap();
-        let p = Page::zeroed();
-        s.write(a, &p).unwrap();
-        assert!(s.write(a, &p).is_err(), "second write fails");
-        s.write(a, &p).unwrap();
-        assert!(s.sync().is_err(), "first sync fails");
-        s.sync().unwrap();
     }
 }

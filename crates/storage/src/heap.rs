@@ -14,12 +14,11 @@
 //! * `MOVED` — a record that lives here but whose logical rid is elsewhere;
 //!   scans skip it (the stub's rid is the logical one).
 
-use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{get_u64, put_u64, PageId, PAGE_SIZE};
 use crate::rid::Rid;
 use crate::slotted::{Slotted, SlottedRead, SLOTTED_HEADER, SLOT_ENTRY};
-use crate::store::PageStore;
+use crate::store::MemStore;
 
 const TAG_DATA: u8 = 0;
 const TAG_FWD: u8 = 1;
@@ -34,10 +33,6 @@ const META_COUNT: usize = 16;
 
 /// Largest record a heap file accepts.
 pub const MAX_RECORD: usize = PAGE_SIZE - REGION_OFF - SLOTTED_HEADER - SLOT_ENTRY - 1;
-
-/// Readahead window of [`HeapFile::scan_page`]: how many upcoming data
-/// pages each page-at-a-time scan step prefetches into the buffer pool.
-pub const SCAN_READAHEAD: usize = 8;
 
 /// A heap file rooted at a meta page.
 ///
@@ -55,9 +50,9 @@ pub struct HeapFile {
 impl HeapFile {
     /// Create a new, empty heap file. Returns a handle rooted at a fresh
     /// meta page (persist the meta page id in your catalog).
-    pub fn create<S: PageStore>(pool: &BufferPool<S>) -> StorageResult<HeapFile> {
-        let meta = pool.allocate_page()?;
-        pool.with_page_mut(meta, |p| {
+    pub fn create(store: &MemStore) -> StorageResult<HeapFile> {
+        let meta = store.allocate();
+        store.with_page_mut(meta, |p| {
             let b = p.as_mut_slice();
             put_u64(b, META_FIRST, PageId::INVALID.0);
             put_u64(b, META_LAST, PageId::INVALID.0);
@@ -73,8 +68,8 @@ impl HeapFile {
 
     /// Open an existing heap file rooted at `meta`, rebuilding the in-memory
     /// page list by walking the chain.
-    pub fn open<S: PageStore>(pool: &BufferPool<S>, meta: PageId) -> StorageResult<HeapFile> {
-        let (first, count) = pool.with_page(meta, |p| {
+    pub fn open(store: &MemStore, meta: PageId) -> StorageResult<HeapFile> {
+        let (first, count) = store.with_page(meta, |p| {
             (
                 PageId(get_u64(p.as_slice(), META_FIRST)),
                 get_u64(p.as_slice(), META_COUNT),
@@ -84,7 +79,7 @@ impl HeapFile {
         let mut free_hint = Vec::new();
         let mut cur = first;
         while cur.is_valid() {
-            let (next, free) = pool.with_page_mut(cur, |p| {
+            let (next, free) = store.with_page_mut(cur, |p| {
                 let next = PageId(get_u64(p.as_slice(), 0));
                 let region = &mut p.as_mut_slice()[REGION_OFF..];
                 let s = Slotted::open(region);
@@ -122,23 +117,23 @@ impl HeapFile {
         self.pages.len()
     }
 
-    fn persist_count<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<()> {
+    fn persist_count(&self, store: &MemStore) -> StorageResult<()> {
         let count = self.count;
-        pool.with_page_mut(self.meta, |p| put_u64(p.as_mut_slice(), META_COUNT, count))
+        store.with_page_mut(self.meta, |p| put_u64(p.as_mut_slice(), META_COUNT, count))
     }
 
     /// Append a new data page to the chain.
-    fn grow<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<PageId> {
-        let new = pool.allocate_page()?;
-        pool.with_page_mut(new, |p| {
+    fn grow(&mut self, store: &MemStore) -> StorageResult<PageId> {
+        let new = store.allocate();
+        store.with_page_mut(new, |p| {
             put_u64(p.as_mut_slice(), 0, PageId::INVALID.0);
             Slotted::init(&mut p.as_mut_slice()[REGION_OFF..]);
         })?;
         if let Some(&last) = self.pages.last() {
-            pool.with_page_mut(last, |p| put_u64(p.as_mut_slice(), 0, new.0))?;
-            pool.with_page_mut(self.meta, |p| put_u64(p.as_mut_slice(), META_LAST, new.0))?;
+            store.with_page_mut(last, |p| put_u64(p.as_mut_slice(), 0, new.0))?;
+            store.with_page_mut(self.meta, |p| put_u64(p.as_mut_slice(), META_LAST, new.0))?;
         } else {
-            pool.with_page_mut(self.meta, |p| {
+            store.with_page_mut(self.meta, |p| {
                 put_u64(p.as_mut_slice(), META_FIRST, new.0);
                 put_u64(p.as_mut_slice(), META_LAST, new.0);
             })?;
@@ -150,7 +145,7 @@ impl HeapFile {
     }
 
     /// Place a tagged cell somewhere in the file; returns its physical rid.
-    fn place<S: PageStore>(&mut self, pool: &BufferPool<S>, cell: &[u8]) -> StorageResult<Rid> {
+    fn place(&mut self, store: &MemStore, cell: &[u8]) -> StorageResult<Rid> {
         // First fit over the free-space cache, preferring the last page
         // (append locality), then any page with room, then grow.
         let need = cell.len() + SLOT_ENTRY;
@@ -163,12 +158,12 @@ impl HeapFile {
         let idx = match candidate {
             Some(i) => i,
             None => {
-                self.grow(pool)?;
+                self.grow(store)?;
                 self.pages.len() - 1
             }
         };
         let pid = self.pages[idx];
-        let slot = pool.with_page_mut(pid, |p| {
+        let slot = store.with_page_mut(pid, |p| {
             let mut s = Slotted::open(&mut p.as_mut_slice()[REGION_OFF..]);
             let slot = s.insert(cell);
             (slot, s.total_free() as u16)
@@ -179,9 +174,9 @@ impl HeapFile {
             Some(slot) => Ok(Rid::new(pid, slot)),
             None => {
                 // Free hint was stale (fragmentation); grow and retry once.
-                let pid = self.grow(pool)?;
+                let pid = self.grow(store)?;
                 let idx = self.pages.len() - 1;
-                let (slot, free) = pool.with_page_mut(pid, |p| {
+                let (slot, free) = store.with_page_mut(pid, |p| {
                     let mut s = Slotted::open(&mut p.as_mut_slice()[REGION_OFF..]);
                     let slot = s.insert(cell);
                     (slot, s.total_free() as u16)
@@ -197,11 +192,7 @@ impl HeapFile {
     }
 
     /// Insert a record and return its (stable) rid.
-    pub fn insert<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        record: &[u8],
-    ) -> StorageResult<Rid> {
+    pub fn insert(&mut self, store: &MemStore, record: &[u8]) -> StorageResult<Rid> {
         if record.len() > MAX_RECORD {
             return Err(StorageError::RecordTooLarge {
                 size: record.len(),
@@ -211,34 +202,26 @@ impl HeapFile {
         let mut cell = Vec::with_capacity(record.len() + 1);
         cell.push(TAG_DATA);
         cell.extend_from_slice(record);
-        let rid = self.place(pool, &cell)?;
+        let rid = self.place(store, &cell)?;
         self.count += 1;
-        self.persist_count(pool)?;
+        self.persist_count(store)?;
         Ok(rid)
     }
 
     /// Read the raw cell at a physical rid.
-    fn read_cell<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        rid: Rid,
-    ) -> StorageResult<Option<Vec<u8>>> {
+    fn read_cell(&self, store: &MemStore, rid: Rid) -> StorageResult<Option<Vec<u8>>> {
         if !self.pages.contains(&rid.page) {
             return Ok(None);
         }
-        pool.with_page(rid.page, |p| {
+        store.with_page(rid.page, |p| {
             let s = SlottedRead::open(&p.as_slice()[REGION_OFF..]);
             s.get(rid.slot).map(|c| c.to_vec())
         })
     }
 
     /// Fetch a record by rid, following at most one forwarding stub.
-    pub fn get<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        rid: Rid,
-    ) -> StorageResult<Option<Vec<u8>>> {
-        let Some(cell) = self.read_cell(pool, rid)? else {
+    pub fn get(&self, store: &MemStore, rid: Rid) -> StorageResult<Option<Vec<u8>>> {
+        let Some(cell) = self.read_cell(store, rid)? else {
             return Ok(None);
         };
         match cell.first() {
@@ -247,7 +230,7 @@ impl HeapFile {
             Some(&TAG_FWD) => {
                 let target =
                     Rid::from_bytes(&cell[1..]).ok_or(StorageError::Corrupt("bad fwd rid"))?;
-                let Some(cell) = self.read_cell(pool, target)? else {
+                let Some(cell) = self.read_cell(store, target)? else {
                     return Err(StorageError::Corrupt("dangling forward"));
                 };
                 match cell.first() {
@@ -260,8 +243,8 @@ impl HeapFile {
     }
 
     /// Delete a record by rid. Returns whether a record was deleted.
-    pub fn delete<S: PageStore>(&mut self, pool: &BufferPool<S>, rid: Rid) -> StorageResult<bool> {
-        let Some(cell) = self.read_cell(pool, rid)? else {
+    pub fn delete(&mut self, store: &MemStore, rid: Rid) -> StorageResult<bool> {
+        let Some(cell) = self.read_cell(store, rid)? else {
             return Ok(false);
         };
         let target = match cell.first() {
@@ -272,17 +255,17 @@ impl HeapFile {
             Some(&TAG_MOVED) => return Ok(false),
             _ => return Err(StorageError::Corrupt("bad record tag")),
         };
-        self.delete_cell(pool, rid)?;
+        self.delete_cell(store, rid)?;
         if let Some(t) = target {
-            self.delete_cell(pool, t)?;
+            self.delete_cell(store, t)?;
         }
         self.count -= 1;
-        self.persist_count(pool)?;
+        self.persist_count(store)?;
         Ok(true)
     }
 
-    fn delete_cell<S: PageStore>(&mut self, pool: &BufferPool<S>, rid: Rid) -> StorageResult<()> {
-        let free = pool.with_page_mut(rid.page, |p| {
+    fn delete_cell(&mut self, store: &MemStore, rid: Rid) -> StorageResult<()> {
+        let free = store.with_page_mut(rid.page, |p| {
             let mut s = Slotted::open(&mut p.as_mut_slice()[REGION_OFF..]);
             s.delete(rid.slot);
             s.total_free() as u16
@@ -295,19 +278,14 @@ impl HeapFile {
 
     /// Update the record at `rid` in place (the rid remains valid even if
     /// the bytes physically move). Returns whether the record existed.
-    pub fn update<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        rid: Rid,
-        record: &[u8],
-    ) -> StorageResult<bool> {
+    pub fn update(&mut self, store: &MemStore, rid: Rid, record: &[u8]) -> StorageResult<bool> {
         if record.len() > MAX_RECORD {
             return Err(StorageError::RecordTooLarge {
                 size: record.len(),
                 max: MAX_RECORD,
             });
         }
-        let Some(cell) = self.read_cell(pool, rid)? else {
+        let Some(cell) = self.read_cell(store, rid)? else {
             return Ok(false);
         };
         let (home, old_target) = match cell.first() {
@@ -329,7 +307,7 @@ impl HeapFile {
         let mut cell = Vec::with_capacity(record.len() + 1);
         cell.push(tag);
         cell.extend_from_slice(record);
-        let fitted = pool.with_page_mut(phys.page, |p| {
+        let fitted = store.with_page_mut(phys.page, |p| {
             let mut s = Slotted::open(&mut p.as_mut_slice()[REGION_OFF..]);
             let ok = s.update(phys.slot, &cell);
             (ok, s.total_free() as u16)
@@ -345,12 +323,12 @@ impl HeapFile {
         let mut moved = Vec::with_capacity(record.len() + 1);
         moved.push(TAG_MOVED);
         moved.extend_from_slice(record);
-        let new_phys = self.place(pool, &moved)?;
+        let new_phys = self.place(store, &moved)?;
         // Point the home slot at the new location.
         let mut stub = Vec::with_capacity(11);
         stub.push(TAG_FWD);
         stub.extend_from_slice(&new_phys.to_bytes());
-        let stub_ok = pool.with_page_mut(home.page, |p| {
+        let stub_ok = store.with_page_mut(home.page, |p| {
             let mut s = Slotted::open(&mut p.as_mut_slice()[REGION_OFF..]);
             s.update(home.slot, &stub)
         })?;
@@ -363,7 +341,7 @@ impl HeapFile {
         }
         // Drop the old MOVED copy if the record had already been moved once.
         if let Some(t) = old_target {
-            self.delete_cell(pool, t)?;
+            self.delete_cell(store, t)?;
         }
         Ok(true)
     }
@@ -371,13 +349,9 @@ impl HeapFile {
     /// Scan all records in chain/slot order, invoking `f(rid, bytes)` for
     /// each live record. The rid passed is the *logical* rid (forwarding
     /// stubs are resolved; moved bodies are skipped).
-    pub fn scan<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        mut f: impl FnMut(Rid, &[u8]),
-    ) -> StorageResult<()> {
+    pub fn scan(&self, store: &MemStore, mut f: impl FnMut(Rid, &[u8])) -> StorageResult<()> {
         let mut page_idx = 0;
-        while self.scan_page(pool, page_idx, &mut f)? {
+        while self.scan_page(store, page_idx, &mut f)? {
             page_idx += 1;
         }
         Ok(())
@@ -386,28 +360,22 @@ impl HeapFile {
     /// Scan the records of one data page (by position in the page chain),
     /// invoking `f` exactly as [`HeapFile::scan`] does. Returns `false`
     /// when `page_idx` is past the end of the chain.
-    ///
-    /// Page-at-a-time access is by construction sequential, so each call
-    /// issues readahead for the next [`SCAN_READAHEAD`] pages of the chain
-    /// through [`BufferPool::prefetch`].
-    pub fn scan_page<S: PageStore>(
+    pub fn scan_page(
         &self,
-        pool: &BufferPool<S>,
+        store: &MemStore,
         page_idx: usize,
         mut f: impl FnMut(Rid, &[u8]),
     ) -> StorageResult<bool> {
         if page_idx >= self.pages.len() {
             return Ok(false);
         }
-        let ahead = (page_idx + 1 + SCAN_READAHEAD).min(self.pages.len());
-        pool.prefetch(&self.pages[page_idx + 1..ahead])?;
         let pid = self.pages[page_idx];
         // One copy of the whole slotted region instead of one `Vec` per
         // cell: records reach `f` as slices into this buffer, so a full
         // page scan costs a single allocation rather than one per row.
-        // (The copy itself is what lets `read_cell` re-enter the pool for
+        // (The copy itself is what lets `read_cell` re-enter the store for
         // forwarding stubs while we iterate.)
-        let region: Vec<u8> = pool.with_page(pid, |p| p.as_slice()[REGION_OFF..].to_vec())?;
+        let region: Vec<u8> = store.with_page(pid, |p| p.as_slice()[REGION_OFF..].to_vec())?;
         let s = SlottedRead::open(&region);
         for (slot, cell) in s.iter() {
             match cell.first() {
@@ -416,7 +384,7 @@ impl HeapFile {
                     let t =
                         Rid::from_bytes(&cell[1..]).ok_or(StorageError::Corrupt("bad fwd rid"))?;
                     let body = self
-                        .read_cell(pool, t)?
+                        .read_cell(store, t)?
                         .ok_or(StorageError::Corrupt("dangling forward"))?;
                     f(Rid::new(pid, slot), &body[1..]);
                 }
@@ -437,9 +405,9 @@ impl HeapFile {
     /// (batch-sized) pace and reuses both buffers across pages. Forwarded
     /// record bodies land after the region copy but their bounds keep slot
     /// order. Returns `false` once `page_idx` is past the end of the chain.
-    pub fn scan_page_into<S: PageStore>(
+    pub fn scan_page_into(
         &self,
-        pool: &BufferPool<S>,
+        store: &MemStore,
         page_idx: usize,
         arena: &mut Vec<u8>,
         bounds: &mut Vec<(u32, u32)>,
@@ -447,11 +415,9 @@ impl HeapFile {
         if page_idx >= self.pages.len() {
             return Ok(false);
         }
-        let ahead = (page_idx + 1 + SCAN_READAHEAD).min(self.pages.len());
-        pool.prefetch(&self.pages[page_idx + 1..ahead])?;
         let pid = self.pages[page_idx];
         let base = arena.len();
-        pool.with_page(pid, |p| {
+        store.with_page(pid, |p| {
             arena.extend_from_slice(&p.as_slice()[REGION_OFF..])
         })?;
         // Forwarding stubs to resolve once the region borrow ends: the
@@ -482,7 +448,7 @@ impl HeapFile {
         }
         for (bi, t) in fwds {
             let body = self
-                .read_cell(pool, t)?
+                .read_cell(store, t)?
                 .ok_or(StorageError::Corrupt("dangling forward"))?;
             let start = arena.len() as u32;
             arena.extend_from_slice(&body[1..]);
@@ -492,41 +458,37 @@ impl HeapFile {
     }
 
     /// Collect every `(rid, record)` pair (convenience over [`HeapFile::scan`]).
-    pub fn scan_all<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-    ) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
+    pub fn scan_all(&self, store: &MemStore) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
         let mut out = Vec::with_capacity(self.count as usize);
-        self.scan(pool, |rid, rec| out.push((rid, rec.to_vec())))?;
+        self.scan(store, |rid, rec| out.push((rid, rec.to_vec())))?;
         Ok(out)
     }
 
     /// Free every page of the heap (drop the relation).
-    pub fn destroy<S: PageStore>(self, pool: &BufferPool<S>) -> StorageResult<()> {
+    pub fn destroy(self, store: &MemStore) -> StorageResult<()> {
         for pid in self.pages {
-            pool.free_page(pid)?;
+            store.free(pid)?;
         }
-        pool.free_page(self.meta)
+        store.free(self.meta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
 
-    fn setup() -> (BufferPool<MemStore>, HeapFile) {
-        let pool = BufferPool::new(MemStore::new(), 32);
-        let heap = HeapFile::create(&pool).unwrap();
-        (pool, heap)
+    fn setup() -> (MemStore, HeapFile) {
+        let store = MemStore::new();
+        let heap = HeapFile::create(&store).unwrap();
+        (store, heap)
     }
 
     #[test]
     fn insert_get_round_trip() {
-        let (pool, mut heap) = setup();
-        let rid = heap.insert(&pool, b"hello").unwrap();
+        let (store, mut heap) = setup();
+        let rid = heap.insert(&store, b"hello").unwrap();
         assert_eq!(
-            heap.get(&pool, rid).unwrap().as_deref(),
+            heap.get(&store, rid).unwrap().as_deref(),
             Some(&b"hello"[..])
         );
         assert_eq!(heap.len(), 1);
@@ -534,71 +496,71 @@ mod tests {
 
     #[test]
     fn get_missing_is_none() {
-        let (pool, heap) = setup();
-        assert_eq!(heap.get(&pool, Rid::new(PageId(999), 0)).unwrap(), None);
+        let (store, heap) = setup();
+        assert_eq!(heap.get(&store, Rid::new(PageId(999), 0)).unwrap(), None);
     }
 
     #[test]
     fn delete_removes_record() {
-        let (pool, mut heap) = setup();
-        let rid = heap.insert(&pool, b"x").unwrap();
-        assert!(heap.delete(&pool, rid).unwrap());
-        assert_eq!(heap.get(&pool, rid).unwrap(), None);
-        assert!(!heap.delete(&pool, rid).unwrap());
+        let (store, mut heap) = setup();
+        let rid = heap.insert(&store, b"x").unwrap();
+        assert!(heap.delete(&store, rid).unwrap());
+        assert_eq!(heap.get(&store, rid).unwrap(), None);
+        assert!(!heap.delete(&store, rid).unwrap());
         assert_eq!(heap.len(), 0);
     }
 
     #[test]
     fn update_in_place_and_grow() {
-        let (pool, mut heap) = setup();
-        let rid = heap.insert(&pool, b"short").unwrap();
-        assert!(heap.update(&pool, rid, b"a bit longer record").unwrap());
+        let (store, mut heap) = setup();
+        let rid = heap.insert(&store, b"short").unwrap();
+        assert!(heap.update(&store, rid, b"a bit longer record").unwrap());
         assert_eq!(
-            heap.get(&pool, rid).unwrap().as_deref(),
+            heap.get(&store, rid).unwrap().as_deref(),
             Some(&b"a bit longer record"[..])
         );
     }
 
     #[test]
     fn update_that_moves_keeps_rid_stable() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         // Fill a page almost completely so the grown record cannot stay.
         let filler = vec![b'f'; 700];
         let mut rids = Vec::new();
         for _ in 0..11 {
-            rids.push(heap.insert(&pool, &filler).unwrap());
+            rids.push(heap.insert(&store, &filler).unwrap());
         }
         let victim = rids[5];
         let big = vec![b'B'; 3000];
-        assert!(heap.update(&pool, victim, &big).unwrap());
-        assert_eq!(heap.get(&pool, victim).unwrap().as_deref(), Some(&big[..]));
+        assert!(heap.update(&store, victim, &big).unwrap());
+        assert_eq!(heap.get(&store, victim).unwrap().as_deref(), Some(&big[..]));
         // And update it again, even bigger, exercising stub refresh.
         let bigger = vec![b'C'; 6000];
-        assert!(heap.update(&pool, victim, &bigger).unwrap());
+        assert!(heap.update(&store, victim, &bigger).unwrap());
         assert_eq!(
-            heap.get(&pool, victim).unwrap().as_deref(),
+            heap.get(&store, victim).unwrap().as_deref(),
             Some(&bigger[..])
         );
         // Other records untouched.
         assert_eq!(
-            heap.get(&pool, rids[4]).unwrap().as_deref(),
+            heap.get(&store, rids[4]).unwrap().as_deref(),
             Some(&filler[..])
         );
     }
 
     #[test]
     fn scan_sees_each_live_record_once() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         let filler = vec![b'f'; 700];
         let mut rids = Vec::new();
         for _ in 0..11 {
-            rids.push(heap.insert(&pool, &filler).unwrap());
+            rids.push(heap.insert(&store, &filler).unwrap());
         }
         // Move one record via growth, delete another.
         let big = vec![b'B'; 3000];
-        heap.update(&pool, rids[3], &big).unwrap();
-        heap.delete(&pool, rids[7]).unwrap();
-        let all = heap.scan_all(&pool).unwrap();
+        heap.update(&store, rids[3], &big).unwrap();
+        heap.delete(&store, rids[7]).unwrap();
+        let all = heap.scan_all(&store).unwrap();
         assert_eq!(all.len(), 10);
         let got_rids: Vec<Rid> = all.iter().map(|(r, _)| *r).collect();
         assert!(
@@ -612,74 +574,65 @@ mod tests {
 
     #[test]
     fn records_spanning_many_pages() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         let n = 2000;
         let mut rids = Vec::new();
         for i in 0..n {
             let rec = format!("record-{i:05}");
-            rids.push(heap.insert(&pool, rec.as_bytes()).unwrap());
+            rids.push(heap.insert(&store, rec.as_bytes()).unwrap());
         }
         assert!(heap.page_count() > 1);
         assert_eq!(heap.len(), n);
         for (i, rid) in rids.iter().enumerate() {
-            let rec = heap.get(&pool, *rid).unwrap().unwrap();
+            let rec = heap.get(&store, *rid).unwrap().unwrap();
             assert_eq!(rec, format!("record-{i:05}").as_bytes());
         }
         let mut seen = 0;
-        heap.scan(&pool, |_, _| seen += 1).unwrap();
+        heap.scan(&store, |_, _| seen += 1).unwrap();
         assert_eq!(seen, n as usize);
     }
 
     #[test]
-    fn scan_page_matches_scan_and_prefetches() {
-        // Pool smaller than the heap so the scan cannot run entirely from
-        // resident frames.
-        let pool = BufferPool::new(MemStore::new(), 12);
-        let mut heap = HeapFile::create(&pool).unwrap();
+    fn scan_page_matches_scan() {
+        let store = MemStore::new();
+        let mut heap = HeapFile::create(&store).unwrap();
         for i in 0..12000 {
-            heap.insert(&pool, format!("record-{i:05}").as_bytes())
+            heap.insert(&store, format!("record-{i:05}").as_bytes())
                 .unwrap();
         }
-        assert!(heap.page_count() > SCAN_READAHEAD);
-        pool.reset_stats();
+        assert!(heap.page_count() > 1);
         let mut paged = Vec::new();
         let mut idx = 0;
         while heap
-            .scan_page(&pool, idx, |rid, rec| paged.push((rid, rec.to_vec())))
+            .scan_page(&store, idx, |rid, rec| paged.push((rid, rec.to_vec())))
             .unwrap()
         {
             idx += 1;
         }
         assert_eq!(idx, heap.page_count());
-        let stats = pool.stats();
-        assert!(stats.prefetches > 0, "sequential scan issues readahead");
-        assert!(
-            stats.prefetch_hits > 0,
-            "readahead pages are then read: {stats:?}"
-        );
-        let whole = heap.scan_all(&pool).unwrap();
+        let whole = heap.scan_all(&store).unwrap();
         assert_eq!(paged, whole);
     }
 
     #[test]
     fn scan_page_into_matches_scan_page_with_forwards_and_deletes() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         let filler = vec![b'f'; 700];
         let mut rids = Vec::new();
         for _ in 0..40 {
-            rids.push(heap.insert(&pool, &filler).unwrap());
+            rids.push(heap.insert(&store, &filler).unwrap());
         }
         // Grow one record past its page's free space so it moves and
         // leaves a forwarding stub; tombstone another.
         let big = vec![b'x'; 4000];
-        heap.update(&pool, rids[3], &big).unwrap();
-        heap.delete(&pool, rids[7]).unwrap();
+        heap.update(&store, rids[3], &big).unwrap();
+        heap.delete(&store, rids[7]).unwrap();
         assert!(heap.page_count() > 1);
 
         let mut via_f = Vec::new();
         let mut idx = 0;
         while heap
-            .scan_page(&pool, idx, |_, rec| via_f.push(rec.to_vec()))
+            .scan_page(&store, idx, |_, rec| via_f.push(rec.to_vec()))
             .unwrap()
         {
             idx += 1;
@@ -688,7 +641,7 @@ mod tests {
         let mut bounds = Vec::new();
         let mut pages_seen = 0;
         while heap
-            .scan_page_into(&pool, pages_seen, &mut arena, &mut bounds)
+            .scan_page_into(&store, pages_seen, &mut arena, &mut bounds)
             .unwrap()
         {
             pages_seen += 1;
@@ -703,63 +656,63 @@ mod tests {
 
     #[test]
     fn reopen_preserves_records() {
-        let pool = BufferPool::new(MemStore::new(), 32);
+        let store = MemStore::new();
         let meta;
         let rid;
         {
-            let mut heap = HeapFile::create(&pool).unwrap();
+            let mut heap = HeapFile::create(&store).unwrap();
             meta = heap.meta_page();
-            rid = heap.insert(&pool, b"durable").unwrap();
+            rid = heap.insert(&store, b"durable").unwrap();
             for i in 0..500 {
-                heap.insert(&pool, format!("r{i}").as_bytes()).unwrap();
+                heap.insert(&store, format!("r{i}").as_bytes()).unwrap();
             }
         }
-        let heap = HeapFile::open(&pool, meta).unwrap();
+        let heap = HeapFile::open(&store, meta).unwrap();
         assert_eq!(heap.len(), 501);
         assert_eq!(
-            heap.get(&pool, rid).unwrap().as_deref(),
+            heap.get(&store, rid).unwrap().as_deref(),
             Some(&b"durable"[..])
         );
     }
 
     #[test]
     fn too_large_record_is_rejected() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         let huge = vec![0u8; MAX_RECORD + 1];
         assert!(matches!(
-            heap.insert(&pool, &huge),
+            heap.insert(&store, &huge),
             Err(StorageError::RecordTooLarge { .. })
         ));
         // Max-size record is accepted.
         let max = vec![1u8; MAX_RECORD];
-        let rid = heap.insert(&pool, &max).unwrap();
-        assert_eq!(heap.get(&pool, rid).unwrap().unwrap().len(), MAX_RECORD);
+        let rid = heap.insert(&store, &max).unwrap();
+        assert_eq!(heap.get(&store, rid).unwrap().unwrap().len(), MAX_RECORD);
     }
 
     #[test]
     fn destroy_frees_pages() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         for i in 0..100 {
-            heap.insert(&pool, format!("row{i}").as_bytes()).unwrap();
+            heap.insert(&store, format!("row{i}").as_bytes()).unwrap();
         }
         let meta = heap.meta_page();
-        heap.destroy(&pool).unwrap();
-        assert!(HeapFile::open(&pool, meta).is_err());
+        heap.destroy(&store).unwrap();
+        assert!(HeapFile::open(&store, meta).is_err());
     }
 
     #[test]
     fn interleaved_insert_delete_reuses_space() {
-        let (pool, mut heap) = setup();
+        let (store, mut heap) = setup();
         let rec = vec![b'x'; 100];
         let mut live = Vec::new();
         for round in 0..20 {
             for _ in 0..50 {
-                live.push(heap.insert(&pool, &rec).unwrap());
+                live.push(heap.insert(&store, &rec).unwrap());
             }
             // Delete half.
             for _ in 0..25 {
                 let rid = live.remove(round % live.len().max(1));
-                heap.delete(&pool, rid).unwrap();
+                heap.delete(&store, rid).unwrap();
             }
         }
         assert_eq!(heap.len() as usize, live.len());

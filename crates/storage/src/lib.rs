@@ -7,8 +7,8 @@
 //!
 //! * [`page`] — fixed-size pages and page identifiers.
 //! * [`slotted`] — the slotted-page record layout used by heaps and indexes.
-//! * [`store`] — page stores: an in-memory store and a file-backed store.
-//! * [`buffer`] — a pinning buffer pool with clock eviction.
+//! * [`store`] — page stores: the in-memory store that holds the one copy
+//!   of every page, and a file-backed store for checkpoints.
 //! * [`heap`] — heap files of variable-length records addressed by [`rid::Rid`].
 //! * [`btree`] — a B+tree over byte-comparable keys, the one index structure:
 //!   it answers point probes and ordered range scans alike.
@@ -22,17 +22,15 @@
 //! ## Quick tour
 //!
 //! ```
-//! use wow_storage::{store::MemStore, buffer::BufferPool, heap::HeapFile};
+//! use wow_storage::{store::MemStore, heap::HeapFile};
 //!
 //! let store = MemStore::new();
-//! let mut pool = BufferPool::new(store, 64);
-//! let mut heap = HeapFile::create(&mut pool).unwrap();
-//! let rid = heap.insert(&mut pool, b"hello world").unwrap();
-//! assert_eq!(heap.get(&mut pool, rid).unwrap().as_deref(), Some(&b"hello world"[..]));
+//! let mut heap = HeapFile::create(&store).unwrap();
+//! let rid = heap.insert(&store, b"hello world").unwrap();
+//! assert_eq!(heap.get(&store, rid).unwrap().as_deref(), Some(&b"hello world"[..]));
 //! ```
 
 pub mod btree;
-pub mod buffer;
 pub mod error;
 pub mod fault;
 pub mod heap;

@@ -2,8 +2,8 @@
 //!
 //! All on-disk structures — heap files and B+trees — are built
 //! from [`PAGE_SIZE`]-byte pages addressed by a [`PageId`]. Page ids are
-//! allocated by a [`crate::store::PageStore`] and are never reused within a
-//! store's lifetime (freed pages go on a free list but keep their id).
+//! allocated by a [`crate::store::MemStore`]; a freed id goes on the
+//! store's free list and may be handed out again.
 
 use std::fmt;
 

@@ -307,7 +307,7 @@ impl<'a> Slotted<'a> {
 }
 
 /// A read-only view over a slotted region (usable from shared page borrows,
-/// so readers do not dirty buffer-pool frames).
+/// so readers need only the page store's read lock).
 pub struct SlottedRead<'a> {
     buf: &'a [u8],
 }

@@ -1,34 +1,30 @@
 //! Page stores: where pages physically live.
 //!
-//! [`PageStore`] abstracts the persistence medium. [`MemStore`] keeps pages
-//! in memory (the default for benches and the TUI demos, standing in for the
-//! 1983 machine's disk); [`FileStore`] persists pages to a single file and is
-//! used by the WAL/recovery tests to demonstrate durability.
+//! [`MemStore`] holds the one copy of every page of a database in memory;
+//! [`HeapFile`](crate::heap::HeapFile) and [`BTree`](crate::btree::BTree)
+//! read and write it directly through closure-scoped borrows.
+//! [`FileStore`] persists page images to a single file; durable checkpoints
+//! copy the `MemStore`'s live pages into one.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
+use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Abstract page persistence.
-pub trait PageStore {
-    /// Allocate a fresh page (zero-filled) and return its id.
-    fn allocate(&mut self) -> StorageResult<PageId>;
-    /// Read the page into `out`.
-    fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()>;
-    /// Persist the page image.
-    fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()>;
-    /// Return a page to the free list. Its id may be recycled by `allocate`.
-    fn free(&mut self, id: PageId) -> StorageResult<()>;
-    /// Number of pages ever allocated (including freed ones).
-    fn page_count(&self) -> u64;
-    /// Flush any buffered writes to the medium.
-    fn sync(&mut self) -> StorageResult<()>;
+/// The in-memory page store: every page of a database, once.
+///
+/// Every method takes `&self`. The slot vector and free list sit behind one
+/// `RwLock`, so parallel-scan workers read pages concurrently while a write
+/// excludes everyone. A [`MemStore::with_page`] or
+/// [`MemStore::with_page_mut`] closure runs under that lock and must not
+/// call back into the store.
+pub struct MemStore {
+    slots: RwLock<Slots>,
 }
 
-/// An in-memory page store.
-pub struct MemStore {
+struct Slots {
     pages: Vec<Option<Page>>,
     free: Vec<u64>,
 }
@@ -36,15 +32,7 @@ pub struct MemStore {
 impl MemStore {
     /// Create an empty store.
     pub fn new() -> Self {
-        MemStore {
-            pages: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Approximate resident bytes (for tests/benches).
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count() * PAGE_SIZE
+        Self::from_parts(Vec::new())
     }
 
     /// Rebuild a store from page images restored by a checkpoint loader.
@@ -57,64 +45,61 @@ impl MemStore {
             .filter(|(_, p)| p.is_none())
             .map(|(i, _)| i as u64)
             .collect();
-        MemStore { pages, free }
+        MemStore {
+            slots: RwLock::new(Slots { pages, free }),
+        }
+    }
+
+    /// Number of page ids ever handed out (including freed ones).
+    pub fn page_count(&self) -> u64 {
+        self.slots.read().pages.len() as u64
+    }
+
+    /// Allocate a zero-filled page, recycling a freed id when there is one.
+    pub fn allocate(&self) -> PageId {
+        let mut slots = self.slots.write();
+        if let Some(id) = slots.free.pop() {
+            slots.pages[id as usize] = Some(Page::zeroed());
+            return PageId(id);
+        }
+        slots.pages.push(Some(Page::zeroed()));
+        PageId(slots.pages.len() as u64 - 1)
+    }
+
+    /// Drop a page; its id may be recycled by [`MemStore::allocate`].
+    pub fn free(&self, id: PageId) -> StorageResult<()> {
+        let mut guard = self.slots.write();
+        let slots = &mut *guard;
+        match slots.pages.get_mut(id.0 as usize) {
+            Some(slot @ Some(_)) => {
+                *slot = None;
+                slots.free.push(id.0);
+                Ok(())
+            }
+            _ => Err(StorageError::PageNotFound(id.0)),
+        }
+    }
+
+    /// Run `f` with read access to the page, borrowed in place.
+    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
+        match self.slots.read().pages.get(id.0 as usize) {
+            Some(Some(p)) => Ok(f(p)),
+            _ => Err(StorageError::PageNotFound(id.0)),
+        }
+    }
+
+    /// Run `f` with write access to the page, borrowed in place.
+    pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> StorageResult<R> {
+        match self.slots.write().pages.get_mut(id.0 as usize) {
+            Some(Some(p)) => Ok(f(p)),
+            _ => Err(StorageError::PageNotFound(id.0)),
+        }
     }
 }
 
 impl Default for MemStore {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl PageStore for MemStore {
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        if let Some(id) = self.free.pop() {
-            self.pages[id as usize] = Some(Page::zeroed());
-            return Ok(PageId(id));
-        }
-        let id = self.pages.len() as u64;
-        self.pages.push(Some(Page::zeroed()));
-        Ok(PageId(id))
-    }
-
-    fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
-        match self.pages.get(id.0 as usize) {
-            Some(Some(p)) => {
-                out.as_mut_slice().copy_from_slice(p.as_slice());
-                Ok(())
-            }
-            _ => Err(StorageError::PageNotFound(id.0)),
-        }
-    }
-
-    fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
-        match self.pages.get_mut(id.0 as usize) {
-            Some(slot @ Some(_)) => {
-                *slot = Some(page.clone());
-                Ok(())
-            }
-            _ => Err(StorageError::PageNotFound(id.0)),
-        }
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        match self.pages.get_mut(id.0 as usize) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                self.free.push(id.0);
-                Ok(())
-            }
-            _ => Err(StorageError::PageNotFound(id.0)),
-        }
-    }
-
-    fn page_count(&self) -> u64 {
-        self.pages.len() as u64
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        Ok(())
     }
 }
 
@@ -246,10 +231,10 @@ impl FileStore {
         }
         Ok(Some(buf))
     }
-}
 
-impl PageStore for FileStore {
-    fn allocate(&mut self) -> StorageResult<PageId> {
+    /// Allocate a zero-filled page (popping the persistent free chain
+    /// first) and return its id.
+    pub fn allocate(&mut self) -> StorageResult<PageId> {
         let id = if self.free_head != NIL {
             // Pop the head of the persistent free chain.
             let id = PageId(self.free_head);
@@ -278,7 +263,8 @@ impl PageStore for FileStore {
         Ok(id)
     }
 
-    fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
+    /// Read page `id` into `out`.
+    pub fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
         if id.0 >= self.next {
             return Err(StorageError::PageNotFound(id.0));
         }
@@ -287,7 +273,8 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
+    /// Write the page image at `id`.
+    pub fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
         if id.0 >= self.next {
             return Err(StorageError::PageNotFound(id.0));
         }
@@ -296,7 +283,8 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
+    /// Push page `id` onto the persistent free chain.
+    pub fn free(&mut self, id: PageId) -> StorageResult<()> {
         if id.0 >= self.next {
             return Err(StorageError::PageNotFound(id.0));
         }
@@ -310,11 +298,13 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn page_count(&self) -> u64 {
+    /// Number of pages ever allocated (including freed ones).
+    pub fn page_count(&self) -> u64 {
         self.next
     }
 
-    fn sync(&mut self) -> StorageResult<()> {
+    /// Flush written pages to the medium.
+    pub fn sync(&mut self) -> StorageResult<()> {
         self.file.sync_data()?;
         Ok(())
     }
@@ -326,44 +316,97 @@ mod tests {
 
     #[test]
     fn memstore_alloc_read_write() {
-        let mut s = MemStore::new();
-        let a = s.allocate().unwrap();
-        let b = s.allocate().unwrap();
+        let s = MemStore::new();
+        let a = s.allocate();
+        let b = s.allocate();
         assert_ne!(a, b);
-        let mut p = Page::zeroed();
-        p.as_mut_slice()[0] = 0x5A;
-        s.write(a, &p).unwrap();
-        let mut out = Page::zeroed();
-        s.read(a, &mut out).unwrap();
-        assert_eq!(out.as_slice()[0], 0x5A);
-        s.read(b, &mut out).unwrap();
-        assert_eq!(out.as_slice()[0], 0);
+        s.with_page_mut(a, |p| p.as_mut_slice()[0] = 0x5A).unwrap();
+        assert_eq!(s.with_page(a, |p| p.as_slice()[0]).unwrap(), 0x5A);
+        assert_eq!(s.with_page(b, |p| p.as_slice()[0]).unwrap(), 0);
     }
 
     #[test]
     fn memstore_free_recycles_ids() {
-        let mut s = MemStore::new();
-        let a = s.allocate().unwrap();
+        let s = MemStore::new();
+        let a = s.allocate();
+        s.with_page_mut(a, |p| p.as_mut_slice()[0] = 1).unwrap();
         s.free(a).unwrap();
-        let mut out = Page::zeroed();
         assert!(matches!(
-            s.read(a, &mut out),
+            s.with_page(a, |_| ()),
             Err(StorageError::PageNotFound(_))
         ));
-        let b = s.allocate().unwrap();
+        let b = s.allocate();
         assert_eq!(a, b, "freed id is recycled");
         // Recycled page must come back zeroed.
-        s.read(b, &mut out).unwrap();
-        assert!(out.as_slice().iter().all(|&x| x == 0));
+        assert!(s
+            .with_page(b, |p| p.as_slice().iter().all(|&x| x == 0))
+            .unwrap());
     }
 
     #[test]
     fn memstore_rejects_unallocated() {
-        let mut s = MemStore::new();
-        let mut out = Page::zeroed();
-        assert!(s.read(PageId(3), &mut out).is_err());
-        assert!(s.write(PageId(3), &out).is_err());
+        let s = MemStore::new();
+        assert!(s.with_page(PageId(3), |_| ()).is_err());
+        assert!(s.with_page_mut(PageId(3), |_| ()).is_err());
         assert!(s.free(PageId(3)).is_err());
+    }
+
+    #[test]
+    fn read_your_writes() {
+        let s = MemStore::new();
+        let id = s.allocate();
+        s.with_page_mut(id, |pg| pg.as_mut_slice()[0] = 42).unwrap();
+        assert_eq!(s.with_page(id, |pg| pg.as_slice()[0]).unwrap(), 42);
+    }
+
+    #[test]
+    fn freed_page_is_unreadable() {
+        let s = MemStore::new();
+        let id = s.allocate();
+        s.free(id).unwrap();
+        assert!(s.with_page(id, |_| ()).is_err());
+        assert!(s.free(id).is_err(), "double free is refused");
+    }
+
+    #[test]
+    fn many_pages_random_access_consistency() {
+        let s = MemStore::new();
+        let n = 100u8;
+        let ids: Vec<PageId> = (0..n).map(|_| s.allocate()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            s.with_page_mut(*id, |pg| pg.as_mut_slice()[100] = i as u8)
+                .unwrap();
+        }
+        for stride in [1usize, 3, 7, 13] {
+            let mut i = 0usize;
+            for _ in 0..n {
+                let v = s.with_page(ids[i], |pg| pg.as_slice()[100]).unwrap();
+                assert_eq!(v, i as u8);
+                i = (i + stride) % n as usize;
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_see_consistent_pages() {
+        let s = MemStore::new();
+        let ids: Vec<PageId> = (0..300).map(|_| s.allocate()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            s.with_page_mut(*id, |pg| pg.as_mut_slice()[9] = (i % 251) as u8)
+                .unwrap();
+        }
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let s = &s;
+                let ids = &ids;
+                scope.spawn(move || {
+                    for (i, id) in ids.iter().enumerate().skip(t).step_by(4) {
+                        let v = s.with_page(*id, |pg| pg.as_slice()[9]).unwrap();
+                        assert_eq!(v, (i % 251) as u8);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

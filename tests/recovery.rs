@@ -156,3 +156,75 @@ fn torn_log_tail_recovers_the_committed_prefix() {
         "only the fully-flushed insert survives the tear"
     );
 }
+
+#[test]
+fn a_failed_auto_checkpoint_does_not_fail_the_commit() {
+    use wow::core::window_mgr::Mode;
+    let dir = std::env::temp_dir().join(format!("wow-ckpt-fail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut w = World::open_durable(WorldConfig::default(), &dir).unwrap();
+        w.db_mut()
+            .run("CREATE TABLE emp (name TEXT KEY, salary INT)")
+            .unwrap();
+        w.define_view("emps", "RANGE OF e IS emp RETRIEVE (e.name, e.salary)")
+            .unwrap();
+        w.define_view(
+            "zeds",
+            r#"RANGE OF e IS emp RETRIEVE (e.name, e.salary) WHERE e.name = "zed""#,
+        )
+        .unwrap();
+        // A directory where the checkpoint writes its temp file makes every
+        // checkpoint fail; each commit is due for one.
+        std::fs::create_dir_all(dir.join("world.ckpt.tmp")).unwrap();
+        w.db_mut().set_checkpoint_every(1);
+        let clerk = w.open_session();
+        let watcher = w.open_session();
+        let editor = w.open_window(clerk, "emps", None).unwrap();
+        let zeds = w.open_window(watcher, "zeds", None).unwrap();
+        assert!(w.current_row(zeds).unwrap().is_none());
+
+        w.enter_insert(editor).unwrap();
+        {
+            let form = &mut w.window_mut(editor).unwrap().form;
+            form.set_text(0, "zed");
+            form.set_text(1, "10");
+        }
+        w.commit(editor).unwrap();
+        assert_eq!(w.window(editor).unwrap().mode, Mode::Browse);
+        let row = w
+            .current_row(zeds)
+            .unwrap()
+            .expect("the watcher was patched");
+        assert_eq!(row.values[0].to_string(), "zed");
+        assert_eq!(w.db().checkpoint_failures(), 1);
+        w.export_metrics();
+        let snap = wow::obs::metrics().snapshot();
+        assert_eq!(snap.counter("recovery.checkpoint_failures"), Some(1));
+
+        w.undo_last(clerk).unwrap();
+        assert!(w.current_row(zeds).unwrap().is_none(), "undo reverted it");
+
+        w.enter_insert(editor).unwrap();
+        {
+            let form = &mut w.window_mut(editor).unwrap().form;
+            form.set_text(0, "amy");
+            form.set_text(1, "20");
+        }
+        w.commit(editor).unwrap();
+        assert_eq!(w.db().checkpoint_failures(), 3);
+        // "Crash": drop the world without a clean shutdown.
+    }
+    let mut w = World::open_durable(WorldConfig::default(), &dir).unwrap();
+    let rows = w
+        .db_mut()
+        .run("RANGE OF e IS emp RETRIEVE (e.name, e.salary) SORT BY e.name")
+        .unwrap();
+    let got: Vec<String> = rows
+        .tuples
+        .iter()
+        .map(|t| format!("{} {}", t.values[0], t.values[1]))
+        .collect();
+    assert_eq!(got, vec!["amy 20"], "insert, undo and insert all recovered");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
