@@ -27,15 +27,14 @@
 use crate::error::WowResult;
 use crate::world::CursorStrategy;
 use std::cmp::Ordering;
+use wow_rel::bind::bind_pred;
 use wow_rel::db::Database;
 use wow_rel::eval::{eval, eval_pred};
-use wow_rel::exec::infer_type;
 use wow_rel::exec::sort::compare;
 use wow_rel::expr::Expr;
 use wow_rel::quel::ast::SortKey;
 use wow_rel::schema::{Column, Schema};
 use wow_rel::tuple::Tuple;
-use wow_rel::types::DataType;
 use wow_storage::Rid;
 use wow_views::delta::{DeltaRow, ViewDelta};
 use wow_views::expand::{run_view_query, ViewQuery};
@@ -53,7 +52,7 @@ pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
     let base = info.schema.qualified(&upd.base_alias);
     let mut columns = Vec::with_capacity(upd.column_names.len());
     for (name, expr) in upd.column_names.iter().zip(&upd.target_exprs) {
-        let ty = infer_type(expr, &base).unwrap_or(DataType::Text);
+        let ty = wow_rel::bind::column_type(expr, &base)?;
         let nullable = match upd.column_map[columns.len()] {
             Some(bcol) => info.schema.column(bcol).nullable,
             None => true,
@@ -615,14 +614,17 @@ impl BrowseCursor {
     }
 }
 
-/// Resolve a QBF restriction over an updatable view's row.
+/// Bind and resolve a QBF restriction over an updatable view's row.
 fn resolve_filter(
     db: &Database,
     upd: Option<&Updatability>,
     pred: Option<Expr>,
 ) -> WowResult<Option<Expr>> {
     match (upd, pred) {
-        (Some(u), Some(p)) => Ok(Some(p.resolve(&view_schema_of(db, u)?)?)),
+        (Some(u), Some(p)) => {
+            let schema = view_schema_of(db, u)?;
+            Ok(Some(bind_pred(p, &schema)?.resolve(&schema)?))
+        }
         _ => Ok(None),
     }
 }

@@ -17,8 +17,12 @@ use crate::locks::LockMode;
 use crate::session::SessionId;
 use crate::window_mgr::{Mode, WinId, WindowState};
 use crate::world::World;
+use std::collections::BTreeSet;
 use wow_rel::db::Database;
 use wow_rel::delta::BaseDelta;
+use wow_rel::exec::Rows;
+use wow_rel::quel::{parse_program, Statement};
+use wow_rel::schema::Schema;
 use wow_rel::value::Value;
 use wow_storage::Rid;
 use wow_views::translate::{insert_through_view, update_through_view};
@@ -281,6 +285,63 @@ impl World {
         Ok(())
     }
 
+    /// Run a raw QUEL program for `session` (what a remote clerk sends over
+    /// the wire). Writes obey the same locks as writes through a window:
+    /// before anything runs, the session takes an exclusive lock on every
+    /// table an `APPEND`, `REPLACE` or `DELETE` of the program writes, and
+    /// the program is refused with [`WowError::LockConflict`] if another
+    /// session holds one (say, inside a batch). The locks are released
+    /// afterwards unless the session is in a batch. Raw writes bypass view
+    /// deltas, so once any statement that changes rows has run, every
+    /// window is re-queried — also when a later statement fails. Returns
+    /// the rows of the last `RETRIEVE`.
+    pub fn run_quel(&mut self, session: SessionId, src: &str) -> WowResult<Rows> {
+        let stmts = parse_program(src)?;
+        let mut ranges = self.db().ranges().clone();
+        let mut written = BTreeSet::new();
+        for stmt in &stmts {
+            match stmt {
+                Statement::RangeOf { var, table } => {
+                    ranges.insert(var.clone(), table.clone());
+                }
+                Statement::Append { table, .. } => {
+                    written.insert(table.clone());
+                }
+                Statement::Replace { var, .. } | Statement::Delete { var, .. } => {
+                    written.extend(ranges.get(var).cloned());
+                }
+                _ => {}
+            }
+        }
+        if let Some(denied) = written
+            .iter()
+            .find_map(|t| self.lock(session, t, LockMode::Exclusive).err())
+        {
+            self.maybe_release(session);
+            return Err(denied);
+        }
+        let mut last = Rows::empty(Schema::default());
+        let mut wrote = false;
+        let mut result = Ok(());
+        for stmt in stmts {
+            wrote |= stmt.changes_rows();
+            match self.db_mut().run_statement(stmt) {
+                Ok(rows) => last = rows.unwrap_or(last),
+                Err(e) => {
+                    result = Err(e.into());
+                    break;
+                }
+            }
+        }
+        self.maybe_release(session);
+        let refreshed = if wrote {
+            self.refresh_all_windows().map(drop)
+        } else {
+            Ok(())
+        };
+        result.and(refreshed).map(|()| last)
+    }
+
     // -- Batch transactions ---------------------------------------------------
     //
     // A batch groups several through-window commits into one atomic unit:
@@ -312,7 +373,7 @@ impl World {
     ///
     /// The session still holds its batch locks, so no other session's
     /// commit can block an inverse write — but a write that bypasses the
-    /// lock manager (raw QUEL, `apply_*`) can still make one fail, say by
+    /// lock manager (`apply_*`) can still make one fail, say by
     /// taking a deleted row's key. Every other write is undone regardless,
     /// the locks are always released, and the first failure is returned.
     pub fn abort_batch(&mut self, session: SessionId) -> WowResult<u64> {

@@ -54,9 +54,9 @@ impl World {
     }
 
     /// Re-query every open window: the blunt instrument for writes whose
-    /// footprint is unknown — a raw QUEL statement executed over the
-    /// network can touch any table, so the server brings every window
-    /// current rather than guessing.
+    /// footprint is unknown — a raw QUEL program can touch any table, so
+    /// [`World::run_quel`] brings every window current rather than
+    /// guessing.
     ///
     /// A window mid-edit (Edit, Insert or Query mode) is not yanked out
     /// from under the user: it is marked stale and catches up when it

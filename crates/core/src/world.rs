@@ -309,7 +309,9 @@ impl World {
     }
 
     /// Define (and register) a view from QUEL source:
-    /// `RANGE OF e IS emp RETRIEVE (...) WHERE ...`.
+    /// `RANGE OF e IS emp RETRIEVE (...) WHERE ...`. The body is bound
+    /// against its ranges first ([`ViewDef::bind`]), so a mistyped literal
+    /// is refused here and never reaches a window.
     pub fn define_view(&mut self, name: &str, src: &str) -> WowResult<()> {
         let def = ViewDef::parse(name, src)?;
         // Every range must resolve to a table or an existing view.
@@ -318,7 +320,7 @@ impl World {
                 return Err(WowError::Rel(wow_rel::RelError::NoSuchTable(t.clone())));
             }
         }
-        self.views.register(def)?;
+        self.views.register(def.bind(&self.db, &self.views)?)?;
         Ok(())
     }
 
@@ -334,6 +336,7 @@ impl World {
                 return Err(WowError::Rel(wow_rel::RelError::NoSuchTable(t.clone())));
             }
         }
+        let def = def.bind(&self.db, &self.views)?;
         let old = self.views.remove(name)?;
         if let Err(e) = self.views.register(def) {
             self.views
@@ -922,6 +925,52 @@ mod tests {
         assert!(snap.counter("wal.epoch").is_some());
         assert!(snap.counter("recovery.replayed_ops").is_some());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_view_is_bound_when_it_is_defined() {
+        let mut w = World::new(WorldConfig::default());
+        w.db_mut()
+            .run(
+                r#"CREATE TABLE ev (name TEXT KEY, day DATE)
+                   APPEND TO ev (name = "a", day = "1983-05-23")
+                   APPEND TO ev (name = "b", day = "1983-05-24")"#,
+            )
+            .unwrap();
+        // Date text in the qualification is a date, in every window.
+        w.define_view(
+            "opening",
+            r#"RANGE OF e IS ev RETRIEVE (e.name, e.day) WHERE e.day = "1983-05-23""#,
+        )
+        .unwrap();
+        let s = w.open_session();
+        let win = w.open_window(s, "opening", None).unwrap();
+        let row = w.current_row(win).unwrap().expect("one row in the view");
+        assert_eq!(row.values[0].to_string(), "a");
+        assert!(!w.browse_next(win).unwrap());
+        // A literal no column type admits is refused now, not at the first
+        // keystroke — over a table or over another view's column.
+        let refused = |r: WowResult<()>| {
+            matches!(
+                r,
+                Err(WowError::View(wow_views::ViewError::Rel(
+                    wow_rel::RelError::TypeMismatch { .. }
+                )))
+            )
+        };
+        assert!(refused(w.define_view(
+            "bad",
+            "RANGE OF e IS ev RETRIEVE (e.name) WHERE e.day = 1"
+        )));
+        assert!(refused(w.define_view(
+            "bad",
+            "RANGE OF o IS opening RETRIEVE (o.name) WHERE o.name > 1"
+        )));
+        assert!(refused(w.redefine_view(
+            "opening",
+            "RANGE OF e IS ev RETRIEVE (x = e.name + 1)"
+        )));
+        assert!(w.views().get("opening").is_ok(), "the old view stays");
     }
 
     #[test]

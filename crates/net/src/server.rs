@@ -730,13 +730,7 @@ fn run_request(world: &mut World, sess: SessionId, req: &Request) -> WowResult<R
             screen(world, WinId(*win), false)
         }
         Request::Quel { src } => {
-            let rows = world.db_mut().run(src).map_err(WowError::from)?;
-            // Raw QUEL bypasses the per-window commit path, so windows get
-            // no deltas; if the statement could have written, re-run every
-            // window's query so remote viewers see the change.
-            if quel_writes(src) {
-                world.refresh_all_windows()?;
-            }
+            let rows = world.run_quel(sess, src)?;
             Ok(Response::Rows {
                 columns: rows.schema.columns.iter().map(|c| c.name.clone()).collect(),
                 rows: rows.tuples.into_iter().map(|t| t.values).collect(),
@@ -744,15 +738,6 @@ fn run_request(world: &mut World, sess: SessionId, req: &Request) -> WowResult<R
         }
         Request::GetScreen { win } => screen(world, WinId(*win), false),
     }
-}
-
-/// Whether a QUEL program can change stored data (conservative keyword
-/// scan; false positives only cost a refresh).
-fn quel_writes(src: &str) -> bool {
-    let upper = src.to_ascii_uppercase();
-    ["APPEND", "REPLACE", "DELETE", "CREATE", "DESTROY", "DROP"]
-        .iter()
-        .any(|kw| upper.contains(kw))
 }
 
 /// Deliver refresh events as `WindowRefreshed` pushes to the connections

@@ -235,3 +235,66 @@ fn wow_connections_system_view_lists_live_clients() {
     b.goodbye().unwrap();
     server.shutdown();
 }
+
+/// The salary of employee `name`, read straight from the database.
+fn salary(world: &mut World, name: &str) -> String {
+    let rows = world
+        .db_mut()
+        .run(&format!(
+            r#"RANGE OF e IS emp RETRIEVE (e.salary) WHERE e.name = "{name}""#
+        ))
+        .unwrap();
+    rows.tuples[0].values[0].to_string()
+}
+
+#[test]
+fn raw_quel_cannot_write_under_a_batch_lock() {
+    // A clerk's open batch holds emp's lock after committing a salary
+    // through a window. A raw QUEL write under it would be lost when the
+    // batch aborts and writes the old salary back, so it is refused.
+    let mut world = seed_world(3);
+    let clerk = world.open_session();
+    let win = world.open_window(clerk, "emps", None).unwrap();
+    world.begin_batch(clerk).unwrap();
+    world.enter_edit(win).unwrap();
+    world.window_mut(win).unwrap().form.set_text(1, "130");
+    world.commit(win).unwrap();
+
+    let server = Server::start(world, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut admin = Client::connect(server.local_addr()).unwrap();
+    let refused = admin.quel(r#"RANGE OF e IS emp REPLACE e (salary = 999) WHERE e.name = "e000""#);
+    assert!(
+        matches!(refused, Err(WowError::LockConflict { .. })),
+        "{refused:?}"
+    );
+    admin.goodbye().unwrap();
+    let mut world = server.shutdown();
+    assert_eq!(salary(&mut world, "e000"), "130");
+    world.abort_batch(clerk).unwrap();
+    assert_eq!(salary(&mut world, "e000"), "100");
+}
+
+#[test]
+fn a_failing_quel_program_still_refreshes_windows() {
+    let server = Server::start(seed_world(3), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut watcher = Client::connect(addr).unwrap();
+    let (wwin, _, before) = watcher.open_window("emps", false).unwrap();
+    assert_eq!(before.rows.len(), 3);
+    // The first APPEND commits; the second repeats its key and fails.
+    let mut admin = Client::connect(addr).unwrap();
+    assert!(admin
+        .quel(r#"APPEND TO emp (name = "a", salary = 1) APPEND TO emp (name = "a", salary = 2)"#)
+        .is_err());
+    let push = watcher
+        .wait_push(Duration::from_secs(5))
+        .unwrap()
+        .expect("the committed APPEND must reach the watcher's window");
+    let wow_net::Push::WindowRefreshed { win, screen, .. } = push;
+    assert_eq!(win, wwin);
+    assert_eq!(screen.rows.len(), 4);
+    assert_eq!(screen.rows[0][0].to_string(), "a");
+    admin.goodbye().unwrap();
+    watcher.goodbye().unwrap();
+    server.shutdown();
+}

@@ -751,98 +751,100 @@ impl Database {
     /// `RETRIEVE` (or `EXPLAIN`) in the program; other statements return an
     /// empty result.
     pub fn run(&mut self, src: &str) -> RelResult<crate::exec::Rows> {
-        use crate::quel::Statement;
-        let stmts = crate::quel::parse_program(src)?;
         let mut last = crate::exec::Rows::empty(Schema::default());
-        for stmt in stmts {
-            match stmt {
-                Statement::CreateTable { name, columns } => {
-                    let mut cols = Vec::with_capacity(columns.len());
-                    let mut key: Vec<String> = Vec::new();
-                    for c in &columns {
-                        cols.push(if c.not_null {
-                            crate::schema::Column::not_null(c.name.clone(), c.ty)
-                        } else {
-                            crate::schema::Column::new(c.name.clone(), c.ty)
-                        });
-                        if c.key {
-                            key.push(c.name.clone());
-                        }
-                    }
-                    let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
-                    self.create_table(&name, Schema::new(cols), &key_refs)?;
-                }
-                Statement::CreateIndex {
-                    name,
-                    table,
-                    column,
-                    unique,
-                } => {
-                    self.create_index(&name, &table, &column, unique)?;
-                }
-                Statement::DropTable(name) => self.drop_table(&name)?,
-                Statement::DropIndex(name) => self.drop_index(&name)?,
-                Statement::RangeOf { var, table } => self.declare_range(&var, &table)?,
-                Statement::Retrieve(r) => {
-                    let block = crate::plan::build_query_block(self, &r)?;
-                    let plan = crate::plan::optimize(self, &block)?;
-                    last = crate::exec::execute(self, &plan)?;
-                    self.counters.statements += 1;
-                }
-                Statement::Explain(r) => {
-                    let block = crate::plan::build_query_block(self, &r)?;
-                    let plan = crate::plan::optimize(self, &block)?;
-                    last = crate::exec::Rows {
-                        schema: Schema::new(vec![crate::schema::Column::new(
-                            "plan",
-                            crate::types::DataType::Text,
-                        )]),
-                        tuples: plan
-                            .explain()
-                            .lines()
-                            .map(|l| Tuple::new(vec![Value::text(l)]))
-                            .collect(),
-                    };
-                }
-                Statement::ExplainAnalyze(r) => {
-                    let block = crate::plan::build_query_block(self, &r)?;
-                    let plan = crate::plan::optimize(self, &block)?;
-                    let (_rows, profile) = crate::exec::execute_analyzed(self, &plan)?;
-                    self.counters.statements += 1;
-                    last = crate::exec::Rows {
-                        schema: Schema::new(vec![crate::schema::Column::new(
-                            "plan",
-                            crate::types::DataType::Text,
-                        )]),
-                        tuples: profile
-                            .render(&plan)
-                            .lines()
-                            .map(|l| Tuple::new(vec![Value::text(l)]))
-                            .collect(),
-                    };
-                }
-                Statement::Append { table, assigns } => {
-                    self.exec_append(&table, &assigns)?;
-                }
-                Statement::Replace {
-                    var,
-                    assigns,
-                    where_,
-                } => {
-                    self.exec_replace(&var, &assigns, where_.as_ref())?;
-                }
-                Statement::Delete { var, where_ } => {
-                    self.exec_delete(&var, where_.as_ref())?;
-                }
-                Statement::Begin => {
-                    self.begin()?;
-                }
-                Statement::Commit => self.commit()?,
-                Statement::Abort => self.abort()?,
-                Statement::Analyze(table) => self.analyze(&table)?,
+        for stmt in crate::quel::parse_program(src)? {
+            if let Some(rows) = self.run_statement(stmt)? {
+                last = rows;
             }
         }
         Ok(last)
+    }
+
+    /// Execute one parsed statement: the rows of a `RETRIEVE` or `EXPLAIN`,
+    /// `None` for any other statement.
+    ///
+    /// A `REPLACE` or `DELETE` is atomic. It finds every target row through
+    /// the optimizer's access path and, for `REPLACE`, computes and
+    /// validates every new row before the first write. Outside a
+    /// transaction it then writes them as one implicit transaction (one WAL
+    /// commit) that an error, such as a unique violation on a later row,
+    /// aborts whole. Inside an explicit `BEGIN` an error leaves the
+    /// transaction open, with whatever rows the statement had written, for
+    /// the caller to `ABORT`.
+    pub fn run_statement(
+        &mut self,
+        stmt: crate::quel::Statement,
+    ) -> RelResult<Option<crate::exec::Rows>> {
+        use crate::quel::Statement;
+        let plan_text = |lines: String| crate::exec::Rows {
+            schema: Schema::new(vec![crate::schema::Column::new(
+                "plan",
+                crate::types::DataType::Text,
+            )]),
+            tuples: lines
+                .lines()
+                .map(|l| Tuple::new(vec![Value::text(l)]))
+                .collect(),
+        };
+        match stmt {
+            Statement::CreateTable { name, columns } => {
+                let mut cols = Vec::with_capacity(columns.len());
+                let mut key: Vec<&str> = Vec::new();
+                for c in &columns {
+                    cols.push(if c.not_null {
+                        crate::schema::Column::not_null(c.name.clone(), c.ty)
+                    } else {
+                        crate::schema::Column::new(c.name.clone(), c.ty)
+                    });
+                    if c.key {
+                        key.push(&c.name);
+                    }
+                }
+                self.create_table(&name, Schema::new(cols), &key)?;
+            }
+            Statement::CreateIndex {
+                name,
+                table,
+                column,
+                unique,
+            } => self.create_index(&name, &table, &column, unique)?,
+            Statement::DropTable(name) => self.drop_table(&name)?,
+            Statement::DropIndex(name) => self.drop_index(&name)?,
+            Statement::RangeOf { var, table } => self.declare_range(&var, &table)?,
+            Statement::Retrieve(r) => {
+                let block = crate::plan::build_query_block(self, &r)?;
+                let plan = crate::plan::optimize(self, &block)?;
+                let rows = crate::exec::execute(self, &plan)?;
+                self.counters.statements += 1;
+                return Ok(Some(rows));
+            }
+            Statement::Explain(r) => {
+                let block = crate::plan::build_query_block(self, &r)?;
+                let plan = crate::plan::optimize(self, &block)?;
+                return Ok(Some(plan_text(plan.explain())));
+            }
+            Statement::ExplainAnalyze(r) => {
+                let block = crate::plan::build_query_block(self, &r)?;
+                let plan = crate::plan::optimize(self, &block)?;
+                let (_rows, profile) = crate::exec::execute_analyzed(self, &plan)?;
+                self.counters.statements += 1;
+                return Ok(Some(plan_text(profile.render(&plan))));
+            }
+            Statement::Append { table, assigns } => self.exec_append(&table, &assigns)?,
+            Statement::Replace {
+                var,
+                assigns,
+                where_,
+            } => self.exec_replace(&var, &assigns, where_.as_ref())?,
+            Statement::Delete { var, where_ } => self.exec_delete(&var, where_.as_ref())?,
+            Statement::Begin => {
+                self.begin()?;
+            }
+            Statement::Commit => self.commit()?,
+            Statement::Abort => self.abort()?,
+            Statement::Analyze(table) => self.analyze(&table)?,
+        }
+        Ok(None)
     }
 
     fn exec_append(
@@ -851,46 +853,36 @@ impl Database {
         assigns: &[(String, crate::expr::Expr)],
     ) -> RelResult<()> {
         let info = self.catalog.table(table)?.clone();
+        if let Some((col, _)) = assigns.iter().find(|(_, e)| !e.is_constant()) {
+            return Err(RelError::Unsupported(format!(
+                "APPEND value for `{col}` must be constant"
+            )));
+        }
         let empty = Tuple::default();
         let mut values = vec![Value::Null; info.schema.len()];
-        for (col, expr) in assigns {
-            let i = info.schema.resolve(col)?;
-            if !expr.is_constant() {
-                return Err(RelError::Unsupported(format!(
-                    "APPEND value for `{col}` must be constant"
-                )));
-            }
-            values[i] = crate::eval::eval(expr, &empty)?;
+        for (i, expr) in crate::bind::bind_assigns(assigns, &info.schema, &Schema::default())? {
+            values[i] = crate::eval::eval(&expr, &empty)?;
         }
         self.insert(table, values)?;
         Ok(())
     }
 
-    /// Rows of `var`'s table matching `where_`, as `(rid, tuple)` pairs.
-    pub(crate) fn matching_rows(
+    /// `var`'s table and the `(rid, row)` pairs of it that `where_`
+    /// selects, bound and found through the optimizer's access path.
+    fn target_rows(
         &mut self,
         var: &str,
         where_: Option<&crate::expr::Expr>,
-    ) -> RelResult<(String, Vec<(Rid, Tuple)>)> {
-        let table = self.range_table(var)?.to_string();
-        let info = self.catalog.table(&table)?.clone();
-        let qualified = info.schema.qualified(var);
-        let pred = match where_ {
-            Some(w) => Some(w.clone().resolve(&qualified)?),
-            None => None,
+    ) -> RelResult<(TableInfo, Vec<(Rid, Tuple)>)> {
+        let info = self.catalog.table(self.range_table(var)?)?.clone();
+        let scope = info.schema.qualified(var);
+        let conjuncts = match where_ {
+            Some(w) => crate::bind::bind_pred(w.clone(), &scope)?.split_conjuncts(),
+            None => Vec::new(),
         };
-        let rows = self.scan_table_raw(info.id)?;
-        let mut hits = Vec::new();
-        for (rid, t) in rows {
-            let keep = match &pred {
-                Some(p) => crate::eval::eval_pred(p, &t)?,
-                None => true,
-            };
-            if keep {
-                hits.push((rid, t));
-            }
-        }
-        Ok((table, hits))
+        let path = crate::plan::optimizer::build_access_path(self, &info.name, var, conjuncts)?;
+        let rows = crate::exec::scan_rows(self, &path.plan)?;
+        Ok((info, rows))
     }
 
     fn exec_replace(
@@ -898,38 +890,50 @@ impl Database {
         var: &str,
         assigns: &[(String, crate::expr::Expr)],
         where_: Option<&crate::expr::Expr>,
-    ) -> RelResult<u64> {
-        let (table, hits) = self.matching_rows(var, where_)?;
-        let info = self.catalog.table(&table)?.clone();
-        let qualified = info.schema.qualified(var);
-        // Resolve assignment expressions once against the qualified schema.
-        let mut resolved: Vec<(usize, crate::expr::Expr)> = Vec::with_capacity(assigns.len());
-        for (col, expr) in assigns {
-            let i = info.schema.resolve(col)?;
-            resolved.push((i, expr.clone().resolve(&qualified)?));
-        }
-        let mut n = 0;
-        for (rid, tuple) in hits {
-            let mut new_vals = tuple.values.clone();
-            for (i, expr) in &resolved {
-                new_vals[*i] = crate::eval::eval(expr, &tuple)?;
+    ) -> RelResult<()> {
+        let (info, hits) = self.target_rows(var, where_)?;
+        let scope = info.schema.qualified(var);
+        let assigns = crate::bind::bind_assigns(assigns, &info.schema, &scope)?;
+        let mut images = Vec::with_capacity(hits.len());
+        for (rid, old) in hits {
+            let mut new = old.values.clone();
+            for (i, expr) in &assigns {
+                new[*i] = crate::eval::eval(expr, &old)?;
             }
-            if self.update_rid(&table, rid, new_vals)? {
-                n += 1;
-            }
+            images.push((rid, info.schema.validate_row(new)?));
         }
-        Ok(n)
+        self.write_rows(images, |db, (rid, new)| db.update_rid(&info.name, rid, new))
     }
 
-    fn exec_delete(&mut self, var: &str, where_: Option<&crate::expr::Expr>) -> RelResult<u64> {
-        let (table, hits) = self.matching_rows(var, where_)?;
-        let mut n = 0;
-        for (rid, _) in hits {
-            if self.delete_rid(&table, rid)? {
-                n += 1;
+    fn exec_delete(&mut self, var: &str, where_: Option<&crate::expr::Expr>) -> RelResult<()> {
+        let (info, hits) = self.target_rows(var, where_)?;
+        self.write_rows(hits, |db, (rid, _)| db.delete_rid(&info.name, rid))
+    }
+
+    /// Write a statement's rows as one unit: inside the open transaction if
+    /// there is one, else as an implicit transaction committed once and
+    /// aborted on any error.
+    fn write_rows<T>(
+        &mut self,
+        rows: Vec<T>,
+        mut write: impl FnMut(&mut Database, T) -> RelResult<bool>,
+    ) -> RelResult<()> {
+        let implicit = self.txn.current.is_none() && !rows.is_empty();
+        if implicit {
+            self.begin()?;
+        }
+        for row in rows {
+            if let Err(e) = write(self, row) {
+                if implicit {
+                    self.abort()?;
+                }
+                return Err(e);
             }
         }
-        Ok(n)
+        if implicit {
+            self.commit()?;
+        }
+        Ok(())
     }
 }
 

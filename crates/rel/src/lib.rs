@@ -10,6 +10,8 @@
 //! * [`schema`] / [`mod@tuple`] — relation schemas and tuples.
 //! * [`expr`] / [`eval`] — scalar expressions with SQL-style three-valued
 //!   logic, `LIKE`-style pattern matching, and arithmetic.
+//! * [`bind`] — the binder: types every expression and coerces its
+//!   literals once, between parse and plan.
 //! * [`catalog`] — tables, indexes, and their storage roots.
 //! * [`db`] — the [`db::Database`] facade tying storage, catalog, WAL and
 //!   transactions together.
@@ -37,6 +39,7 @@
 //! assert_eq!(rows.tuples[0].values[0], Value::text("alice"));
 //! ```
 
+pub mod bind;
 pub mod catalog;
 pub mod db;
 pub mod delta;

@@ -14,8 +14,9 @@ pub struct ScanSpec {
 
 /// A normalized query block (the unit the optimizer works on).
 ///
-/// All expressions still carry *named* column references; the optimizer
-/// resolves them once operator positions are fixed.
+/// All expressions still carry *named* column references and literals as
+/// written; the optimizer binds them ([`crate::bind`]) and resolves them
+/// once operator positions are fixed.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBlock {
     /// Drop duplicate output rows (`RETRIEVE UNIQUE`).

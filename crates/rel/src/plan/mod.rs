@@ -6,7 +6,9 @@
 //! 1. [`planner`] normalizes a `RETRIEVE` into a [`logical::QueryBlock`] —
 //!    the set of scans (one per range variable used), the WHERE conjuncts,
 //!    and the output specification.
-//! 2. [`optimizer`] classifies conjuncts (scan-local, join edge, residual),
+//! 2. [`optimizer`] binds the block ([`crate::bind`]: every literal typed
+//!    against its column, mistyped expressions refused), then classifies
+//!    conjuncts (scan-local, join edge, residual),
 //!    chooses access paths (sequential, index equality, index range),
 //!    orders joins greedily by estimated cardinality, and emits a
 //!    [`crate::exec::PhysicalPlan`].

@@ -9,7 +9,8 @@
 //!    column become an index range scan *when estimated selectivity is low
 //!    enough*; everything else is a sequential scan with the conjuncts as a
 //!    pushed-down predicate. A conjunct reaches an index only when its
-//!    constant converts exactly to the column's declared type.
+//!    constant has the column's declared type, which the binder gives
+//!    every constant that converts to it exactly.
 //! 3. **Greedy join ordering** — start from the cheapest scan, repeatedly
 //!    join the cheapest connected relation (hash join on equi edges,
 //!    nested-loop otherwise).
@@ -17,6 +18,7 @@
 
 use super::logical::QueryBlock;
 use super::planner::default_target_name;
+use crate::bind;
 use crate::db::Database;
 use crate::error::{RelError, RelResult};
 use crate::exec::{AggSpec, KeyBound, PhysicalPlan};
@@ -24,7 +26,6 @@ use crate::expr::{BinOp, Expr};
 use crate::quel::ast::Target;
 use crate::schema::Schema;
 use crate::stats::{TableStats, DEFAULT_RANGE_SELECTIVITY};
-use crate::types::DataType;
 use crate::value::Value;
 
 /// Range selectivity above which a sequential scan beats an index range
@@ -32,32 +33,42 @@ use crate::value::Value;
 /// rule, made explicit so the ablation bench can reference it.
 pub const INDEX_RANGE_MAX_SELECTIVITY: f64 = 0.15;
 
-/// Optimize a query block into an executable plan.
+/// Bind a query block ([`crate::bind`]) and optimize it into an executable
+/// plan.
 pub fn optimize(db: &Database, block: &QueryBlock) -> RelResult<PhysicalPlan> {
+    // -- 0. bind ----------------------------------------------------------------
+    let scope = bind::scope(db, &block.scans)?;
+    let targets: Vec<Target> = block
+        .targets
+        .iter()
+        .map(|t| bind::bind_target(t.clone(), &scope))
+        .collect::<RelResult<_>>()?;
+
     // -- 1. classify conjuncts ------------------------------------------------
     let mut local: Vec<Vec<Expr>> = vec![Vec::new(); block.scans.len()];
     let mut edges: Vec<JoinEdge> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for conj in &block.conjuncts {
+        let conj = bind::bind_pred(conj.clone(), &scope)?;
         let vars = conj.range_vars();
         match vars.len() {
             0 => {
                 // Constant or unqualified-reference conjunct: keep it as a
                 // residual filter over the joined row.
-                residual.push(conj.clone());
+                residual.push(conj);
             }
             1 => match block.scans.iter().position(|s| s.alias == vars[0]) {
-                Some(i) => local[i].push(conj.clone()),
-                None => residual.push(conj.clone()),
+                Some(i) => local[i].push(conj),
+                None => residual.push(conj),
             },
             2 => {
-                if let Some(edge) = as_join_edge(conj, block) {
+                if let Some(edge) = as_join_edge(&conj, block) {
                     edges.push(edge);
                 } else {
-                    residual.push(conj.clone());
+                    residual.push(conj);
                 }
             }
-            _ => residual.push(conj.clone()),
+            _ => residual.push(conj),
         }
     }
 
@@ -134,7 +145,7 @@ pub fn optimize(db: &Database, block: &QueryBlock) -> RelResult<PhysicalPlan> {
             pre_names.push(g.clone());
         }
         let mut aggs: Vec<AggSpec> = Vec::new();
-        for t in &block.targets {
+        for t in &targets {
             if let Target::Agg { name, func, arg } = t {
                 let input = match arg {
                     None => None,
@@ -155,7 +166,7 @@ pub fn optimize(db: &Database, block: &QueryBlock) -> RelResult<PhysicalPlan> {
             }
         }
         // Every non-aggregate target must be a grouping column.
-        for t in &block.targets {
+        for t in &targets {
             if let Target::Expr { expr, .. } = t {
                 let ref_name = match expr {
                     Expr::ColumnRef(n) => n.clone(),
@@ -184,9 +195,9 @@ pub fn optimize(db: &Database, block: &QueryBlock) -> RelResult<PhysicalPlan> {
         };
         // Final projection: targets in output order, with output names.
         let agg_out = plan.output_schema(db)?;
-        let mut exprs = Vec::with_capacity(block.targets.len());
-        let mut names = Vec::with_capacity(block.targets.len());
-        for t in &block.targets {
+        let mut exprs = Vec::with_capacity(targets.len());
+        let mut names = Vec::with_capacity(targets.len());
+        for t in &targets {
             match t {
                 Target::Expr { name, expr } => {
                     let rn = default_target_name(expr);
@@ -214,14 +225,14 @@ pub fn optimize(db: &Database, block: &QueryBlock) -> RelResult<PhysicalPlan> {
         }
         out_schema = plan.output_schema(db)?;
     } else {
-        let mut exprs = Vec::with_capacity(block.targets.len());
-        let mut names = Vec::with_capacity(block.targets.len());
-        for t in &block.targets {
+        let mut exprs = Vec::with_capacity(targets.len());
+        let mut names = Vec::with_capacity(targets.len());
+        for t in targets {
             let Target::Expr { name, expr } = t else {
                 unreachable!("no aggregates in this branch");
             };
-            exprs.push(expr.clone().resolve(&joined_schema)?);
-            names.push(name.clone().unwrap_or_else(|| default_target_name(expr)));
+            names.push(name.unwrap_or_else(|| default_target_name(&expr)));
+            exprs.push(expr.resolve(&joined_schema)?);
         }
         // Sort keys that reference *input* columns force the sort below the
         // projection.
@@ -382,8 +393,8 @@ fn as_join_edge(conj: &Expr, block: &QueryBlock) -> Option<JoinEdge> {
 }
 
 /// A partial plan with its bookkeeping.
-struct PlanPart {
-    plan: PhysicalPlan,
+pub(crate) struct PlanPart {
+    pub(crate) plan: PhysicalPlan,
     schema: Schema,
     aliases: Vec<String>,
     est_rows: f64,
@@ -419,7 +430,7 @@ fn as_col_const(conj: &Expr) -> Option<ColConst> {
 }
 
 /// A `col op const` conjunct an index can answer: the column's position
-/// and the constant as a value of the column's declared type.
+/// and the constant, a value of the column's declared type.
 struct Sarg {
     col: usize,
     op: BinOp,
@@ -428,37 +439,22 @@ struct Sarg {
 
 /// `conj` as a [`Sarg`] over `schema`, or `None` when it must stay in the
 /// residual. Index keys compare encoded bytes, and `Int` and `Float` encode
-/// differently though they compare equal, so a key built from the literal
-/// as written would miss rows: the constant must first convert exactly.
+/// differently though they compare equal, so a constant of another type
+/// than the column's (a float with a fraction against an `INT` column: the
+/// binder converts every other one) would miss rows.
 fn as_sarg(conj: &Expr, schema: &Schema) -> Option<Sarg> {
     let cc = as_col_const(conj)?;
     let col = schema.index_of(&cc.col_name)?;
-    let key = exact_key(cc.value, schema.columns[col].ty)?;
-    Some(Sarg {
+    (cc.value.data_type() == Some(schema.columns[col].ty)).then_some(Sarg {
         col,
         op: cc.op,
-        key,
+        key: cc.value,
     })
 }
 
-/// `value` converted to `ty` without changing how it compares with any
-/// value of `ty`: `Int` widens to `Float` (the comparison widens it the
-/// same way), and a `Float` narrows to `Int` only when it is integral and
-/// small enough that no other integer widens to it.
-fn exact_key(value: Value, ty: DataType) -> Option<Value> {
-    const EXACT_INT_LIMIT: f64 = (1u64 << 53) as f64;
-    match (value, ty) {
-        (Value::Int(i), DataType::Float) => Some(Value::Float(i as f64)),
-        (Value::Float(f), DataType::Int) if f.fract() == 0.0 && f.abs() < EXACT_INT_LIMIT => {
-            Some(Value::Int(f as i64))
-        }
-        (v, ty) if v.data_type() == Some(ty) => Some(v),
-        _ => None,
-    }
-}
-
-/// Choose the access path for one scan given its local conjuncts.
-fn build_access_path(
+/// Choose the access path for one scan given its local (bound)
+/// conjuncts. `REPLACE` and `DELETE` find their rows through it too.
+pub(crate) fn build_access_path(
     db: &Database,
     table: &str,
     alias: &str,

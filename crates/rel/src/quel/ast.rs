@@ -152,6 +152,21 @@ pub enum Statement {
     Analyze(String),
 }
 
+impl Statement {
+    /// Whether running the statement can change stored rows: a window on
+    /// any table may then show stale data.
+    pub fn changes_rows(&self) -> bool {
+        matches!(
+            self,
+            Statement::Append { .. }
+                | Statement::Replace { .. }
+                | Statement::Delete { .. }
+                | Statement::Abort
+                | Statement::DropTable(_)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

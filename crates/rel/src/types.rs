@@ -48,6 +48,12 @@ impl DataType {
     pub fn is_numeric(self) -> bool {
         matches!(self, DataType::Int | DataType::Float)
     }
+
+    /// Whether values of the two types can be compared: the same type, or
+    /// two numeric ones.
+    pub fn comparable_with(self, other: DataType) -> bool {
+        self == other || (self.is_numeric() && other.is_numeric())
+    }
 }
 
 impl fmt::Display for DataType {

@@ -113,13 +113,19 @@ impl Value {
     }
 
     /// SQL-style comparison: `None` when either side is null, otherwise the
-    /// ordering. Ints and floats compare numerically; other cross-type
-    /// comparisons order by type tag (so sorting heterogeneous data is
-    /// total) but `compare` is normally used post-typecheck.
+    /// ordering. Ints and floats compare numerically. The operands must be
+    /// comparable ([`DataType::comparable_with`]): the binder
+    /// ([`crate::bind`]) refuses every other pair before a plan runs, and a
+    /// debug build asserts it here, so a path that skips the binder fails
+    /// its tests.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
+        let (Some(a), Some(b)) = (self.data_type(), other.data_type()) else {
             return None;
-        }
+        };
+        debug_assert!(
+            a.comparable_with(b),
+            "unbound comparison {self:?} vs {other:?}"
+        );
         Some(self.total_cmp(other))
     }
 

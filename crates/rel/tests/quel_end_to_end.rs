@@ -1,4 +1,4 @@
-//! End-to-end tests of the QUEL pipeline: parse → plan → optimize → execute.
+//! End-to-end tests of the QUEL pipeline: parse → bind → plan → execute.
 
 use wow_rel::db::Database;
 use wow_rel::value::Value;
@@ -536,4 +536,171 @@ fn dot_all_expands_to_every_column() {
         3,
         "Smith, Jones and Clark each ship a 400-qty lot"
     );
+}
+
+/// `ev (name TEXT KEY, day DATE, n INT, d INT)` holding three rows, with
+/// `e` ranging over it.
+fn events() -> Database {
+    let mut db = Database::in_memory();
+    db.run(
+        r#"CREATE TABLE ev (name TEXT KEY, day DATE, n INT, d INT)
+           RANGE OF e IS ev
+           APPEND TO ev (name = "a", day = "1983-05-23", n = 1, d = 1)
+           APPEND TO ev (name = "b", day = "1983-05-24", n = 2, d = 0)
+           APPEND TO ev (name = "c", day = "1983-05-25", n = 3, d = 5)"#,
+    )
+    .unwrap();
+    db
+}
+
+fn is_type_mismatch<T: std::fmt::Debug>(result: Result<T, wow_rel::RelError>) -> bool {
+    matches!(result, Err(wow_rel::RelError::TypeMismatch { .. }))
+}
+
+#[test]
+fn a_text_literal_compared_with_a_date_column_is_a_date() {
+    let mut db = events();
+    for indexed in [false, true] {
+        if indexed {
+            db.run("CREATE INDEX ev_day ON ev (day)").unwrap();
+        }
+        let rows = db
+            .run(r#"RETRIEVE (e.name) WHERE e.day = "1983-05-23""#)
+            .unwrap();
+        assert_eq!(rows.len(), 1, "indexed: {indexed}");
+        let rows = db
+            .run(r#"RETRIEVE (e.name) WHERE "1983-05-24" <= e.day"#)
+            .unwrap();
+        assert_eq!(rows.len(), 2, "indexed: {indexed}");
+    }
+    // Text that is no date is refused, not compared.
+    assert!(is_type_mismatch(
+        db.run(r#"RETRIEVE (e.name) WHERE e.day = "1983-13-45""#)
+    ));
+}
+
+#[test]
+fn delete_with_a_text_date_literal_finds_its_row() {
+    let mut db = events();
+    db.run(r#"DELETE e WHERE e.day = "1983-05-25""#).unwrap();
+    let rows = db.run("RETRIEVE (e.name) SORT BY e.name").unwrap();
+    let names: Vec<String> = rows
+        .tuples
+        .iter()
+        .map(|t| t.values[0].to_string())
+        .collect();
+    assert_eq!(names, ["a", "b"]);
+}
+
+#[test]
+fn incomparable_literals_are_refused_at_bind_time() {
+    let mut db = events();
+    assert!(is_type_mismatch(
+        db.run(r#"RETRIEVE (e.name) WHERE e.n = "1""#)
+    ));
+    assert!(is_type_mismatch(
+        db.run("RETRIEVE (e.name) WHERE e.name > 1")
+    ));
+    assert!(is_type_mismatch(
+        db.run(r#"REPLACE e (n = 0) WHERE e.n = "1""#)
+    ));
+    assert!(is_type_mismatch(db.run(r#"REPLACE e (n = "x")"#)));
+    // Nothing ran: every row is as it was.
+    let rows = db.run("RETRIEVE (total = SUM(e.n))").unwrap();
+    assert_eq!(rows.tuples[0].values[0], Value::Int(6));
+}
+
+#[test]
+fn non_numeric_arithmetic_is_refused_before_it_runs() {
+    let mut db = events();
+    // EXPLAIN evaluates nothing, so only a bind step can refuse these.
+    assert!(is_type_mismatch(
+        db.run("EXPLAIN RETRIEVE (x = e.name + 1)")
+    ));
+    assert!(is_type_mismatch(
+        db.run("EXPLAIN RETRIEVE (s = SUM(e.name))")
+    ));
+    assert!(is_type_mismatch(
+        db.run("EXPLAIN RETRIEVE (e.name) WHERE e.n")
+    ));
+    // Well-typed queries keep their result types.
+    use wow_rel::types::DataType;
+    let rows = db.run("RETRIEVE (s = SUM(e.n), a = AVG(e.n))").unwrap();
+    let types: Vec<_> = rows.schema.columns.iter().map(|c| c.ty).collect();
+    assert_eq!(types, [DataType::Int, DataType::Float]);
+    assert_eq!(rows.tuples[0].values[0], Value::Int(6));
+    let rows = db.run("RETRIEVE (i = e.n + 1, f = e.n * 2.5)").unwrap();
+    let types: Vec<_> = rows.schema.columns.iter().map(|c| c.ty).collect();
+    assert_eq!(types, [DataType::Int, DataType::Float]);
+}
+
+#[test]
+fn a_failing_replace_changes_no_row() {
+    let mut db = events();
+    // Row b has d = 0: the division fails there, after row a's new value
+    // has been computed.
+    assert!(matches!(
+        db.run("REPLACE e (n = 10 / e.d)"),
+        Err(wow_rel::RelError::Arithmetic(_))
+    ));
+    let rows = db.run("RETRIEVE (e.n) SORT BY e.name").unwrap();
+    let ns: Vec<Value> = rows.tuples.iter().map(|t| t.values[0].clone()).collect();
+    assert_eq!(ns, [Value::Int(1), Value::Int(2), Value::Int(3)]);
+
+    // A unique violation on a later row rolls back the rows before it.
+    db.run("CREATE UNIQUE INDEX ev_n ON ev (n)").unwrap();
+    let err = db.run("REPLACE e (n = e.n * 2) WHERE e.n < 3");
+    assert!(matches!(err, Err(wow_rel::RelError::UniqueViolation(_))));
+    let rows = db.run("RETRIEVE (e.n) SORT BY e.name").unwrap();
+    let ns: Vec<Value> = rows.tuples.iter().map(|t| t.values[0].clone()).collect();
+    assert_eq!(ns, [Value::Int(1), Value::Int(2), Value::Int(3)]);
+
+    // Inside an explicit transaction the error leaves it open for ABORT.
+    db.run("BEGIN").unwrap();
+    assert!(db.run("REPLACE e (n = e.n * 2) WHERE e.n < 3").is_err());
+    db.run("ABORT").unwrap();
+    let rows = db.run("RETRIEVE (e.n) SORT BY e.name").unwrap();
+    let ns: Vec<Value> = rows.tuples.iter().map(|t| t.values[0].clone()).collect();
+    assert_eq!(ns, [Value::Int(1), Value::Int(2), Value::Int(3)]);
+}
+
+#[test]
+fn a_keyed_replace_reads_only_its_row() {
+    let mut db = Database::in_memory();
+    db.run("CREATE TABLE t (id INT KEY, v INT) RANGE OF x IS t")
+        .unwrap();
+    for id in 0..50_000 {
+        db.insert("t", vec![Value::Int(id), Value::Int(0)]).unwrap();
+    }
+    db.reset_counters();
+    db.run("REPLACE x (v = 1) WHERE x.id = 31337").unwrap();
+    db.run("DELETE x WHERE x.id = 4242").unwrap();
+    let scanned = db.counters().rows_scanned;
+    assert!(scanned <= 2, "a keyed write scanned {scanned} rows");
+    let rows = db.run("RETRIEVE (x.v) WHERE x.id = 31337").unwrap();
+    assert_eq!(rows.tuples[0].values[0], Value::Int(1));
+    assert!(db
+        .run("RETRIEVE (x.v) WHERE x.id = 4242")
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn a_replace_that_moves_rows_along_its_index_updates_each_once() {
+    let mut db = Database::in_memory();
+    db.run("CREATE TABLE t (k INT KEY, id INT) CREATE INDEX t_id ON t (id) RANGE OF x IS t")
+        .unwrap();
+    for k in 0..20 {
+        db.insert("t", vec![Value::Int(k), Value::Int(k)]).unwrap();
+    }
+    let text = explain(&mut db, "RETRIEVE (x.k) WHERE x.id >= 0");
+    assert!(text.contains("IndexRange t AS x USING t_id"), "{text}");
+    db.run("REPLACE x (id = x.id + 1) WHERE x.id >= 0").unwrap();
+    let rows = db.run("RETRIEVE (x.k, x.id) SORT BY x.k").unwrap();
+    for t in &rows.tuples {
+        let (Value::Int(k), Value::Int(id)) = (&t.values[0], &t.values[1]) else {
+            panic!("{t:?}");
+        };
+        assert_eq!(*id, k + 1, "row {k} must move exactly once");
+    }
 }

@@ -1,9 +1,13 @@
 //! View definitions.
 
+use crate::catalog::ViewCatalog;
 use crate::error::{ViewError, ViewResult};
+use crate::expand::view_schema;
+use wow_rel::bind::{bind_pred, bind_target};
 use wow_rel::db::Database;
 use wow_rel::quel::ast::{RetrieveStmt, Statement, Target};
 use wow_rel::quel::parse_program;
+use wow_rel::schema::Schema;
 use wow_rel::RelError;
 
 /// A named, stored query: the "view" each window looks through.
@@ -66,6 +70,32 @@ impl ViewDef {
             ranges,
             stmt,
         })
+    }
+
+    /// Bind the body against its ranges ([`wow_rel::bind`]): each range's
+    /// columns are a table's or an earlier view's, so a mistyped literal or
+    /// an incomparable pair is refused now, at definition time, and every
+    /// literal is stored as a value of the column it meets. Query
+    /// modification, delta maintenance and the check option all read the
+    /// bound body.
+    pub fn bind(mut self, db: &Database, vc: &ViewCatalog) -> ViewResult<ViewDef> {
+        let mut scope = Schema::default();
+        for (var, name) in &self.ranges {
+            let columns = match db.catalog().table(name) {
+                Ok(info) => info.schema.clone(),
+                Err(_) => view_schema(db, vc, name)?,
+            };
+            scope.columns.extend(columns.qualified(var).columns);
+        }
+        self.stmt.where_ = match self.stmt.where_ {
+            Some(w) => Some(bind_pred(w, &scope)?),
+            None => None,
+        };
+        self.stmt.targets = std::mem::take(&mut self.stmt.targets)
+            .into_iter()
+            .map(|t| bind_target(t, &scope))
+            .collect::<Result<_, _>>()?;
+        Ok(self)
     }
 
     /// The output column names of the view, in order.

@@ -381,7 +381,8 @@ pub fn query_via_materialization(
 ) -> ViewResult<Rows> {
     let mut rows = run_view_query(db, vc, view_name, &ViewQuery::default())?;
     if let Some(pred) = &query.pred {
-        let resolved = pred.clone().resolve(&rows.schema)?;
+        let resolved =
+            wow_rel::bind::bind_pred(pred.clone(), &rows.schema)?.resolve(&rows.schema)?;
         let mut err = None;
         rows.tuples
             .retain(|t| match wow_rel::eval::eval_pred(&resolved, t) {
