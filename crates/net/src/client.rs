@@ -120,6 +120,9 @@ struct TrackedWindow {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The read timeout the socket carries now, so it is set only when
+    /// it changes (one system call saved per request and per poll).
+    read_timeout: Option<Duration>,
     next_req: u64,
     session: u32,
     /// The trace id minted for the most recent request.
@@ -149,6 +152,7 @@ impl Client {
         let mut client = Client {
             writer: stream,
             reader,
+            read_timeout: None,
             next_req: 1,
             session: 0,
             last_trace: 0,
@@ -216,6 +220,7 @@ impl Client {
         let peer = stream.peer_addr().map_err(io_err("peer_addr"))?;
         self.reader = BufReader::new(stream.try_clone().map_err(io_err("clone"))?);
         self.writer = stream;
+        self.read_timeout = None;
         self.addr = peer;
         self.next_req = 1;
         self.session = 0;
@@ -284,10 +289,7 @@ impl Client {
         .map_err(io_err("send"))?;
         // No read timeout while a response is owed: the server always
         // answers every request (that is the protocol's contract).
-        self.reader
-            .get_ref()
-            .set_read_timeout(None)
-            .map_err(io_err("timeout"))?;
+        self.set_read_timeout(None)?;
         loop {
             let frame = wire::read_frame(&mut self.reader).map_err(read_err)?;
             match frame.kind {
@@ -365,10 +367,7 @@ impl Client {
     /// push into the newest one and the caller would see nothing until the
     /// stream paused. Later frames stay buffered for the next call.
     fn drain_socket(&mut self, window: Duration) -> WowResult<()> {
-        self.reader
-            .get_ref()
-            .set_read_timeout(Some(window))
-            .map_err(io_err("timeout"))?;
+        self.set_read_timeout(Some(window))?;
         match wire::read_frame(&mut self.reader) {
             Ok(frame) if frame.kind == FrameKind::Push => self.stash_push(&frame.payload),
             Ok(frame) => Err(WowError::Net(format!(
@@ -379,6 +378,19 @@ impl Client {
             Err(ReadError::Eof) => Ok(()),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Give the socket this read timeout, with a system call only when it
+    /// differs from the one it carries.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> WowResult<()> {
+        if self.read_timeout != timeout {
+            self.reader
+                .get_ref()
+                .set_read_timeout(timeout)
+                .map_err(io_err("timeout"))?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Highest refresh generation seen for a window (0 if none).

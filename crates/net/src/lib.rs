@@ -15,8 +15,10 @@
 //!
 //! * [`wire`] — length-prefixed frames and fuzz-resistant payload codecs.
 //! * [`proto`] — typed requests / responses / pushes and the error frame.
-//! * [`server`] — the accept loop, per-connection reader/writer threads,
-//!   bounded coalescing outboxes, and the push consistency guarantee.
+//! * [`server`] — the accept loop, a per-connection reader that writes
+//!   its own responses and a writer for other connections' pushes,
+//!   bounded coalescing push outboxes, and the push consistency and
+//!   ordering guarantees.
 //! * [`client`] — a blocking client with generation-gated push delivery
 //!   and crash reconnection (seeded backoff, session rebuild, window
 //!   re-open with generation resync).

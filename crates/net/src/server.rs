@@ -2,16 +2,30 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread, plus **two threads per connection**: a reader that
-//! decodes requests and executes them against the world, and a writer that
-//! drains that connection's outbox. Responses and pushes both travel
-//! through the outbox so a single thread owns the socket's write half and
-//! frames can never interleave.
+//! One accept thread, plus **two threads per connection**. The reader
+//! decodes each request, executes it against the world, and writes the
+//! response itself, so a request costs no hand-off to another thread. The
+//! writer sends only the pushes that *other* connections' commits queue in
+//! this connection's outbox. Both write through the connection's write
+//! half — a mutex over the socket's write side — and whoever holds it
+//! writes whole frames, so frames never interleave.
 //!
-//! Lock order, everywhere: **world → connection map → outbox**. The
-//! `__wow_connections` provider runs under the world lock (`sys_sync`) and
-//! takes the map then each outbox; request handling takes the world then
-//! the map to route pushes — both follow the order, so no cycle exists.
+//! ## Ordering contract
+//!
+//! A push queued for a connection before a response always goes out
+//! before that response: holding the write half, the reader first writes
+//! every push already in the outbox, then its response, and pushes leave
+//! the outbox only under the write half. So when `commit` through one
+//! window returns, the client already holds the push for its other window
+//! over the same table, at that commit's generation, without another
+//! socket read. A screen is never older than what the clerk already saw.
+//!
+//! Lock order: **world → connection map → outbox**, and **write half →
+//! outbox**. The `__wow_connections` provider runs under the world lock
+//! (`sys_sync`) and takes the map then each outbox; request handling takes
+//! the world then the map to route pushes. The write half is never taken
+//! while the world lock is held, so a peer that stops reading blocks only
+//! its own reader, for at most the 5 s write timeout, and never the world.
 //!
 //! ## Push consistency
 //!
@@ -23,12 +37,13 @@
 //! commit, because nothing else can touch the world between the commit and
 //! the snapshot.
 //!
-//! Outboxes are bounded. A slow consumer coalesces: a queued push for a
-//! window is *replaced* by a newer-generation push for the same window
-//! (latest wins), and when the queue is still full the oldest push is
-//! dropped. Responses are never dropped. Generations are monotonic per
-//! window, so a client that ignores non-increasing generations can never
-//! regress, no matter what was coalesced away.
+//! Outboxes hold only pushes and are bounded. A slow consumer coalesces: a
+//! queued push for a window is *replaced* by a newer-generation push for
+//! the same window (latest wins), and when the queue is still full the
+//! oldest push is dropped. Responses never wait in the outbox, so none is
+//! ever dropped. Generations are monotonic per window, so a client that
+//! ignores non-increasing generations can never regress, no matter what
+//! was coalesced away.
 
 use crate::proto::{ErrorFrame, Push, PushKind, Request, Response, Screenful, TraceSpan};
 use crate::wire::{self, FrameKind, ReadError, VERSION};
@@ -48,8 +63,8 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// How often blocked reads wake up to check shutdown/idle state.
     pub poll_interval: Duration,
-    /// Outbox bound per connection; beyond it the oldest *push* is
-    /// dropped (responses are never dropped).
+    /// Outbox bound per connection; beyond it the oldest push is
+    /// dropped. Responses do not pass through the outbox.
     pub outbox_capacity: usize,
 }
 
@@ -63,28 +78,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the writer thread sends next.
-enum OutMsg {
-    /// Answer to one request; never dropped, never coalesced.
-    Response {
-        /// Echoed request id.
-        req_id: u64,
-        /// Encoded `Response`.
-        payload: Vec<u8>,
-    },
-    /// A `WindowRefreshed`; subject to coalescing and the queue bound.
-    Push {
-        /// The refreshed window (coalescing key).
-        win: u32,
-        /// Refresh generation (latest wins).
-        generation: u64,
-        /// The `(trace_id, span_id)` of the `NetPush` span that routed
-        /// this screenful — stamped on the frame so the push joins the
-        /// originating commit's trace tree.
-        trace: Option<(u64, u64)>,
-        /// Encoded `Push`.
-        payload: Vec<u8>,
-    },
+/// A `WindowRefreshed` waiting in an outbox; subject to coalescing and
+/// the queue bound.
+struct QueuedPush {
+    /// The refreshed window (coalescing key).
+    win: u32,
+    /// Refresh generation (latest wins).
+    generation: u64,
+    /// The `(trace_id, span_id)` of the `NetPush` span that routed this
+    /// screenful — stamped on the frame so the push joins the originating
+    /// commit's trace tree.
+    trace: Option<(u64, u64)>,
+    /// Encoded `Push`.
+    payload: Vec<u8>,
 }
 
 /// Per-connection shared state.
@@ -92,7 +98,10 @@ struct Conn {
     id: u64,
     peer: String,
     session: Mutex<Option<SessionId>>,
-    outbox: Mutex<VecDeque<OutMsg>>,
+    /// The socket's write half. Whoever holds it writes whole frames.
+    write_half: Mutex<TcpStream>,
+    /// Pushes not yet written, oldest first.
+    outbox: Mutex<VecDeque<QueuedPush>>,
     wake: Condvar,
     closing: AtomicBool,
     requests: AtomicU64,
@@ -102,57 +111,68 @@ struct Conn {
 }
 
 impl Conn {
-    /// Queue a message and wake the writer. Pushes coalesce per window
-    /// (newest generation wins) and respect the queue bound.
-    fn enqueue(&self, msg: OutMsg, capacity: usize) {
+    /// Queue a push. A queued push for the same window is replaced by the
+    /// newer generation; a full queue drops its oldest push. With `wake`
+    /// false the writer thread is not woken: the push is this connection's
+    /// own request's, and its reader writes it before the response.
+    fn enqueue(&self, push: QueuedPush, capacity: usize, wake: bool) {
         let mut q = self.outbox.lock().expect("outbox poisoned");
-        match msg {
-            OutMsg::Response { .. } => q.push_back(msg),
-            OutMsg::Push {
-                win,
-                generation,
-                trace,
-                payload,
-            } => {
-                let existing = q.iter_mut().find_map(|m| match m {
-                    OutMsg::Push {
-                        win: w,
-                        generation: g,
-                        trace: t,
-                        payload: p,
-                    } if *w == win => Some((g, t, p)),
-                    _ => None,
-                });
-                if let Some((g, t, p)) = existing {
-                    // Same window already queued: keep whichever screenful
-                    // is newer, count the one that lost.
-                    if generation > *g {
-                        *g = generation;
-                        *t = trace;
-                        *p = payload;
-                    }
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    wow_obs::metrics().add("net.coalesced", 1);
-                } else {
-                    if q.len() >= capacity {
-                        // Full: sacrifice the oldest push (a stale screen a
-                        // newer push will supersede), never a response.
-                        if let Some(i) = q.iter().position(|m| matches!(m, OutMsg::Push { .. })) {
-                            q.remove(i);
-                            wow_obs::metrics().add("net.push_dropped", 1);
-                        }
-                    }
-                    q.push_back(OutMsg::Push {
-                        win,
-                        generation,
-                        trace,
-                        payload,
-                    });
-                }
+        if let Some(queued) = q.iter_mut().find(|p| p.win == push.win) {
+            // Same window already queued: keep whichever screenful is
+            // newer, count the one that lost.
+            if push.generation > queued.generation {
+                *queued = push;
             }
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            wow_obs::metrics().add("net.coalesced", 1);
+        } else {
+            if q.len() >= capacity && q.pop_front().is_some() {
+                // Full: sacrifice the oldest push, a stale screen a newer
+                // push will supersede.
+                wow_obs::metrics().add("net.push_dropped", 1);
+            }
+            q.push_back(push);
         }
         drop(q);
-        self.wake.notify_one();
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Write every queued push. Takes the held write half: pushes leave
+    /// the outbox only under it, so a push once popped is on the wire
+    /// before anyone else writes.
+    fn flush_pushes(&self, w: &mut TcpStream) -> std::io::Result<()> {
+        loop {
+            let Some(push) = self.outbox.lock().expect("outbox poisoned").pop_front() else {
+                return Ok(());
+            };
+            wire::write_frame(w, FrameKind::Push, 0, push.trace, &push.payload)?;
+            self.pushes.fetch_add(1, Ordering::Relaxed);
+            wow_obs::metrics().add("net.pushes", 1);
+        }
+    }
+
+    /// Write the response to request `req_id`, after every push queued
+    /// before it. Returns false when the write failed; the connection is
+    /// then closing.
+    fn respond(&self, req_id: u64, resp: &Response) -> bool {
+        let payload = resp.encode();
+        let mut w = self.write_half.lock().expect("write half poisoned");
+        let sent = self
+            .flush_pushes(&mut w)
+            .and_then(|()| wire::write_frame(&mut *w, FrameKind::Response, req_id, None, &payload));
+        if sent.is_err() {
+            self.abort(&w);
+        }
+        sent.is_ok()
+    }
+
+    /// The peer stopped reading (or hung up): shut the socket both ways so
+    /// the reader unblocks too.
+    fn abort(&self, w: &TcpStream) {
+        self.start_closing();
+        let _ = w.shutdown(Shutdown::Both);
     }
 
     fn start_closing(&self) {
@@ -252,13 +272,13 @@ impl Server {
     }
 
     /// Stop accepting, drain in-flight requests and outboxes, join every
-    /// thread, and hand the world back. In-flight requests complete
-    /// (handlers are synchronous in the reader threads); queued pushes and
-    /// responses are flushed before sockets close.
+    /// thread, and hand the world back. In-flight requests complete and are
+    /// answered (handlers are synchronous in the reader threads); queued
+    /// pushes are flushed before sockets close.
     pub fn shutdown(mut self) -> World {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Ask every connection to wind down: readers notice the flag at
-        // their next poll tick, writers drain and exit.
+        // their next poll tick, writers exit once their outbox is empty.
         {
             let conns = self.shared.conns.lock().expect("conns poisoned");
             for conn in conns.values() {
@@ -336,11 +356,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         // every request costs a 40 ms multiple.
         stream.set_nodelay(true).ok();
         let _span = wow_obs::span(wow_obs::Op::NetAccept);
+        let Ok(write_half) = stream.try_clone() else {
+            continue;
+        };
+        // A peer that stops reading stalls a write for at most this long;
+        // then its connection is dropped.
+        let _ = write_half.set_write_timeout(Some(Duration::from_secs(5)));
         let id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let conn = Arc::new(Conn {
             id,
             peer: peer.to_string(),
             session: Mutex::new(None),
+            write_half: Mutex::new(write_half),
             outbox: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             closing: AtomicBool::new(false),
@@ -356,13 +383,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         wow_obs::metrics().set("net.connections", n as u64);
         wow_obs::metrics().add("net.accepts", 1);
-        let wstream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                shared.conns.lock().expect("conns poisoned").remove(&id);
-                continue;
-            }
-        };
         let (rs, rc) = (Arc::clone(&shared), Arc::clone(&conn));
         let reader = std::thread::Builder::new()
             .name(format!("wow-net-r{id}"))
@@ -370,52 +390,37 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let (ws, wc) = (Arc::clone(&shared), Arc::clone(&conn));
         let writer = std::thread::Builder::new()
             .name(format!("wow-net-w{id}"))
-            .spawn(move || writer_loop(wstream, ws, wc));
+            .spawn(move || writer_loop(ws, wc));
         let mut threads = shared.threads.lock().expect("threads poisoned");
         threads.extend(reader.into_iter().chain(writer));
     }
 }
 
-/// Drain the outbox onto the socket until the connection is closing and
-/// the queue is empty.
-fn writer_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+/// Write the pushes other connections' commits queue, until the
+/// connection is closing and the outbox is empty. Responses are the
+/// reader's: it writes them itself.
+fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
     loop {
-        let msg = {
+        {
             let mut q = conn.outbox.lock().expect("outbox poisoned");
-            loop {
-                if let Some(m) = q.pop_front() {
-                    break Some(m);
-                }
+            while q.is_empty() {
                 if conn.closing.load(Ordering::SeqCst) {
-                    break None;
+                    return;
                 }
-                let (guard, _) = conn
+                q = conn
                     .wake
                     .wait_timeout(q, shared.cfg.poll_interval)
-                    .expect("outbox poisoned");
-                q = guard;
+                    .expect("outbox poisoned")
+                    .0;
             }
-        };
-        let Some(msg) = msg else { break };
-        let (kind, req_id, trace, payload) = match &msg {
-            OutMsg::Response { req_id, payload } => (FrameKind::Response, *req_id, None, payload),
-            OutMsg::Push { payload, trace, .. } => (FrameKind::Push, 0, *trace, payload),
-        };
-        if wire::write_frame(&mut stream, kind, req_id, trace, payload).is_err() {
-            // The peer stopped reading; abort both directions so the
-            // reader unblocks too.
-            conn.start_closing();
-            let _ = stream.shutdown(Shutdown::Both);
-            break;
         }
-        if matches!(msg, OutMsg::Push { .. }) {
-            conn.pushes.fetch_add(1, Ordering::Relaxed);
-            wow_obs::metrics().add("net.pushes", 1);
+        // Lock order: write half, then outbox (inside `flush_pushes`).
+        let mut w = conn.write_half.lock().expect("write half poisoned");
+        if conn.flush_pushes(&mut w).is_err() {
+            conn.abort(&w);
+            return;
         }
     }
-    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Read and execute requests until the peer hangs up, the idle timeout
@@ -439,32 +444,20 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
             Err(ReadError::Wire(w)) => {
                 // A malformed frame means the stream is unframeable from
                 // here on: report once and hang up.
-                conn.enqueue(
-                    OutMsg::Response {
-                        req_id: 0,
-                        payload: Response::Error(ErrorFrame::protocol(w.to_string())).encode(),
-                    },
-                    shared.cfg.outbox_capacity,
-                );
+                conn.respond(0, &Response::Error(ErrorFrame::protocol(w.to_string())));
                 break;
             }
             Err(_) => break,
         };
         last_activity = Instant::now();
         if frame.kind != FrameKind::Request {
-            conn.enqueue(
-                OutMsg::Response {
-                    req_id: frame.req_id,
-                    payload: Response::Error(ErrorFrame::protocol("clients send request frames"))
-                        .encode(),
-                },
-                shared.cfg.outbox_capacity,
-            );
+            let refusal = ErrorFrame::protocol("clients send request frames");
+            conn.respond(frame.req_id, &Response::Error(refusal));
             break;
         }
         conn.requests.fetch_add(1, Ordering::Relaxed);
         wow_obs::metrics().add("net.requests", 1);
-        let goodbye = {
+        let (resp, goodbye) = {
             // Adopt the client's trace context (traced frames) or mint a fresh
             // trace, so everything this request does — executor operators,
             // worker-pool scans, pushes to *other* clients — joins one tree
@@ -475,14 +468,16 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
                 .unwrap_or_else(wow_obs::TraceContext::mint);
             let _trace = wow_obs::install_context(Some(ctx));
             let _span = wow_obs::span(wow_obs::Op::NetRequest);
-            handle_frame(&shared, &conn, frame.req_id, &frame.payload)
+            handle_frame(&shared, &conn, &frame.payload)
         };
-        if goodbye {
+        // The world lock is released: write the response from this thread.
+        if !conn.respond(frame.req_id, &resp) || goodbye {
             break;
         }
     }
-    // Wind down: release the session (its locks and windows) and flush the
-    // writer out.
+    // Wind down: release the session (its locks and windows), leave the
+    // map so no more pushes are routed here, then write what is still
+    // queued and close the write side.
     let session = conn.session.lock().expect("session poisoned").take();
     if let Some(sess) = session {
         let mut world = shared.world.lock().expect("world poisoned");
@@ -497,37 +492,18 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
         conns.len()
     };
     wow_obs::metrics().set("net.connections", n as u64);
+    let mut w = conn.write_half.lock().expect("write half poisoned");
+    let _ = conn.flush_pushes(&mut w);
+    let _ = w.shutdown(Shutdown::Write);
 }
 
-/// Decode, execute, respond, and route pushes for one request frame.
-/// Returns true when the connection said goodbye.
-fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, req_id: u64, payload: &[u8]) -> bool {
-    let req = match Request::decode(payload) {
-        Ok(r) => r,
-        Err(e) => {
-            conn.enqueue(
-                OutMsg::Response {
-                    req_id,
-                    payload: Response::Error(ErrorFrame::protocol(e.to_string())).encode(),
-                },
-                shared.cfg.outbox_capacity,
-            );
-            return false;
-        }
-    };
-    let goodbye = matches!(req, Request::Goodbye);
-    let resp = execute(shared, conn, &req);
-    conn.enqueue(
-        OutMsg::Response {
-            req_id,
-            payload: resp.encode(),
-        },
-        shared.cfg.outbox_capacity,
-    );
-    if goodbye {
-        conn.start_closing();
+/// Decode and execute one request frame; returns the response and whether
+/// the client said goodbye.
+fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> (Response, bool) {
+    match Request::decode(payload) {
+        Ok(req) => (execute(shared, conn, &req), matches!(req, Request::Goodbye)),
+        Err(e) => (Response::Error(ErrorFrame::protocol(e.to_string())), false),
     }
-    goodbye
 }
 
 /// Execute one request under the world lock. Pushes caused by the request
@@ -788,13 +764,14 @@ fn route_pushes(
         }
         .encode();
         target.enqueue(
-            OutMsg::Push {
+            QueuedPush {
                 win: ev.win.0,
                 generation: ev.generation,
                 trace: push_ctx.map(|c| (c.trace_id, c.span_id)),
                 payload,
             },
             shared.cfg.outbox_capacity,
+            target.id != origin.id,
         );
     }
 }

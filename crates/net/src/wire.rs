@@ -201,7 +201,10 @@ impl From<ReadError> for wow_core::WowError {
 }
 
 /// Write one frame, with the 16-byte trace prefix and [`FLAG_TRACE`] when
-/// a trace context `(trace_id, parent_span_id)` is given.
+/// a trace context `(trace_id, parent_span_id)` is given. The frame is
+/// assembled in one buffer and handed to `w` in a single `write_all`, so
+/// on an unbuffered `TCP_NODELAY` socket one frame is one `write` system
+/// call and one segment.
 pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
@@ -215,19 +218,17 @@ pub fn write_frame(
     };
     let len = payload.len() + prefix;
     debug_assert!(len <= MAX_PAYLOAD);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = kind as u8;
-    header[6] = flags;
-    header[8..16].copy_from_slice(&req_id.to_le_bytes());
-    header[16..20].copy_from_slice(&(len as u32).to_le_bytes());
-    w.write_all(&header)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + len);
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&[VERSION, kind as u8, flags, 0]);
+    frame.extend_from_slice(&req_id.to_le_bytes());
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
     if let Some((trace_id, parent_id)) = trace {
-        w.write_all(&trace_id.to_le_bytes())?;
-        w.write_all(&parent_id.to_le_bytes())?;
+        frame.extend_from_slice(&trace_id.to_le_bytes());
+        frame.extend_from_slice(&parent_id.to_le_bytes());
     }
-    w.write_all(payload)?;
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -600,6 +601,39 @@ mod tests {
             read_frame(&mut short.as_slice()),
             Err(ReadError::Wire(WireError::Truncated { .. }))
         ));
+    }
+
+    /// A writer that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, FrameKind::Response, 3, Some((1, 2)), b"payload").unwrap();
+        assert_eq!(w.writes, 1, "header, trace prefix and payload in one write");
+        write_frame(&mut w, FrameKind::Push, 0, None, b"two").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut rest = w.bytes.as_slice();
+        let first = read_frame(&mut rest).unwrap();
+        assert_eq!(first.trace, Some((1, 2)));
+        assert_eq!(first.payload, b"payload");
+        assert_eq!(read_frame(&mut rest).unwrap().payload, b"two");
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -298,3 +298,141 @@ fn a_failing_quel_program_still_refreshes_windows() {
     watcher.goodbye().unwrap();
     server.shutdown();
 }
+
+#[test]
+fn a_commit_response_follows_the_pushes_it_caused_for_the_same_client() {
+    // The ordering contract: a push queued for a connection before a
+    // response goes out before that response. So once `commit` through
+    // window 1 returns, window 2's push for that commit is already stashed.
+    let server = Server::start(seed_world(4), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let (w1, _, _) = c.open_window("emps", false).unwrap();
+    let (w2, _, _) = c.open_window("emps", false).unwrap();
+    let mut last = c.generation_of(w2);
+    for k in 0..200 {
+        c.enter_edit(w1).unwrap();
+        c.set_field(w1, 1, &(1000 + k).to_string()).unwrap();
+        c.commit(w1).unwrap();
+        let push = c
+            .take_push()
+            .unwrap_or_else(|| panic!("commit {k}: window 2's push must precede the response"));
+        let wow_net::Push::WindowRefreshed {
+            win,
+            generation,
+            screen,
+            ..
+        } = push;
+        assert_eq!(win, w2, "commit {k}");
+        assert_eq!(
+            generation,
+            last + 1,
+            "commit {k}: the push is this commit's"
+        );
+        assert_eq!(screen.rows[0][1].to_string(), (1000 + k).to_string());
+        assert!(c.take_push().is_none(), "commit {k}: one push per commit");
+        last = generation;
+    }
+    c.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_that_never_reads_stalls_only_itself() {
+    use std::io::Write;
+    use wow_net::{FrameKind, Request, Response};
+    let cfg = ServerConfig::default();
+    let capacity = cfg.outbox_capacity;
+    let server = Server::start(seed_world(64), "127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr();
+
+    // The peer says hello and opens a window, reading those two replies.
+    let mut peer = std::net::TcpStream::connect(addr).unwrap();
+    let call = |peer: &mut std::net::TcpStream, id: u64, req: Request| {
+        wow_net::wire::write_frame(peer, FrameKind::Request, id, None, &req.encode()).unwrap();
+        let frame = wow_net::wire::read_frame(peer).unwrap();
+        Response::decode(&frame.payload).unwrap()
+    };
+    let hello = call(
+        &mut peer,
+        1,
+        Request::Hello {
+            version: wow_net::VERSION,
+        },
+    );
+    assert!(matches!(hello, Response::HelloOk { .. }), "{hello:?}");
+    let win = match call(
+        &mut peer,
+        2,
+        Request::OpenWindow {
+            view: "emps".into(),
+            grid: false,
+        },
+    ) {
+        Response::WindowOpened { win, .. } => win,
+        other => panic!("{other:?}"),
+    };
+    // Then it asks for screens and never reads them, until the socket
+    // buffers in both directions are full and its own send blocks.
+    peer.set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let get_screen = Request::GetScreen { win }.encode();
+    let started = std::time::Instant::now();
+    let mut sent = 0u64;
+    loop {
+        let mut frame = Vec::new();
+        wow_net::wire::write_frame(&mut frame, FrameKind::Request, 3 + sent, None, &get_screen)
+            .unwrap();
+        if peer.write_all(&frame).is_err() {
+            break;
+        }
+        sent += 1;
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "the server kept reading {sent} unanswered requests"
+        );
+    }
+
+    // Another clerk is served promptly: the stalled reader holds neither
+    // the world nor the connection map.
+    let timed = |what: &str, t: std::time::Instant| {
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "{what} took {:?}",
+            t.elapsed()
+        );
+    };
+    let t = std::time::Instant::now();
+    let mut clerk = Client::connect(addr).unwrap();
+    let (cwin, _, _) = clerk.open_window("emps", false).unwrap();
+    timed("open", t);
+    let t = std::time::Instant::now();
+    clerk.next_page(cwin).unwrap();
+    timed("page", t);
+    let t = std::time::Instant::now();
+    clerk.prev_page(cwin).unwrap();
+    clerk.enter_edit(cwin).unwrap();
+    clerk.set_field(cwin, 1, "4242").unwrap();
+    clerk.commit(cwin).unwrap();
+    timed("commit", t);
+
+    // The peer's queue holds at most the pushes the bound allows (here,
+    // the one for that commit), not a growing pile of unread responses.
+    let (sys, _, screen) = clerk.open_window("__wow_connections", false).unwrap();
+    let queued = screen.columns.iter().position(|c| c == "queued").unwrap();
+    let session = screen.columns.iter().position(|c| c == "session").unwrap();
+    let peer_row = screen
+        .rows
+        .iter()
+        .find(|r| r[session].to_string() != clerk.session().to_string())
+        .expect("the stalled peer is still connected");
+    let depth: u64 = peer_row[queued].to_string().parse().unwrap();
+    assert!(
+        depth <= capacity as u64,
+        "queued {depth} > capacity {capacity}"
+    );
+    clerk.close_window(sys).unwrap();
+    clerk.goodbye().unwrap();
+
+    drop(peer);
+    server.shutdown();
+}
