@@ -10,6 +10,11 @@
 //! half — a mutex over the socket's write side — and whoever holds it
 //! writes whole frames, so frames never interleave.
 //!
+//! A request wakes each writer it queued pushes for once, after the world
+//! lock is released, so no woken writer competes with the fan-out still
+//! running. Whoever holds the write half writes everything queued, and the
+//! response if it has one, in a single `write`.
+//!
 //! ## Ordering contract
 //!
 //! A push queued for a connection before a response always goes out
@@ -23,9 +28,10 @@
 //! Lock order: **world → connection map → outbox**, and **write half →
 //! outbox**. The `__wow_connections` provider runs under the world lock
 //! (`sys_sync`) and takes the map then each outbox; request handling takes
-//! the world then the map to route pushes. The write half is never taken
-//! while the world lock is held, so a peer that stops reading blocks only
-//! its own reader, for at most the 5 s write timeout, and never the world.
+//! the world then the map to route pushes (`woken` is a leaf lock: nothing
+//! is taken under it). The write half is never taken while the world lock
+//! is held, so a peer that stops reading blocks only its own reader, for
+//! at most the 5 s write timeout, and never the world.
 //!
 //! ## Push consistency
 //!
@@ -48,7 +54,7 @@
 use crate::proto::{ErrorFrame, Push, PushKind, Request, Response, Screenful, TraceSpan};
 use crate::wire::{self, FrameKind, ReadError, VERSION};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,6 +108,9 @@ struct Conn {
     write_half: Mutex<TcpStream>,
     /// Pushes not yet written, oldest first.
     outbox: Mutex<VecDeque<QueuedPush>>,
+    /// Other connections this connection's current request queued pushes
+    /// for; its reader wakes their writers once the world lock is released.
+    woken: Mutex<Vec<Arc<Conn>>>,
     wake: Condvar,
     closing: AtomicBool,
     requests: AtomicU64,
@@ -112,10 +121,10 @@ struct Conn {
 
 impl Conn {
     /// Queue a push. A queued push for the same window is replaced by the
-    /// newer generation; a full queue drops its oldest push. With `wake`
-    /// false the writer thread is not woken: the push is this connection's
-    /// own request's, and its reader writes it before the response.
-    fn enqueue(&self, push: QueuedPush, capacity: usize, wake: bool) {
+    /// newer generation; a full queue drops its oldest push. The writer
+    /// thread is not woken here: the request that caused the push wakes it
+    /// once, after the world lock is released (see `Conn::woken`).
+    fn enqueue(&self, push: QueuedPush, capacity: usize) {
         let mut q = self.outbox.lock().expect("outbox poisoned");
         if let Some(queued) = q.iter_mut().find(|p| p.win == push.win) {
             // Same window already queued: keep whichever screenful is
@@ -133,24 +142,29 @@ impl Conn {
             }
             q.push_back(push);
         }
-        drop(q);
-        if wake {
-            self.wake.notify_one();
-        }
     }
 
-    /// Write every queued push. Takes the held write half: pushes leave
-    /// the outbox only under it, so a push once popped is on the wire
-    /// before anyone else writes.
-    fn flush_pushes(&self, w: &mut TcpStream) -> std::io::Result<()> {
-        loop {
-            let Some(push) = self.outbox.lock().expect("outbox poisoned").pop_front() else {
-                return Ok(());
-            };
-            wire::write_frame(w, FrameKind::Push, 0, push.trace, &push.payload)?;
-            self.pushes.fetch_add(1, Ordering::Relaxed);
-            wow_obs::metrics().add("net.pushes", 1);
+    /// Write every queued push, then `response` (a request id and an
+    /// encoded `Response`) if given, all in one `write`. Takes the held
+    /// write half: pushes leave the outbox only under it, so a push once
+    /// taken is on the wire before anyone else writes.
+    fn write_out(&self, w: &mut TcpStream, response: Option<(u64, &[u8])>) -> std::io::Result<()> {
+        let pushes = std::mem::take(&mut *self.outbox.lock().expect("outbox poisoned"));
+        let mut frames = Vec::new();
+        for push in &pushes {
+            wire::encode_frame(&mut frames, FrameKind::Push, 0, push.trace, &push.payload);
         }
+        if let Some((req_id, payload)) = response {
+            wire::encode_frame(&mut frames, FrameKind::Response, req_id, None, payload);
+        }
+        if frames.is_empty() {
+            return Ok(());
+        }
+        w.write_all(&frames)?;
+        self.pushes
+            .fetch_add(pushes.len() as u64, Ordering::Relaxed);
+        wow_obs::metrics().add("net.pushes", pushes.len() as u64);
+        Ok(())
     }
 
     /// Write the response to request `req_id`, after every push queued
@@ -159,9 +173,7 @@ impl Conn {
     fn respond(&self, req_id: u64, resp: &Response) -> bool {
         let payload = resp.encode();
         let mut w = self.write_half.lock().expect("write half poisoned");
-        let sent = self
-            .flush_pushes(&mut w)
-            .and_then(|()| wire::write_frame(&mut *w, FrameKind::Response, req_id, None, &payload));
+        let sent = self.write_out(&mut w, Some((req_id, &payload)));
         if sent.is_err() {
             self.abort(&w);
         }
@@ -369,6 +381,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             session: Mutex::new(None),
             write_half: Mutex::new(write_half),
             outbox: Mutex::new(VecDeque::new()),
+            woken: Mutex::new(Vec::new()),
             wake: Condvar::new(),
             closing: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -414,9 +427,9 @@ fn writer_loop(shared: Arc<Shared>, conn: Arc<Conn>) {
                     .0;
             }
         }
-        // Lock order: write half, then outbox (inside `flush_pushes`).
+        // Lock order: write half, then outbox (inside `write_out`).
         let mut w = conn.write_half.lock().expect("write half poisoned");
-        if conn.flush_pushes(&mut w).is_err() {
+        if conn.write_out(&mut w, None).is_err() {
             conn.abort(&w);
             return;
         }
@@ -470,7 +483,11 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
             let _span = wow_obs::span(wow_obs::Op::NetRequest);
             handle_frame(&shared, &conn, &frame.payload)
         };
-        // The world lock is released: write the response from this thread.
+        // The world lock is released: wake each writer this request queued
+        // pushes for, once, then write the response from this thread.
+        for target in conn.woken.lock().expect("woken poisoned").drain(..) {
+            target.wake.notify_one();
+        }
         if !conn.respond(frame.req_id, &resp) || goodbye {
             break;
         }
@@ -493,7 +510,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>, conn: Arc<Conn>) {
     };
     wow_obs::metrics().set("net.connections", n as u64);
     let mut w = conn.write_half.lock().expect("write half poisoned");
-    let _ = conn.flush_pushes(&mut w);
+    let _ = conn.write_out(&mut w, None);
     let _ = w.shutdown(Shutdown::Write);
 }
 
@@ -771,8 +788,11 @@ fn route_pushes(
                 payload,
             },
             shared.cfg.outbox_capacity,
-            target.id != origin.id,
         );
+        let mut woken = origin.woken.lock().expect("woken poisoned");
+        if target.id != origin.id && !woken.iter().any(|c| c.id == target.id) {
+            woken.push(Arc::clone(target));
+        }
     }
 }
 

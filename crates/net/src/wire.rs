@@ -212,24 +212,37 @@ pub fn write_frame(
     trace: Option<(u64, u64)>,
     payload: &[u8],
 ) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, kind, req_id, trace, payload);
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// Append one frame to `buf`, as [`write_frame`] would write it. Several
+/// frames appended to one buffer go out in one `write`.
+pub fn encode_frame(
+    buf: &mut Vec<u8>,
+    kind: FrameKind,
+    req_id: u64,
+    trace: Option<(u64, u64)>,
+    payload: &[u8],
+) {
     let (flags, prefix) = match trace {
         Some(_) => (FLAG_TRACE, TRACE_PREFIX_LEN),
         None => (0, 0),
     };
     let len = payload.len() + prefix;
     debug_assert!(len <= MAX_PAYLOAD);
-    let mut frame = Vec::with_capacity(HEADER_LEN + len);
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&[VERSION, kind as u8, flags, 0]);
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    buf.reserve(HEADER_LEN + len);
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&[VERSION, kind as u8, flags, 0]);
+    buf.extend_from_slice(&req_id.to_le_bytes());
+    buf.extend_from_slice(&(len as u32).to_le_bytes());
     if let Some((trace_id, parent_id)) = trace {
-        frame.extend_from_slice(&trace_id.to_le_bytes());
-        frame.extend_from_slice(&parent_id.to_le_bytes());
+        buf.extend_from_slice(&trace_id.to_le_bytes());
+        buf.extend_from_slice(&parent_id.to_le_bytes());
     }
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    buf.extend_from_slice(payload);
 }
 
 /// Read one frame. Distinguishes a clean EOF *between* frames (peer hung
@@ -633,6 +646,24 @@ mod tests {
         assert_eq!(first.trace, Some((1, 2)));
         assert_eq!(first.payload, b"payload");
         assert_eq!(read_frame(&mut rest).unwrap().payload, b"two");
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn appended_frames_read_back_in_order() {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, FrameKind::Push, 0, Some((5, 6)), b"first");
+        encode_frame(&mut buf, FrameKind::Response, 9, None, b"second");
+        let mut one = Vec::new();
+        write_frame(&mut one, FrameKind::Push, 0, Some((5, 6)), b"first").unwrap();
+        assert_eq!(buf[..one.len()], one[..], "same bytes as write_frame");
+        let mut rest = buf.as_slice();
+        let first = read_frame(&mut rest).unwrap();
+        assert_eq!((first.kind, first.trace), (FrameKind::Push, Some((5, 6))));
+        assert_eq!(first.payload, b"first");
+        let second = read_frame(&mut rest).unwrap();
+        assert_eq!((second.kind, second.req_id), (FrameKind::Response, 9));
+        assert_eq!(second.payload, b"second");
         assert!(rest.is_empty());
     }
 
