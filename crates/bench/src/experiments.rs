@@ -708,10 +708,11 @@ pub fn figure3_scan_crossover(scale: Scale) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Figure 4: one commit against a growing base, watched by an indexed
-/// selection window, a forced-materialized whole-table window, and a
-/// streamed join window. With delta propagation the commit pushes a typed
-/// delta through the view algebra and patches the screenfuls in place;
-/// the baseline re-runs every dependent window's query.
+/// selection window, a forced-materialized whole-table window, and a keyed
+/// join window. With delta propagation the commit pushes a typed delta
+/// through the view algebra and patches the screenfuls in place; the
+/// baseline refreshes every dependent window fully — a keyed page for the
+/// join window, the whole extension for the materialized one.
 pub fn figure4_propagate(scale: Scale) -> Table {
     let mut t = Table::new(
         "Figure 4",

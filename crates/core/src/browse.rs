@@ -6,14 +6,18 @@
 //! ask the source for nothing but "page *n*". The sources differ only in
 //! where a page comes from (the Table 2 comparison):
 //!
-//! * **Index** — a seek into the base table's primary-key B+tree just past
-//!   the key that ended the page before, filtering and projecting through
-//!   the view as entries stream in. Opening a window on a million-row
-//!   relation costs one page fetch.
+//! * **Index** — a seek into the driving table's primary-key B+tree just
+//!   past the key that ended the page before. A keyed join view
+//!   ([`wow_views::keyed`]) joins each driving row by one primary-key probe
+//!   per other range, dropping it when a probe finds nothing or meets NULL
+//!   (an inner join); a single-table view is the zero-probe case. A page
+//!   costs a page of entries and probes at any depth. A keyed view's one
+//!   documented order is driving-key order: `transcript` reads in `eid`
+//!   order, `shipment_detail` in `spid` order.
 //! * **Query** — the view query re-run with `LIMIT n+1 OFFSET k·n`, which
-//!   the streaming executor stops as soon as the page is full, so a join
-//!   window never materializes the whole extension; the extra row says
-//!   whether a further page exists.
+//!   the streaming executor stops as soon as the page is full; the extra
+//!   row says whether a further page exists. Aggregates, DISTINCT and joins
+//!   that do not preserve a key page this way, in the plan's order.
 //! * **Snapshot** — the baseline: the whole extension (optionally sorted)
 //!   held in memory, a page being a slice of it. The only source that
 //!   knows the row count.
@@ -38,6 +42,7 @@ use wow_rel::tuple::Tuple;
 use wow_storage::Rid;
 use wow_views::delta::{DeltaRow, ViewDelta};
 use wow_views::expand::{run_view_query, ViewQuery};
+use wow_views::keyed::Keyed;
 use wow_views::translate::view_rows_with_rids;
 use wow_views::updatable::Updatability;
 use wow_views::ViewCatalog;
@@ -66,12 +71,35 @@ pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
     Ok(Schema::new(columns))
 }
 
+/// What open-time analysis proved about a view, which decides how its
+/// cursor may read it.
+#[derive(Debug, Clone, Copy)]
+pub enum Access<'a> {
+    /// Updatable: rows carry base rids, so edits find their rows.
+    Updatable(&'a Updatability),
+    /// Read-only but keyed: pages walk the driving key.
+    Keyed(&'a Keyed),
+    /// Neither: pages re-run the view query.
+    ReadOnly,
+}
+
+impl<'a> Access<'a> {
+    /// The strongest of the two proofs a view has.
+    pub fn of(upd: Option<&'a Updatability>, keyed: Option<&'a Keyed>) -> Access<'a> {
+        match (upd, keyed) {
+            (Some(u), _) => Access::Updatable(u),
+            (None, Some(k)) => Access::Keyed(k),
+            (None, None) => Access::ReadOnly,
+        }
+    }
+}
+
 /// One displayed row.
 #[derive(Debug)]
 struct Entry {
     rid: Option<Rid>,
-    /// Primary-key index key on Index pages (empty elsewhere): places delta
-    /// rows without re-reading the index.
+    /// Driving primary-key index key on Index pages (empty elsewhere):
+    /// places delta rows without re-reading the index.
     key: Vec<u8>,
     row: Tuple,
 }
@@ -97,15 +125,10 @@ enum Source {
     Snapshot(Box<Snapshot>),
 }
 
-/// Pages read through an updatable view's primary-key index.
+/// Pages read through a keyed view's driving primary-key index.
 #[derive(Debug)]
 struct IndexPages {
-    table: String,
-    index: String,
-    /// Resolved view restriction over the base row.
-    base_pred: Option<Expr>,
-    /// Resolved projection over the base row.
-    targets: Vec<Expr>,
+    walk: Keyed,
     /// `starts[i]` = index key strictly before page `i` (None = start), for
     /// every page up to the current one.
     starts: Vec<Option<Vec<u8>>>,
@@ -146,28 +169,38 @@ impl BrowseCursor {
     /// Build a window's cursor — the one place a page source is chosen. A
     /// sorted query, a forced [`CursorStrategy::Materialized`] or an
     /// updatable view without a primary-key index gets a Snapshot; any other
-    /// updatable view pages through `pk_<base table>`; a read-only (join,
-    /// aggregate) view re-runs its query per page.
+    /// updatable view pages through `pk_<base table>` and a keyed read-only
+    /// view through its driving table's primary key; the rest (aggregates,
+    /// DISTINCT, joins that do not preserve a key) re-run their query per
+    /// page.
     pub fn open(
         db: &mut Database,
         vc: &ViewCatalog,
         view: &str,
-        upd: Option<&Updatability>,
+        access: Access<'_>,
         query: &ViewQuery,
         strategy: CursorStrategy,
         page_size: usize,
     ) -> WowResult<BrowseCursor> {
         let incremental = strategy == CursorStrategy::Auto && query.sort.is_empty();
-        match upd {
-            Some(u) if incremental => {
+        let pred = query.pred.clone();
+        match access {
+            Access::Updatable(u) if incremental => {
                 let pk = format!("pk_{}", u.base_table);
                 if db.catalog().index(&pk).is_ok() {
-                    return Self::indexed(db, u, &pk, page_size, query.pred.clone());
+                    return Self::indexed(db, u, &pk, page_size, pred);
                 }
             }
-            None if incremental => return Self::streamed(db, vc, view, query.clone(), page_size),
+            Access::Keyed(k) if incremental => return Self::keyed(db, k.clone(), page_size, pred),
+            Access::ReadOnly if incremental => {
+                return Self::streamed(db, vc, view, query.clone(), page_size)
+            }
             _ => {}
         }
+        let upd = match access {
+            Access::Updatable(u) => Some(u),
+            _ => None,
+        };
         Self::materialized(db, vc, view, query.clone(), upd, page_size)
     }
 
@@ -182,24 +215,37 @@ impl BrowseCursor {
         view_pred: Option<Expr>,
     ) -> WowResult<BrowseCursor> {
         let info = db.catalog().table(&upd.base_table)?;
-        let base_schema = info.schema.qualified(&upd.base_alias);
-        let base_pred = match &upd.base_pred {
-            Some(p) => Some(p.clone().resolve(&base_schema)?),
-            None => None,
-        };
-        let targets: Vec<Expr> = upd
-            .target_exprs
-            .iter()
-            .map(|e| e.clone().resolve(&base_schema))
-            .collect::<Result<_, _>>()?;
-        let source = Source::Index(IndexPages {
+        let base = info.schema.qualified(&upd.base_alias);
+        let resolve = |e: &Expr| e.clone().resolve(&base);
+        let targets = upd.target_exprs.iter().map(resolve);
+        let walk = Keyed {
             table: upd.base_table.clone(),
             index: index.to_string(),
-            base_pred,
-            targets,
+            probes: Vec::new(),
+            pred: upd.base_pred.as_ref().map(resolve).transpose()?,
+            targets: targets.collect::<Result<_, _>>()?,
+            schema: view_schema_of(db, upd)?,
+        };
+        Self::keyed(db, walk, page_size, view_pred)
+    }
+
+    /// An Index cursor over a keyed view ([`wow_views::keyed`]), in
+    /// driving-key order. `view_pred` is an extra restriction over bare view
+    /// columns (from QBF). Join rows carry no base rid.
+    pub fn keyed(
+        db: &mut Database,
+        walk: Keyed,
+        page_size: usize,
+        view_pred: Option<Expr>,
+    ) -> WowResult<BrowseCursor> {
+        let filter = match view_pred {
+            Some(p) => Some(bind_pred(p, &walk.schema)?.resolve(&walk.schema)?),
+            None => None,
+        };
+        let source = Source::Index(IndexPages {
+            walk,
             starts: vec![None],
         });
-        let filter = resolve_filter(db, Some(upd), view_pred)?;
         Self::start(db, &ViewCatalog::new(), source, filter, page_size)
     }
 
@@ -282,6 +328,16 @@ impl BrowseCursor {
     /// page move the page's contents, not its number.
     pub fn position(&self) -> Option<usize> {
         (!self.page.is_empty()).then_some(self.page_no * self.page_size + self.pos)
+    }
+
+    /// The page source: `index`, `query` or `snapshot` (what
+    /// `__wow_windows.source` shows).
+    pub fn source(&self) -> &'static str {
+        match &self.source {
+            Source::Index(_) => "index",
+            Source::Query { .. } => "query",
+            Source::Snapshot(_) => "snapshot",
+        }
     }
 
     /// Total row count, when the source knows it (Snapshot only).
@@ -630,8 +686,8 @@ fn resolve_filter(
 }
 
 impl IndexPages {
-    /// Fetch the page that starts strictly after `start`: up to `page_size`
-    /// rows, and whether the index ran dry.
+    /// Fetch the page that starts strictly after driving key `start`: up to
+    /// `page_size` rows, and whether the index ran dry.
     fn fetch_page(
         &self,
         db: &mut Database,
@@ -640,14 +696,19 @@ impl IndexPages {
         start: Option<Vec<u8>>,
     ) -> WowResult<(Vec<Entry>, bool)> {
         let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
-        let info = db.catalog().table(&self.table)?.clone();
+        let walk = &self.walk;
+        let tables = std::iter::once(&walk.table)
+            .chain(walk.probes.iter().map(|p| &p.table))
+            .map(|t| Ok(db.catalog().table(t)?.id))
+            .collect::<WowResult<Vec<_>>>()?;
         let mut page = Vec::with_capacity(page_size);
         let mut after = start;
         let mut at_end = false;
-        // Keep pulling index chunks until the page is full (predicates can
-        // reject arbitrarily many base rows) or the index runs dry.
+        // Keep pulling index chunks until the page is full (predicates and
+        // probes can reject arbitrarily many driving rows) or the index
+        // runs dry.
         loop {
-            let chunk = db.index_scan_page(&self.index, after.as_deref(), page_size)?;
+            let chunk = db.index_scan_page(&walk.index, after.as_deref(), page_size)?;
             if chunk.is_empty() {
                 at_end = true;
                 break;
@@ -655,30 +716,23 @@ impl IndexPages {
             let exhausted_chunk = chunk.len() < page_size;
             for (key, rid) in chunk {
                 after = Some(key.clone());
-                let Some(base) = db.get_row(info.id, rid)? else {
-                    continue; // deleted under us
-                };
-                let keep = match &self.base_pred {
-                    Some(p) => eval_pred(p, &base)?,
-                    None => true,
-                };
-                if !keep {
+                let Some(row) = self.joined(db, &tables, rid)? else {
                     continue;
-                }
-                let mut vals = Vec::with_capacity(self.targets.len());
-                for t in &self.targets {
-                    vals.push(eval(t, &base)?);
-                }
-                let view_row = Tuple::new(vals);
-                let keep = match view_pred {
-                    Some(p) => eval_pred(p, &view_row)?,
-                    None => true,
                 };
-                if !keep {
-                    continue;
+                if let Some(p) = &walk.pred {
+                    if !eval_pred(p, &row)? {
+                        continue;
+                    }
+                }
+                let vals = walk.targets.iter().map(|t| eval(t, &row));
+                let view_row = Tuple::new(vals.collect::<Result<_, _>>()?);
+                if let Some(p) = view_pred {
+                    if !eval_pred(p, &view_row)? {
+                        continue;
+                    }
                 }
                 page.push(Entry {
-                    rid: Some(rid),
+                    rid: walk.probes.is_empty().then_some(rid),
                     key,
                     row: view_row,
                 });
@@ -698,6 +752,35 @@ impl IndexPages {
         // the next advance (same trade every cursor implementation makes).
         span.arg(page.len() as u64);
         Ok((page, at_end))
+    }
+
+    /// The joined row behind driving entry `rid`: the driving row followed
+    /// by the row each probe finds. `None` when the driving row is gone, a
+    /// probe value is NULL or a probe finds nothing — an inner join.
+    fn joined(
+        &self,
+        db: &mut Database,
+        tables: &[wow_rel::catalog::TableId],
+        rid: Rid,
+    ) -> WowResult<Option<Tuple>> {
+        let Some(mut row) = db.get_row(tables[0], rid)? else {
+            return Ok(None); // deleted under us
+        };
+        for (probe, &table) in self.walk.probes.iter().zip(&tables[1..]) {
+            let key: Vec<_> = probe.cols.iter().map(|&c| row.values[c].clone()).collect();
+            if key.iter().any(|v| v.is_null()) {
+                return Ok(None);
+            }
+            let inner = match db.index_lookup(&probe.index, &key)?.first() {
+                Some(&inner) => db.get_row(table, inner)?,
+                None => None,
+            };
+            let Some(inner) = inner else {
+                return Ok(None);
+            };
+            row.values.extend(inner.values);
+        }
+        Ok(Some(row))
     }
 }
 
@@ -781,17 +864,13 @@ mod tests {
         ] {
             w.define_view(name, src).unwrap();
         }
-        let source = |w: &World, win| match &w.window(win).unwrap().cursor.source {
-            Source::Index(_) => "index",
-            Source::Query { .. } => "query",
-            Source::Snapshot(_) => "snapshot",
-        };
+        let source = |w: &World, win| w.window(win).unwrap().cursor.source();
         let s = w.open_session();
         let auto = CursorStrategy::Auto;
         for (view, strategy, want) in [
             ("emps", auto, "index"),
             ("notes", auto, "snapshot"),
-            ("floors", auto, "query"),
+            ("floors", auto, "index"),
             ("totals", auto, "query"),
             ("__wow_metrics", auto, "snapshot"),
             ("emps", CursorStrategy::Materialized, "snapshot"),

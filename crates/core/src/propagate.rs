@@ -430,13 +430,13 @@ mod tests {
     #[test]
     fn fanout_collects_per_window_errors_without_aborting() {
         let mut w = world();
-        // A self-join view is not updatable, so its window gets a streamed
-        // cursor — one that re-runs the view query (by name, against the
-        // live catalog) on every refresh.
+        // A join on a non-key column is neither updatable nor keyed, so its
+        // window gets a Query cursor — one that re-runs the view query (by
+        // name, against the live catalog) on every refresh.
         w.define_view(
             "doomed",
             "RANGE OF a IS emp RANGE OF b IS emp \
-             RETRIEVE (a.name, b.salary) WHERE a.name = b.name",
+             RETRIEVE (a.name, b.salary) WHERE a.dept = b.dept",
         )
         .unwrap();
         let s = w.open_session();
@@ -447,7 +447,7 @@ mod tests {
         w.redefine_view(
             "doomed",
             "RANGE OF a IS emp RANGE OF b IS emp \
-             RETRIEVE (a.name, b.salary / (b.salary - b.salary)) WHERE a.name = b.name",
+             RETRIEVE (a.name, b.salary / (b.salary - b.salary)) WHERE a.dept = b.dept",
         )
         .unwrap();
         w.db_mut().run("RANGE OF emp IS emp").unwrap();

@@ -72,7 +72,7 @@ pub const SYS_VIEWS: [(&str, &str); 5] = [
         "__wow_windows",
         "RANGE OF w IS __sys_windows \
          RETRIEVE (w.win, w.view, w.session, w.mode, w.refresh, w.age_ms, w.stale, w.updatable, \
-         w.generation)",
+         w.generation, w.source)",
     ),
     (
         "__wow_locks",
@@ -86,15 +86,31 @@ pub const SYS_VIEWS: [(&str, &str); 5] = [
     ),
 ];
 
-const SYS_DDL: [&str; 5] = [
-    "CREATE TABLE __sys_metrics (metric TEXT KEY, value INT)",
-    "CREATE TABLE __sys_traces (seq INT KEY, trace INT, span INT, parent INT, op TEXT, \
-     start_us INT, dur_us INT, arg INT)",
-    "CREATE TABLE __sys_windows (win INT KEY, view TEXT, session INT, mode TEXT, \
-     refresh TEXT, age_ms INT, stale INT, updatable INT, generation INT)",
-    "CREATE TABLE __sys_locks (seq INT KEY, relation TEXT, holder INT, mode TEXT)",
-    "CREATE TABLE __sys_connections (conn INT KEY, session INT, peer TEXT, state TEXT, \
-     requests INT, pushes INT, coalesced INT, queued INT, age_ms INT)",
+/// Each backing table and the DDL that creates it.
+const SYS_DDL: [(&str, &str); 5] = [
+    (
+        "__sys_metrics",
+        "CREATE TABLE __sys_metrics (metric TEXT KEY, value INT)",
+    ),
+    (
+        "__sys_traces",
+        "CREATE TABLE __sys_traces (seq INT KEY, trace INT, span INT, parent INT, op TEXT, \
+         start_us INT, dur_us INT, arg INT)",
+    ),
+    (
+        "__sys_windows",
+        "CREATE TABLE __sys_windows (win INT KEY, view TEXT, session INT, mode TEXT, \
+         refresh TEXT, age_ms INT, stale INT, updatable INT, generation INT, source TEXT)",
+    ),
+    (
+        "__sys_locks",
+        "CREATE TABLE __sys_locks (seq INT KEY, relation TEXT, holder INT, mode TEXT)",
+    ),
+    (
+        "__sys_connections",
+        "CREATE TABLE __sys_connections (conn INT KEY, session INT, peer TEXT, state TEXT, \
+         requests INT, pushes INT, coalesced INT, queued INT, age_ms INT)",
+    ),
 ];
 
 /// Whether `view` names a system view.
@@ -191,16 +207,30 @@ impl World {
         Ok(())
     }
 
-    /// Create the backing tables and register the views, once.
+    /// Create the backing tables and register the views, once per world.
+    /// Views are process state, so a reopened durable world has none, while
+    /// its last checkpoint may hold `__sys_*` tables — possibly in an older
+    /// shape. A table whose schema differs from its DDL's is recreated.
     fn sys_ensure(&mut self) -> WowResult<()> {
-        if self.db().catalog().has_table("__sys_metrics") {
+        if SYS_VIEWS.iter().all(|(name, _)| self.views().has(name)) {
             return Ok(());
         }
-        for ddl in SYS_DDL {
-            self.db_mut().run(ddl)?;
+        let mut want = wow_rel::db::Database::in_memory();
+        for (table, ddl) in SYS_DDL {
+            want.run(ddl)?;
+            let wanted = want.catalog().table(table)?;
+            let db = self.db_mut();
+            match db.catalog().table(table) {
+                Ok(have) if have.schema == wanted.schema && have.key == wanted.key => continue,
+                Ok(_) => db.drop_table(table)?,
+                Err(_) => {}
+            }
+            db.run(ddl)?;
         }
         for (name, src) in SYS_VIEWS {
-            self.define_view(name, src)?;
+            if !self.views().has(name) {
+                self.define_view(name, src)?;
+            }
         }
         Ok(())
     }
@@ -235,6 +265,7 @@ impl World {
                     Value::Int(w.stale as i64),
                     Value::Int(w.is_updatable() as i64),
                     Value::Int(w.generation as i64),
+                    Value::text(w.cursor.source()),
                 ]
             })
             .collect()

@@ -1,6 +1,6 @@
 //! Window state: modes, the per-window record, and rendering.
 
-use crate::browse::BrowseCursor;
+use crate::browse::{Access, BrowseCursor};
 use crate::session::SessionId;
 use crate::world::CursorStrategy;
 use std::fmt;
@@ -11,6 +11,7 @@ use wow_tui::geom::Rect;
 use wow_tui::tree::WindowId as TuiId;
 use wow_tui::widget::Widget;
 use wow_views::expand::ViewQuery;
+use wow_views::keyed::Keyed;
 use wow_views::updatable::Updatability;
 
 /// Identifier of a logical window (a form over a view).
@@ -105,6 +106,9 @@ pub struct WindowState {
     pub view: String,
     /// Updatability proof (None ⇒ the window is read-only).
     pub upd: Option<Updatability>,
+    /// How a read-only view is paged by key, when it is keyed (always
+    /// `None` for updatable views, which page by their own key).
+    pub keyed: Option<Keyed>,
     /// Why the window is read-only (empty when updatable).
     pub read_only_reasons: Vec<String>,
     /// The view's schema (bare column names).
@@ -146,6 +150,11 @@ impl WindowState {
     /// Whether the window can write through its view.
     pub fn is_updatable(&self) -> bool {
         self.upd.is_some()
+    }
+
+    /// What open-time analysis proved about the window's view.
+    pub fn access(&self) -> Access<'_> {
+        Access::of(self.upd.as_ref(), self.keyed.as_ref())
     }
 
     /// Load the form from the cursor's current row (Browse display).

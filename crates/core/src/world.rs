@@ -1,6 +1,6 @@
 //! The [`World`]: one shared database, many windows onto it.
 
-use crate::browse::{view_schema_of, BrowseCursor};
+use crate::browse::{view_schema_of, Access, BrowseCursor};
 use crate::config::WorldConfig;
 use crate::error::{WowError, WowResult};
 use crate::locks::{LockManager, LockMode, LockOutcome};
@@ -20,7 +20,8 @@ use wow_tui::event::Key;
 use wow_tui::geom::Rect;
 use wow_tui::tree::WindowTree;
 use wow_views::expand::{view_schema, ViewQuery};
-use wow_views::updatable::{analyze, why_not};
+use wow_views::keyed::analyze_keyed;
+use wow_views::updatable::analyze;
 use wow_views::{DepIndex, ViewCatalog, ViewDef};
 
 /// Counters the benches and the status surface read.
@@ -325,10 +326,11 @@ impl World {
     }
 
     /// Replace a view's definition (drop + re-register atomically: the old
-    /// definition is restored if the new one is rejected). Windows already
-    /// open on the view pick up the new definition at their next refresh,
-    /// and the dependency cache re-derives itself before the next
-    /// propagation.
+    /// definition is restored if the new one is rejected). An open window
+    /// whose cursor re-runs the view query picks up the new definition at
+    /// its next refresh; an Index window, and a Snapshot over an updatable
+    /// view, keep the definition they were opened with until reopened. The
+    /// dependency cache re-derives itself before the next propagation.
     pub fn redefine_view(&mut self, name: &str, src: &str) -> WowResult<()> {
         let def = ViewDef::parse(name, src)?;
         for (_, t) in &def.ranges {
@@ -464,11 +466,13 @@ impl World {
         if sys {
             self.sys_sync()?;
         }
-        // Updatability decides the cursor strategy and writability.
-        let (upd, reasons) = match analyze(&self.db, &self.views, view) {
-            Ok(u) => (Some(u), Vec::new()),
-            Err(wow_views::ViewError::NotUpdatable { .. }) => {
-                (None, why_not(&self.db, &self.views, view))
+        // Updatability decides writability; it and keyed access decide the
+        // cursor's page source. A refused view's reasons come with the
+        // refusal, and only a refused view is checked for a key.
+        let (upd, keyed, reasons) = match analyze(&self.db, &self.views, view) {
+            Ok(u) => (Some(u), None, Vec::new()),
+            Err(wow_views::ViewError::NotUpdatable { reasons, .. }) => {
+                (None, analyze_keyed(&self.db, &self.views, view)?, reasons)
             }
             Err(other) => return Err(other.into()),
         };
@@ -486,16 +490,18 @@ impl World {
         } else {
             (upd, reasons, strategy)
         };
-        let schema = match &upd {
-            Some(u) => view_schema_of(&self.db, u)?,
-            None => view_schema(&self.db, &self.views, view)?,
+        let schema = match (&upd, &keyed) {
+            (Some(u), _) => view_schema_of(&self.db, u)?,
+            (None, Some(k)) => k.schema.clone(),
+            (None, None) => view_schema(&self.db, &self.views, view)?,
         };
         let query = ViewQuery::default();
+        let access = Access::of(upd.as_ref(), keyed.as_ref());
         let cursor = BrowseCursor::open(
             &mut self.db,
             &self.views,
             view,
-            upd.as_ref(),
+            access,
             &query,
             strategy,
             self.cfg.page_size,
@@ -532,6 +538,7 @@ impl World {
             session,
             view: view.to_string(),
             upd,
+            keyed,
             read_only_reasons: reasons,
             schema,
             form,
@@ -673,8 +680,8 @@ impl World {
     pub(crate) fn requery_window(&mut self, win: WinId, query: ViewQuery) -> WowResult<()> {
         let page_size = self.cfg.page_size;
         let (db, vc, w) = self.parts(win)?;
-        let upd = w.upd.as_ref();
-        w.cursor = BrowseCursor::open(db, vc, &w.view, upd, &query, w.strategy, page_size)?;
+        let access = w.access();
+        w.cursor = BrowseCursor::open(db, vc, &w.view, access, &query, w.strategy, page_size)?;
         w.query = query;
         // The rebuilt cursor read the current data, so any staleness
         // accrued meanwhile (say, while the user typed a query) is gone.

@@ -1,14 +1,17 @@
 //! Browse-cursor behaviour under the microscope: paging, filtering,
 //! refresh under concurrent mutation, and strategy equivalence.
 
+use proptest::prelude::*;
 use wow_core::browse::BrowseCursor;
 use wow_core::config::WorldConfig;
 use wow_core::window_mgr::WindowStyle;
 use wow_core::world::{CursorStrategy, World};
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::quel::ast::SortKey;
+use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
-use wow_views::expand::ViewQuery;
+use wow_views::expand::{run_view_query, ViewQuery};
+use wow_views::keyed::analyze_keyed;
 use wow_views::updatable::{analyze, Updatability};
 use wow_views::ViewCatalog;
 
@@ -405,4 +408,357 @@ fn position_reporting_counts_matches_only() {
         assert!(c.next(w.db_mut(), &vc).unwrap());
     }
     assert_eq!(c.position(), Some(6));
+}
+
+/// Child rows `c` point at parent rows `p` through a nullable `pid`; `q`
+/// holds at most one row per child (a 1:1 join on the child's key).
+fn keyed_world(children: usize, parents: usize) -> World {
+    let mut w = World::new(WorldConfig::default());
+    w.db_mut()
+        .run(
+            "CREATE TABLE p (pid INT KEY, name TEXT)
+             CREATE TABLE c (cid INT KEY, pid INT, v INT)
+             CREATE TABLE q (qid INT KEY, w INT)",
+        )
+        .unwrap();
+    for pid in 0..parents as i64 {
+        let name = ["a", "b", "c"][pid as usize % 3];
+        w.db_mut()
+            .insert("p", vec![Value::Int(pid), Value::text(name)])
+            .unwrap();
+    }
+    for cid in 0..children as i64 {
+        let row = vec![Value::Int(cid), Value::Int(cid % 7), Value::Int(cid % 4)];
+        w.db_mut().insert("c", row).unwrap();
+    }
+    // Many-to-one with a residual restriction, then a 1:1 join driven by
+    // `q` with a chained probe into `p`.
+    w.define_view(
+        "cp",
+        "RANGE OF c IS c RANGE OF p IS p RETRIEVE (c.cid, p.name, c.v) \
+         WHERE c.pid = p.pid AND c.v >= 1",
+    )
+    .unwrap();
+    w.define_view(
+        "cqp",
+        "RANGE OF q IS q RANGE OF c IS c RANGE OF p IS p RETRIEVE (c.cid, p.name, q.w) \
+         WHERE q.qid = c.cid AND c.pid = p.pid",
+    )
+    .unwrap();
+    w
+}
+
+/// One step of the keyed-page property.
+#[derive(Debug, Clone)]
+enum Step {
+    Next,
+    Prev,
+    Refresh,
+    /// A child pointing at `pid`: NULL when negative, dangling past the
+    /// parents.
+    InsertChild {
+        pid: i64,
+        v: i64,
+    },
+    DeleteChild {
+        cid: i64,
+    },
+    /// Re-point a child (its join column changes under the window).
+    MoveChild {
+        cid: i64,
+        pid: i64,
+    },
+    RenameParent {
+        pid: i64,
+        name: &'static str,
+    },
+    DeleteParent {
+        pid: i64,
+    },
+    InsertParent {
+        pid: i64,
+    },
+    InsertQ {
+        qid: i64,
+        w: i64,
+    },
+    DeleteQ {
+        qid: i64,
+    },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let name = prop_oneof![Just("a"), Just("b"), Just("c")];
+    prop_oneof![
+        Just(Step::Next),
+        Just(Step::Next),
+        Just(Step::Prev),
+        Just(Step::Refresh),
+        ((-1i64..10), (0i64..4)).prop_map(|(pid, v)| Step::InsertChild { pid, v }),
+        (0i64..40).prop_map(|cid| Step::DeleteChild { cid }),
+        ((0i64..40), (-1i64..10)).prop_map(|(cid, pid)| Step::MoveChild { cid, pid }),
+        ((0i64..10), name).prop_map(|(pid, name)| Step::RenameParent { pid, name }),
+        (0i64..10).prop_map(|pid| Step::DeleteParent { pid }),
+        (0i64..10).prop_map(|pid| Step::InsertParent { pid }),
+        ((0i64..40), (0i64..5)).prop_map(|(qid, w)| Step::InsertQ { qid, w }),
+        (0i64..40).prop_map(|qid| Step::DeleteQ { qid }),
+    ]
+}
+
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        other => panic!("not an int: {other:?}"),
+    }
+}
+
+/// Apply a write straight to the database, as another clerk's commit
+/// would land under a window that has not refreshed yet. Writes that
+/// would break a key (or find no row) are skipped.
+fn write(w: &mut World, step: &Step, next_cid: &mut i64) {
+    let db = w.db_mut();
+    let pid_value = |pid: i64| match pid < 0 {
+        true => Value::Null,
+        false => Value::Int(pid),
+    };
+    let rid_of = |db: &mut wow_rel::db::Database, index: &str, key: i64| {
+        db.index_lookup(index, &[Value::Int(key)])
+            .unwrap()
+            .first()
+            .copied()
+    };
+    match *step {
+        Step::InsertChild { pid, v } => {
+            db.insert(
+                "c",
+                vec![Value::Int(*next_cid), pid_value(pid), Value::Int(v)],
+            )
+            .unwrap();
+            *next_cid += 1;
+        }
+        Step::DeleteChild { cid } => {
+            if let Some(rid) = rid_of(db, "pk_c", cid) {
+                db.delete_rid("c", rid).unwrap();
+            }
+        }
+        Step::MoveChild { cid, pid } => {
+            if let Some(rid) = rid_of(db, "pk_c", cid) {
+                let id = db.catalog().table("c").unwrap().id;
+                let mut row = db.get_row(id, rid).unwrap().unwrap().values;
+                row[1] = pid_value(pid);
+                db.update_rid("c", rid, row).unwrap();
+            }
+        }
+        Step::RenameParent { pid, name } => {
+            if let Some(rid) = rid_of(db, "pk_p", pid) {
+                db.update_rid("p", rid, vec![Value::Int(pid), Value::text(name)])
+                    .unwrap();
+            }
+        }
+        Step::DeleteParent { pid } => {
+            if let Some(rid) = rid_of(db, "pk_p", pid) {
+                db.delete_rid("p", rid).unwrap();
+            }
+        }
+        Step::InsertParent { pid } => {
+            if rid_of(db, "pk_p", pid).is_none() {
+                db.insert("p", vec![Value::Int(pid), Value::text("new")])
+                    .unwrap();
+            }
+        }
+        Step::InsertQ { qid, w } => {
+            if rid_of(db, "pk_q", qid).is_none() {
+                db.insert("q", vec![Value::Int(qid), Value::Int(w)])
+                    .unwrap();
+            }
+        }
+        Step::DeleteQ { qid } => {
+            if let Some(rid) = rid_of(db, "pk_q", qid) {
+                db.delete_rid("q", rid).unwrap();
+            }
+        }
+        Step::Next | Step::Prev | Step::Refresh => unreachable!("navigation"),
+    }
+}
+
+/// What a keyed cursor must show: the cursor's own navigation state
+/// replayed over the view's extension as the query path computes it,
+/// sorted by the driving key (the first column in both test views).
+#[derive(Debug)]
+struct PageModel {
+    n: usize,
+    /// The driving key before each page up to the current one.
+    starts: Vec<Option<i64>>,
+    page_no: usize,
+    rows: Vec<Tuple>,
+    at_end: bool,
+}
+
+impl PageModel {
+    /// The first `n` rows after `start` and whether the page is short.
+    fn page(&self, ext: &[Tuple], start: Option<i64>) -> (Vec<Tuple>, bool) {
+        let after = |t: &&Tuple| start.is_none_or(|s| int(&t.values[0]) > s);
+        let rows: Vec<Tuple> = ext.iter().filter(after).take(self.n).cloned().collect();
+        let short = rows.len() < self.n;
+        (rows, short)
+    }
+
+    fn open(ext: &[Tuple], n: usize) -> PageModel {
+        let mut m = PageModel {
+            n,
+            starts: vec![None],
+            page_no: 0,
+            rows: Vec::new(),
+            at_end: true,
+        };
+        (m.rows, m.at_end) = m.page(ext, None);
+        m
+    }
+
+    /// PageDown: the page after the last key shown.
+    fn next(&mut self, ext: &[Tuple]) -> bool {
+        if self.at_end {
+            return false;
+        }
+        self.starts.truncate(self.page_no + 1);
+        self.starts
+            .push(self.rows.last().map(|t| int(&t.values[0])));
+        let (rows, _) = self.page(ext, self.starts[self.page_no + 1]);
+        if rows.is_empty() {
+            self.at_end = true;
+            return false;
+        }
+        (self.rows, self.page_no, self.at_end) = (rows, self.page_no + 1, false);
+        true
+    }
+
+    /// PageUp: the page after the remembered start of the one before.
+    fn prev(&mut self, ext: &[Tuple]) -> Option<bool> {
+        if self.page_no == 0 {
+            return None; // moves only the slot
+        }
+        let (rows, short) = self.page(ext, self.starts[self.page_no - 1]);
+        if rows.is_empty() {
+            return Some(false);
+        }
+        (self.rows, self.page_no, self.at_end) = (rows, self.page_no - 1, short);
+        Some(true)
+    }
+
+    /// Re-read the current page; an emptied page backs up to the last
+    /// non-empty one before it.
+    fn refresh(&mut self, ext: &[Tuple]) {
+        loop {
+            (self.rows, self.at_end) = self.page(ext, self.starts[self.page_no]);
+            if !self.rows.is_empty() || self.page_no == 0 {
+                break;
+            }
+            self.page_no -= 1;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Keyed join pages, forward and back, with or without a query-by-form
+    /// restriction, show exactly the query path's rows in driving-key
+    /// order, while children, parents and 1:1 rows are inserted, deleted,
+    /// re-pointed (dangling or NULL) and renamed between page turns.
+    #[test]
+    fn keyed_pages_match_the_query_path(
+        view in prop_oneof![Just("cp"), Just("cqp")],
+        restrict in 0usize..3,
+        n in 2usize..6,
+        steps in proptest::collection::vec(step_strategy(), 10..40),
+    ) {
+        let mut w = keyed_world(24, 8);
+        for qid in (0..24).step_by(2) {
+            w.db_mut().insert("q", vec![Value::Int(qid), Value::Int(qid % 5)]).unwrap();
+        }
+        let mut vc = ViewCatalog::new();
+        vc.register(w.views().get(view).unwrap().clone()).unwrap();
+        let keyed = analyze_keyed(w.db(), &vc, view).unwrap().expect("keyed");
+        let pred = match restrict {
+            0 => None,
+            1 => Some(Expr::Binary {
+                op: BinOp::Eq,
+                left: Box::new(Expr::ColumnRef("name".into())),
+                right: Box::new(Expr::Literal(Value::text("b"))),
+            }),
+            _ => Some(Expr::Binary {
+                op: BinOp::Ge,
+                left: Box::new(Expr::ColumnRef("cid".into())),
+                right: Box::new(Expr::Literal(Value::Int(10))),
+            }),
+        };
+        let extension = |w: &mut World| {
+            let query = ViewQuery { pred: pred.clone(), ..ViewQuery::default() };
+            let mut rows = run_view_query(w.db_mut(), &vc, view, &query).unwrap().tuples;
+            rows.sort_by_key(|t| int(&t.values[0]));
+            rows
+        };
+        let mut c = BrowseCursor::keyed(w.db_mut(), keyed, n, pred.clone()).unwrap();
+        let ext = extension(&mut w);
+        let mut model = PageModel::open(&ext, n);
+        let mut next_cid = 100;
+        let none = ViewCatalog::new();
+        for (i, step) in steps.iter().enumerate() {
+            let ext = extension(&mut w);
+            match step {
+                Step::Next => {
+                    let moved = c.next_page(w.db_mut(), &none).unwrap();
+                    prop_assert_eq!(moved, model.next(&ext), "step {} {:?}", i, step);
+                }
+                Step::Prev => {
+                    let moved = c.prev_page(w.db_mut(), &none).unwrap();
+                    if let Some(want) = model.prev(&ext) {
+                        prop_assert_eq!(moved, want, "step {} {:?}", i, step);
+                    }
+                }
+                Step::Refresh => {
+                    c.refresh(w.db_mut(), &none).unwrap();
+                    model.refresh(&ext);
+                }
+                write_step => {
+                    write(&mut w, write_step, &mut next_cid);
+                    continue;
+                }
+            }
+            let shown: Vec<Tuple> = c.page_rows().into_iter().map(|(_, t)| t).collect();
+            prop_assert_eq!(&shown, &model.rows, "step {} {:?}", i, step);
+            prop_assert_eq!(c.position().map(|p| p / n), (!shown.is_empty()).then_some(model.page_no));
+            prop_assert!(c.page_rows().iter().all(|(rid, _)| rid.is_none()), "join rows carry no rid");
+        }
+    }
+}
+
+/// A keyed page costs a page of index entries and one probe per entry,
+/// however deep it is: no scan, and at most two probes per row shown.
+#[test]
+fn a_keyed_page_costs_a_page_at_any_depth() {
+    let mut w = keyed_world(50_000, 1_000);
+    w.define_view(
+        "child_names",
+        "RANGE OF c IS c RANGE OF p IS p RETRIEVE (c.cid, p.name) WHERE c.pid = p.pid",
+    )
+    .unwrap();
+    let keyed = analyze_keyed(w.db(), w.views(), "child_names")
+        .unwrap()
+        .expect("keyed");
+    let n = 16;
+    let vc = ViewCatalog::new();
+    let mut c = BrowseCursor::keyed(w.db_mut(), keyed, n, None).unwrap();
+    for page in 1..300 {
+        let before = w.db().counters();
+        assert!(c.next_page(w.db_mut(), &vc).unwrap());
+        let after = w.db().counters();
+        if page == 2 || page == 299 {
+            assert_eq!(after.rows_scanned, before.rows_scanned, "page {page}");
+            let probes = after.index_probes - before.index_probes;
+            assert!(probes <= 2 * n as u64, "page {page}: {probes} probes");
+            let first = c.current_row().unwrap().1.values[0].clone();
+            assert_eq!(first, Value::Int((page * n) as i64), "driving-key order");
+        }
+    }
 }

@@ -137,7 +137,8 @@ fn build_world(delta_on: bool, rows: &[(i64, String)], with_join: bool) -> (Worl
     .unwrap();
     let s = w.open_session();
     // An indexed cursor over a selection view, a forced-materialized and an
-    // indexed cursor over the whole table; the join watcher streams.
+    // indexed cursor over the whole table; the join watcher is keyed (`tb`
+    // drives, `ta` is probed by its key).
     let mut wins = vec![
         w.open_window(s, "va_sel", None).unwrap(),
         w.open_window_using(

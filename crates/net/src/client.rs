@@ -29,6 +29,9 @@ use std::time::{Duration, Instant};
 use wow_core::{WowError, WowResult};
 use wow_storage::fault::SplitMix64;
 
+/// The longest single socket poll while waiting for a push.
+const POLL: Duration = Duration::from_millis(20);
+
 /// How [`Client::reconnect`] paces its dial attempts.
 ///
 /// Attempt `n` (0-based) sleeps `min(base * 2^n, cap)` scaled by a jitter
@@ -123,6 +126,8 @@ pub struct Client {
     /// The read timeout the socket carries now, so it is set only when
     /// it changes (one system call saved per request and per poll).
     read_timeout: Option<Duration>,
+    /// How many times the read timeout was changed.
+    read_timeout_sets: u64,
     next_req: u64,
     session: u32,
     /// The trace id minted for the most recent request.
@@ -153,6 +158,7 @@ impl Client {
             writer: stream,
             reader,
             read_timeout: None,
+            read_timeout_sets: 0,
             next_req: 1,
             session: 0,
             last_trace: 0,
@@ -346,6 +352,11 @@ impl Client {
     }
 
     /// Block up to `timeout` for a push.
+    ///
+    /// The socket is polled in windows of 20 ms, or of the time left
+    /// rounded down to whole milliseconds once the deadline is nearer than
+    /// that, so a stream of pushes read with the same `timeout` leaves the
+    /// socket's read timeout — one system call to change — as it is.
     pub fn wait_push(&mut self, timeout: Duration) -> WowResult<Option<Push>> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -356,7 +367,12 @@ impl Client {
             if left.is_zero() {
                 return Ok(None);
             }
-            self.drain_socket(left.min(Duration::from_millis(20)))?;
+            let whole_ms = Duration::from_millis(left.as_millis() as u64);
+            let window = match whole_ms.is_zero() {
+                true => left,
+                false => whole_ms.min(POLL),
+            };
+            self.drain_socket(window)?;
         }
     }
 
@@ -389,6 +405,7 @@ impl Client {
                 .set_read_timeout(timeout)
                 .map_err(io_err("timeout"))?;
             self.read_timeout = timeout;
+            self.read_timeout_sets += 1;
         }
         Ok(())
     }
@@ -612,4 +629,62 @@ fn read_err(e: ReadError) -> WowError {
 
 fn unexpected(wanted: &str, got: &Response) -> WowError {
     WowError::Net(format!("expected {wanted}, got {got:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::PushKind;
+    use std::net::TcpListener;
+
+    /// The watcher's loop: a stream of pushes read one by one with
+    /// `wait_push(20 ms)` keeps the socket's read timeout the first poll
+    /// gave it, instead of paying a system call per push.
+    #[test]
+    fn a_push_stream_keeps_one_read_timeout() {
+        const PUSHES: u64 = 200;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let hello = wire::read_frame(&mut reader).unwrap();
+            let session = 1;
+            let ok = Response::HelloOk {
+                session,
+                version: VERSION,
+            }
+            .encode();
+            wire::write_frame(&mut stream, FrameKind::Response, hello.req_id, None, &ok).unwrap();
+            for generation in 1..=PUSHES {
+                let push = Push::WindowRefreshed {
+                    win: 1,
+                    kind: PushKind::Delta,
+                    generation,
+                    screen: Screenful::default(),
+                };
+                wire::write_frame(&mut stream, FrameKind::Push, 0, None, &push.encode()).unwrap();
+            }
+            // Hold the connection open until the client has read it all.
+            let _ = wire::read_frame(&mut reader);
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let before = client.read_timeout_sets;
+        for want in 1..=PUSHES {
+            let push = client.wait_push(Duration::from_millis(20)).unwrap();
+            let Some(Push::WindowRefreshed { generation, .. }) = push else {
+                panic!("no push {want}");
+            };
+            assert_eq!(generation, want);
+        }
+        let sets = client.read_timeout_sets - before;
+        // One set for the first poll; a few more only if the thread was
+        // preempted for a millisecond inside `wait_push`.
+        assert!(
+            sets <= 5,
+            "{sets} read-timeout changes over {PUSHES} pushes"
+        );
+        drop(client);
+        server.join().unwrap();
+    }
 }

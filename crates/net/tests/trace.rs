@@ -35,14 +35,14 @@ fn seed_world(rows: usize) -> World {
     world
         .define_view("emps", "RANGE OF e IS emp RETRIEVE (e.name, e.salary)")
         .unwrap();
-    // A self-join view is not updatable, so its window gets a streamed
-    // cursor — a refresh re-runs the view query through the executor,
-    // pulling operator spans into the commit's trace.
+    // A join on a non-key column is neither updatable nor keyed, so its
+    // window gets a Query cursor — a refresh re-runs the view query through
+    // the executor, pulling operator spans into the commit's trace.
     world
         .define_view(
             "pay_join",
             "RANGE OF a IS emp RANGE OF b IS emp \
-             RETRIEVE (a.name, b.salary) WHERE a.name = b.name",
+             RETRIEVE (a.name, b.salary) WHERE a.salary = b.salary",
         )
         .unwrap();
     world

@@ -12,6 +12,9 @@
 //! * [`updatable`] — the classical updatability analysis: a view admits
 //!   updates when it ranges over a single base relation, computes no
 //!   aggregates, projects real columns, and **preserves the key**.
+//! * [`keyed`] — which read-only views are keyed: a driving range's
+//!   primary key, with every other range reached through its own primary
+//!   key, so a window pages the view by key instead of re-running it.
 //! * [`translate`] — translating window edits (update/insert/delete on view
 //!   rows) into base-table DML, including the "row escapes the view" check.
 //! * [`deps`] — the dependency graph from views to base tables, used by the
@@ -27,6 +30,7 @@ pub mod delta;
 pub mod deps;
 pub mod error;
 pub mod expand;
+pub mod keyed;
 pub mod translate;
 pub mod updatable;
 

@@ -163,8 +163,9 @@ fn read_only_join_window_browses_and_refreshes() {
         "{:?}",
         state.read_only_reasons
     );
-    // Join views open on a streamed cursor: one screenful of join output at
-    // a time, so the total length is unknown up front — count by paging.
+    // A keyed join view pages by its driving key: one screenful of join
+    // output at a time, so the total length is unknown up front — count by
+    // paging.
     assert!(
         world
             .window(transcript)
@@ -172,7 +173,7 @@ fn read_only_join_window_browses_and_refreshes() {
             .cursor
             .known_len()
             .is_none(),
-        "streamed join windows do not materialize their extension"
+        "keyed join windows do not materialize their extension"
     );
     let mut n = world.window(transcript).unwrap().cursor.page_rows().len();
     let mut hops = 0;

@@ -166,3 +166,45 @@ fn tracer_ring_and_lock_manager_do_not_deadlock() {
         "direct spans recorded"
     );
 }
+
+/// Views are process state but the `__sys_*` tables are database state: a
+/// checkpoint captures the tables and a reopen restores them without their
+/// views. System windows must still open afterwards, also when the
+/// checkpoint holds a backing table in an older shape (here
+/// `__sys_windows` before its `source` column).
+#[test]
+fn system_windows_open_after_a_durable_reopen() {
+    let dir = std::env::temp_dir().join(format!("wow-sys-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut w = World::open_durable(WorldConfig::default(), &dir).unwrap();
+        let s = w.open_session();
+        w.open_window(s, "__wow_metrics", None).unwrap();
+        w.db_mut().drop_table("__sys_windows").unwrap();
+        w.db_mut()
+            .run(
+                "CREATE TABLE __sys_windows (win INT KEY, view TEXT, session INT, mode TEXT, \
+                 refresh TEXT, age_ms INT, stale INT, updatable INT, generation INT)",
+            )
+            .unwrap();
+        w.checkpoint_durable().unwrap();
+    }
+    let mut w = World::open_durable(WorldConfig::default(), &dir).unwrap();
+    assert!(w.db().catalog().has_table("__sys_metrics"));
+    let s = w.open_session();
+    w.open_window(s, "__wow_metrics", None).unwrap();
+    let win = w.open_window(s, "__wow_windows", None).unwrap();
+    let state = w.window(win).unwrap();
+    assert_eq!(state.schema.columns.last().unwrap().name, "source");
+    let sources: Vec<String> = w
+        .db_mut()
+        .run("RANGE OF w IS __sys_windows RETRIEVE (w.source)")
+        .unwrap()
+        .tuples
+        .iter()
+        .map(|t| t.values[0].to_string())
+        .collect();
+    assert_eq!(sources, ["snapshot"], "the metrics window, as of open");
+    drop(w);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
