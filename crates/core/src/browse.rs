@@ -10,14 +10,15 @@
 //!   past the key that ended the page before. A keyed join view
 //!   ([`wow_views::keyed`]) joins each driving row by one primary-key probe
 //!   per other range, dropping it when a probe finds nothing or meets NULL
-//!   (an inner join); a single-table view is the zero-probe case. A page
-//!   costs a page of entries and probes at any depth. A keyed view's one
-//!   documented order is driving-key order: `transcript` reads in `eid`
-//!   order, `shipment_detail` in `spid` order.
+//!   (an inner join); an updatable single-table view is the zero-probe
+//!   case. A page costs a page of entries and probes at any depth. A keyed
+//!   view's one documented order is driving-key order: `transcript` reads
+//!   in `eid` order, `shipment_detail` in `spid` order.
 //! * **Query** — the view query re-run with `LIMIT n+1 OFFSET k·n`, which
 //!   the streaming executor stops as soon as the page is full; the extra
-//!   row says whether a further page exists. Aggregates, DISTINCT and joins
-//!   that do not preserve a key page this way, in the plan's order.
+//!   row says whether a further page exists. Aggregates, DISTINCT, joins
+//!   that do not preserve a key and refused single-table views page this
+//!   way, in the plan's order.
 //! * **Snapshot** — the baseline: the whole extension (optionally sorted)
 //!   held in memory, a page being a slice of it. The only source that
 //!   knows the row count.
@@ -73,23 +74,22 @@ pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
 
 /// What open-time analysis proved about a view, which decides how its
 /// cursor may read it.
-#[derive(Debug, Clone, Copy)]
-pub enum Access<'a> {
+#[derive(Debug, Clone)]
+pub enum Access {
     /// Updatable: rows carry base rids, so edits find their rows.
-    Updatable(&'a Updatability),
+    Updatable(Updatability),
     /// Read-only but keyed: pages walk the driving key.
-    Keyed(&'a Keyed),
+    Keyed(Keyed),
     /// Neither: pages re-run the view query.
     ReadOnly,
 }
 
-impl<'a> Access<'a> {
-    /// The strongest of the two proofs a view has.
-    pub fn of(upd: Option<&'a Updatability>, keyed: Option<&'a Keyed>) -> Access<'a> {
-        match (upd, keyed) {
-            (Some(u), _) => Access::Updatable(u),
-            (None, Some(k)) => Access::Keyed(k),
-            (None, None) => Access::ReadOnly,
+impl Access {
+    /// The updatability proof, when the view is updatable.
+    pub fn updatable(&self) -> Option<&Updatability> {
+        match self {
+            Access::Updatable(u) => Some(u),
+            _ => None,
         }
     }
 }
@@ -177,7 +177,7 @@ impl BrowseCursor {
         db: &mut Database,
         vc: &ViewCatalog,
         view: &str,
-        access: Access<'_>,
+        access: &Access,
         query: &ViewQuery,
         strategy: CursorStrategy,
         page_size: usize,
@@ -197,11 +197,7 @@ impl BrowseCursor {
             }
             _ => {}
         }
-        let upd = match access {
-            Access::Updatable(u) => Some(u),
-            _ => None,
-        };
-        Self::materialized(db, vc, view, query.clone(), upd, page_size)
+        Self::materialized(db, vc, view, query.clone(), access.updatable(), page_size)
     }
 
     /// An Index cursor over an updatable view, paging through `index` (the
@@ -853,6 +849,7 @@ mod tests {
         for (name, src) in [
             ("emps", "RANGE OF e IS emp RETRIEVE (e.id, e.salary)"),
             ("notes", "RANGE OF n IS note RETRIEVE (n.id, n.body)"),
+            ("pays", "RANGE OF e IS emp RETRIEVE (e.dept, e.salary)"),
             (
                 "floors",
                 "RANGE OF e IS emp RANGE OF d IS dept RETRIEVE (e.id, d.floor) WHERE e.dept = d.name",
@@ -870,6 +867,7 @@ mod tests {
         for (view, strategy, want) in [
             ("emps", auto, "index"),
             ("notes", auto, "snapshot"),
+            ("pays", auto, "query"),
             ("floors", auto, "index"),
             ("totals", auto, "query"),
             ("__wow_metrics", auto, "snapshot"),

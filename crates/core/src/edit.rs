@@ -66,7 +66,7 @@ impl World {
                 mode: w.mode.name(),
             });
         }
-        if w.upd.is_none() {
+        if !w.is_updatable() {
             return Err(WowError::ReadOnly {
                 view: w.view.clone(),
                 reasons: w.read_only_reasons.clone(),
@@ -181,13 +181,13 @@ impl World {
     ) -> WowResult<()> {
         let (session, table) = {
             let w = self.window(win)?;
-            let upd = w.upd.as_ref().expect("writes need an updatable view");
+            let upd = w.access.updatable().expect("writes need an updatable view");
             (w.session, upd.base_table.clone())
         };
         self.lock(session, &table, LockMode::Exclusive)?;
         let result = self
             .parts(win)
-            .and_then(|(db, _, w)| translate(db, w.upd.as_ref().expect("checked above")))
+            .and_then(|(db, _, w)| translate(db, w.access.updatable().expect("checked above")))
             .and_then(|(rid, row)| self.write_base(&table, rid, row));
         self.maybe_release(session);
         let delta = result?;

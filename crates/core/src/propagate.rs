@@ -72,9 +72,9 @@ impl World {
     /// The one propagation loop behind both entry points: each window is
     /// patched by `delta`'s view delta when there is one, re-queried when
     /// not, and any error is recorded against that window alone. A stale
-    /// window — one that sat out writes in Edit, Insert or Query mode, or
-    /// whose last catch-up failed — no longer shows the rows a delta
-    /// patches, so it is always re-queried, never spliced.
+    /// window — one that sat out writes in Edit, Insert or Query mode, whose
+    /// last catch-up failed, or whose view was redefined — no longer shows
+    /// the rows a delta patches, so it is always re-queried, never spliced.
     fn bring_current(
         &mut self,
         wins: Vec<WinId>,
@@ -160,8 +160,9 @@ impl World {
 mod tests {
     use crate::config::WorldConfig;
     use crate::error::WowError;
-    use crate::window_mgr::{Mode, RefreshKind};
-    use crate::world::World;
+    use crate::window_mgr::{Mode, RefreshKind, WindowStyle};
+    use crate::world::{CursorStrategy, World};
+    use wow_views::expand::ViewQuery;
 
     fn world() -> World {
         let mut w = World::new(WorldConfig::default());
@@ -429,49 +430,113 @@ mod tests {
 
     #[test]
     fn fanout_collects_per_window_errors_without_aborting() {
-        let mut w = world();
-        // A join on a non-key column is neither updatable nor keyed, so its
-        // window gets a Query cursor — one that re-runs the view query (by
-        // name, against the live catalog) on every refresh.
-        w.define_view(
-            "doomed",
-            "RANGE OF a IS emp RANGE OF b IS emp \
-             RETRIEVE (a.name, b.salary) WHERE a.dept = b.dept",
-        )
-        .unwrap();
-        let s = w.open_session();
-        let healthy = w.open_window(s, "toy_emps", None).unwrap();
-        let doomed = w.open_window(s, "doomed", None).unwrap();
-        // Poison the view after its window opened: every refresh now
-        // divides by zero at eval time.
-        w.redefine_view(
-            "doomed",
-            "RANGE OF a IS emp RANGE OF b IS emp \
-             RETRIEVE (a.name, b.salary / (b.salary - b.salary)) WHERE a.dept = b.dept",
-        )
-        .unwrap();
-        w.db_mut().run("RANGE OF emp IS emp").unwrap();
-        w.db_mut()
-            .run(r#"REPLACE emp (salary = 200) WHERE emp.name = "alice""#)
+        // A self-join on the key is keyed (an Index cursor); one on a
+        // non-key column re-runs the view query on every refresh. Either
+        // window reads the redefined view at its next refresh.
+        for on in ["a.name = b.name", "a.dept = b.dept"] {
+            let mut w = world();
+            w.define_view(
+                "doomed",
+                &format!(
+                    "RANGE OF a IS emp RANGE OF b IS emp RETRIEVE (a.name, b.salary) WHERE {on}"
+                ),
+            )
             .unwrap();
-        let err = w.refresh_all_windows().unwrap_err();
-        let WowError::PropagationFailed { failures } = err else {
-            panic!("expected PropagationFailed");
+            let s = w.open_session();
+            let healthy = w.open_window(s, "toy_emps", None).unwrap();
+            let doomed = w.open_window(s, "doomed", None).unwrap();
+            // Poison the view after its window opened: every refresh now
+            // divides by zero at eval time.
+            w.redefine_view(
+                "doomed",
+                &format!(
+                    "RANGE OF a IS emp RANGE OF b IS emp \
+                     RETRIEVE (a.name, b.salary / (b.salary - b.salary)) WHERE {on}"
+                ),
+            )
+            .unwrap();
+            w.db_mut().run("RANGE OF emp IS emp").unwrap();
+            w.db_mut()
+                .run(r#"REPLACE emp (salary = 200) WHERE emp.name = "alice""#)
+                .unwrap();
+            let err = w.refresh_all_windows().unwrap_err();
+            let WowError::PropagationFailed { failures } = err else {
+                panic!("expected PropagationFailed ({on})");
+            };
+            assert_eq!(failures.len(), 1, "exactly the poisoned window failed");
+            assert_eq!(failures[0].0, doomed.0);
+            assert!(
+                w.window(doomed).unwrap().stale,
+                "the failed window is stale"
+            );
+            // The healthy window was still refreshed — the loop ran to
+            // completion instead of aborting at the first failure.
+            assert_eq!(
+                w.current_row(healthy).unwrap().unwrap().values[1].to_string(),
+                "200"
+            );
+            assert_eq!(w.stats.windows_refreshed, 1);
+            assert_eq!(w.stats.full_refreshes, 1);
+        }
+    }
+
+    #[test]
+    fn open_windows_read_a_redefined_view() {
+        let mut w = world();
+        let pay = |targets: &str| {
+            format!(
+                "RANGE OF a IS emp RANGE OF b IS emp RETRIEVE ({targets}) WHERE a.name = b.name"
+            )
         };
-        assert_eq!(failures.len(), 1, "exactly the poisoned window failed");
-        assert_eq!(failures[0].0, doomed.0);
-        assert!(
-            w.window(doomed).unwrap().stale,
-            "the failed window is stale"
-        );
-        // The healthy window was still refreshed — the loop ran to
-        // completion instead of aborting at the first failure.
-        assert_eq!(
-            w.current_row(healthy).unwrap().unwrap().values[1].to_string(),
-            "200"
-        );
-        assert_eq!(w.stats.windows_refreshed, 1);
-        assert_eq!(w.stats.full_refreshes, 1);
+        w.define_view("pay", &pay("a.name, b.salary")).unwrap();
+        let s = w.open_session();
+        let keyed = w.open_window(s, "pay", None).unwrap();
+        let indexed = w.open_window(s, "toy_emps", None).unwrap();
+        let snapshot = w
+            .open_window_using(
+                s,
+                "toy_emps",
+                None,
+                WindowStyle::Form,
+                CursorStrategy::Materialized,
+            )
+            .unwrap();
+        let source = |w: &World, win| w.window(win).unwrap().cursor.source();
+        assert_eq!(source(&w, keyed), "index");
+        assert_eq!(source(&w, indexed), "index");
+        assert!(w.window(indexed).unwrap().is_updatable());
+        // New targets for the keyed view; a read-only keyed join over
+        // other rows for the updatable one.
+        w.redefine_view("pay", &pay("a.name, a.dept, d = b.salary * 2"))
+            .unwrap();
+        w.redefine_view(
+            "toy_emps",
+            r#"RANGE OF a IS emp RANGE OF b IS emp RETRIEVE (a.name, b.dept)
+               WHERE a.name = b.name AND b.dept = "shoe""#,
+        )
+        .unwrap();
+        assert!([keyed, indexed, snapshot]
+            .iter()
+            .all(|&win| w.window(win).unwrap().stale));
+        w.refresh_all_windows().unwrap();
+        let row = |w: &World, win| {
+            let values = w.current_row(win).unwrap().unwrap().values;
+            values.iter().map(|v| v.to_string()).collect::<Vec<_>>()
+        };
+        assert_eq!(w.window(keyed).unwrap().schema.len(), 3);
+        assert_eq!(row(&w, keyed), ["alice", "toy", "240"]);
+        for (win, want) in [(indexed, "index"), (snapshot, "snapshot")] {
+            let state = w.window(win).unwrap();
+            assert!(!state.stale && !state.is_updatable());
+            assert!(!state.read_only_reasons.is_empty());
+            assert_eq!(source(&w, win), want);
+            assert_eq!(row(&w, win), ["bob", "shoe"]);
+        }
+        // A requery (QBF, sort) derives from the new definition too.
+        w.redefine_view("pay", &pay("a.name")).unwrap();
+        w.requery_window(keyed, ViewQuery::default()).unwrap();
+        assert_eq!(row(&w, keyed), ["alice"]);
+        assert_eq!(w.window(keyed).unwrap().form.spec.fields.len(), 1);
     }
 
     #[test]

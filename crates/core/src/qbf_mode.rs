@@ -52,7 +52,7 @@ impl World {
         // Restore the original (writability-correct) form.
         let w = self.window_mut(win)?;
         let writable: Vec<bool> = (0..w.schema.len())
-            .map(|i| w.upd.as_ref().is_some_and(|u| u.is_writable(i)))
+            .map(|i| w.access.updatable().is_some_and(|u| u.is_writable(i)))
             .collect();
         let spec = wow_forms::compiler::compile_form(&w.view, &w.view, &w.schema, &writable);
         w.form = wow_forms::FormInstance::new(spec);

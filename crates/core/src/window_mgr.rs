@@ -11,8 +11,6 @@ use wow_tui::geom::Rect;
 use wow_tui::tree::WindowId as TuiId;
 use wow_tui::widget::Widget;
 use wow_views::expand::ViewQuery;
-use wow_views::keyed::Keyed;
-use wow_views::updatable::Updatability;
 
 /// Identifier of a logical window (a form over a view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,11 +102,9 @@ pub struct WindowState {
     pub session: SessionId,
     /// The view this window looks through.
     pub view: String,
-    /// Updatability proof (None ⇒ the window is read-only).
-    pub upd: Option<Updatability>,
-    /// How a read-only view is paged by key, when it is keyed (always
-    /// `None` for updatable views, which page by their own key).
-    pub keyed: Option<Keyed>,
+    /// What analysis proved about the view: updatable, keyed or neither.
+    /// Only an updatable window writes.
+    pub access: Access,
     /// Why the window is read-only (empty when updatable).
     pub read_only_reasons: Vec<String>,
     /// The view's schema (bare column names).
@@ -133,8 +129,13 @@ pub struct WindowState {
     /// Status-line message (errors, confirmations).
     pub status: String,
     /// Set when another window changed data this window may display while
-    /// this window couldn't be refreshed (it was mid-edit).
+    /// this window couldn't be refreshed (it was mid-edit), and when the
+    /// view was redefined.
     pub stale: bool,
+    /// Set when the view was redefined after `access`, `schema`, `form` and
+    /// `cursor` were derived from it; the next refresh or requery derives
+    /// them again from the new definition.
+    pub redefined: bool,
     /// How the displayed rows were last brought current.
     pub last_refresh: RefreshKind,
     /// When the displayed rows were last brought current.
@@ -149,12 +150,7 @@ pub struct WindowState {
 impl WindowState {
     /// Whether the window can write through its view.
     pub fn is_updatable(&self) -> bool {
-        self.upd.is_some()
-    }
-
-    /// What open-time analysis proved about the window's view.
-    pub fn access(&self) -> Access<'_> {
-        Access::of(self.upd.as_ref(), self.keyed.as_ref())
+        self.access.updatable().is_some()
     }
 
     /// Load the form from the cursor's current row (Browse display).

@@ -11,6 +11,7 @@ use wow_forms::compiler::compile_form;
 use wow_forms::FormInstance;
 use wow_rel::db::Database;
 use wow_rel::delta::BaseDelta;
+use wow_rel::schema::Schema;
 use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
 use wow_storage::Rid;
@@ -326,11 +327,11 @@ impl World {
     }
 
     /// Replace a view's definition (drop + re-register atomically: the old
-    /// definition is restored if the new one is rejected). An open window
-    /// whose cursor re-runs the view query picks up the new definition at
-    /// its next refresh; an Index window, and a Snapshot over an updatable
-    /// view, keep the definition they were opened with until reopened. The
-    /// dependency cache re-derives itself before the next propagation.
+    /// definition is restored if the new one is rejected). Every window open
+    /// on the view goes stale and, at its next refresh or requery, derives
+    /// its proof, schema, form and cursor again from the new definition,
+    /// starting over on its first page. The dependency cache re-derives
+    /// itself before the next propagation.
     pub fn redefine_view(&mut self, name: &str, src: &str) -> WowResult<()> {
         let def = ViewDef::parse(name, src)?;
         for (_, t) in &def.ranges {
@@ -345,6 +346,9 @@ impl World {
                 .register(old)
                 .expect("restoring the prior definition");
             return Err(e.into());
+        }
+        for w in self.windows.values_mut().filter(|w| w.view == name) {
+            (w.stale, w.redefined) = (true, true);
         }
         Ok(())
     }
@@ -466,58 +470,23 @@ impl World {
         if sys {
             self.sys_sync()?;
         }
-        // Updatability decides writability; it and keyed access decide the
-        // cursor's page source. A refused view's reasons come with the
-        // refusal, and only a refused view is checked for a key.
-        let (upd, keyed, reasons) = match analyze(&self.db, &self.views, view) {
-            Ok(u) => (Some(u), None, Vec::new()),
-            Err(wow_views::ViewError::NotUpdatable { reasons, .. }) => {
-                (None, analyze_keyed(&self.db, &self.views, view)?, reasons)
-            }
-            Err(other) => return Err(other.into()),
-        };
-        // System windows are read-only regardless of what updatability
-        // analysis says about their (perfectly ordinary) backing tables:
-        // writing metrics through a form is meaningless. They also force a
-        // materialized cursor — a stable snapshot of state that changes
-        // under the reader's feet.
-        let (upd, reasons, strategy) = if sys {
-            (
-                None,
-                vec!["system tables are read-only".to_string()],
-                CursorStrategy::Materialized,
-            )
-        } else {
-            (upd, reasons, strategy)
-        };
-        let schema = match (&upd, &keyed) {
-            (Some(u), _) => view_schema_of(&self.db, u)?,
-            (None, Some(k)) => k.schema.clone(),
-            (None, None) => view_schema(&self.db, &self.views, view)?,
+        let (access, reasons, schema, form) = self.derive_window(view)?;
+        // System windows force a materialized cursor — a stable snapshot of
+        // state that changes under the reader's feet.
+        let strategy = match sys {
+            true => CursorStrategy::Materialized,
+            false => strategy,
         };
         let query = ViewQuery::default();
-        let access = Access::of(upd.as_ref(), keyed.as_ref());
         let cursor = BrowseCursor::open(
             &mut self.db,
             &self.views,
             view,
-            access,
+            &access,
             &query,
             strategy,
             self.cfg.page_size,
         )?;
-        // Writable mask: updatable views expose their plain base columns.
-        let writable: Vec<bool> = match &upd {
-            Some(u) => (0..schema.len()).map(|i| u.is_writable(i)).collect(),
-            None => vec![false; schema.len()],
-        };
-        // A designer-stored form (if one was saved to the database)
-        // overrides the compiled default.
-        let spec = match self.load_form_spec(view) {
-            Some(stored) if stored.fields.len() == schema.len() => stored,
-            _ => compile_form(view, view, &schema, &writable),
-        };
-        let form = FormInstance::new(spec);
         let rect = rect.unwrap_or_else(|| {
             let r = Rect::new(
                 2 + self.cascade as i32 * 3,
@@ -537,8 +506,7 @@ impl World {
             id,
             session,
             view: view.to_string(),
-            upd,
-            keyed,
+            access,
             read_only_reasons: reasons,
             schema,
             form,
@@ -551,6 +519,7 @@ impl World {
             strategy,
             status: String::new(),
             stale: false,
+            redefined: false,
             last_refresh: crate::window_mgr::RefreshKind::Open,
             refreshed_at: std::time::Instant::now(),
             generation: 1,
@@ -560,6 +529,51 @@ impl World {
         self.session_mut(session)?.add_window(id);
         span.arg(id.0 as u64);
         Ok(id)
+    }
+
+    /// What a window on `view` is made of: the proof that decides its
+    /// writability and its cursor's page source, why it is read-only, its
+    /// schema and its form.
+    fn derive_window(
+        &mut self,
+        view: &str,
+    ) -> WowResult<(Access, Vec<String>, Schema, FormInstance)> {
+        // A refused view's reasons come with the refusal, and only a
+        // refused view is checked for a key.
+        let (access, reasons) = match analyze(&self.db, &self.views, view) {
+            Ok(u) => (Access::Updatable(u), Vec::new()),
+            Err(wow_views::ViewError::NotUpdatable { reasons, .. }) => {
+                match analyze_keyed(&self.db, &self.views, view)? {
+                    Some(k) => (Access::Keyed(k), reasons),
+                    None => (Access::ReadOnly, reasons),
+                }
+            }
+            Err(other) => return Err(other.into()),
+        };
+        // System windows are read-only regardless of what updatability
+        // analysis says about their (perfectly ordinary) backing tables:
+        // writing metrics through a form is meaningless.
+        let (access, reasons) = match crate::sys::is_sys_view(view) {
+            true => (Access::ReadOnly, vec!["system tables are read-only".into()]),
+            false => (access, reasons),
+        };
+        let schema = match &access {
+            Access::Updatable(u) => view_schema_of(&self.db, u)?,
+            Access::Keyed(k) => k.schema.clone(),
+            Access::ReadOnly => view_schema(&self.db, &self.views, view)?,
+        };
+        // Writable mask: updatable views expose their plain base columns.
+        let writable: Vec<bool> = match access.updatable() {
+            Some(u) => (0..schema.len()).map(|i| u.is_writable(i)).collect(),
+            None => vec![false; schema.len()],
+        };
+        // A designer-stored form (if one was saved to the database)
+        // overrides the compiled default.
+        let spec = match self.load_form_spec(view) {
+            Some(stored) if stored.fields.len() == schema.len() => stored,
+            _ => compile_form(view, view, &schema, &writable),
+        };
+        Ok((access, reasons, schema, FormInstance::new(spec)))
     }
 
     /// Close a window.
@@ -676,13 +690,24 @@ impl World {
 
     /// Rebuild a window's cursor for `query` (QBF restriction plus sort)
     /// under the window's own strategy. Query-by-form, clearing it and
-    /// sorting all come through here.
+    /// sorting all come through here, and so does the refresh of a window
+    /// whose view was redefined, which first derives its proof, schema and
+    /// form again.
     pub(crate) fn requery_window(&mut self, win: WinId, query: ViewQuery) -> WowResult<()> {
+        let w = self.window(win)?;
+        let derived = match w.redefined {
+            true => Some(self.derive_window(&w.view.clone())?),
+            false => None,
+        };
         let page_size = self.cfg.page_size;
         let (db, vc, w) = self.parts(win)?;
-        let access = w.access();
+        let access = derived.as_ref().map_or(&w.access, |d| &d.0);
         w.cursor = BrowseCursor::open(db, vc, &w.view, access, &query, w.strategy, page_size)?;
         w.query = query;
+        if let Some((access, reasons, schema, form)) = derived {
+            (w.access, w.read_only_reasons, w.schema, w.form) = (access, reasons, schema, form);
+            w.redefined = false;
+        }
         // The rebuilt cursor read the current data, so any staleness
         // accrued meanwhile (say, while the user typed a query) is gone.
         w.stale = false;
@@ -698,8 +723,14 @@ impl World {
             self.sys_sync()?;
         }
         let span = wow_obs::span(wow_obs::Op::FullRefresh);
-        let (db, vc, w) = self.parts(win)?;
-        w.cursor.refresh(db, vc)?;
+        let w = self.window(win)?;
+        if w.redefined {
+            let query = w.query.clone();
+            self.requery_window(win, query)?;
+        } else {
+            let (db, vc, w) = self.parts(win)?;
+            w.cursor.refresh(db, vc)?;
+        }
         self.note_refresh(win, crate::window_mgr::RefreshKind::Full);
         span.finish();
         Ok(())

@@ -8,11 +8,13 @@
 //! Relational Lenses* asks of a join — so the driving key is a key of the
 //! view. A page is a walk of the driving index with one primary-key probe
 //! per other range per row, and the view's one documented order is
-//! driving-key order. A single-table view is the zero-probe case.
+//! driving-key order.
 //!
-//! Aggregates, DISTINCT, grouping and any range whose key is not equated
-//! leave a view unkeyed; its window pages by re-running the query. The
-//! analysis is a pure function of the bound definition.
+//! Only joins are analysed. A single-table view walks its key as the
+//! zero-probe case of the same page loop when it is updatable; a refused
+//! one (computed targets, the key left out) keeps re-running its query, as
+//! do aggregates, DISTINCT, grouping and joins with a range whose key is
+//! not equated. The analysis is a pure function of the bound definition.
 
 use crate::catalog::ViewCatalog;
 use crate::error::{ViewError, ViewResult};
@@ -56,8 +58,8 @@ pub struct Keyed {
     pub schema: Schema,
 }
 
-/// Decide whether `view_name` is keyed. `Ok(None)` means the view is
-/// readable but not by key.
+/// Decide whether join view `view_name` is keyed. `Ok(None)` means the
+/// view is readable but not by key, or is not a join.
 pub fn analyze_keyed(
     db: &Database,
     vc: &ViewCatalog,
@@ -73,7 +75,7 @@ pub fn analyze_keyed(
         Err(e) => return Err(e),
     };
     let stmt = &expanded.stmt;
-    if stmt.unique || !stmt.group_by.is_empty() {
+    if stmt.unique || !stmt.group_by.is_empty() || expanded.ranges.len() < 2 {
         return Ok(None);
     }
     let conjuncts = match &stmt.where_ {
