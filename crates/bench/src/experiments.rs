@@ -149,12 +149,7 @@ pub fn table2_browse(scale: Scale) -> Table {
             let mut total = Duration::ZERO;
             let pages = 8;
             for _ in 0..pages {
-                let (d, _) = time_once(|| {
-                    // Split borrows through World's public surface.
-                    let db = world.db_mut();
-                    let vc_dummy = wow_views::ViewCatalog::new();
-                    cursor.next_page(db, &vc_dummy).unwrap()
-                });
+                let (d, _) = time_once(|| cursor.next_page(world.db_mut()).unwrap());
                 total += d;
             }
             total / 8
@@ -168,21 +163,10 @@ pub fn table2_browse(scale: Scale) -> Table {
                 }],
                 ..Default::default()
             };
-            let db = world.db_mut();
-            BrowseCursor::materialized(
-                db,
-                &wow_views::ViewCatalog::new(),
-                "students",
-                query,
-                Some(&upd),
-                16,
-            )
-            .unwrap()
+            let (db, vc) = world.db_and_views();
+            BrowseCursor::materialized(db, vc, "students", query, Some(&upd), 16).unwrap()
         });
-        let page_mat = time_median(8, || {
-            let db = world.db_mut();
-            mat.next_page(db, &wow_views::ViewCatalog::new()).unwrap()
-        });
+        let page_mat = time_median(8, || mat.next_page(world.db_mut()).unwrap());
         t.push(vec![
             n.to_string(),
             fmt_duration(open_ix),
@@ -410,9 +394,8 @@ pub fn table4_qbf(scale: Scale) -> Table {
                 pred: pred.clone(),
                 ..Default::default()
             };
-            // ViewCatalog is only consulted for the view lookup.
-            let vc = world_views_clone(&world);
-            run_view_query(world.db_mut(), &vc, "suppliers", &q).unwrap()
+            let (db, vc) = world.db_and_views();
+            run_view_query(db, vc, "suppliers", &q).unwrap()
         });
         let quel_total = time_median(reps, || world.db_mut().run(&quel).unwrap());
         // Answers must agree.
@@ -420,8 +403,8 @@ pub fn table4_qbf(scale: Scale) -> Table {
             pred: pred.clone(),
             ..Default::default()
         };
-        let vc = world_views_clone(&world);
-        let a = run_view_query(world.db_mut(), &vc, "suppliers", &q).unwrap();
+        let (db, vc) = world.db_and_views();
+        let a = run_view_query(db, vc, "suppliers", &q).unwrap();
         let b = world.db_mut().run(&quel).unwrap();
         assert_eq!(a.len(), b.len(), "QBF and QUEL disagree for {label}");
         t.push(vec![
@@ -433,17 +416,6 @@ pub fn table4_qbf(scale: Scale) -> Table {
         ]);
     }
     t
-}
-
-/// Rebuild a view catalog equivalent to the world's (the world owns its
-/// catalog; experiments that only need view defs clone them).
-fn world_views_clone(world: &World) -> wow_views::ViewCatalog {
-    let mut vc = wow_views::ViewCatalog::new();
-    for name in world.views().names() {
-        vc.register(world.views().get(&name).unwrap().clone())
-            .unwrap();
-    }
-    vc
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +508,6 @@ pub fn figure2_join_view(scale: Scale) -> Table {
         seed: 31,
     };
     let mut world = suppliers::build_world(WorldConfig::default(), &cfg);
-    let vc = world_views_clone(&world);
     let sels: Vec<f64> = scale.pick(vec![0.05, 0.5], vec![0.001, 0.01, 0.05, 0.2, 0.5]);
     let reps = scale.pick(3, 9);
     for sel in sels {
@@ -551,9 +522,11 @@ pub fn figure2_join_view(scale: Scale) -> Table {
             ..Default::default()
         };
         let hash = time_median(reps, || {
-            run_view_query(world.db_mut(), &vc, "shipment_detail", &query).unwrap()
+            let (db, vc) = world.db_and_views();
+            run_view_query(db, vc, "shipment_detail", &query).unwrap()
         });
-        let rows = run_view_query(world.db_mut(), &vc, "shipment_detail", &query)
+        let (db, vc) = world.db_and_views();
+        let rows = run_view_query(db, vc, "shipment_detail", &query)
             .unwrap()
             .len();
         // Forced nested-loop baseline over the same expansion.
@@ -755,8 +728,8 @@ pub fn figure4_propagate(scale: Scale) -> Table {
                 Value::text("london"),
                 Value::Int(10),
             ];
-            let rid = world.apply_insert("supplier", sentinel.clone()).unwrap();
             let s = world.open_session();
+            let rid = world.apply_insert(s, "supplier", sentinel.clone()).unwrap();
             world.open_window(s, "london_suppliers", None).unwrap();
             world
                 .open_window_using(
@@ -774,7 +747,9 @@ pub fn figure4_propagate(scale: Scale) -> Table {
                 row[3] = Value::Int(status);
                 row
             };
-            world.apply_update("supplier", rid, status_row(11)).unwrap();
+            world
+                .apply_update(s, "supplier", rid, status_row(11))
+                .unwrap();
             let warm_rebuilds = world.dep_index().rebuilds();
             // Measure only the warm phase: snapshot the counters and diff
             // afterwards instead of zeroing the world's lifetime stats.
@@ -783,7 +758,7 @@ pub fn figure4_propagate(scale: Scale) -> Table {
             let d = time_median(reps, || {
                 status += 1;
                 world
-                    .apply_update("supplier", rid, status_row(status))
+                    .apply_update(s, "supplier", rid, status_row(status))
                     .unwrap();
             });
             let warm = world.stats.since(&base);
@@ -1304,7 +1279,6 @@ pub fn table7_expansion(scale: Scale) -> Table {
                 seed: 71,
             },
         );
-        let vc = world_views_clone(&world);
         // A selective restriction: one specific supplier number. Expansion
         // folds it into the plan (index probe on the pk); materialization
         // must construct all n rows first.
@@ -1318,16 +1292,17 @@ pub fn table7_expansion(scale: Scale) -> Table {
         };
         let reps = scale.pick(3, 9);
         let exp = time_median(reps, || {
-            run_view_query(world.db_mut(), &vc, "suppliers", &q).unwrap()
+            let (db, vc) = world.db_and_views();
+            run_view_query(db, vc, "suppliers", &q).unwrap()
         });
         let mat = time_median(reps, || {
-            wow_views::expand::query_via_materialization(world.db_mut(), &vc, "suppliers", &q)
-                .unwrap()
+            let (db, vc) = world.db_and_views();
+            wow_views::expand::query_via_materialization(db, vc, "suppliers", &q).unwrap()
         });
-        let rows = run_view_query(world.db_mut(), &vc, "suppliers", &q).unwrap();
-        let check =
-            wow_views::expand::query_via_materialization(world.db_mut(), &vc, "suppliers", &q)
-                .unwrap();
+        let (db, vc) = world.db_and_views();
+        let rows = run_view_query(db, vc, "suppliers", &q).unwrap();
+        let (db, vc) = world.db_and_views();
+        let check = wow_views::expand::query_via_materialization(db, vc, "suppliers", &q).unwrap();
         assert_eq!(rows.tuples, check.tuples, "both strategies agree");
         t.push(vec![
             n.to_string(),

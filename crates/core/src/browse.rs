@@ -1,6 +1,6 @@
 //! Browse cursors: how a window walks its view's extension.
 //!
-//! One navigation, three page sources, one chooser. A [`BrowseCursor`]
+//! One navigation, two page sources, one chooser. A [`BrowseCursor`]
 //! holds the screenful on display and the cursor's slot in it; `next`,
 //! `prev`, `next_page` and `prev_page` are written once over that state and
 //! ask the source for nothing but "page *n*". The sources differ only in
@@ -10,24 +10,24 @@
 //!   past the key that ended the page before. A keyed join view
 //!   ([`wow_views::keyed`]) joins each driving row by one primary-key probe
 //!   per other range, dropping it when a probe finds nothing or meets NULL
-//!   (an inner join); an updatable single-table view is the zero-probe
-//!   case. A page costs a page of entries and probes at any depth. A keyed
-//!   view's one documented order is driving-key order: `transcript` reads
-//!   in `eid` order, `shipment_detail` in `spid` order.
-//! * **Query** — the view query re-run with `LIMIT n+1 OFFSET k·n`, which
-//!   the streaming executor stops as soon as the page is full; the extra
-//!   row says whether a further page exists. Aggregates, DISTINCT, joins
-//!   that do not preserve a key and refused single-table views page this
-//!   way, in the plan's order.
-//! * **Snapshot** — the baseline: the whole extension (optionally sorted)
-//!   held in memory, a page being a slice of it. The only source that
-//!   knows the row count.
+//!   (an inner join); a single-table view over a keyed table, updatable or
+//!   not, is the zero-probe case. A page costs a page of entries and
+//!   probes at any depth. A keyed view's one documented order is
+//!   driving-key order: `transcript` reads in `eid` order,
+//!   `shipment_detail` in `spid` order.
+//! * **Snapshot** — the whole extension (optionally sorted) held in memory,
+//!   a page being a slice of it, refilled by re-running the view on
+//!   refresh. Sorted and system windows read it, and so does every view
+//!   with no key to walk: aggregates, grouping, DISTINCT, joins that do not
+//!   preserve a key and views whose ranges lack a primary-key index. The
+//!   only source that knows the row count.
 //!
 //! [`BrowseCursor::open`] is the one place a source is chosen. Whatever the
 //! source, PageDown/PageUp land on the first row of the new page, a
 //! position is `page · page_size + slot`, and a refresh — full or by view
 //! delta — stays on the current record when it survives and otherwise
-//! keeps the slot.
+//! keeps the slot. Only a Snapshot's refill reads the view catalog, so
+//! navigation and delta splices take none.
 
 use crate::error::WowResult;
 use crate::world::CursorStrategy;
@@ -80,7 +80,7 @@ pub enum Access {
     Updatable(Updatability),
     /// Read-only but keyed: pages walk the driving key.
     Keyed(Keyed),
-    /// Neither: pages re-run the view query.
+    /// Neither: the window holds a Snapshot.
     ReadOnly,
 }
 
@@ -117,11 +117,6 @@ type DeltaRows<'d> = (Vec<&'d DeltaRow>, Vec<&'d DeltaRow>);
 #[derive(Debug)]
 enum Source {
     Index(IndexPages),
-    /// A fresh view query per page; any `limit` in `query` is overwritten.
-    Query {
-        view: String,
-        query: ViewQuery,
-    },
     Snapshot(Box<Snapshot>),
 }
 
@@ -153,7 +148,8 @@ struct Snapshot {
 pub struct BrowseCursor {
     source: Source,
     /// The window's query-by-form restriction resolved over the view row —
-    /// updatable views only (the others push it into their query).
+    /// Index pages and updatable snapshots (a read-only snapshot pushes it
+    /// into its query).
     filter: Option<Expr>,
     page_size: usize,
     page_no: usize,
@@ -166,13 +162,11 @@ pub struct BrowseCursor {
 }
 
 impl BrowseCursor {
-    /// Build a window's cursor — the one place a page source is chosen. A
-    /// sorted query, a forced [`CursorStrategy::Materialized`] or an
-    /// updatable view without a primary-key index gets a Snapshot; any other
-    /// updatable view pages through `pk_<base table>` and a keyed read-only
-    /// view through its driving table's primary key; the rest (aggregates,
-    /// DISTINCT, joins that do not preserve a key) re-run their query per
-    /// page.
+    /// Build a window's cursor — the one place a page source is chosen.
+    /// Unsorted under [`CursorStrategy::Auto`], an updatable view pages
+    /// through `pk_<base table>` when it has one and a keyed read-only view
+    /// through its driving table's primary key; everything else gets a
+    /// Snapshot.
     pub fn open(
         db: &mut Database,
         vc: &ViewCatalog,
@@ -192,9 +186,6 @@ impl BrowseCursor {
                 }
             }
             Access::Keyed(k) if incremental => return Self::keyed(db, k.clone(), page_size, pred),
-            Access::ReadOnly if incremental => {
-                return Self::streamed(db, vc, view, query.clone(), page_size)
-            }
             _ => {}
         }
         Self::materialized(db, vc, view, query.clone(), access.updatable(), page_size)
@@ -242,23 +233,7 @@ impl BrowseCursor {
             walk,
             starts: vec![None],
         });
-        Self::start(db, &ViewCatalog::new(), source, filter, page_size)
-    }
-
-    /// A Query cursor: each page re-runs the view query. Rows carry no base
-    /// rids, so the window is read-only.
-    pub fn streamed(
-        db: &mut Database,
-        vc: &ViewCatalog,
-        view: &str,
-        query: ViewQuery,
-        page_size: usize,
-    ) -> WowResult<BrowseCursor> {
-        let source = Source::Query {
-            view: view.to_string(),
-            query,
-        };
-        Self::start(db, vc, source, None, page_size)
+        Self::start(db, source, filter, page_size)
     }
 
     /// A Snapshot cursor: the whole (optionally sorted) extension, paged
@@ -291,12 +266,11 @@ impl BrowseCursor {
             rows: Vec::new(),
         };
         snap.refill(db, vc, filter.as_ref())?;
-        Self::start(db, vc, Source::Snapshot(Box::new(snap)), filter, page_size)
+        Self::start(db, Source::Snapshot(Box::new(snap)), filter, page_size)
     }
 
     fn start(
         db: &mut Database,
-        vc: &ViewCatalog,
         source: Source,
         filter: Option<Expr>,
         page_size: usize,
@@ -310,7 +284,7 @@ impl BrowseCursor {
             pos: 0,
             at_end: true,
         };
-        cursor.show(db, vc, 0, 0)?;
+        cursor.show(db, 0, 0)?;
         Ok(cursor)
     }
 
@@ -320,18 +294,17 @@ impl BrowseCursor {
     }
 
     /// 0-based position of the current row: its page's first slot plus its
-    /// slot in the page. Rows appearing or vanishing above an Index or Query
-    /// page move the page's contents, not its number.
+    /// slot in the page. Rows appearing or vanishing above an Index page
+    /// move the page's contents, not its number.
     pub fn position(&self) -> Option<usize> {
         (!self.page.is_empty()).then_some(self.page_no * self.page_size + self.pos)
     }
 
-    /// The page source: `index`, `query` or `snapshot` (what
+    /// The page source: `index` or `snapshot` (what
     /// `__wow_windows.source` shows).
     pub fn source(&self) -> &'static str {
         match &self.source {
             Source::Index(_) => "index",
-            Source::Query { .. } => "query",
             Source::Snapshot(_) => "snapshot",
         }
     }
@@ -340,7 +313,7 @@ impl BrowseCursor {
     pub fn known_len(&self) -> Option<usize> {
         match &self.source {
             Source::Snapshot(s) => Some(s.rows.len()),
-            Source::Index(_) | Source::Query { .. } => None,
+            Source::Index(_) => None,
         }
     }
 
@@ -361,21 +334,21 @@ impl BrowseCursor {
     }
 
     /// Advance one row. Returns `false` at the end.
-    pub fn next(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+    pub fn next(&mut self, db: &mut Database) -> WowResult<bool> {
         if self.pos + 1 < self.page.len() {
             self.pos += 1;
             return Ok(true);
         }
-        self.next_page(db, vc)
+        self.next_page(db)
     }
 
     /// Step back one row. Returns `false` at the beginning.
-    pub fn prev(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+    pub fn prev(&mut self, db: &mut Database) -> WowResult<bool> {
         if self.pos > 0 {
             self.pos -= 1;
             return Ok(true);
         }
-        let moved = self.page_no > 0 && self.turn(db, vc, self.page_no - 1)?;
+        let moved = self.page_no > 0 && self.turn(db, self.page_no - 1)?;
         if moved {
             self.pos = self.page.len() - 1;
         }
@@ -384,11 +357,11 @@ impl BrowseCursor {
 
     /// Jump to the first row of the next page. Returns `false`, leaving the
     /// cursor where it is, when already on the last page.
-    pub fn next_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+    pub fn next_page(&mut self, db: &mut Database) -> WowResult<bool> {
         if self.at_end {
             return Ok(false);
         }
-        let moved = self.turn(db, vc, self.page_no + 1)?;
+        let moved = self.turn(db, self.page_no + 1)?;
         // A full page can be the last one; that shows only now.
         self.at_end = !moved;
         Ok(moved)
@@ -396,13 +369,13 @@ impl BrowseCursor {
 
     /// Jump to the first row of the previous page (of this page, on the
     /// first one).
-    pub fn prev_page(&mut self, db: &mut Database, vc: &ViewCatalog) -> WowResult<bool> {
+    pub fn prev_page(&mut self, db: &mut Database) -> WowResult<bool> {
         if self.page_no == 0 {
             let moved = self.pos > 0;
             self.pos = 0;
             return Ok(moved);
         }
-        self.turn(db, vc, self.page_no - 1)
+        self.turn(db, self.page_no - 1)
     }
 
     /// Re-read the current page after external writes. Stays on the current
@@ -418,7 +391,7 @@ impl BrowseCursor {
                 (page_no, pos) = (i / self.page_size, i % self.page_size);
             }
         }
-        self.show(db, vc, page_no, pos)?;
+        self.show(db, page_no, pos)?;
         if let Some(i) = rid.and_then(|rid| self.page.iter().position(|e| e.rid == Some(rid))) {
             self.pos = i;
         }
@@ -427,15 +400,10 @@ impl BrowseCursor {
 
     /// Apply a view delta to the displayed rows in place instead of
     /// re-running the view query, landing where [`BrowseCursor::refresh`]
-    /// would. Returns `false` when the source cannot (Query pages, snapshots
-    /// of non-updatable views, delta rows without identity, or a page/delta
+    /// would. Returns `false` when the source cannot (snapshots of
+    /// non-updatable views, delta rows without identity, or a page/delta
     /// mismatch) — the caller then falls back to a full refresh.
-    pub fn apply_delta(
-        &mut self,
-        db: &mut Database,
-        vc: &ViewCatalog,
-        delta: &ViewDelta,
-    ) -> WowResult<bool> {
+    pub fn apply_delta(&mut self, db: &mut Database, delta: &ViewDelta) -> WowResult<bool> {
         let Some((removes, inserts)) = self.delta_rows(delta)? else {
             return Ok(false);
         };
@@ -444,9 +412,7 @@ impl BrowseCursor {
         let rid = self.page.get(self.pos).and_then(|e| e.rid);
         let page_size = self.page_size;
         match &mut self.source {
-            // A Query page is a fresh query; there is nothing to patch. A
-            // snapshot without rids has nothing to patch by.
-            Source::Query { .. } => return Ok(false),
+            // A snapshot without rids has nothing to patch by.
             Source::Snapshot(s) if s.upd.is_none() => return Ok(false),
             Source::Snapshot(s) => {
                 let mut cur = self.page_no * page_size + self.pos;
@@ -473,7 +439,7 @@ impl BrowseCursor {
                 {
                     cur = i;
                 }
-                self.show(db, vc, cur / page_size, cur % page_size)?;
+                self.show(db, cur / page_size, cur % page_size)?;
             }
             Source::Index(ix) => {
                 if removes.iter().chain(&inserts).any(|dr| dr.key.is_none()) {
@@ -540,7 +506,7 @@ impl BrowseCursor {
                 // boundary, or emptied the last page; one page-local refetch
                 // restores the screenful (still no full view re-query).
                 if short && (!self.at_end || self.page.is_empty()) {
-                    self.show(db, vc, self.page_no, cur)?;
+                    self.show(db, self.page_no, cur)?;
                 }
             }
         }
@@ -583,12 +549,7 @@ impl BrowseCursor {
     /// Read page `page_no` from the source: its rows and whether it is the
     /// last page. Navigation asks only for the current page, one already
     /// visited, or the one after the current page.
-    fn fetch(
-        &mut self,
-        db: &mut Database,
-        vc: &ViewCatalog,
-        page_no: usize,
-    ) -> WowResult<(Vec<Entry>, bool)> {
+    fn fetch(&mut self, db: &mut Database, page_no: usize) -> WowResult<(Vec<Entry>, bool)> {
         let n = self.page_size;
         match &mut self.source {
             Source::Index(ix) => {
@@ -598,23 +559,6 @@ impl BrowseCursor {
                     ix.starts.push(self.page.last().map(|e| e.key.clone()));
                 }
                 ix.fetch_page(db, self.filter.as_ref(), n, ix.starts[page_no].clone())
-            }
-            // LIMIT n+1: the extra row tells us whether a further page exists
-            // without another round trip.
-            Source::Query { view, query } => {
-                let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
-                let mut q = query.clone();
-                q.limit = Some((page_no * n, n + 1));
-                let mut tuples = run_view_query(db, vc, view, &q)?.tuples;
-                let at_end = tuples.len() <= n;
-                tuples.truncate(n);
-                span.arg(tuples.len() as u64);
-                let page = tuples.into_iter().map(|row| Entry {
-                    rid: None,
-                    key: Vec::new(),
-                    row,
-                });
-                Ok((page.collect(), at_end))
             }
             Source::Snapshot(s) => {
                 let page = s
@@ -634,8 +578,8 @@ impl BrowseCursor {
 
     /// Make page `page_no` current with the cursor on its first row. An
     /// empty page is not entered.
-    fn turn(&mut self, db: &mut Database, vc: &ViewCatalog, page_no: usize) -> WowResult<bool> {
-        let (page, at_end) = self.fetch(db, vc, page_no)?;
+    fn turn(&mut self, db: &mut Database, page_no: usize) -> WowResult<bool> {
+        let (page, at_end) = self.fetch(db, page_no)?;
         if page.is_empty() {
             return Ok(false);
         }
@@ -646,15 +590,9 @@ impl BrowseCursor {
     /// Display page `page_no` with the cursor at slot `pos`, clamped into
     /// the page. A page that came back empty is the view shrinking under
     /// the window: back up to the last row before it.
-    fn show(
-        &mut self,
-        db: &mut Database,
-        vc: &ViewCatalog,
-        mut page_no: usize,
-        mut pos: usize,
-    ) -> WowResult<()> {
+    fn show(&mut self, db: &mut Database, mut page_no: usize, mut pos: usize) -> WowResult<()> {
         loop {
-            let (page, at_end) = self.fetch(db, vc, page_no)?;
+            let (page, at_end) = self.fetch(db, page_no)?;
             (self.page, self.page_no, self.at_end) = (page, page_no, at_end);
             if !self.page.is_empty() || page_no == 0 {
                 break;
@@ -858,6 +796,11 @@ mod tests {
                 "totals",
                 "RANGE OF e IS emp RETRIEVE (e.dept, t = SUM(e.salary)) GROUP BY e.dept",
             ),
+            (
+                "levels",
+                "RANGE OF e IS emp RANGE OF d IS dept RETRIEVE (e.id, d.name) WHERE e.salary = d.floor",
+            ),
+            ("depts", "RANGE OF e IS emp RETRIEVE UNIQUE (e.dept)"),
         ] {
             w.define_view(name, src).unwrap();
         }
@@ -867,9 +810,11 @@ mod tests {
         for (view, strategy, want) in [
             ("emps", auto, "index"),
             ("notes", auto, "snapshot"),
-            ("pays", auto, "query"),
+            ("pays", auto, "index"),
             ("floors", auto, "index"),
-            ("totals", auto, "query"),
+            ("totals", auto, "snapshot"),
+            ("levels", auto, "snapshot"),
+            ("depts", auto, "snapshot"),
             ("__wow_metrics", auto, "snapshot"),
             ("emps", CursorStrategy::Materialized, "snapshot"),
         ] {

@@ -59,6 +59,7 @@ impl World {
     /// The window, provided it browses an updatable view: where every
     /// write through a window starts.
     fn writable_window(&mut self, win: WinId, wanted: &'static str) -> WowResult<&mut WindowState> {
+        self.refuse_if_redefined(win)?;
         let w = self.window_mut(win)?;
         if !matches!(w.mode, Mode::Browse) {
             return Err(WowError::WrongMode {
@@ -73,6 +74,24 @@ impl World {
             });
         }
         Ok(w)
+    }
+
+    /// A window whose view was redefined still holds the proof it opened
+    /// with, so a write through it could land on a row the new definition
+    /// does not show. Such a window is derived again from the new
+    /// definition, back in Browse mode, and the write is refused.
+    fn refuse_if_redefined(&mut self, win: WinId) -> WowResult<()> {
+        let w = self.window_mut(win)?;
+        if !w.redefined {
+            return Ok(());
+        }
+        (w.mode, w.original) = (Mode::Browse, None);
+        let (view, query) = (w.view.clone(), w.query.clone());
+        self.requery_window(win, query)?;
+        Err(WowError::ReadOnly {
+            view,
+            reasons: vec!["the view was redefined; the window now shows the new definition".into()],
+        })
     }
 
     /// Leave Edit/Insert/Query mode without committing. A window that went
@@ -179,6 +198,7 @@ impl World {
         status: &str,
         translate: impl FnOnce(&mut Database, &Updatability) -> WowResult<BaseWrite>,
     ) -> WowResult<()> {
+        self.refuse_if_redefined(win)?;
         let (session, table) = {
             let w = self.window(win)?;
             let upd = w.access.updatable().expect("writes need an updatable view");
@@ -372,10 +392,11 @@ impl World {
     /// locks. Returns the number of writes rolled back.
     ///
     /// The session still holds its batch locks, so no other session's
-    /// commit can block an inverse write — but a write that bypasses the
-    /// lock manager (`apply_*`) can still make one fail, say by
-    /// taking a deleted row's key. Every other write is undone regardless,
-    /// the locks are always released, and the first failure is returned.
+    /// write can block an inverse write — but one the batch did not record
+    /// (the session's own `apply_*`, or a write straight to the database)
+    /// can still make one fail, say by taking a deleted row's key. Every
+    /// other write is undone regardless, the locks are always released, and
+    /// the first failure is returned.
     pub fn abort_batch(&mut self, session: SessionId) -> WowResult<u64> {
         let batch = self
             .session_mut(session)?
@@ -400,7 +421,7 @@ impl World {
 
     /// Release the session's locks unless it is inside a batch (strict 2PL
     /// holds them until the batch ends).
-    fn maybe_release(&mut self, session: SessionId) {
+    pub(crate) fn maybe_release(&mut self, session: SessionId) {
         let in_batch = self.session_mut(session).is_ok_and(|s| s.undo.in_batch());
         if !in_batch {
             self.release_locks(session);
@@ -548,6 +569,79 @@ mod tests {
             .run(r#"RETRIEVE (e.name) WHERE e.name = "alicia""#)
             .unwrap();
         assert_eq!(rows.len(), 1);
+    }
+
+    #[test]
+    fn a_redefined_window_refuses_one_write_then_writes_through_the_new_view() {
+        let (mut w, s, _) = world();
+        w.define_view(
+            "toy_emps",
+            r#"RANGE OF e IS emp RETRIEVE (e.name, e.salary) WHERE e.dept = "toy""#,
+        )
+        .unwrap();
+        let win = w.open_window(s, "toy_emps", None).unwrap();
+        // Another predicate and another column map: bob, salary first.
+        w.redefine_view(
+            "toy_emps",
+            r#"RANGE OF e IS emp RETRIEVE (e.salary, e.name) WHERE e.dept = "shoe""#,
+        )
+        .unwrap();
+        let salaries = |w: &mut World| {
+            let rows = w
+                .db_mut()
+                .run("RANGE OF e IS emp RETRIEVE (e.name, e.salary) SORT BY e.name")
+                .unwrap();
+            rows.tuples
+                .iter()
+                .map(|t| format!("{} {}", t.values[0], t.values[1]))
+                .collect::<Vec<_>>()
+        };
+        let before = salaries(&mut w);
+        assert!(matches!(w.enter_edit(win), Err(WowError::ReadOnly { .. })));
+        w.redefine_view(
+            "toy_emps",
+            r#"RANGE OF e IS emp RETRIEVE (e.salary, e.name) WHERE e.dept = "shoe""#,
+        )
+        .unwrap();
+        let err = w.delete_current(win).unwrap_err();
+        assert!(err.to_string().contains("redefined"), "{err}");
+        assert_eq!(salaries(&mut w), before, "no base row changed");
+        // The window was derived again: it shows bob, salary first.
+        let state = w.window(win).unwrap();
+        assert!(!state.redefined && state.is_updatable());
+        assert_eq!(state.mode, Mode::Browse);
+        let row = w.current_row(win).unwrap().unwrap();
+        assert_eq!(row.values[1].to_string(), "bob");
+        w.enter_edit(win).unwrap();
+        w.window_mut(win).unwrap().form.set_text(0, "95");
+        w.commit(win).unwrap();
+        assert_eq!(salaries(&mut w), ["alice 120", "bob 95"]);
+    }
+
+    #[test]
+    fn a_window_redefined_mid_edit_refuses_its_commit() {
+        let (mut w, _, win) = world();
+        w.enter_edit(win).unwrap();
+        w.window_mut(win).unwrap().form.set_text(2, "999");
+        w.redefine_view(
+            "emps",
+            r#"RANGE OF e IS emp RETRIEVE (e.name, e.salary) WHERE e.dept = "shoe""#,
+        )
+        .unwrap();
+        assert!(matches!(w.commit(win), Err(WowError::ReadOnly { .. })));
+        let state = w.window(win).unwrap();
+        assert_eq!(state.mode, Mode::Browse);
+        assert_eq!(state.schema.len(), 2);
+        let rows = w
+            .db_mut()
+            .run("RETRIEVE (e.salary) SORT BY e.name")
+            .unwrap();
+        let salaries: Vec<_> = rows
+            .tuples
+            .iter()
+            .map(|t| t.values[0].to_string())
+            .collect();
+        assert_eq!(salaries, ["120", "90"], "the old form wrote nothing");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`session`] — user sessions owning windows and locks.
 //! * [`window_mgr`] — window state machines: Browse / Edit / Insert / Query
 //!   modes and their key grammar.
-//! * [`browse`] — browse cursors: one navigation over three page sources
-//!   (index seek — Table 2's subject —, per-page view query, in-memory
-//!   snapshot) and the one chooser between them.
+//! * [`browse`] — browse cursors: one navigation over two page sources
+//!   (key walk — Table 2's subject — and in-memory snapshot) and the one
+//!   chooser between them.
 //! * [`edit`] — edit/insert/delete commits through updatable views.
 //! * [`qbf_mode`] — query-by-form execution.
 //! * [`propagate`] — cross-window refresh after commits (Figure 4).

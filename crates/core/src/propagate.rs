@@ -137,8 +137,8 @@ impl World {
             }
             let mut span = wow_obs::span(wow_obs::Op::DeltaRefresh);
             span.arg(vd.len() as u64);
-            let (db, vc, w) = self.parts(id)?;
-            if w.cursor.apply_delta(db, vc, vd)? {
+            let (db, _, w) = self.parts(id)?;
+            if w.cursor.apply_delta(db, vd)? {
                 self.note_refresh(id, RefreshKind::Delta);
                 span.finish();
                 self.stats.delta_refreshes += 1;

@@ -103,9 +103,9 @@ pub enum CursorStrategy {
     /// the window's query.
     #[default]
     Auto,
-    /// Force a fully materialized cursor (benches measure the O(N) refill
-    /// baseline against it; also the only strategy that holds a whole join
-    /// result).
+    /// Force a Snapshot cursor, which holds the whole extension (benches
+    /// measure the O(N) refill baseline against it; system windows always
+    /// use it).
     Materialized,
 }
 
@@ -255,6 +255,12 @@ impl World {
         &self.views
     }
 
+    /// The database (write) and the view catalog at once: what opening or
+    /// refreshing a [`BrowseCursor`] outside a window takes.
+    pub fn db_and_views(&mut self) -> (&mut Database, &ViewCatalog) {
+        (&mut self.db, &self.views)
+    }
+
     /// The cached view-dependency index (inspection; benches read its
     /// rebuild counter to assert the warm path recomputes nothing).
     pub fn dep_index(&self) -> &DepIndex {
@@ -330,8 +336,9 @@ impl World {
     /// definition is restored if the new one is rejected). Every window open
     /// on the view goes stale and, at its next refresh or requery, derives
     /// its proof, schema, form and cursor again from the new definition,
-    /// starting over on its first page. The dependency cache re-derives
-    /// itself before the next propagation.
+    /// starting over on its first page; a write through it first does the
+    /// same and is refused. The dependency cache re-derives itself before
+    /// the next propagation.
     pub fn redefine_view(&mut self, name: &str, src: &str) -> WowResult<()> {
         let def = ViewDef::parse(name, src)?;
         for (_, t) in &def.ranges {
@@ -658,32 +665,32 @@ impl World {
 
     /// Move to the next row.
     pub fn browse_next(&mut self, win: WinId) -> WowResult<bool> {
-        let (db, vc, w) = self.parts(win)?;
-        let moved = w.cursor.next(db, vc)?;
-        w.show_current();
-        Ok(moved)
+        self.browse(win, BrowseCursor::next)
     }
 
     /// Move to the previous row.
     pub fn browse_prev(&mut self, win: WinId) -> WowResult<bool> {
-        let (db, vc, w) = self.parts(win)?;
-        let moved = w.cursor.prev(db, vc)?;
-        w.show_current();
-        Ok(moved)
+        self.browse(win, BrowseCursor::prev)
     }
 
     /// Page forward (a screenful).
     pub fn browse_next_page(&mut self, win: WinId) -> WowResult<bool> {
-        let (db, vc, w) = self.parts(win)?;
-        let moved = w.cursor.next_page(db, vc)?;
-        w.show_current();
-        Ok(moved)
+        self.browse(win, BrowseCursor::next_page)
     }
 
     /// Page backward.
     pub fn browse_prev_page(&mut self, win: WinId) -> WowResult<bool> {
-        let (db, vc, w) = self.parts(win)?;
-        let moved = w.cursor.prev_page(db, vc)?;
+        self.browse(win, BrowseCursor::prev_page)
+    }
+
+    /// Move a window's cursor by `step` and show the row it lands on.
+    fn browse(
+        &mut self,
+        win: WinId,
+        step: fn(&mut BrowseCursor, &mut Database) -> WowResult<bool>,
+    ) -> WowResult<bool> {
+        let (db, _, w) = self.parts(win)?;
+        let moved = step(&mut w.cursor, db)?;
         w.show_current();
         Ok(moved)
     }
@@ -738,33 +745,54 @@ impl World {
 
     // -- External writes ---------------------------------------------------------
 
-    /// Insert a base row from outside any window (scripts, loaders, tests)
-    /// and propagate the delta to every watching window.
-    pub fn apply_insert(&mut self, table: &str, values: Vec<Value>) -> WowResult<Rid> {
-        let delta = self.apply(table, None, Some(values))?;
+    /// Insert a base row for `session` from outside any window (scripts,
+    /// loaders, tests) and propagate the delta to every watching window.
+    pub fn apply_insert(
+        &mut self,
+        session: SessionId,
+        table: &str,
+        values: Vec<Value>,
+    ) -> WowResult<Rid> {
+        let delta = self.apply(session, table, None, Some(values))?;
         Ok(delta.inserted[0].0)
     }
 
-    /// Update a base row in place from outside any window and propagate.
-    /// Returns whether the rid existed.
-    pub fn apply_update(&mut self, table: &str, rid: Rid, values: Vec<Value>) -> WowResult<bool> {
-        Ok(!self.apply(table, Some(rid), Some(values))?.is_empty())
+    /// Update a base row in place for `session` from outside any window and
+    /// propagate. Returns whether the rid existed.
+    pub fn apply_update(
+        &mut self,
+        session: SessionId,
+        table: &str,
+        rid: Rid,
+        values: Vec<Value>,
+    ) -> WowResult<bool> {
+        Ok(!self
+            .apply(session, table, Some(rid), Some(values))?
+            .is_empty())
     }
 
-    /// Delete a base row from outside any window and propagate. Returns
-    /// whether the rid existed.
-    pub fn apply_delete(&mut self, table: &str, rid: Rid) -> WowResult<bool> {
-        Ok(!self.apply(table, Some(rid), None)?.is_empty())
+    /// Delete a base row for `session` from outside any window and
+    /// propagate. Returns whether the rid existed.
+    pub fn apply_delete(&mut self, session: SessionId, table: &str, rid: Rid) -> WowResult<bool> {
+        Ok(!self.apply(session, table, Some(rid), None)?.is_empty())
     }
 
-    /// One base write from outside any window, propagated.
+    /// One base write from outside any window, under the same lock as a
+    /// write through one: the session's exclusive lock on `table`, refused
+    /// with [`WowError::LockConflict`] while another session holds it and
+    /// released afterwards unless the session is in a batch. Propagated.
     fn apply(
         &mut self,
+        session: SessionId,
         table: &str,
         rid: Option<Rid>,
         row: Option<Vec<Value>>,
     ) -> WowResult<BaseDelta> {
-        let delta = self.write_base(table, rid, row)?;
+        self.session_mut(session)?;
+        self.lock(session, table, LockMode::Exclusive)?;
+        let delta = self.write_base(table, rid, row);
+        self.maybe_release(session);
+        let delta = delta?;
         self.propagate_delta(&delta)?;
         Ok(delta)
     }

@@ -188,10 +188,10 @@ fn failed_abort_undoes_the_rest_and_releases_locks() {
     w.commit(win).unwrap();
     w.browse_next(win).unwrap();
     w.delete_current(win).unwrap();
-    // A write that bypasses the lock manager takes bob's key, so the
-    // abort cannot re-insert him.
+    // A write the batch does not record (its session's own, from outside
+    // any window) takes bob's key, so the abort cannot re-insert him.
     let eve = vec![Value::Int(2), Value::text("eve"), Value::Int(1)];
-    w.apply_insert("acct", eve).unwrap();
+    w.apply_insert(s, "acct", eve).unwrap();
     let before = w.stats.snapshot();
     let err = w.abort_batch(s).unwrap_err();
     assert!(err.to_string().contains("pk_acct"), "{err}");
@@ -254,4 +254,40 @@ fn two_batches_conflict_then_serialize() {
     w.commit(w2).unwrap();
     w.commit_batch(s2).unwrap();
     assert_eq!(balance(&mut w, 1), 222);
+}
+
+#[test]
+fn an_outside_write_waits_for_the_batch_lock() {
+    let mut w = world();
+    let a = w.open_session();
+    let b = w.open_session();
+    let win = w.open_window(a, "accts", None).unwrap();
+    w.begin_batch(a).unwrap();
+    w.enter_edit(win).unwrap();
+    w.window_mut(win).unwrap().form.set_text(2, "130");
+    w.commit(win).unwrap();
+    // Session B writes alice from outside any window: refused, because A's
+    // batch holds the table's exclusive lock.
+    let rid = w
+        .window(win)
+        .unwrap()
+        .cursor
+        .current_row()
+        .unwrap()
+        .0
+        .unwrap();
+    let alice = vec![Value::Int(1), Value::text("alice"), Value::Int(999)];
+    let err = w.apply_update(b, "acct", rid, alice).unwrap_err();
+    assert!(
+        matches!(err, wow_core::WowError::LockConflict { blocker, .. } if blocker == a.0),
+        "{err:?}"
+    );
+    assert_eq!(balance(&mut w, 1), 130, "the refused write changed nothing");
+    assert_eq!(w.abort_batch(a).unwrap(), 1);
+    // No acknowledged write was lost: only the batch's own was undone.
+    assert_eq!(balance(&mut w, 1), 100);
+    // Once the batch is over, B's write goes through.
+    let alice = vec![Value::Int(1), Value::text("alice"), Value::Int(999)];
+    assert!(w.apply_update(b, "acct", rid, alice).unwrap());
+    assert_eq!(balance(&mut w, 1), 999);
 }

@@ -10,11 +10,13 @@
 //! per other range per row, and the view's one documented order is
 //! driving-key order.
 //!
-//! Only joins are analysed. A single-table view walks its key as the
-//! zero-probe case of the same page loop when it is updatable; a refused
-//! one (computed targets, the key left out) keeps re-running its query, as
-//! do aggregates, DISTINCT, grouping and joins with a range whose key is
-//! not equated. The analysis is a pure function of the bound definition.
+//! A single-table view over a keyed table is the zero-probe case: it
+//! drives with no other range, so a view the updatability analysis refuses
+//! (computed targets, the key left out) still pages by its table's key.
+//! Aggregates, DISTINCT, grouping, joins with a range whose key is not
+//! equated and views over a table with no primary-key index are not keyed;
+//! a window holds their whole extension instead. The analysis is a pure
+//! function of the bound definition.
 
 use crate::catalog::ViewCatalog;
 use crate::error::{ViewError, ViewResult};
@@ -58,8 +60,8 @@ pub struct Keyed {
     pub schema: Schema,
 }
 
-/// Decide whether join view `view_name` is keyed. `Ok(None)` means the
-/// view is readable but not by key, or is not a join.
+/// Decide whether view `view_name` is keyed. `Ok(None)` means the view is
+/// readable but not by key.
 pub fn analyze_keyed(
     db: &Database,
     vc: &ViewCatalog,
@@ -75,7 +77,7 @@ pub fn analyze_keyed(
         Err(e) => return Err(e),
     };
     let stmt = &expanded.stmt;
-    if stmt.unique || !stmt.group_by.is_empty() || expanded.ranges.len() < 2 {
+    if stmt.unique || !stmt.group_by.is_empty() {
         return Ok(None);
     }
     let conjuncts = match &stmt.where_ {

@@ -10,7 +10,6 @@ use wow::core::config::WorldConfig;
 use wow::forms::compiler::compile_form_all_writable;
 use wow::forms::qbf::form_predicate;
 use wow::views::expand::{run_view_query, view_schema, ViewQuery};
-use wow::views::ViewCatalog;
 use wow::workload::suppliers::{build_world, SuppliersConfig};
 
 fn main() {
@@ -54,14 +53,6 @@ fn main() {
     println!();
 
     // 3. A join view, queried through expansion.
-    let vc: ViewCatalog = {
-        let mut vc = ViewCatalog::new();
-        for name in world.views().names() {
-            vc.register(world.views().get(&name).unwrap().clone())
-                .unwrap();
-        }
-        vc
-    };
     println!("== join view shipment_detail (expanded, not materialized) ==");
     let q = ViewQuery {
         sort: vec![wow::rel::quel::ast::SortKey {
@@ -71,7 +62,8 @@ fn main() {
         limit: Some((0, 5)),
         ..Default::default()
     };
-    let rows = run_view_query(world.db_mut(), &vc, "shipment_detail", &q).unwrap();
+    let (db, vc) = world.db_and_views();
+    let rows = run_view_query(db, vc, "shipment_detail", &q).unwrap();
     print!("{}", rows.to_table_string());
 
     // 4. An aggregate view.
@@ -84,7 +76,8 @@ fn main() {
         limit: Some((0, 5)),
         ..Default::default()
     };
-    let rows = run_view_query(world.db_mut(), &vc, "supplier_volume", &q).unwrap();
+    let (db, vc) = world.db_and_views();
+    let rows = run_view_query(db, vc, "supplier_volume", &q).unwrap();
     print!("{}", rows.to_table_string());
 
     // 5. Query-by-form: what a user types becomes a predicate.
@@ -103,7 +96,8 @@ fn main() {
         pred: Some(pred),
         ..Default::default()
     };
-    let rows = run_view_query(world.db_mut(), &vc, "suppliers", &q).unwrap();
+    let (db, vc) = world.db_and_views();
+    let rows = run_view_query(db, vc, "suppliers", &q).unwrap();
     println!("{} suppliers match", rows.len());
 
     // 6. And the same thing through an actual window.

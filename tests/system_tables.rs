@@ -114,6 +114,35 @@ fn windows_and_locks_views_reflect_live_state() {
     let _ = win;
 }
 
+/// Views outside the keyed class are counted: `__wow_windows.source` shows
+/// a snapshot for an aggregate window, and every window reads one of the
+/// two page sources.
+#[test]
+fn windows_view_counts_snapshot_windows() {
+    let mut w = emp_world();
+    w.define_view(
+        "payroll",
+        "RANGE OF e IS emp RETRIEVE (n = COUNT(e.name), total = SUM(e.salary))",
+    )
+    .unwrap();
+    let s = w.open_session();
+    w.open_window(s, "emps", None).unwrap();
+    w.open_window(s, "payroll", None).unwrap();
+    w.open_window(s, "__wow_windows", None).unwrap();
+    let rows = w
+        .db_mut()
+        .run("RANGE OF w IS __sys_windows RETRIEVE (w.view, w.source)")
+        .unwrap();
+    let mut sources: Vec<String> = rows
+        .tuples
+        .iter()
+        .map(|t| format!("{} {}", t.values[0], t.values[1]))
+        .collect();
+    sources.sort();
+    // The table was filled as the system window opened, so without it.
+    assert_eq!(sources, ["emps index", "payroll snapshot"]);
+}
+
 #[test]
 fn tracer_ring_and_lock_manager_do_not_deadlock() {
     // The lock manager records a LockAcquire span on every grant/conflict;
