@@ -14,7 +14,12 @@
 //!   not, is the zero-probe case. A page costs a page of entries and
 //!   probes at any depth. A keyed view's one documented order is
 //!   driving-key order: `transcript` reads in `eid` order,
-//!   `shipment_detail` in `spid` order.
+//!   `shipment_detail` in `spid` order. A query-by-form restriction that
+//!   bounds the view column showing the driving key's leading column
+//!   (`>`, `>=`, `=`, `<`, `<=`, `lo..hi`) is a seek: the walk starts at
+//!   its lower bound and stops past its upper one. Every restriction,
+//!   those included, also filters the rows walked, so one on another
+//!   column, `!=`, a pattern or a NULL test costs the rows it skips.
 //! * **Snapshot** — the whole extension (optionally sorted) held in memory,
 //!   a page being a slice of it, refilled by re-running the view on
 //!   refresh. Sorted and system windows read it, and so does every view
@@ -36,7 +41,9 @@ use wow_rel::bind::bind_pred;
 use wow_rel::db::Database;
 use wow_rel::eval::{eval, eval_pred};
 use wow_rel::exec::sort::compare;
+use wow_rel::exec::KeyBound;
 use wow_rel::expr::Expr;
+use wow_rel::plan::optimizer::key_range;
 use wow_rel::quel::ast::SortKey;
 use wow_rel::schema::{Column, Schema};
 use wow_rel::tuple::Tuple;
@@ -116,7 +123,7 @@ type DeltaRows<'d> = (Vec<&'d DeltaRow>, Vec<&'d DeltaRow>);
 /// Where pages come from.
 #[derive(Debug)]
 enum Source {
-    Index(IndexPages),
+    Index(Box<IndexPages>),
     Snapshot(Box<Snapshot>),
 }
 
@@ -124,6 +131,9 @@ enum Source {
 #[derive(Debug)]
 struct IndexPages {
     walk: Keyed,
+    /// The driving-key range the window's restriction allows.
+    lower: Option<KeyBound>,
+    upper: Option<KeyBound>,
     /// `starts[i]` = index key strictly before page `i` (None = start), for
     /// every page up to the current one.
     starts: Vec<Option<Vec<u8>>>,
@@ -218,21 +228,28 @@ impl BrowseCursor {
 
     /// An Index cursor over a keyed view ([`wow_views::keyed`]), in
     /// driving-key order. `view_pred` is an extra restriction over bare view
-    /// columns (from QBF). Join rows carry no base rid.
+    /// columns (from QBF); its bounds on the view column that shows the
+    /// driving index's leading column are the range the pages walk. Join
+    /// rows carry no base rid.
     pub fn keyed(
         db: &mut Database,
         walk: Keyed,
         page_size: usize,
         view_pred: Option<Expr>,
     ) -> WowResult<BrowseCursor> {
-        let filter = match view_pred {
-            Some(p) => Some(bind_pred(p, &walk.schema)?.resolve(&walk.schema)?),
-            None => None,
+        let bound = view_pred.map(|p| bind_pred(p, &walk.schema)).transpose()?;
+        let lead = Expr::Column(db.catalog().index(&walk.index)?.columns[0]);
+        let (lower, upper, _) = match (&bound, walk.targets.iter().position(|t| *t == lead)) {
+            (Some(p), Some(col)) => key_range(&p.clone().split_conjuncts(), &walk.schema, col),
+            _ => (None, None, Vec::new()),
         };
-        let source = Source::Index(IndexPages {
+        let filter = bound.map(|p| p.resolve(&walk.schema)).transpose()?;
+        let source = Source::Index(Box::new(IndexPages {
             walk,
+            lower,
+            upper,
             starts: vec![None],
-        });
+        }));
         Self::start(db, source, filter, page_size)
     }
 
@@ -620,8 +637,9 @@ fn resolve_filter(
 }
 
 impl IndexPages {
-    /// Fetch the page that starts strictly after driving key `start`: up to
-    /// `page_size` rows, and whether the index ran dry.
+    /// Fetch the page that starts strictly after driving key `start` (at
+    /// the range's lower bound when `None`): up to `page_size` rows, and
+    /// whether the walk reached the end of the range.
     fn fetch_page(
         &self,
         db: &mut Database,
@@ -638,16 +656,16 @@ impl IndexPages {
         let mut page = Vec::with_capacity(page_size);
         let mut after = start;
         let mut at_end = false;
+        let (lower, upper) = (self.lower.as_ref(), self.upper.as_ref());
         // Keep pulling index chunks until the page is full (predicates and
-        // probes can reject arbitrarily many driving rows) or the index
-        // runs dry.
+        // probes can reject arbitrarily many driving rows) or the range
+        // ends.
         loop {
-            let chunk = db.index_scan_page(&walk.index, after.as_deref(), page_size)?;
-            if chunk.is_empty() {
-                at_end = true;
-                break;
-            }
-            let exhausted_chunk = chunk.len() < page_size;
+            let mut chunk = Vec::with_capacity(page_size);
+            let ended = db.index_walk(&walk.index, lower, upper, after.as_deref(), |k, rid| {
+                chunk.push((k.to_vec(), rid));
+                chunk.len() < page_size
+            })?;
             for (key, rid) in chunk {
                 after = Some(key.clone());
                 let Some(row) = self.joined(db, &tables, rid)? else {
@@ -677,7 +695,7 @@ impl IndexPages {
             if page.len() == page_size {
                 break;
             }
-            if exhausted_chunk {
+            if ended {
                 at_end = true;
                 break;
             }

@@ -426,6 +426,12 @@ fn keyed_world(children: usize, parents: usize) -> World {
          WHERE q.qid = c.cid AND c.pid = p.pid",
     )
     .unwrap();
+    // A single-table view that shows its driving key.
+    w.define_view(
+        "cv",
+        "RANGE OF c IS c RETRIEVE (c.cid, c.pid) WHERE c.v >= 1",
+    )
+    .unwrap();
     // A single-table view the updatability analysis refuses: the key is
     // left out and `n` is computed (from the key, so it orders like it).
     w.define_view(
@@ -442,9 +448,10 @@ enum Step {
     Next,
     Prev,
     Refresh,
-    /// A child pointing at `pid`: NULL when negative, dangling past the
-    /// parents.
+    /// A child `cid` pointing at `pid`: NULL when negative, dangling past
+    /// the parents.
     InsertChild {
+        cid: i64,
         pid: i64,
         v: i64,
     },
@@ -455,6 +462,11 @@ enum Step {
     MoveChild {
         cid: i64,
         pid: i64,
+    },
+    /// Move a child to another key (its place in key order changes).
+    RekeyChild {
+        cid: i64,
+        to: i64,
     },
     RenameParent {
         pid: i64,
@@ -482,9 +494,14 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         Just(Step::Next),
         Just(Step::Prev),
         Just(Step::Refresh),
-        ((-1i64..10), (0i64..4)).prop_map(|(pid, v)| Step::InsertChild { pid, v }),
+        ((-6i64..48), (-1i64..10), (0i64..4)).prop_map(|(cid, pid, v)| Step::InsertChild {
+            cid,
+            pid,
+            v
+        }),
         (0i64..40).prop_map(|cid| Step::DeleteChild { cid }),
         ((0i64..40), (-1i64..10)).prop_map(|(cid, pid)| Step::MoveChild { cid, pid }),
+        ((0i64..40), (-6i64..48)).prop_map(|(cid, to)| Step::RekeyChild { cid, to }),
         ((0i64..10), name).prop_map(|(pid, name)| Step::RenameParent { pid, name }),
         (0i64..10).prop_map(|pid| Step::DeleteParent { pid }),
         (0i64..10).prop_map(|pid| Step::InsertParent { pid }),
@@ -504,7 +521,7 @@ fn int(v: &Value) -> i64 {
 /// would land under a window that has not refreshed yet, and return the
 /// delta it made. Writes that would break a key (or find no row) are
 /// skipped.
-fn write(w: &mut World, step: &Step, next_cid: &mut i64) -> Option<BaseDelta> {
+fn write(w: &mut World, step: &Step) -> Option<BaseDelta> {
     let db = w.db_mut();
     let pid_value = |pid: i64| match pid < 0 {
         true => Value::Null,
@@ -521,9 +538,9 @@ fn write(w: &mut World, step: &Step, next_cid: &mut i64) -> Option<BaseDelta> {
         db.get_row(id, rid).unwrap().unwrap()
     };
     let (table, rid, row) = match *step {
-        Step::InsertChild { pid, v } => {
-            *next_cid += 1;
-            let row = vec![Value::Int(*next_cid - 1), pid_value(pid), Value::Int(v)];
+        Step::InsertChild { cid, pid, v } => {
+            rid_of(db, "pk_c", cid).is_none().then_some(())?;
+            let row = vec![Value::Int(cid), pid_value(pid), Value::Int(v)];
             ("c", None, Some(row))
         }
         Step::DeleteChild { cid } => ("c", Some(rid_of(db, "pk_c", cid)?), None),
@@ -531,6 +548,13 @@ fn write(w: &mut World, step: &Step, next_cid: &mut i64) -> Option<BaseDelta> {
             let rid = rid_of(db, "pk_c", cid)?;
             let mut row = row_of(db, "c", rid).values;
             row[1] = pid_value(pid);
+            ("c", Some(rid), Some(row))
+        }
+        Step::RekeyChild { cid, to } => {
+            rid_of(db, "pk_c", to).is_none().then_some(())?;
+            let rid = rid_of(db, "pk_c", cid)?;
+            let mut row = row_of(db, "c", rid).values;
+            row[0] = Value::Int(to);
             ("c", Some(rid), Some(row))
         }
         Step::RenameParent { pid, name } => {
@@ -652,14 +676,17 @@ proptest! {
     /// Keyed pages, forward and back, with or without a query-by-form
     /// restriction, show exactly the query path's rows in driving-key
     /// order, while children, parents and 1:1 rows are inserted, deleted,
-    /// re-pointed (dangling or NULL) and renamed between page turns. The
-    /// join views see those writes at their next page turn; the refused
-    /// single-table view `cn` takes each one as a delta splice, as a
-    /// watching window does, and must never need a re-query for it.
+    /// re-pointed (dangling or NULL), re-keyed and renamed between page
+    /// turns. A restriction on the first column is a key range on `cv`
+    /// and `cp`, whose pages seek, and a filter on `cqp` (driven by `q`)
+    /// and `cn` (computed); writes land below, inside and above it. The
+    /// join views see those writes at their next page turn; the
+    /// single-table views take each one as a delta splice, as a watching
+    /// window does, and must never need a re-query for it.
     #[test]
     fn keyed_pages_match_the_query_path(
-        view in prop_oneof![Just("cp"), Just("cqp"), Just("cn")],
-        restrict in 0usize..3,
+        view in prop_oneof![Just("cv"), Just("cp"), Just("cqp"), Just("cn")],
+        restrict in prop_oneof![1 => Just(None), 5 => (0usize..6, 0i64..30, 0i64..12).prop_map(Some)],
         n in 2usize..6,
         steps in proptest::collection::vec(step_strategy(), 10..40),
     ) {
@@ -668,24 +695,27 @@ proptest! {
             w.db_mut().insert("q", vec![Value::Int(qid), Value::Int(qid % 5)]).unwrap();
         }
         let keyed = analyze_keyed(w.db(), w.views(), view).unwrap().expect("keyed");
-        let spliced = view == "cn";
-        let (first, other) = match spliced {
-            true => (("n", 100), ("pid", Value::Int(3))),
-            false => (("cid", 10), ("name", Value::text("b"))),
+        let spliced = view == "cn" || view == "cv";
+        // `n` is ten times the key it is computed from.
+        let ((first, scale), other) = match view {
+            "cn" => (("n", 10), ("pid", Value::Int(3))),
+            "cv" => (("cid", 1), ("pid", Value::Int(3))),
+            _ => (("cid", 1), ("name", Value::text("b"))),
         };
-        let pred = match restrict {
-            0 => None,
-            1 => Some(Expr::Binary {
-                op: BinOp::Eq,
-                left: Box::new(Expr::ColumnRef(other.0.into())),
-                right: Box::new(Expr::Literal(other.1)),
-            }),
-            _ => Some(Expr::Binary {
-                op: BinOp::Ge,
-                left: Box::new(Expr::ColumnRef(first.0.into())),
-                right: Box::new(Expr::Literal(Value::Int(first.1))),
-            }),
+        let cmp = |op, col: &str, v: Value| Expr::Binary {
+            op,
+            left: Box::new(Expr::ColumnRef(col.into())),
+            right: Box::new(Expr::Literal(v)),
         };
+        let key = |op, k: i64| cmp(op, first, Value::Int(k * scale));
+        let pred = restrict.map(|(kind, k, d)| match kind {
+            0 => cmp(BinOp::Eq, other.0, other.1.clone()),
+            1 => key(BinOp::Ge, k),
+            2 => key(BinOp::Gt, k),
+            3 => key(BinOp::Eq, k),
+            4 => key(BinOp::Le, k),
+            _ => Expr::and(key(BinOp::Ge, k), key(BinOp::Le, k + d)),
+        });
         let extension = |w: &mut World| {
             let query = ViewQuery { pred: pred.clone(), ..ViewQuery::default() };
             let (db, vc) = w.db_and_views();
@@ -696,7 +726,6 @@ proptest! {
         let mut c = BrowseCursor::keyed(w.db_mut(), keyed, n, pred.clone()).unwrap();
         let ext = extension(&mut w);
         let mut model = PageModel::open(&ext, n);
-        let mut next_cid = 100;
         for (i, step) in steps.iter().enumerate() {
             let ext = extension(&mut w);
             match step {
@@ -715,7 +744,7 @@ proptest! {
                     model.refresh(&ext);
                 }
                 write_step => {
-                    let delta = write(&mut w, write_step, &mut next_cid);
+                    let delta = write(&mut w, write_step);
                     let (Some(delta), true) = (delta, spliced) else {
                         continue;
                     };
@@ -761,6 +790,71 @@ fn a_keyed_page_costs_a_page_at_any_depth() {
             assert!(probes <= 2 * n as u64, "page {page}: {probes} probes");
             let first = c.current_row().unwrap().1.values[0].clone();
             assert_eq!(first, Value::Int((page * n) as i64), "driving-key order");
+        }
+    }
+}
+
+/// A query-by-form restriction on the driving key is a seek: a window
+/// opened on `>=`, `>`, `=` or `lo..hi` costs the same few index probes
+/// and no scan whether its first row is the 10th or the 49 000th, and an
+/// `=` window knows from its first page that no page follows.
+#[test]
+fn a_qbf_jump_costs_a_page_at_any_rank() {
+    let mut w = keyed_world(50_000, 1_000);
+    w.define_view("child_vs", "RANGE OF c IS c RETRIEVE (c.cid, c.v)")
+        .unwrap();
+    w.define_view(
+        "child_names",
+        "RANGE OF c IS c RANGE OF p IS p RETRIEVE (c.cid, p.name) WHERE c.pid = p.pid",
+    )
+    .unwrap();
+    let n = 16;
+    let key = |op, k: i64| Expr::Binary {
+        op,
+        left: Box::new(Expr::ColumnRef("cid".into())),
+        right: Box::new(Expr::Literal(Value::Int(k))),
+    };
+    for view in ["child_vs", "child_names"] {
+        let keyed = analyze_keyed(w.db(), w.views(), view)
+            .unwrap()
+            .expect("keyed");
+        for jump in [">=", ">", "=", "lo..hi"] {
+            let mut costs = Vec::new();
+            for rank in [10, 10_000, 49_000] {
+                let (pred, first, last) = match jump {
+                    ">=" => (key(BinOp::Ge, rank), rank, None),
+                    ">" => (key(BinOp::Gt, rank), rank + 1, None),
+                    "=" => (key(BinOp::Eq, rank), rank, Some(rank)),
+                    _ => (
+                        Expr::and(key(BinOp::Ge, rank), key(BinOp::Le, rank + 40)),
+                        rank,
+                        Some(rank + 40),
+                    ),
+                };
+                let before = w.db().counters();
+                let mut c = BrowseCursor::keyed(w.db_mut(), keyed.clone(), n, Some(pred)).unwrap();
+                let after = w.db().counters();
+                let at = format!("{view} {jump} {rank}");
+                assert_eq!(after.rows_scanned, before.rows_scanned, "{at}");
+                let probes = after.index_probes - before.index_probes;
+                assert!(probes <= 2 * n as u64 + 1, "{at}: {probes} probes");
+                costs.push(probes);
+                let row = c.current_row().unwrap().1;
+                assert_eq!(row.values[0], Value::Int(first), "{at}");
+                if jump == "=" {
+                    assert_eq!(c.page_rows().len(), 1, "{at}");
+                    assert!(!c.next_page(w.db_mut()).unwrap(), "{at}");
+                    assert_eq!(w.db().counters().index_probes, after.index_probes, "{at}");
+                }
+                if let Some(last) = last {
+                    let keys = drain_keys(&mut c, &mut w);
+                    assert_eq!(keys, (first..=last).collect::<Vec<_>>(), "{at}");
+                }
+            }
+            assert!(
+                costs.iter().all(|&p| p == costs[0]),
+                "{view} {jump}: {costs:?}"
+            );
         }
     }
 }

@@ -7,11 +7,13 @@
 
 use crate::catalog::{Catalog, IndexInfo, TableId, TableInfo};
 use crate::error::{RelError, RelResult};
+use crate::exec::KeyBound;
 use crate::schema::Schema;
 use crate::stats::StatsRegistry;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 use wow_storage::btree::BTree;
 use wow_storage::heap::HeapFile;
@@ -609,28 +611,63 @@ impl Database {
 
     /// Fetch one *page* of index entries in key order, starting strictly
     /// after `after` (pass `None` to start at the beginning). Returns up to
-    /// `limit` `(key, rid)` pairs. This is the incremental access path that
-    /// browse cursors page through — cost is proportional to the page, not
-    /// the relation.
+    /// `limit` `(key, rid)` pairs: an unbounded [`Database::index_walk`],
+    /// whose cost is proportional to the page, not the relation.
     pub fn index_scan_page(
         &mut self,
         index: &str,
         after: Option<&[u8]>,
         limit: usize,
     ) -> RelResult<Vec<(Vec<u8>, Rid)>> {
-        self.catalog.index(index)?;
-        let tree = self.indexes.get(index).expect("handle exists");
-        self.counters.index_probes += 1;
         let mut out = Vec::with_capacity(limit);
-        let lower = match after {
-            Some(k) => std::ops::Bound::Excluded(k),
-            None => std::ops::Bound::Unbounded,
-        };
-        tree.range_scan(&self.store, lower, std::ops::Bound::Unbounded, |k, rid| {
+        self.index_walk(index, None, None, after, |k, rid| {
             out.push((k.to_vec(), rid));
             out.len() < limit
         })?;
         Ok(out)
+    }
+
+    /// Walk `index` from `lower` (or strictly after `after`, when later)
+    /// to `upper` in key order, handing each `(key, rid)` to `visit` until
+    /// it returns `false`; a bound covers every key it prefixes. Returns
+    /// whether the walk reached the end of the range: the first key past
+    /// it stops the walk. Range scans and browse pages both walk here.
+    pub fn index_walk(
+        &mut self,
+        index: &str,
+        lower: Option<&KeyBound>,
+        upper: Option<&KeyBound>,
+        after: Option<&[u8]>,
+        mut visit: impl FnMut(&[u8], Rid) -> bool,
+    ) -> RelResult<bool> {
+        self.catalog.index(index)?;
+        let encode = |b: &KeyBound| (Value::encode_composite(&b.values), b.inclusive);
+        let lower = lower.map(encode);
+        let upper = upper.map(encode);
+        let seek = match (after, &lower) {
+            (Some(a), l) if l.as_ref().is_none_or(|(l, _)| a >= l.as_slice()) => Bound::Excluded(a),
+            (_, Some((l, _))) => Bound::Included(l.as_slice()),
+            _ => Bound::Unbounded,
+        };
+        self.counters.index_probes += 1;
+        let tree = self.indexes.get(index).expect("handle exists");
+        let mut ended = true;
+        tree.range_scan(&self.store, seek, Bound::Unbounded, |key, rid| {
+            if let Some((l, false)) = &lower {
+                if key.starts_with(l) {
+                    return true;
+                }
+            }
+            if let Some((u, inclusive)) = &upper {
+                let prefixed = key.starts_with(u);
+                if (prefixed && !inclusive) || (!prefixed && key > u.as_slice()) {
+                    return false;
+                }
+            }
+            ended = visit(key, rid);
+            ended
+        })?;
+        Ok(ended)
     }
 
     // -- Transactions ----------------------------------------------------------

@@ -37,7 +37,6 @@ use crate::expr::Expr;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::ops::Bound;
 
 /// A materialized result: schema plus tuples.
 #[derive(Debug, Clone, PartialEq)]
@@ -619,33 +618,8 @@ pub(crate) fn range_rids(
     lower: Option<&KeyBound>,
     upper: Option<&KeyBound>,
 ) -> RelResult<Vec<wow_storage::Rid>> {
-    db.catalog().index(index)?;
-    let lower_key = lower.map(|b| Value::encode_composite(&b.values));
-    let upper_key = upper.map(|b| Value::encode_composite(&b.values));
-    let lower_incl = lower.map(|b| b.inclusive).unwrap_or(true);
-    let upper_incl = upper.map(|b| b.inclusive).unwrap_or(true);
-    db.counters.index_probes += 1;
     let mut rids = Vec::new();
-    let tree = db.indexes.get(index).expect("handle exists");
-    let lb: Bound<&[u8]> = match &lower_key {
-        Some(k) => Bound::Included(k.as_slice()),
-        None => Bound::Unbounded,
-    };
-    tree.range_scan(&db.store, lb, Bound::Unbounded, |ek, rid| {
-        if let Some(lk) = &lower_key {
-            if !lower_incl && ek.starts_with(lk) {
-                return true; // skip the excluded lower key, keep going
-            }
-        }
-        if let Some(uk) = &upper_key {
-            let is_prefix = ek.starts_with(uk.as_slice());
-            if is_prefix && !upper_incl {
-                return false;
-            }
-            if !is_prefix && ek > uk.as_slice() {
-                return false;
-            }
-        }
+    db.index_walk(index, lower, upper, None, |_, rid| {
         rids.push(rid);
         true
     })?;

@@ -27,6 +27,7 @@ use crate::quel::ast::Target;
 use crate::schema::Schema;
 use crate::stats::{TableStats, DEFAULT_RANGE_SELECTIVITY};
 use crate::value::Value;
+use std::cmp::Ordering;
 
 /// Range selectivity above which a sequential scan beats an index range
 /// scan (random fetches per match vs one pass); the classical few-percent
@@ -464,20 +465,13 @@ pub(crate) fn build_access_path(
     let schema = info.schema.qualified(alias);
     let stats = db_stats(db, &info);
     let base_rows = stats.rows.max(1) as f64;
-    let sargs: Vec<(usize, Sarg)> = conjuncts
-        .iter()
-        .enumerate()
-        .filter_map(|(ci, conj)| Some((ci, as_sarg(conj, &schema)?)))
-        .collect();
 
     // An equality on an indexed column is a probe.
-    let eq_pick = sargs
-        .iter()
-        .filter(|(_, sarg)| sarg.op == BinOp::Eq)
-        .find_map(|(ci, sarg)| {
-            let idx = db.catalog().index_on_column(info.id, sarg.col)?;
-            Some((*ci, sarg.col, idx.name.clone(), sarg.key.clone()))
-        });
+    let eq_pick = conjuncts.iter().enumerate().find_map(|(ci, conj)| {
+        let sarg = as_sarg(conj, &schema).filter(|s| s.op == BinOp::Eq)?;
+        let idx = db.catalog().index_on_column(info.id, sarg.col)?;
+        Some((ci, sarg.col, idx.name.clone(), sarg.key))
+    });
     if let Some((ci, col, index, value)) = eq_pick {
         let residual = residual_pred(&conjuncts, &[ci], &schema)?;
         let est = base_rows * stats.eq_selectivity(col);
@@ -496,53 +490,15 @@ pub(crate) fn build_access_path(
     }
 
     // Range candidate: the bounds on the first indexed column that has any.
-    let mut range_pick: Option<RangePick> = None;
-    for col in 0..schema.len() {
-        let Some(idx) = db.catalog().index_on_column(info.id, col) else {
-            continue;
-        };
-        let mut lower: Option<KeyBound> = None;
-        let mut upper: Option<KeyBound> = None;
-        let mut used: Vec<usize> = Vec::new();
-        for (ci, sarg) in sargs.iter().filter(|(_, s)| s.col == col) {
-            match sarg.op {
-                BinOp::Gt | BinOp::Ge => {
-                    let cand = KeyBound {
-                        values: vec![sarg.key.clone()],
-                        inclusive: sarg.op == BinOp::Ge,
-                    };
-                    if tighter_lower(&lower, &cand) {
-                        lower = Some(cand);
-                    }
-                    used.push(*ci);
-                }
-                BinOp::Lt | BinOp::Le => {
-                    let cand = KeyBound {
-                        values: vec![sarg.key.clone()],
-                        inclusive: sarg.op == BinOp::Le,
-                    };
-                    if tighter_upper(&upper, &cand) {
-                        upper = Some(cand);
-                    }
-                    used.push(*ci);
-                }
-                _ => {}
-            }
-        }
-        if lower.is_some() || upper.is_some() {
-            range_pick = Some(RangePick {
-                index: idx.name.clone(),
-                lower,
-                upper,
-                used,
-            });
-            break;
-        }
-    }
-    if let Some(pick) = range_pick {
+    let range_pick = (0..schema.len()).find_map(|col| {
+        let idx = db.catalog().index_on_column(info.id, col)?;
+        let (lower, upper, used) = key_range(&conjuncts, &schema, col);
+        (lower.is_some() || upper.is_some()).then(|| (idx.name.clone(), lower, upper, used))
+    });
+    if let Some((index, lower, upper, used)) = range_pick {
         // Estimate selectivity; fall back to a seq scan when the range is
         // too wide to be worth random fetches.
-        let sel = if pick.lower.is_some() && pick.upper.is_some() {
+        let sel = if lower.is_some() && upper.is_some() {
             // Two-sided ranges are assumed independent one-sided cuts — the
             // System R default in the absence of histograms.
             DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY
@@ -550,15 +506,15 @@ pub(crate) fn build_access_path(
             DEFAULT_RANGE_SELECTIVITY
         };
         if sel <= INDEX_RANGE_MAX_SELECTIVITY || base_rows < 256.0 {
-            let residual = residual_pred(&conjuncts, &pick.used, &schema)?;
+            let residual = residual_pred(&conjuncts, &used, &schema)?;
             let est = (base_rows * sel).max(1.0);
             return Ok(PlanPart {
                 plan: PhysicalPlan::IndexRange {
                     table: table.to_string(),
                     alias: alias.to_string(),
-                    index: pick.index,
-                    lower: pick.lower,
-                    upper: pick.upper,
+                    index,
+                    lower,
+                    upper,
                     residual,
                 },
                 schema,
@@ -630,24 +586,50 @@ fn conjunct_selectivity(conj: &Expr, schema: &Schema, stats: &TableStats) -> Opt
     })
 }
 
-struct RangePick {
-    index: String,
-    lower: Option<KeyBound>,
-    upper: Option<KeyBound>,
-    used: Vec<usize>,
-}
-
-fn tighter_lower(current: &Option<KeyBound>, cand: &KeyBound) -> bool {
-    match current {
-        None => true,
-        Some(c) => cand.values[0].total_cmp(&c.values[0]) == std::cmp::Ordering::Greater,
+/// The key range that the bound `col op const` conjuncts on column `col`
+/// of `schema` allow: the tightest lower and upper bound (an equality is
+/// both) and the positions of the conjuncts that the range consumes. At
+/// equal values the exclusive bound is the tighter one. Index range scans
+/// and a browse window's seek take their bounds from here.
+pub fn key_range(
+    conjuncts: &[Expr],
+    schema: &Schema,
+    col: usize,
+) -> (Option<KeyBound>, Option<KeyBound>, Vec<usize>) {
+    let (mut lower, mut upper, mut used) = (None, None, Vec::new());
+    for (ci, conj) in conjuncts.iter().enumerate() {
+        let Some(sarg) = as_sarg(conj, schema).filter(|s| s.col == col) else {
+            continue;
+        };
+        let bound = |inclusive| KeyBound {
+            values: vec![sarg.key.clone()],
+            inclusive,
+        };
+        let (lo, hi) = match sarg.op {
+            BinOp::Gt | BinOp::Ge => (Some(bound(sarg.op == BinOp::Ge)), None),
+            BinOp::Lt | BinOp::Le => (None, Some(bound(sarg.op == BinOp::Le))),
+            BinOp::Eq => (Some(bound(true)), Some(bound(true))),
+            _ => continue,
+        };
+        tighten(&mut lower, lo, Ordering::Greater);
+        tighten(&mut upper, hi, Ordering::Less);
+        used.push(ci);
     }
+    (lower, upper, used)
 }
 
-fn tighter_upper(current: &Option<KeyBound>, cand: &KeyBound) -> bool {
-    match current {
-        None => true,
-        Some(c) => cand.values[0].total_cmp(&c.values[0]) == std::cmp::Ordering::Less,
+/// Keep the bound that cuts further in direction `tighter`; at equal
+/// values an exclusive bound cuts further than an inclusive one.
+fn tighten(bound: &mut Option<KeyBound>, cand: Option<KeyBound>, tighter: Ordering) {
+    let Some(cand) = cand else { return };
+    let cuts = bound
+        .as_ref()
+        .is_none_or(|b| match cand.values[0].total_cmp(&b.values[0]) {
+            Ordering::Equal => b.inclusive && !cand.inclusive,
+            ord => ord == tighter,
+        });
+    if cuts {
+        *bound = Some(cand);
     }
 }
 

@@ -169,6 +169,10 @@ enum Conj {
     ATagLike(String),
     BXCmp(BinOp, i64),
     BIdCmp(BinOp, Value),
+    /// Two bounds on one column with one literal of its type, `a.col op1
+    /// v AND a.col op2 v`: an inclusive and an exclusive bound on the
+    /// same side, in either order.
+    ABoundPair(ACol, BinOp, BinOp, Value),
     JoinAxBx,
     JoinAidBid,
     AXIsNullTest(bool),
@@ -189,6 +193,10 @@ impl Conj {
             },
             Conj::BXCmp(op, v) => cmp(*op, col("b.x"), lit(&Value::Int(*v))),
             Conj::BIdCmp(op, v) => cmp(*op, col("b.id"), lit(v)),
+            Conj::ABoundPair(c, op1, op2, v) => Expr::and(
+                cmp(*op1, col(c.name()), lit(v)),
+                cmp(*op2, col(c.name()), lit(v)),
+            ),
             Conj::JoinAxBx => cmp(BinOp::Eq, col("a.x"), col("b.x")),
             Conj::JoinAidBid => cmp(BinOp::Eq, col("a.id"), col("b.id")),
             Conj::AXIsNullTest(negated) => {
@@ -216,7 +224,9 @@ impl Conj {
     /// conjunct must be refused.
     fn bound_literal(&self) -> Option<Option<Value>> {
         match self {
-            Conj::ACmp(c, _, v) | Conj::ACmpFlipped(c, _, v) => Some(coerce(v, c.ty())),
+            Conj::ACmp(c, _, v) | Conj::ACmpFlipped(c, _, v) | Conj::ABoundPair(c, _, _, v) => {
+                Some(coerce(v, c.ty()))
+            }
             Conj::BIdCmp(_, v) => Some(coerce(v, DataType::Int)),
             _ => None,
         }
@@ -242,6 +252,10 @@ impl Conj {
         match self {
             Conj::ACmp(c, op, _) | Conj::ACmpFlipped(c, op, _) => {
                 holds(*op, order(&c.value(row), &lit()))
+            }
+            Conj::ABoundPair(c, op1, op2, _) => {
+                let ord = order(&c.value(row), &lit());
+                holds(*op1, ord) && holds(*op2, ord)
             }
             Conj::AColCol(l, op, r) => holds(*op, order(&l.value(row), &r.value(row))),
             Conj::ATagLike(p) => glob_match(p, row.1),
@@ -326,6 +340,16 @@ fn cmp_op() -> impl Strategy<Value = BinOp> {
     ]
 }
 
+/// An inclusive and an exclusive bound on the same side, in either order.
+fn bound_pair() -> impl Strategy<Value = (BinOp, BinOp)> {
+    prop_oneof![
+        Just((BinOp::Ge, BinOp::Gt)),
+        Just((BinOp::Gt, BinOp::Ge)),
+        Just((BinOp::Le, BinOp::Lt)),
+        Just((BinOp::Lt, BinOp::Le)),
+    ]
+}
+
 fn a_col() -> impl Strategy<Value = ACol> {
     prop_oneof![
         Just(ACol::X),
@@ -359,6 +383,8 @@ fn conj_strategy() -> impl Strategy<Value = Conj> {
         6 => a_cmp().prop_map(|(c, op, v)| Conj::ACmp(c, op, v)),
         2 => a_cmp().prop_map(|(c, op, v)| Conj::ACmpFlipped(c, op, v)),
         1 => (a_col(), cmp_op(), a_col()).prop_map(|(l, op, r)| Conj::AColCol(l, op, r)),
+        2 => (a_col(), bound_pair(), 0..360i64)
+            .prop_map(|(c, (op1, op2), seed)| Conj::ABoundPair(c, op1, op2, literal(c.ty(), seed))),
         1 => prop_oneof![Just("r*"), Just("*e"), Just("b?ue"), Just("*")]
             .prop_map(|p| Conj::ATagLike(p.to_string())),
         1 => (cmp_op(), -2i64..8).prop_map(|(op, v)| Conj::BXCmp(op, v)),

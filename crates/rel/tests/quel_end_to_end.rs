@@ -704,3 +704,31 @@ fn a_replace_that_moves_rows_along_its_index_updates_each_once() {
         assert_eq!(*id, k + 1, "row {k} must move exactly once");
     }
 }
+
+#[test]
+fn an_exclusive_bound_beats_an_inclusive_one_at_the_same_value() {
+    let mut db = Database::in_memory();
+    db.run("CREATE TABLE t (id INT KEY) RANGE OF x IS t")
+        .unwrap();
+    for id in 1..=10 {
+        db.insert("t", vec![Value::Int(id)]).unwrap();
+    }
+    // Both conjuncts are consumed by the range scan, so a bound that kept
+    // the inclusive side would leave no residual to drop the row at 5.
+    for (pred, lo, hi) in [
+        ("x.id >= 5 AND x.id > 5", 6, 10),
+        ("x.id > 5 AND x.id >= 5", 6, 10),
+        ("x.id <= 5 AND x.id < 5", 1, 4),
+        ("x.id < 5 AND x.id <= 5", 1, 4),
+        ("x.id >= 5 AND x.id <= 5 AND x.id < 6", 5, 5),
+    ] {
+        let query = format!("RETRIEVE (x.id) WHERE {pred} SORT BY x.id");
+        assert!(
+            explain(&mut db, &query).contains("IndexRange t AS x"),
+            "{pred}"
+        );
+        let rows = db.run(&query).unwrap();
+        let got: Vec<Value> = rows.tuples.iter().map(|t| t.values[0].clone()).collect();
+        assert_eq!(got, (lo..=hi).map(Value::Int).collect::<Vec<_>>(), "{pred}");
+    }
+}

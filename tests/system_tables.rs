@@ -11,6 +11,17 @@ use wow::core::locks::LockMode;
 use wow::core::world::World;
 use wow::rel::value::Value;
 
+/// Every system-table sync writes the process-wide metrics registry, so
+/// a test that reads a gauge back (`world.commits`) would otherwise see
+/// another test's world exported between its sync and its query. The
+/// tests in this file run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn emp_world() -> World {
     let mut w = World::new(WorldConfig::default());
     w.db_mut()
@@ -44,6 +55,7 @@ fn gauge(w: &mut World, metric: &str) -> Option<i64> {
 
 #[test]
 fn metrics_window_is_browsable_and_read_only() {
+    let _serial = serial();
     let mut w = emp_world();
     let s = w.open_session();
     let win = w.open_window(s, "__wow_metrics", None).unwrap();
@@ -66,6 +78,7 @@ fn metrics_window_is_browsable_and_read_only() {
 
 #[test]
 fn commit_through_user_window_shows_up_on_metrics_refresh() {
+    let _serial = serial();
     let mut w = emp_world();
     let s = w.open_session();
     let editor = w.open_window(s, "emps", None).unwrap();
@@ -90,6 +103,7 @@ fn commit_through_user_window_shows_up_on_metrics_refresh() {
 
 #[test]
 fn windows_and_locks_views_reflect_live_state() {
+    let _serial = serial();
     let mut w = emp_world();
     let s = w.open_session();
     let _user = w.open_window(s, "emps", None).unwrap();
@@ -119,6 +133,7 @@ fn windows_and_locks_views_reflect_live_state() {
 /// two page sources.
 #[test]
 fn windows_view_counts_snapshot_windows() {
+    let _serial = serial();
     let mut w = emp_world();
     w.define_view(
         "payroll",
@@ -145,6 +160,7 @@ fn windows_view_counts_snapshot_windows() {
 
 #[test]
 fn tracer_ring_and_lock_manager_do_not_deadlock() {
+    let _serial = serial();
     // The lock manager records a LockAcquire span on every grant/conflict;
     // recording takes the tracer's ring mutex. If that ever nested inside a
     // table-lock wait (or vice versa) this test would hang: half the
@@ -203,6 +219,7 @@ fn tracer_ring_and_lock_manager_do_not_deadlock() {
 /// `__sys_windows` before its `source` column).
 #[test]
 fn system_windows_open_after_a_durable_reopen() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("wow-sys-reopen-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
