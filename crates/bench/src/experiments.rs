@@ -142,9 +142,8 @@ pub fn table2_browse(scale: Scale) -> Table {
         let mut world = student_world(n);
         let upd = analyze(world.db(), world.views(), "students").unwrap();
         // Incremental.
-        let (open_ix, mut cursor) = time_once(|| {
-            BrowseCursor::indexed(world.db_mut(), &upd, "pk_student", 16, None).unwrap()
-        });
+        let (open_ix, mut cursor) =
+            time_once(|| BrowseCursor::keyed(world.db_mut(), upd.clone(), 16, None).unwrap());
         let page_ix = {
             let mut total = Duration::ZERO;
             let pages = 8;

@@ -7,11 +7,12 @@
 //! where a page comes from (the Table 2 comparison):
 //!
 //! * **Index** — a seek into the driving table's primary-key B+tree just
-//!   past the key that ended the page before. A keyed join view
-//!   ([`wow_views::keyed`]) joins each driving row by one primary-key probe
-//!   per other range, dropping it when a probe finds nothing or meets NULL
-//!   (an inner join); a single-table view over a keyed table, updatable or
-//!   not, is the zero-probe case. A page costs a page of entries and
+//!   past the key that ended the page before, for a keyed view
+//!   ([`wow_views::keyed`]). A keyed join view joins each driving row by
+//!   one primary-key probe per other range, dropping it when a probe finds
+//!   nothing or meets NULL (an inner join); a single-table view over a
+//!   keyed table, updatable or not, is the zero-probe case, and its rows
+//!   carry the base rids writes need. A page costs a page of entries and
 //!   probes at any depth. A keyed view's one documented order is
 //!   driving-key order: `transcript` reads in `eid` order,
 //!   `shipment_detail` in `spid` order. A query-by-form restriction that
@@ -24,8 +25,10 @@
 //!   a page being a slice of it, refilled by re-running the view on
 //!   refresh. Sorted and system windows read it, and so does every view
 //!   with no key to walk: aggregates, grouping, DISTINCT, joins that do not
-//!   preserve a key and views whose ranges lack a primary-key index. The
-//!   only source that knows the row count.
+//!   preserve a key and views whose ranges lack a primary-key index. Over
+//!   an updatable view it reads the base table through the keyed view's
+//!   writes, so its rows carry rids too. The only source that knows the
+//!   row count.
 //!
 //! [`BrowseCursor::open`] is the one place a source is chosen. Whatever the
 //! source, PageDown/PageUp land on the first row of the new page, a
@@ -39,67 +42,24 @@ use crate::world::CursorStrategy;
 use std::cmp::Ordering;
 use wow_rel::bind::bind_pred;
 use wow_rel::db::Database;
+use wow_rel::error::RelError;
 use wow_rel::eval::{eval, eval_pred};
 use wow_rel::exec::sort::compare;
 use wow_rel::exec::KeyBound;
 use wow_rel::expr::Expr;
 use wow_rel::plan::optimizer::key_range;
 use wow_rel::quel::ast::SortKey;
-use wow_rel::schema::{Column, Schema};
 use wow_rel::tuple::Tuple;
 use wow_storage::Rid;
 use wow_views::delta::{DeltaRow, ViewDelta};
 use wow_views::expand::{run_view_query, ViewQuery};
 use wow_views::keyed::Keyed;
 use wow_views::translate::view_rows_with_rids;
-use wow_views::updatable::Updatability;
 use wow_views::ViewCatalog;
 
-/// One browse row: the view-shaped tuple plus (for updatable views) the
-/// base rid behind it.
+/// One browse row: the view-shaped tuple plus (for single-table keyed
+/// views) the base rid behind it.
 pub type BrowseRow = (Option<Rid>, Tuple);
-
-/// The view-shaped schema an updatable view presents (bare column names).
-pub fn view_schema_of(db: &Database, upd: &Updatability) -> WowResult<Schema> {
-    let info = db.catalog().table(&upd.base_table)?.clone();
-    let base = info.schema.qualified(&upd.base_alias);
-    let mut columns = Vec::with_capacity(upd.column_names.len());
-    for (name, expr) in upd.column_names.iter().zip(&upd.target_exprs) {
-        let ty = wow_rel::bind::column_type(expr, &base)?;
-        let nullable = match upd.column_map[columns.len()] {
-            Some(bcol) => info.schema.column(bcol).nullable,
-            None => true,
-        };
-        columns.push(Column {
-            name: name.clone(),
-            ty,
-            nullable,
-        });
-    }
-    Ok(Schema::new(columns))
-}
-
-/// What open-time analysis proved about a view, which decides how its
-/// cursor may read it.
-#[derive(Debug, Clone)]
-pub enum Access {
-    /// Updatable: rows carry base rids, so edits find their rows.
-    Updatable(Updatability),
-    /// Read-only but keyed: pages walk the driving key.
-    Keyed(Keyed),
-    /// Neither: the window holds a Snapshot.
-    ReadOnly,
-}
-
-impl Access {
-    /// The updatability proof, when the view is updatable.
-    pub fn updatable(&self) -> Option<&Updatability> {
-        match self {
-            Access::Updatable(u) => Some(u),
-            _ => None,
-        }
-    }
-}
 
 /// One displayed row.
 #[derive(Debug)]
@@ -131,6 +91,8 @@ enum Source {
 #[derive(Debug)]
 struct IndexPages {
     walk: Keyed,
+    /// The driving table's primary-key index.
+    index: String,
     /// The driving-key range the window's restriction allows.
     lower: Option<KeyBound>,
     upper: Option<KeyBound>,
@@ -144,9 +106,9 @@ struct IndexPages {
 struct Snapshot {
     view: String,
     query: ViewQuery,
-    /// With an updatability proof rows carry base rids, so edits and delta
+    /// A keyed view with writes: rows carry base rids, so edits and delta
     /// patches can find them; without one the window is read-only.
-    upd: Option<Updatability>,
+    writes: Option<Keyed>,
     /// `query.sort` resolved over the view row (updatable views sort here;
     /// the others sort in their query).
     sort: Vec<(usize, bool)>,
@@ -173,72 +135,46 @@ pub struct BrowseCursor {
 
 impl BrowseCursor {
     /// Build a window's cursor — the one place a page source is chosen.
-    /// Unsorted under [`CursorStrategy::Auto`], an updatable view pages
-    /// through `pk_<base table>` when it has one and a keyed read-only view
-    /// through its driving table's primary key; everything else gets a
-    /// Snapshot.
+    /// Unsorted under [`CursorStrategy::Auto`], a keyed view with a
+    /// primary-key index pages through it; everything else gets a Snapshot,
+    /// whose rows carry rids when the keyed view writes.
     pub fn open(
         db: &mut Database,
         vc: &ViewCatalog,
         view: &str,
-        access: &Access,
+        keyed: Option<&Keyed>,
         query: &ViewQuery,
         strategy: CursorStrategy,
         page_size: usize,
     ) -> WowResult<BrowseCursor> {
         let incremental = strategy == CursorStrategy::Auto && query.sort.is_empty();
-        let pred = query.pred.clone();
-        match access {
-            Access::Updatable(u) if incremental => {
-                let pk = format!("pk_{}", u.base_table);
-                if db.catalog().index(&pk).is_ok() {
-                    return Self::indexed(db, u, &pk, page_size, pred);
-                }
+        match keyed {
+            Some(k) if incremental && k.index.is_some() => {
+                Self::keyed(db, k.clone(), page_size, query.pred.clone())
             }
-            Access::Keyed(k) if incremental => return Self::keyed(db, k.clone(), page_size, pred),
-            _ => {}
+            _ => {
+                let writes = keyed.filter(|k| k.writes.is_some());
+                Self::materialized(db, vc, view, query.clone(), writes, page_size)
+            }
         }
-        Self::materialized(db, vc, view, query.clone(), access.updatable(), page_size)
     }
 
-    /// An Index cursor over an updatable view, paging through `index` (the
-    /// base table's primary-key B+tree). `view_pred` is an extra restriction
-    /// over bare view columns (from QBF).
-    pub fn indexed(
-        db: &mut Database,
-        upd: &Updatability,
-        index: &str,
-        page_size: usize,
-        view_pred: Option<Expr>,
-    ) -> WowResult<BrowseCursor> {
-        let info = db.catalog().table(&upd.base_table)?;
-        let base = info.schema.qualified(&upd.base_alias);
-        let resolve = |e: &Expr| e.clone().resolve(&base);
-        let targets = upd.target_exprs.iter().map(resolve);
-        let walk = Keyed {
-            table: upd.base_table.clone(),
-            index: index.to_string(),
-            probes: Vec::new(),
-            pred: upd.base_pred.as_ref().map(resolve).transpose()?,
-            targets: targets.collect::<Result<_, _>>()?,
-            schema: view_schema_of(db, upd)?,
-        };
-        Self::keyed(db, walk, page_size, view_pred)
-    }
-
-    /// An Index cursor over a keyed view ([`wow_views::keyed`]), in
-    /// driving-key order. `view_pred` is an extra restriction over bare view
-    /// columns (from QBF); its bounds on the view column that shows the
-    /// driving index's leading column are the range the pages walk. Join
-    /// rows carry no base rid.
+    /// An Index cursor over a keyed view ([`wow_views::keyed`]) with a
+    /// primary-key index, in driving-key order. `view_pred` is an extra
+    /// restriction over bare view columns (from QBF); its bounds on the
+    /// view column that shows the driving index's leading column are the
+    /// range the pages walk. Join rows carry no base rid.
     pub fn keyed(
         db: &mut Database,
         walk: Keyed,
         page_size: usize,
         view_pred: Option<Expr>,
     ) -> WowResult<BrowseCursor> {
+        let Some(index) = walk.index.clone() else {
+            return Err(RelError::NoSuchIndex(format!("pk_{}", walk.table)).into());
+        };
         let bound = view_pred.map(|p| bind_pred(p, &walk.schema)).transpose()?;
-        let lead = Expr::Column(db.catalog().index(&walk.index)?.columns[0]);
+        let lead = Expr::Column(db.catalog().index(&index)?.columns[0]);
         let (lower, upper, _) = match (&bound, walk.targets.iter().position(|t| *t == lead)) {
             (Some(p), Some(col)) => key_range(&p.clone().split_conjuncts(), &walk.schema, col),
             _ => (None, None, Vec::new()),
@@ -246,6 +182,7 @@ impl BrowseCursor {
         let filter = bound.map(|p| p.resolve(&walk.schema)).transpose()?;
         let source = Source::Index(Box::new(IndexPages {
             walk,
+            index,
             lower,
             upper,
             starts: vec![None],
@@ -254,31 +191,29 @@ impl BrowseCursor {
     }
 
     /// A Snapshot cursor: the whole (optionally sorted) extension, paged
-    /// `page_size` rows at a time. With an [`Updatability`] proof the rows
-    /// carry base rids (edits allowed); without one the window is read-only.
+    /// `page_size` rows at a time. Given a keyed view with writes, the rows
+    /// carry base rids (edits allowed); without one the window is
+    /// read-only.
     pub fn materialized(
         db: &mut Database,
         vc: &ViewCatalog,
         view: &str,
         query: ViewQuery,
-        upd: Option<&Updatability>,
+        writes: Option<&Keyed>,
         page_size: usize,
     ) -> WowResult<BrowseCursor> {
-        let filter = resolve_filter(db, upd, query.pred.clone())?;
-        let sort = match upd {
-            Some(u) => {
-                let schema = view_schema_of(db, u)?;
-                let resolve = |k: &SortKey| -> WowResult<(usize, bool)> {
-                    Ok((schema.resolve(&k.column)?, k.ascending))
-                };
-                query.sort.iter().map(resolve).collect::<WowResult<_>>()?
-            }
-            None => Vec::new(),
-        };
+        // Without writes the view query itself filters and sorts.
+        let (mut filter, mut sort) = (None, Vec::new());
+        if let Some(k) = writes {
+            let bound = query.pred.clone().map(|p| bind_pred(p, &k.schema));
+            filter = bound.map(|p| p?.resolve(&k.schema)).transpose()?;
+            let resolve = |s: &SortKey| Ok((k.schema.resolve(&s.column)?, s.ascending));
+            sort = query.sort.iter().map(resolve).collect::<WowResult<_>>()?;
+        }
         let mut snap = Snapshot {
             view: view.to_string(),
             query,
-            upd: upd.cloned(),
+            writes: writes.cloned(),
             sort,
             rows: Vec::new(),
         };
@@ -430,7 +365,7 @@ impl BrowseCursor {
         let page_size = self.page_size;
         match &mut self.source {
             // A snapshot without rids has nothing to patch by.
-            Source::Snapshot(s) if s.upd.is_none() => return Ok(false),
+            Source::Snapshot(s) if s.writes.is_none() => return Ok(false),
             Source::Snapshot(s) => {
                 let mut cur = self.page_no * page_size + self.pos;
                 for dr in removes {
@@ -621,21 +556,6 @@ impl BrowseCursor {
     }
 }
 
-/// Bind and resolve a QBF restriction over an updatable view's row.
-fn resolve_filter(
-    db: &Database,
-    upd: Option<&Updatability>,
-    pred: Option<Expr>,
-) -> WowResult<Option<Expr>> {
-    match (upd, pred) {
-        (Some(u), Some(p)) => {
-            let schema = view_schema_of(db, u)?;
-            Ok(Some(bind_pred(p, &schema)?.resolve(&schema)?))
-        }
-        _ => Ok(None),
-    }
-}
-
 impl IndexPages {
     /// Fetch the page that starts strictly after driving key `start` (at
     /// the range's lower bound when `None`): up to `page_size` rows, and
@@ -662,7 +582,7 @@ impl IndexPages {
         // ends.
         loop {
             let mut chunk = Vec::with_capacity(page_size);
-            let ended = db.index_walk(&walk.index, lower, upper, after.as_deref(), |k, rid| {
+            let ended = db.index_walk(&self.index, lower, upper, after.as_deref(), |k, rid| {
                 chunk.push((k.to_vec(), rid));
                 chunk.len() < page_size
             })?;
@@ -744,11 +664,11 @@ impl Snapshot {
         filter: Option<&Expr>,
     ) -> WowResult<()> {
         let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
-        self.rows = match &self.upd {
+        self.rows = match &self.writes {
             // Updatable: fetch with rids, filter and sort here.
-            Some(upd) => {
+            Some(keyed) => {
                 let mut rows = Vec::new();
-                for (rid, t) in view_rows_with_rids(db, upd)? {
+                for (rid, t) in view_rows_with_rids(db, keyed)? {
                     if filter.map_or(Ok(true), |p| eval_pred(p, &t))? {
                         rows.push((Some(rid), t));
                     }

@@ -25,8 +25,8 @@ use wow_rel::quel::{parse_program, Statement};
 use wow_rel::schema::Schema;
 use wow_rel::value::Value;
 use wow_storage::Rid;
+use wow_views::keyed::Keyed;
 use wow_views::translate::{insert_through_view, update_through_view};
-use wow_views::updatable::Updatability;
 
 /// One base write as [`World::write_base`] takes it: the rid to overwrite
 /// or delete (none for an insert) and the row to write (none for a delete).
@@ -94,12 +94,16 @@ impl World {
         })
     }
 
-    /// Leave Edit/Insert/Query mode without committing. A window that went
-    /// stale while the user was typing catches up the moment it returns to
-    /// Browse — no manual refresh required.
+    /// Leave Edit/Insert/Query mode without committing, with the form the
+    /// window browsed with. A window that went stale while the user was
+    /// typing catches up the moment it returns to Browse — no manual
+    /// refresh required.
     pub fn cancel_mode(&mut self, win: WinId) -> WowResult<()> {
         let stale = {
             let w = self.window_mut(win)?;
+            if let Some(form) = w.browse_form.take() {
+                w.form = form;
+            }
             w.mode = Mode::Browse;
             w.original = None;
             w.status.clear();
@@ -149,8 +153,8 @@ impl World {
         let mut span = wow_obs::span(wow_obs::Op::Commit);
         span.arg(assigns.len() as u64);
         let check = self.config().check_option;
-        self.write_through(win, "saved", |db, upd| {
-            let row = update_through_view(db, upd, rid, &assigns, check)?;
+        self.write_through(win, "saved", |db, keyed| {
+            let row = update_through_view(db, keyed, rid, &assigns, check)?;
             Ok((Some(rid), Some(row.ok_or(WowError::NoCurrentRow)?)))
         })?;
         span.finish();
@@ -169,8 +173,8 @@ impl World {
         let values = w.form.values()?;
         let span = wow_obs::span(wow_obs::Op::Commit);
         let check = self.config().check_option;
-        self.write_through(win, "inserted", |db, upd| {
-            Ok((None, Some(insert_through_view(db, upd, &values, check)?)))
+        self.write_through(win, "inserted", |db, keyed| {
+            Ok((None, Some(insert_through_view(db, keyed, &values, check)?)))
         })?;
         span.finish();
         Ok(())
@@ -196,18 +200,16 @@ impl World {
         &mut self,
         win: WinId,
         status: &str,
-        translate: impl FnOnce(&mut Database, &Updatability) -> WowResult<BaseWrite>,
+        translate: impl FnOnce(&mut Database, &Keyed) -> WowResult<BaseWrite>,
     ) -> WowResult<()> {
         self.refuse_if_redefined(win)?;
-        let (session, table) = {
-            let w = self.window(win)?;
-            let upd = w.access.updatable().expect("writes need an updatable view");
-            (w.session, upd.base_table.clone())
-        };
+        let w = self.window(win)?;
+        let keyed = w.access.as_ref().expect("writes need an updatable view");
+        let (session, table) = (w.session, keyed.table.clone());
         self.lock(session, &table, LockMode::Exclusive)?;
         let result = self
             .parts(win)
-            .and_then(|(db, _, w)| translate(db, w.access.updatable().expect("checked above")))
+            .and_then(|(db, _, w)| translate(db, w.access.as_ref().expect("checked above")))
             .and_then(|(rid, row)| self.write_base(&table, rid, row));
         self.maybe_release(session);
         let delta = result?;

@@ -16,16 +16,16 @@ impl World {
                 mode: w.mode.name(),
             });
         }
-        w.form.clear();
         // QBF entries go into every field, including normally read-only
-        // ones — querying a computed column is legal. Temporarily lift
-        // read-only by swapping in a writable spec copy.
+        // ones — querying a computed column is legal. The browse form is
+        // set aside for a blank copy with every field open and optional.
         let mut spec = w.form.spec.clone();
         for f in &mut spec.fields {
             f.read_only = false;
             f.required = false;
         }
-        w.form = wow_forms::FormInstance::new(spec);
+        let query_form = wow_forms::FormInstance::new(spec);
+        w.browse_form = Some(std::mem::replace(&mut w.form, query_form));
         w.mode = Mode::Query;
         w.status = "enter restrictions; Enter runs, Esc cancels".into();
         Ok(())
@@ -49,13 +49,11 @@ impl World {
             }
         };
         self.requery_window(win, query)?;
-        // Restore the original (writability-correct) form.
+        // Back to the browse form (a redefinition already replaced it).
         let w = self.window_mut(win)?;
-        let writable: Vec<bool> = (0..w.schema.len())
-            .map(|i| w.access.updatable().is_some_and(|u| u.is_writable(i)))
-            .collect();
-        let spec = wow_forms::compiler::compile_form(&w.view, &w.view, &w.schema, &writable);
-        w.form = wow_forms::FormInstance::new(spec);
+        if let Some(form) = w.browse_form.take() {
+            w.form = form;
+        }
         w.mode = Mode::Browse;
         w.show_current();
         w.status = match w.cursor.is_empty() {
@@ -226,6 +224,77 @@ mod tests {
             .unwrap();
         query(&mut w, win, 1, "toy");
         assert_eq!(w.window(win).unwrap().cursor.known_len(), Some(2));
+    }
+
+    /// Each field as `Caption rw|ro/req|opt`.
+    fn flags(w: &World, win: WinId) -> Vec<String> {
+        let fields = &w.window(win).unwrap().form.spec.fields;
+        let flag = |on, yes, no| if on { yes } else { no };
+        fields
+            .iter()
+            .map(|f| {
+                let rw = flag(f.read_only, "ro", "rw");
+                format!("{} {rw}/{}", f.caption, flag(f.required, "req", "opt"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn esc_from_query_mode_restores_the_browse_form() {
+        let mut w = World::new(WorldConfig::default());
+        w.db_mut()
+            .run(
+                r#"CREATE TABLE emp (name TEXT KEY, dept TEXT NOT NULL, salary INT)
+                   APPEND TO emp (name = "alice", dept = "toy", salary = 120)"#,
+            )
+            .unwrap();
+        w.define_view(
+            "emps",
+            "RANGE OF e IS emp RETRIEVE (e.name, e.dept, e.salary, twice = e.salary * 2)",
+        )
+        .unwrap();
+        let s = w.open_session();
+        let win = w.open_window(s, "emps", None).unwrap();
+        let browse = [
+            "Name rw/req",
+            "Dept rw/req",
+            "Salary rw/opt",
+            "Twice ro/opt",
+        ];
+        assert_eq!(flags(&w, win), browse);
+        send(&mut w, "q");
+        assert!(flags(&w, win).iter().all(|f| f.ends_with("rw/opt")));
+        send(&mut w, "<esc>");
+        assert_eq!(w.window(win).unwrap().mode, Mode::Browse);
+        assert_eq!(flags(&w, win), browse);
+        // Redefined while the query was typed: the new definition's form.
+        send(&mut w, "q");
+        w.redefine_view("emps", "RANGE OF e IS emp RETRIEVE (e.salary, e.name)")
+            .unwrap();
+        send(&mut w, "<esc>");
+        assert_eq!(flags(&w, win), ["Salary rw/opt", "Name rw/req"]);
+    }
+
+    #[test]
+    fn enter_in_query_mode_keeps_the_stored_form() {
+        let (mut w, s, win) = world();
+        w.window_mut(win).unwrap().form.spec.fields[2].caption = "Monthly pay".into();
+        w.save_form(win).unwrap();
+        w.close_window(win).unwrap();
+        let win = w.open_window(s, "emps", None).unwrap();
+        let browse = ["Name rw/req", "Dept rw/opt", "Monthly pay rw/opt"];
+        assert_eq!(flags(&w, win), browse);
+        send(&mut w, "q<tab><tab>>100<enter>");
+        assert_eq!(w.window(win).unwrap().mode, Mode::Browse);
+        assert_eq!(flags(&w, win), browse);
+        // Redefined while the query was typed: the new definition's form
+        // (the stored one no longer fits it).
+        send(&mut w, "q");
+        w.redefine_view("emps", "RANGE OF e IS emp RETRIEVE (e.name, e.salary)")
+            .unwrap();
+        send(&mut w, "<enter>");
+        assert_eq!(w.window(win).unwrap().mode, Mode::Browse);
+        assert_eq!(flags(&w, win), ["Name rw/req", "Salary rw/opt"]);
     }
 
     #[test]

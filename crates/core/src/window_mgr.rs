@@ -1,6 +1,6 @@
 //! Window state: modes, the per-window record, and rendering.
 
-use crate::browse::{Access, BrowseCursor};
+use crate::browse::BrowseCursor;
 use crate::session::SessionId;
 use crate::world::CursorStrategy;
 use std::fmt;
@@ -11,6 +11,7 @@ use wow_tui::geom::Rect;
 use wow_tui::tree::WindowId as TuiId;
 use wow_tui::widget::Widget;
 use wow_views::expand::ViewQuery;
+use wow_views::keyed::Keyed;
 
 /// Identifier of a logical window (a form over a view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,15 +103,21 @@ pub struct WindowState {
     pub session: SessionId,
     /// The view this window looks through.
     pub view: String,
-    /// What analysis proved about the view: updatable, keyed or neither.
-    /// Only an updatable window writes.
-    pub access: Access,
+    /// What the view analysis ([`wow_views::keyed`]) proved: the keyed
+    /// view, which the cursor walks when it has a primary-key index and
+    /// the window writes through when it carries writes; `None` for a view
+    /// with no key to read by, which only a Snapshot holds.
+    pub access: Option<Keyed>,
     /// Why the window is read-only (empty when updatable).
     pub read_only_reasons: Vec<String>,
     /// The view's schema (bare column names).
     pub schema: Schema,
     /// The live form.
     pub form: FormInstance,
+    /// The form the window browses with, set aside while Query mode
+    /// collects restrictions on a copy with every field open; put back
+    /// when the window returns to Browse.
+    pub browse_form: Option<FormInstance>,
     /// The browse cursor.
     pub cursor: BrowseCursor,
     /// Current mode.
@@ -150,7 +157,7 @@ pub struct WindowState {
 impl WindowState {
     /// Whether the window can write through its view.
     pub fn is_updatable(&self) -> bool {
-        self.access.updatable().is_some()
+        self.access.as_ref().is_some_and(|k| k.writes.is_some())
     }
 
     /// Load the form from the cursor's current row (Browse display).

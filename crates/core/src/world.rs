@@ -1,6 +1,6 @@
 //! The [`World`]: one shared database, many windows onto it.
 
-use crate::browse::{view_schema_of, Access, BrowseCursor};
+use crate::browse::BrowseCursor;
 use crate::config::WorldConfig;
 use crate::error::{WowError, WowResult};
 use crate::locks::{LockManager, LockMode, LockOutcome};
@@ -21,8 +21,7 @@ use wow_tui::event::Key;
 use wow_tui::geom::Rect;
 use wow_tui::tree::WindowTree;
 use wow_views::expand::{view_schema, ViewQuery};
-use wow_views::keyed::analyze_keyed;
-use wow_views::updatable::analyze;
+use wow_views::keyed::{analyze_keyed, Keyed};
 use wow_views::{DepIndex, ViewCatalog, ViewDef};
 
 /// Counters the benches and the status surface read.
@@ -489,7 +488,7 @@ impl World {
             &mut self.db,
             &self.views,
             view,
-            &access,
+            access.as_ref(),
             &query,
             strategy,
             self.cfg.page_size,
@@ -517,6 +516,7 @@ impl World {
             read_only_reasons: reasons,
             schema,
             form,
+            browse_form: None,
             cursor,
             mode: Mode::Browse,
             tui,
@@ -538,42 +538,28 @@ impl World {
         Ok(id)
     }
 
-    /// What a window on `view` is made of: the proof that decides its
-    /// writability and its cursor's page source, why it is read-only, its
-    /// schema and its form.
+    /// What a window on `view` is made of: the keyed view that decides its
+    /// cursor's page source and its writability (none for a view read only
+    /// as a Snapshot), why it is read-only, its schema and its form.
     fn derive_window(
         &mut self,
         view: &str,
-    ) -> WowResult<(Access, Vec<String>, Schema, FormInstance)> {
-        // A refused view's reasons come with the refusal, and only a
-        // refused view is checked for a key.
-        let (access, reasons) = match analyze(&self.db, &self.views, view) {
-            Ok(u) => (Access::Updatable(u), Vec::new()),
-            Err(wow_views::ViewError::NotUpdatable { reasons, .. }) => {
-                match analyze_keyed(&self.db, &self.views, view)? {
-                    Some(k) => (Access::Keyed(k), reasons),
-                    None => (Access::ReadOnly, reasons),
-                }
-            }
-            Err(other) => return Err(other.into()),
-        };
-        // System windows are read-only regardless of what updatability
-        // analysis says about their (perfectly ordinary) backing tables:
-        // writing metrics through a form is meaningless.
+    ) -> WowResult<(Option<Keyed>, Vec<String>, Schema, FormInstance)> {
+        // System windows are read-only whatever their (perfectly ordinary)
+        // backing tables would allow: writing metrics through a form is
+        // meaningless.
         let (access, reasons) = match crate::sys::is_sys_view(view) {
-            true => (Access::ReadOnly, vec!["system tables are read-only".into()]),
-            false => (access, reasons),
+            true => (None, vec!["system tables are read-only".into()]),
+            false => analyze_keyed(&self.db, &self.views, view)?,
         };
         let schema = match &access {
-            Access::Updatable(u) => view_schema_of(&self.db, u)?,
-            Access::Keyed(k) => k.schema.clone(),
-            Access::ReadOnly => view_schema(&self.db, &self.views, view)?,
+            Some(k) => k.schema.clone(),
+            None => view_schema(&self.db, &self.views, view)?,
         };
         // Writable mask: updatable views expose their plain base columns.
-        let writable: Vec<bool> = match access.updatable() {
-            Some(u) => (0..schema.len()).map(|i| u.is_writable(i)).collect(),
-            None => vec![false; schema.len()],
-        };
+        let writable: Vec<bool> = (0..schema.len())
+            .map(|i| access.as_ref().is_some_and(|k| k.is_writable(i)))
+            .collect();
         // A designer-stored form (if one was saved to the database)
         // overrides the compiled default.
         let spec = match self.load_form_spec(view) {
@@ -708,11 +694,13 @@ impl World {
         };
         let page_size = self.cfg.page_size;
         let (db, vc, w) = self.parts(win)?;
-        let access = derived.as_ref().map_or(&w.access, |d| &d.0);
+        let access = derived.as_ref().map_or(&w.access, |d| &d.0).as_ref();
         w.cursor = BrowseCursor::open(db, vc, &w.view, access, &query, w.strategy, page_size)?;
         w.query = query;
         if let Some((access, reasons, schema, form)) = derived {
             (w.access, w.read_only_reasons, w.schema, w.form) = (access, reasons, schema, form);
+            // A form set aside for Query mode belongs to the old definition.
+            w.browse_form = None;
             w.redefined = false;
         }
         // The rebuilt cursor read the current data, so any staleness

@@ -2,7 +2,7 @@
 //! refresh under concurrent mutation, and strategy equivalence.
 
 use proptest::prelude::*;
-use wow_core::browse::{Access, BrowseCursor};
+use wow_core::browse::BrowseCursor;
 use wow_core::config::WorldConfig;
 use wow_core::window_mgr::WindowStyle;
 use wow_core::world::{CursorStrategy, World};
@@ -13,10 +13,10 @@ use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
 use wow_views::delta::{analyze_delta, compute_view_delta};
 use wow_views::expand::{run_view_query, ViewQuery};
-use wow_views::keyed::analyze_keyed;
-use wow_views::updatable::{analyze, Updatability};
+use wow_views::keyed::{analyze_keyed, Keyed};
+use wow_views::updatable::analyze;
 
-fn world(n: usize) -> (World, Updatability) {
+fn world(n: usize) -> (World, Keyed) {
     let mut w = World::new(WorldConfig::default());
     w.db_mut()
         .run("CREATE TABLE item (k INT KEY, grp INT, label TEXT) RANGE OF i IS item")
@@ -68,7 +68,7 @@ fn drain_keys(cursor: &mut BrowseCursor, w: &mut World) -> Vec<i64> {
 #[test]
 fn indexed_cursor_walks_every_row_in_key_order() {
     let (mut w, upd) = world(100);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 7, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 7, None).unwrap();
     let keys = drain_keys(&mut c, &mut w);
     assert_eq!(keys, (0..100).collect::<Vec<i64>>());
 }
@@ -82,11 +82,12 @@ fn every_source_navigates_alike() {
     let (mut w, upd) = world(23);
     let joined = analyze_keyed(w.db(), w.views(), "items_joined")
         .unwrap()
+        .0
         .expect("keyed");
     let (db, vc) = w.db_and_views();
     let snapshot = BrowseCursor::materialized(db, vc, "items", ViewQuery::default(), Some(&upd), 5);
     let mut cursors = [
-        BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 5, None).unwrap(),
+        BrowseCursor::keyed(w.db_mut(), upd.clone(), 5, None).unwrap(),
         BrowseCursor::keyed(w.db_mut(), joined, 5, None).unwrap(),
         snapshot.unwrap(),
     ];
@@ -136,7 +137,7 @@ fn filtered_indexed_cursor_skips_non_matching_pages() {
         left: Box::new(Expr::ColumnRef("grp".into())),
         right: Box::new(Expr::Literal(Value::Int(3))),
     };
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 6, Some(pred)).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 6, Some(pred)).unwrap();
     let keys = drain_keys(&mut c, &mut w);
     assert_eq!(keys.len(), 20);
     assert!(keys.iter().all(|k| k % 5 == 3));
@@ -149,7 +150,7 @@ fn filtered_indexed_cursor_skips_non_matching_pages() {
 #[test]
 fn paging_forward_and_back_is_symmetric() {
     let (mut w, upd) = world(90);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 10, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 10, None).unwrap();
     let first = c.current_row().unwrap().1.values[0].clone();
     for _ in 0..5 {
         assert!(c.next_page(w.db_mut()).unwrap());
@@ -166,7 +167,7 @@ fn paging_forward_and_back_is_symmetric() {
 #[test]
 fn next_page_stops_cleanly_at_the_end() {
     let (mut w, upd) = world(25);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 10, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 10, None).unwrap();
     assert!(c.next_page(w.db_mut()).unwrap());
     assert!(c.next_page(w.db_mut()).unwrap());
     // Third page exists (5 rows); fourth does not.
@@ -178,7 +179,7 @@ fn next_page_stops_cleanly_at_the_end() {
 #[test]
 fn refresh_survives_concurrent_deletes() {
     let (mut w, upd) = world(40);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 10, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 10, None).unwrap();
     c.next_page(w.db_mut()).unwrap(); // rows 10..20
     assert_eq!(c.current_row().unwrap().1.values[0], Value::Int(10));
     // Another window deletes the row under the cursor and its neighbour.
@@ -197,7 +198,7 @@ fn refresh_survives_concurrent_deletes() {
 #[test]
 fn refresh_survives_concurrent_inserts() {
     let (mut w, upd) = world(20);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 10, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 10, None).unwrap();
     c.next(w.db_mut()).unwrap();
     c.next(w.db_mut()).unwrap(); // on row 2
                                  // Insert a row *before* the cursor.
@@ -219,7 +220,7 @@ fn refresh_survives_concurrent_inserts() {
 #[test]
 fn empty_view_cursor_is_well_behaved() {
     let (mut w, upd) = world(0);
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 10, None).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 10, None).unwrap();
     assert!(c.is_empty());
     assert!(c.current_row().is_none());
     assert_eq!(c.position(), None);
@@ -336,10 +337,11 @@ fn a_join_view_pages_incrementally_through_open() {
     let open = |w: &mut World| {
         let keyed = analyze_keyed(w.db(), w.views(), "ab")
             .unwrap()
+            .0
             .expect("keyed");
         let (db, vc) = w.db_and_views();
         let (query, auto) = (ViewQuery::default(), CursorStrategy::Auto);
-        BrowseCursor::open(db, vc, "ab", &Access::Keyed(keyed), &query, auto, 5).unwrap()
+        BrowseCursor::open(db, vc, "ab", Some(&keyed), &query, auto, 5).unwrap()
     };
     let mut st = open(&mut w);
     assert_eq!(st.source(), "index");
@@ -382,7 +384,7 @@ fn position_reporting_counts_matches_only() {
         left: Box::new(Expr::ColumnRef("grp".into())),
         right: Box::new(Expr::Literal(Value::Int(0))),
     };
-    let mut c = BrowseCursor::indexed(w.db_mut(), &upd, "pk_item", 4, Some(pred)).unwrap();
+    let mut c = BrowseCursor::keyed(w.db_mut(), upd.clone(), 4, Some(pred)).unwrap();
     assert_eq!(c.position(), Some(0));
     // Walk 6 matching rows; position counts matches, not base rows.
     for _ in 0..6 {
@@ -694,7 +696,7 @@ proptest! {
         for qid in (0..24).step_by(2) {
             w.db_mut().insert("q", vec![Value::Int(qid), Value::Int(qid % 5)]).unwrap();
         }
-        let keyed = analyze_keyed(w.db(), w.views(), view).unwrap().expect("keyed");
+        let keyed = analyze_keyed(w.db(), w.views(), view).unwrap().0.expect("keyed");
         let spliced = view == "cn" || view == "cv";
         // `n` is ten times the key it is computed from.
         let ((first, scale), other) = match view {
@@ -777,6 +779,7 @@ fn a_keyed_page_costs_a_page_at_any_depth() {
     .unwrap();
     let keyed = analyze_keyed(w.db(), w.views(), "child_names")
         .unwrap()
+        .0
         .expect("keyed");
     let n = 16;
     let mut c = BrowseCursor::keyed(w.db_mut(), keyed, n, None).unwrap();
@@ -817,6 +820,7 @@ fn a_qbf_jump_costs_a_page_at_any_rank() {
     for view in ["child_vs", "child_names"] {
         let keyed = analyze_keyed(w.db(), w.views(), view)
             .unwrap()
+            .0
             .expect("keyed");
         for jump in [">=", ">", "=", "lo..hi"] {
             let mut costs = Vec::new();

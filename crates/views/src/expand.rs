@@ -412,8 +412,8 @@ pub fn query_via_materialization(
     Ok(rows)
 }
 
-/// Expand a view definition fully (exposed for the updatability analysis
-/// and tests).
+/// Expand a view definition fully (exposed for the view analysis, the
+/// delta analysis and tests).
 pub fn expand_view(db: &Database, vc: &ViewCatalog, def: &ViewDef) -> ViewResult<Expanded> {
     expand(db, vc, &def.ranges, &def.stmt)
 }

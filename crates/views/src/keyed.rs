@@ -1,30 +1,33 @@
-//! Keyed access: which read-only views a window can page by key.
+//! The view analysis: how a window reads a view, and whether it writes.
 //!
 //! A select–project–equijoin view is *keyed* when one of its ranges, the
-//! **driving** range, has a primary-key index and every other range has
-//! its whole primary key equated to columns of ranges bound before it.
+//! **driving** range, is a table with a primary key and every other range
+//! has its whole primary key equated to columns of ranges bound before it.
 //! Each driving row then joins with at most one row of every other range —
 //! the functional dependency from the join key that *Incremental
 //! Relational Lenses* asks of a join — so the driving key is a key of the
-//! view. A page is a walk of the driving index with one primary-key probe
-//! per other range per row, and the view's one documented order is
-//! driving-key order.
+//! view. A page walks the driving table's primary-key index with one
+//! primary-key probe per other range per row, in driving-key order, the
+//! view's one documented order. Aggregates, DISTINCT, grouping, joins with
+//! a range whose key is not equated and views over a table with no
+//! primary-key index are not read by key: a window holds their extension.
 //!
-//! A single-table view over a keyed table is the zero-probe case: it
-//! drives with no other range, so a view the updatability analysis refuses
-//! (computed targets, the key left out) still pages by its table's key.
-//! Aggregates, DISTINCT, grouping, joins with a range whose key is not
-//! equated and views over a table with no primary-key index are not keyed;
-//! a window holds their whole extension instead. The analysis is a pure
-//! function of the bound definition.
+//! A keyed view **writes** ([`Writes`]) when the classical (1983-era) rules
+//! hold: no aggregates, exactly one base relation after expansion (no
+//! probes), and the table's **key preserved** — every key column projected
+//! — so a view row is one base row; computed columns are display-only.
+//! Otherwise the analysis returns the rules broken, which a read-only
+//! window shows. A single-table view the rules refuse is still keyed (the
+//! zero-probe case), and one they allow is keyed even where it is not read
+//! by key. The analysis is a pure function of the bound definition and
+//! expands it once.
 
 use crate::catalog::ViewCatalog;
-use crate::error::{ViewError, ViewResult};
+use crate::error::ViewResult;
 use crate::expand::expand_view;
 use wow_rel::bind::column_type;
 use wow_rel::catalog::{IndexInfo, TableInfo};
 use wow_rel::db::Database;
-use wow_rel::error::RelError;
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::quel::ast::Target;
 use wow_rel::schema::{Column, Schema};
@@ -41,54 +44,79 @@ pub struct KeyProbe {
     pub cols: Vec<usize>,
 }
 
-/// How a keyed view is read. The joined row is the driving row followed by
-/// the row each probe finds, in probe order; `pred` and `targets` are
-/// resolved over it.
+/// How a keyed view is read and, when it is updatable, written. The joined
+/// row is the driving row followed by the row each probe finds, in probe
+/// order; `pred` and `targets` are resolved over it.
 #[derive(Debug, Clone)]
 pub struct Keyed {
+    /// The view's name.
+    pub view: String,
     /// The driving table.
     pub table: String,
-    /// Its primary-key index: pages walk it in key order.
-    pub index: String,
+    /// Its primary-key index, which pages walk in key order; `None` when
+    /// the table's key has no `pk_<table>` index (then only a view that
+    /// writes is keyed, and its windows hold a Snapshot).
+    pub index: Option<String>,
     /// The other ranges, in the order they are probed.
     pub probes: Vec<KeyProbe>,
     /// The view's restriction minus the key equalities the probes satisfy.
     pub pred: Option<Expr>,
     /// The view's target expressions.
     pub targets: Vec<Expr>,
-    /// The view's output schema (bare column names).
+    /// The view's output schema (bare column names). A column that writes
+    /// a base column is as nullable as that column; every other column is
+    /// nullable.
     pub schema: Schema,
+    /// Present exactly when the classical rules hold.
+    pub writes: Option<Writes>,
 }
 
-/// Decide whether view `view_name` is keyed. `Ok(None)` means the view is
-/// readable but not by key.
+/// The proof that a keyed view is updatable: a view row is one base row
+/// of the driving table, which `pred` and `targets` read.
+#[derive(Debug, Clone)]
+pub struct Writes {
+    /// For each view column: the base column it projects, or `None` for a
+    /// computed column.
+    pub column_map: Vec<Option<usize>>,
+    /// The base table's primary-key columns.
+    pub base_key: Vec<usize>,
+}
+
+impl Keyed {
+    /// Whether view column `view_col` can be written.
+    pub fn is_writable(&self, view_col: usize) -> bool {
+        let writes = self.writes.as_ref();
+        writes.is_some_and(|w| w.column_map.get(view_col).copied().flatten().is_some())
+    }
+}
+
+/// Analyze view `view_name`: the keyed view to read (`None` when the view
+/// is readable but not by key) and the classical rules it breaks, empty
+/// exactly when the keyed view carries [`Writes`].
 pub fn analyze_keyed(
     db: &Database,
     vc: &ViewCatalog,
     view_name: &str,
-) -> ViewResult<Option<Keyed>> {
+) -> ViewResult<(Option<Keyed>, Vec<String>)> {
     let def = vc.get(view_name)?;
     if def.has_aggregates() {
-        return Ok(None);
+        return Ok((None, vec!["computes aggregates".to_string()]));
     }
-    let expanded = match expand_view(db, vc, def) {
-        Ok(e) => e,
-        Err(ViewError::Rel(RelError::Unsupported(_))) => return Ok(None),
-        Err(e) => return Err(e),
-    };
+    let expanded = expand_view(db, vc, def)?;
     let stmt = &expanded.stmt;
-    if stmt.unique || !stmt.group_by.is_empty() {
-        return Ok(None);
-    }
     let conjuncts = match &stmt.where_ {
         Some(w) => w.clone().split_conjuncts(),
         None => Vec::new(),
     };
     let ranges = &expanded.ranges;
     for driving in 0..ranges.len() {
-        let Some((info, index)) = primary_index(db, &ranges[driving].1) else {
+        let Some((info, index)) = primary_key(db, &ranges[driving].1) else {
             continue;
         };
+        // Only a single table drives without an index: it can still write.
+        if index.is_none() && ranges.len() > 1 {
+            continue;
+        }
         // Bind ranges one at a time, each through a key equated to columns
         // already bound, until every range is bound or none can be.
         let mut schema = info.schema.qualified(&ranges[driving].0);
@@ -100,7 +128,8 @@ pub fn analyze_keyed(
                 .filter(|r| !bound.contains(r))
                 .find_map(|r| {
                     let (alias, table) = &ranges[r];
-                    let (inner, index) = primary_index(db, table)?;
+                    let (inner, index) = primary_key(db, table)?;
+                    let index = index?;
                     let (cols, took) =
                         key_equalities(&conjuncts, &used, &schema, alias, &inner, &index)?;
                     Some((
@@ -148,24 +177,78 @@ pub fn analyze_keyed(
             });
             targets.push(expr.clone().resolve(&schema)?);
         }
-        return Ok(Some(Keyed {
-            table: info.name,
-            index: index.name,
+        let mut keyed = Keyed {
+            view: view_name.to_string(),
+            table: info.name.clone(),
+            index: index.map(|i| i.name),
             probes,
             pred: residual.map(|p| p.resolve(&schema)).transpose()?,
             targets,
             schema: Schema::new(columns),
-        }));
+            writes: None,
+        };
+        let refused = check_writes(&mut keyed, &info);
+        // DISTINCT and grouping merge rows a key walk would show apart,
+        // unless the key is projected and keeps them apart.
+        let walks = keyed.index.is_some() && !stmt.unique && stmt.group_by.is_empty();
+        let keyed = (keyed.writes.is_some() || walks).then_some(keyed);
+        return Ok((keyed, refused));
     }
-    Ok(None)
+    let refused = match ranges.as_slice() {
+        [(_, table)] => format!("base table {table} has no primary key"),
+        _ => format!(
+            "ranges over {} base relations (must be exactly 1)",
+            ranges.len()
+        ),
+    };
+    Ok((None, vec![refused]))
 }
 
-/// A table with a key and its unique `pk_<table>` index over that key.
-fn primary_index(db: &Database, table: &str) -> Option<(TableInfo, IndexInfo)> {
+/// Rules 2–4 over a keyed view whose driving table is `info` (a keyed view
+/// computes no aggregates): the rules it breaks, or none, and then its
+/// writes, with each written column as nullable as its base column.
+fn check_writes(keyed: &mut Keyed, info: &TableInfo) -> Vec<String> {
+    if !keyed.probes.is_empty() {
+        let n = keyed.probes.len() + 1;
+        return vec![format!(
+            "ranges over {n} base relations (must be exactly 1)"
+        )];
+    }
+    let column_map: Vec<Option<usize>> = (keyed.targets.iter())
+        .map(|t| match t {
+            Expr::Column(c) => Some(*c),
+            _ => None,
+        })
+        .collect();
+    let unprojected: Vec<String> = (info.key.iter())
+        .filter(|k| !column_map.contains(&Some(**k)))
+        .map(|&k| {
+            let name = &info.schema.column(k).name;
+            format!("key column {name} of {} is not projected", info.name)
+        })
+        .collect();
+    if unprojected.is_empty() {
+        for (col, base) in keyed.schema.columns.iter_mut().zip(&column_map) {
+            col.nullable = base.is_none_or(|b| info.schema.column(b).nullable);
+        }
+        keyed.writes = Some(Writes {
+            column_map,
+            base_key: info.key.clone(),
+        });
+    }
+    unprojected
+}
+
+/// A table with a key, and its unique `pk_<table>` index over that key
+/// when it has one.
+fn primary_key(db: &Database, table: &str) -> Option<(TableInfo, Option<IndexInfo>)> {
     let info = db.catalog().table(table).ok()?;
-    let index = db.catalog().index(&format!("pk_{table}")).ok()?;
-    let keyed = !info.key.is_empty() && index.unique && index.columns == info.key;
-    keyed.then(|| (info.clone(), index.clone()))
+    if info.key.is_empty() {
+        return None;
+    }
+    let index = db.catalog().index(&format!("pk_{table}")).ok();
+    let index = index.filter(|i| i.unique && i.columns == info.key);
+    Some((info.clone(), index.cloned()))
 }
 
 /// For each column of `alias`'s primary key, in index order, an unused

@@ -9,12 +9,12 @@
 //! * [`expand`] — **query modification** (Stonebraker 1975): rewriting a
 //!   query over views into a query over base tables by substituting target
 //!   expressions and conjoining view predicates. Views nest.
-//! * [`updatable`] — the classical updatability analysis: a view admits
-//!   updates when it ranges over a single base relation, computes no
-//!   aggregates, projects real columns, and **preserves the key**.
-//! * [`keyed`] — which read-only views are keyed: a driving range's
-//!   primary key, with every other range reached through its own primary
-//!   key, so a window pages the view by key instead of re-running it.
+//! * [`keyed`] — the one view analysis: whether a view is keyed (a
+//!   driving range's primary key, with every other range reached through
+//!   its own primary key, so a window pages the view by key instead of
+//!   re-running it), and whether it writes — the classical rules: a single
+//!   base relation, no aggregates, real columns, and **the key preserved**.
+//! * [`updatable`] — the writes-or-refusal view of that analysis.
 //! * [`translate`] — translating window edits (update/insert/delete on view
 //!   rows) into base-table DML, including the "row escapes the view" check.
 //! * [`deps`] — the dependency graph from views to base tables, used by the

@@ -1,126 +1,26 @@
-//! Updatability analysis: which views can a window write through?
+//! Which views a window can write through.
 //!
-//! The classical (1983-era) rules, applied to the *expanded* view:
-//!
-//! 1. the view computes no aggregates;
-//! 2. after expansion it ranges over exactly **one** base relation
-//!    (join views are read-only);
-//! 3. its columns that are written must be plain base columns (computed
-//!    columns are display-only); and
-//! 4. the base relation's **primary key is preserved** — every key column
-//!    appears among the view's plain columns — so a view row identifies
-//!    exactly one base row.
-//!
-//! The analysis returns either a proof object ([`Updatability`]) carrying
-//! everything `translate` needs, or the list of violated rules (which the
-//! forms layer shows the user when a window is read-only).
+//! The writes-or-refusal view of the one view analysis,
+//! [`analyze_keyed`]: a view is updatable when it is keyed and its
+//! [`Keyed`] carries [`Writes`](crate::keyed::Writes); otherwise the
+//! analysis's list of violated rules is the refusal.
 
 use crate::catalog::ViewCatalog;
 use crate::error::{ViewError, ViewResult};
-use crate::expand::expand_view;
+use crate::keyed::{analyze_keyed, Keyed};
 use wow_rel::db::Database;
-use wow_rel::expr::Expr;
-use wow_rel::quel::ast::Target;
 
-/// The proof that a view is updatable, with the mapping `translate` uses.
-#[derive(Debug, Clone)]
-pub struct Updatability {
-    /// View name.
-    pub view: String,
-    /// The single base table.
-    pub base_table: String,
-    /// The expanded range variable naming the base table.
-    pub base_alias: String,
-    /// The view's restriction over the base table (alias-qualified names),
-    /// `None` when the view selects everything.
-    pub base_pred: Option<Expr>,
-    /// For each view column: the defining expression over the base alias.
-    pub target_exprs: Vec<Expr>,
-    /// View column names.
-    pub column_names: Vec<String>,
-    /// For each view column: the base column index it projects, or `None`
-    /// for computed columns.
-    pub column_map: Vec<Option<usize>>,
-    /// Base primary-key column indexes.
-    pub base_key: Vec<usize>,
-}
-
-impl Updatability {
-    /// Whether a particular view column can be written.
-    pub fn is_writable(&self, view_col: usize) -> bool {
-        self.column_map.get(view_col).copied().flatten().is_some()
-    }
-}
-
-/// Analyze a view. `Ok` carries the updatability proof; a view that exists
-/// but violates the rules yields [`ViewError::NotUpdatable`] with reasons.
-pub fn analyze(db: &Database, vc: &ViewCatalog, view_name: &str) -> ViewResult<Updatability> {
-    let def = vc.get(view_name)?;
-    let mut reasons = Vec::new();
-    if def.has_aggregates() {
-        reasons.push("computes aggregates".to_string());
-        return Err(ViewError::NotUpdatable {
+/// Analyze a view. `Ok` carries the keyed view with its writes; a view
+/// that exists but violates the rules yields [`ViewError::NotUpdatable`]
+/// with reasons.
+pub fn analyze(db: &Database, vc: &ViewCatalog, view_name: &str) -> ViewResult<Keyed> {
+    match analyze_keyed(db, vc, view_name)? {
+        (Some(keyed), _) if keyed.writes.is_some() => Ok(keyed),
+        (_, reasons) => Err(ViewError::NotUpdatable {
             view: view_name.to_string(),
             reasons,
-        });
+        }),
     }
-    let expanded = expand_view(db, vc, def)?;
-    if expanded.ranges.len() != 1 {
-        reasons.push(format!(
-            "ranges over {} base relations (must be exactly 1)",
-            expanded.ranges.len()
-        ));
-        return Err(ViewError::NotUpdatable {
-            view: view_name.to_string(),
-            reasons,
-        });
-    }
-    let (base_alias, base_table) = expanded.ranges[0].clone();
-    let info = db.catalog().table(&base_table)?.clone();
-    let schema = info.schema.qualified(&base_alias);
-
-    let column_names = def.column_names();
-    let mut target_exprs = Vec::with_capacity(expanded.stmt.targets.len());
-    let mut column_map = Vec::with_capacity(expanded.stmt.targets.len());
-    for t in &expanded.stmt.targets {
-        let Target::Expr { expr, .. } = t else {
-            unreachable!("aggregates rejected above");
-        };
-        let base_col = match expr {
-            Expr::ColumnRef(n) => schema.index_of(n),
-            _ => None,
-        };
-        column_map.push(base_col);
-        target_exprs.push(expr.clone());
-    }
-    if info.key.is_empty() {
-        reasons.push(format!("base table {base_table} has no primary key"));
-    } else {
-        for &k in &info.key {
-            if !column_map.contains(&Some(k)) {
-                reasons.push(format!(
-                    "key column {} of {base_table} is not projected",
-                    info.schema.column(k).name
-                ));
-            }
-        }
-    }
-    if !reasons.is_empty() {
-        return Err(ViewError::NotUpdatable {
-            view: view_name.to_string(),
-            reasons,
-        });
-    }
-    Ok(Updatability {
-        view: view_name.to_string(),
-        base_table,
-        base_alias,
-        base_pred: expanded.stmt.where_.clone(),
-        target_exprs,
-        column_names,
-        column_map,
-        base_key: info.key.clone(),
-    })
 }
 
 /// Convenience: the reasons a view is *not* updatable (empty = updatable).
