@@ -718,9 +718,9 @@ pub fn figure4_propagate(scale: Scale) -> Table {
                     seed: 41,
                 },
             );
-            // A sentinel supplier with no shipments: the join watcher's
-            // delta reduces to one index probe that finds nothing, so the
-            // window is provably unaffected without running its query.
+            // A sentinel supplier with no shipments. The commits rewrite
+            // its `status`, a column `shipment_detail` does not read, so
+            // the join watcher is skipped without a probe or a query.
             let sentinel = vec![
                 Value::Int(n as i64),
                 Value::text("supplier-bench"),

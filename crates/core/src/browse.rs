@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use wow_rel::bind::bind_pred;
 use wow_rel::db::Database;
 use wow_rel::error::RelError;
-use wow_rel::eval::{eval, eval_pred};
+use wow_rel::eval::eval_pred;
 use wow_rel::exec::sort::compare;
 use wow_rel::exec::KeyBound;
 use wow_rel::expr::Expr;
@@ -352,22 +352,22 @@ impl BrowseCursor {
 
     /// Apply a view delta to the displayed rows in place instead of
     /// re-running the view query, landing where [`BrowseCursor::refresh`]
-    /// would. Returns `false` when the source cannot (snapshots of
-    /// non-updatable views, delta rows without identity, or a page/delta
-    /// mismatch) — the caller then falls back to a full refresh.
+    /// would: on the current record when it survives, otherwise on the same
+    /// slot. Returns `false` when the source cannot (snapshots of
+    /// non-updatable views, or a page/delta mismatch) — the caller then
+    /// falls back to a full refresh.
     pub fn apply_delta(&mut self, db: &mut Database, delta: &ViewDelta) -> WowResult<bool> {
-        let Some((removes, inserts)) = self.delta_rows(delta)? else {
-            return Ok(false);
-        };
-        // The current row is tracked by identity across the patch; a running
-        // slot is the fallback when the row itself vanished.
+        let (removes, inserts) = self.delta_rows(delta)?;
         let rid = self.page.get(self.pos).and_then(|e| e.rid);
         let page_size = self.page_size;
         match &mut self.source {
-            // A snapshot without rids has nothing to patch by.
+            // A snapshot places rows by rid; without rids it has nothing to
+            // patch by.
             Source::Snapshot(s) if s.writes.is_none() => return Ok(false),
+            Source::Snapshot(_) if removes.iter().chain(&inserts).any(|dr| dr.rid.is_none()) => {
+                return Ok(false)
+            }
             Source::Snapshot(s) => {
-                let mut cur = self.page_no * page_size + self.pos;
                 for dr in removes {
                     let Some(i) = s.rows.iter().position(|(r, _)| *r == dr.rid) else {
                         // The caller's fallback refill rebuilds everything,
@@ -375,28 +375,16 @@ impl BrowseCursor {
                         return Ok(false);
                     };
                     s.rows.remove(i);
-                    if i < cur {
-                        cur -= 1;
-                    }
                 }
                 for dr in inserts {
                     let i = s.slot_for(dr);
                     s.rows.insert(i, (dr.rid, dr.row.clone()));
-                    if i <= cur && rid.is_some() {
-                        cur += 1;
-                    }
                 }
-                if let Some(i) =
-                    rid.and_then(|rid| s.rows.iter().position(|(r, _)| *r == Some(rid)))
-                {
-                    cur = i;
-                }
+                let found = rid.and_then(|rid| s.rows.iter().position(|(r, _)| *r == Some(rid)));
+                let cur = found.unwrap_or(self.page_no * page_size + self.pos);
                 self.show(db, cur / page_size, cur % page_size)?;
             }
             Source::Index(ix) => {
-                if removes.iter().chain(&inserts).any(|dr| dr.key.is_none()) {
-                    return Ok(false);
-                }
                 // The page holds the keys in `(start, last key]` — or to
                 // infinity on the last page; other rows are another page's.
                 let start = ix.starts[self.page_no].as_deref();
@@ -405,7 +393,7 @@ impl BrowseCursor {
                     false => self.page.last().map(|e| e.key.as_slice()),
                 };
                 let on_page = |dr: &&DeltaRow| {
-                    let key = dr.key.as_deref().expect("keys checked above");
+                    let key = dr.key.as_slice();
                     start.is_none_or(|s| key > s) && end.is_none_or(|e| key <= e)
                 };
                 let removes: Vec<_> = removes.into_iter().filter(on_page).collect();
@@ -414,34 +402,24 @@ impl BrowseCursor {
                 // guessing.
                 if !removes
                     .iter()
-                    .all(|dr| self.page.iter().any(|e| e.rid == dr.rid))
+                    .all(|dr| self.page.iter().any(|e| e.key == dr.key))
                 {
                     return Ok(false);
                 }
                 let page = &mut self.page;
-                let mut cur = self.pos;
                 for dr in removes {
-                    if let Some(i) = page.iter().position(|e| e.rid == dr.rid) {
-                        page.remove(i);
-                        if i < cur {
-                            cur -= 1;
-                        }
-                    }
+                    page.retain(|e| e.key != dr.key);
                 }
                 for dr in inserts {
-                    let key = dr.key.clone().expect("keys checked above");
-                    let i = page.partition_point(|e| e.key <= key);
+                    let i = page.partition_point(|e| e.key <= dr.key);
                     page.insert(
                         i,
                         Entry {
                             rid: dr.rid,
-                            key,
+                            key: dr.key.clone(),
                             row: dr.row.clone(),
                         },
                     );
-                    if i <= cur && rid.is_some() {
-                        cur += 1;
-                    }
                 }
                 // Spill: the page holds one screenful; extra rows belong to
                 // the next page, which starts after the new last key.
@@ -449,9 +427,8 @@ impl BrowseCursor {
                     page.truncate(page_size);
                     self.at_end = false;
                 }
-                if let Some(i) = rid.and_then(|rid| page.iter().position(|e| e.rid == Some(rid))) {
-                    cur = i;
-                }
+                let found = rid.and_then(|rid| page.iter().position(|e| e.rid == Some(rid)));
+                let cur = found.unwrap_or(self.pos);
                 let short = page.len() < page_size;
                 self.pos = cur.min(page.len().saturating_sub(1));
                 // Backfill: removals made room for rows beyond the old page
@@ -467,8 +444,8 @@ impl BrowseCursor {
 
     /// Split a view delta into the rows leaving and entering this window —
     /// the delta honoured the view's predicate; the window's own restriction
-    /// applies on top. `None` when a row lacks the rid to place it by.
-    fn delta_rows<'d>(&self, delta: &'d ViewDelta) -> WowResult<Option<DeltaRows<'d>>> {
+    /// applies on top.
+    fn delta_rows<'d>(&self, delta: &'d ViewDelta) -> WowResult<DeltaRows<'d>> {
         let shown = |dr: &DeltaRow| -> WowResult<bool> {
             Ok(match &self.filter {
                 Some(p) => eval_pred(p, &dr.row)?,
@@ -494,8 +471,7 @@ impl BrowseCursor {
                 inserts.push(dr);
             }
         }
-        let placeable = removes.iter().chain(&inserts).all(|dr| dr.rid.is_some());
-        Ok(placeable.then_some((removes, inserts)))
+        Ok((removes, inserts))
     }
 
     /// Read page `page_no` from the source: its rows and whether it is the
@@ -569,10 +545,7 @@ impl IndexPages {
     ) -> WowResult<(Vec<Entry>, bool)> {
         let mut span = wow_obs::span(wow_obs::Op::BrowsePage);
         let walk = &self.walk;
-        let tables = std::iter::once(&walk.table)
-            .chain(walk.probes.iter().map(|p| &p.table))
-            .map(|t| Ok(db.catalog().table(t)?.id))
-            .collect::<WowResult<Vec<_>>>()?;
+        let table = db.catalog().table(&walk.table)?.id;
         let mut page = Vec::with_capacity(page_size);
         let mut after = start;
         let mut at_end = false;
@@ -588,16 +561,13 @@ impl IndexPages {
             })?;
             for (key, rid) in chunk {
                 after = Some(key.clone());
-                let Some(row) = self.joined(db, &tables, rid)? else {
+                // `None` when the driving row was deleted under us.
+                let Some(row) = db.get_row(table, rid)? else {
                     continue;
                 };
-                if let Some(p) = &walk.pred {
-                    if !eval_pred(p, &row)? {
-                        continue;
-                    }
-                }
-                let vals = walk.targets.iter().map(|t| eval(t, &row));
-                let view_row = Tuple::new(vals.collect::<Result<_, _>>()?);
+                let Some(view_row) = walk.view_row(db, row)? else {
+                    continue;
+                };
                 if let Some(p) = view_pred {
                     if !eval_pred(p, &view_row)? {
                         continue;
@@ -624,35 +594,6 @@ impl IndexPages {
         // the next advance (same trade every cursor implementation makes).
         span.arg(page.len() as u64);
         Ok((page, at_end))
-    }
-
-    /// The joined row behind driving entry `rid`: the driving row followed
-    /// by the row each probe finds. `None` when the driving row is gone, a
-    /// probe value is NULL or a probe finds nothing — an inner join.
-    fn joined(
-        &self,
-        db: &mut Database,
-        tables: &[wow_rel::catalog::TableId],
-        rid: Rid,
-    ) -> WowResult<Option<Tuple>> {
-        let Some(mut row) = db.get_row(tables[0], rid)? else {
-            return Ok(None); // deleted under us
-        };
-        for (probe, &table) in self.walk.probes.iter().zip(&tables[1..]) {
-            let key: Vec<_> = probe.cols.iter().map(|&c| row.values[c].clone()).collect();
-            if key.iter().any(|v| v.is_null()) {
-                return Ok(None);
-            }
-            let inner = match db.index_lookup(&probe.index, &key)?.first() {
-                Some(&inner) => db.get_row(table, inner)?,
-                None => None,
-            };
-            let Some(inner) = inner else {
-                return Ok(None);
-            };
-            row.values.extend(inner.values);
-        }
-        Ok(Some(row))
     }
 }
 

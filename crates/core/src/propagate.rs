@@ -13,18 +13,19 @@ use wow_rel::delta::BaseDelta;
 use wow_views::delta::{compute_view_delta, ViewDelta};
 
 impl World {
-    /// Push a typed write delta through the view algebra and patch every
-    /// affected window's screenful in place, falling back to a full
-    /// re-query per window only when the view is not delta-maintainable
-    /// (aggregates, DISTINCT, grouping, self-joins), the delta is too large
-    /// to be worth translating, or the cursor cannot place the delta rows.
+    /// Push a typed write delta through each affected view's keyed walk
+    /// ([`wow_views::delta`]) and patch the window's screenful in place,
+    /// falling back to a re-read per window when the view has no delta for
+    /// the write (a write to a probed table, a view with no `Keyed`, a
+    /// probed delta too large to walk) or the cursor cannot place the delta
+    /// rows. For a keyed window the re-read is one page.
     ///
     /// Windows whose view provably cannot see the change (the view delta is
-    /// empty — e.g. a filtered view the written row never matched, or a
-    /// join the written row joins with nothing through) are skipped
-    /// entirely: no refresh, no query, no counter. The window that made the
-    /// write is one of the windows: its commit returned it to Browse, so it
-    /// takes the delta like any other.
+    /// empty — an update to columns the view does not read, or a filtered
+    /// view the written row never matched) are skipped entirely: no
+    /// refresh and no query, counted in `windows_skipped`. The window that
+    /// made the write is one of the windows: its commit returned it to
+    /// Browse, so it takes the delta like any other.
     ///
     /// The view → base-table reachability comes from the cached
     /// [`wow_views::DepIndex`]: on the warm path (no DDL since the last
@@ -118,8 +119,8 @@ impl World {
         }
     }
 
-    /// Translate a base delta into `view`'s delta: `None` when the view is
-    /// not delta-maintainable or the delta is too large to translate.
+    /// Translate a base delta into `view`'s delta: `None` when the view has
+    /// none for it and its windows re-read.
     fn view_delta(&mut self, view: &str, delta: &BaseDelta) -> WowResult<Option<ViewDelta>> {
         let (db, views, deps) = self.delta_parts();
         let plan = deps.delta_plan(db, views, view, &delta.table)?;
@@ -133,6 +134,7 @@ impl World {
     fn catch_up(&mut self, id: WinId, vd: Option<&ViewDelta>) -> WowResult<bool> {
         if let Some(vd) = vd {
             if vd.is_empty() {
+                self.stats.windows_skipped += 1;
                 return Ok(false);
             }
             let mut span = wow_obs::span(wow_obs::Op::DeltaRefresh);
@@ -340,6 +342,7 @@ mod tests {
         w.window_mut(editor).unwrap().form.set_text(2, "95");
         w.commit(editor).unwrap();
         assert_eq!(w.stats.windows_refreshed, 1, "empty view delta → skip");
+        assert_eq!(w.stats.windows_skipped, 1, "the watcher, counted");
         assert_eq!(w.stats.delta_refreshes, 1, "the editor's own window");
         assert_eq!(w.stats.full_refreshes, 0);
         // alice is a toy employee: her raise patches the watcher in place.
@@ -424,7 +427,11 @@ mod tests {
         w.enter_edit(editor).unwrap();
         w.window_mut(editor).unwrap().form.set_text(2, "123");
         w.commit(editor).unwrap();
-        assert_eq!(w.stats.windows_refreshed, 4, "watcher now reads emp");
+        assert_eq!(w.stats.windows_refreshed, 3, "the editor");
+        assert_eq!(
+            w.stats.windows_skipped, 1,
+            "watcher now reads emp, though not salary"
+        );
         assert_eq!(w.dep_index().rebuilds(), warm + 1);
     }
 
@@ -579,6 +586,34 @@ mod tests {
         );
         assert_eq!(w.stats.windows_refreshed, 2, "healthy and editor");
         assert_eq!(w.stats.delta_refreshes, 2);
+    }
+
+    #[test]
+    fn bare_column_names_are_read_columns() {
+        let mut w = world();
+        w.define_view(
+            "bare_toys",
+            r#"RANGE OF e IS emp RETRIEVE (name, salary) WHERE dept = "toy""#,
+        )
+        .unwrap();
+        let s = w.open_session();
+        let editor = w.open_window(s, "emps", None).unwrap();
+        let toys = w.open_window(s, "bare_toys", None).unwrap();
+        // A bare target: alice's raise reaches the watcher.
+        w.enter_edit(editor).unwrap();
+        w.window_mut(editor).unwrap().form.set_text(2, "130");
+        w.commit(editor).unwrap();
+        assert_eq!(
+            w.current_row(toys).unwrap().unwrap().values[1].to_string(),
+            "130"
+        );
+        // A bare restriction: moving alice to shoe takes her out.
+        w.enter_edit(editor).unwrap();
+        w.window_mut(editor).unwrap().form.set_text(1, "shoe");
+        w.commit(editor).unwrap();
+        assert!(w.current_row(toys).unwrap().is_none(), "bare_toys is empty");
+        assert_eq!(w.stats.windows_skipped, 0);
+        assert_eq!(w.stats.full_refreshes, 0);
     }
 
     #[test]

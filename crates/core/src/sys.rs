@@ -135,6 +135,7 @@ impl World {
         m.set("world.delta_refreshes", s.delta_refreshes);
         m.set("world.full_refreshes", s.full_refreshes);
         m.set("world.delta_rows", s.delta_rows);
+        m.set("world.windows_skipped", s.windows_skipped);
         m.set("world.frames", s.frames);
         m.set("world.cells_emitted", s.cells_emitted);
         let l = self.locks();

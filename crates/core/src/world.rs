@@ -39,6 +39,9 @@ pub struct WorldStats {
     pub full_refreshes: u64,
     /// View-delta rows applied to browse cursors.
     pub delta_rows: u64,
+    /// Windows propagation left untouched because the write changed
+    /// nothing their view shows.
+    pub windows_skipped: u64,
     /// Frames rendered.
     pub frames: u64,
     /// Cells emitted by damage-tracked rendering.
@@ -64,6 +67,7 @@ impl WorldStats {
             delta_refreshes: self.delta_refreshes.saturating_sub(base.delta_refreshes),
             full_refreshes: self.full_refreshes.saturating_sub(base.full_refreshes),
             delta_rows: self.delta_rows.saturating_sub(base.delta_rows),
+            windows_skipped: self.windows_skipped.saturating_sub(base.windows_skipped),
             frames: self.frames.saturating_sub(base.frames),
             cells_emitted: self.cells_emitted.saturating_sub(base.cells_emitted),
         }
@@ -279,8 +283,8 @@ impl World {
         (&self.db, &self.views, &self.windows, &mut self.deps)
     }
 
-    /// Split borrow used by delta computation: database (write — residual
-    /// queries bump probe counters) + view catalog alongside the plan cache.
+    /// Split borrow used by delta computation: database (write — key
+    /// probes bump probe counters) + view catalog alongside the plan cache.
     pub(crate) fn delta_parts(&mut self) -> (&mut Database, &ViewCatalog, &mut DepIndex) {
         (&mut self.db, &self.views, &mut self.deps)
     }

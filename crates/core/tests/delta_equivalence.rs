@@ -401,6 +401,7 @@ proptest! {
             next_b_id: 0,
         };
         for op in &ops {
+            let requeries = wd.stats.full_refreshes;
             if !apply(&mut wd, &mut wf, &wins_d, &wins_f, &mut live, op) {
                 continue;
             }
@@ -411,6 +412,14 @@ proptest! {
                     "windows diverged after {:?}", op
                 );
             }
+            // `tb` drives `detail`, so a `tb` write is a splice; only a
+            // write to the probed `ta` re-queries it (the single-table
+            // watchers never do).
+            let wrote_ta = !matches!(op, Op::InsertB { .. } | Op::DeleteB { .. });
+            prop_assert!(
+                wrote_ta || wd.stats.full_refreshes == requeries,
+                "detail re-queried after {:?}", op
+            );
         }
         prop_assert_eq!(wf.stats.delta_refreshes, 0);
     }

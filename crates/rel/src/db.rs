@@ -584,31 +584,6 @@ impl Database {
         }
     }
 
-    /// Whether an index holds any entry for `values` — the allocation-free
-    /// existence probe delta propagation uses to decide if a write joins
-    /// with anything before running a residual query.
-    pub fn index_probe_exists(&mut self, index_name: &str, values: &[Value]) -> RelResult<bool> {
-        let idx = self.catalog.index(index_name)?.clone();
-        let key = Value::encode_composite(values);
-        self.counters.index_probes += 1;
-        let tree = self.indexes.get(&idx.name).expect("handle exists");
-        if idx.unique {
-            Ok(tree.contains(&self.store, &key)?)
-        } else {
-            Ok(tree.contains_prefix(&self.store, &key)?)
-        }
-    }
-
-    /// The name of an index of `table` whose key is exactly the single
-    /// column `column`, if one exists (primary-key indexes included when
-    /// the key is that one column), chosen as the optimizer chooses it.
-    pub fn index_on(&self, table: &str, column: &str) -> Option<String> {
-        let info = self.catalog.table(table).ok()?;
-        let col = info.schema.resolve(column).ok()?;
-        let idx = self.catalog.index_on_column(info.id, col)?;
-        Some(idx.name.clone())
-    }
-
     /// Fetch one *page* of index entries in key order, starting strictly
     /// after `after` (pass `None` to start at the beginning). Returns up to
     /// `limit` `(key, rid)` pairs: an unbounded [`Database::index_walk`],

@@ -2,12 +2,11 @@
 //!
 //! Every committed write is captured as a [`BaseDelta`] — the inserted,
 //! deleted, and updated tuples of one base table, each with its rid. The
-//! view layer pushes these through the classic delta rules (selection
-//! filters the delta, projection rewrites it, join probes the other side)
-//! instead of re-running whole view queries after each commit.
+//! view layer pushes each written image through the view's keyed walk
+//! (the restriction filters it, the targets project it, the primary-key
+//! probes join it) instead of re-running whole view queries after each
+//! commit.
 
-use crate::expr::Expr;
-use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use wow_storage::Rid;
@@ -66,38 +65,6 @@ impl BaseDelta {
     }
 }
 
-/// Substitute every column reference `var.col` in `expr` with the literal
-/// value that `row` (shaped by the `var`-qualified `schema`) holds for it.
-///
-/// This is how join delta rules "probe the other side": binding the written
-/// relation's variable to one concrete delta row turns the view query into
-/// a residual query over the remaining relations, whose equality conjuncts
-/// the optimizer then satisfies with index probes.
-pub fn bind_var(expr: &Expr, schema: &Schema, row: &Tuple) -> Expr {
-    match expr {
-        Expr::ColumnRef(n) => match schema.index_of(n) {
-            Some(i) => Expr::Literal(row.values[i].clone()),
-            None => Expr::ColumnRef(n.clone()),
-        },
-        Expr::Column(i) => Expr::Column(*i),
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(bind_var(left, schema, row)),
-            right: Box::new(bind_var(right, schema, row)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(bind_var(expr, schema, row)),
-        },
-        Expr::Like { expr, pattern } => Expr::Like {
-            expr: Box::new(bind_var(expr, schema, row)),
-            pattern: pattern.clone(),
-        },
-        Expr::IsNull(e) => Expr::IsNull(Box::new(bind_var(e, schema, row))),
-    }
-}
-
 /// The primary-key index key bytes of `row` under `key_cols`, or `None`
 /// when the table has no declared key. Matches the encoding `pk_<table>`
 /// B+tree indexes store, so browse cursors can place delta rows by key.
@@ -112,34 +79,6 @@ pub fn key_bytes(key_cols: &[usize], row: &Tuple) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::BinOp;
-    use crate::schema::Column;
-    use crate::types::DataType;
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column::not_null("s.sno", DataType::Int),
-            Column::new("s.city", DataType::Text),
-        ])
-    }
-
-    #[test]
-    fn bind_var_substitutes_matching_refs() {
-        let row = Tuple::new(vec![Value::Int(7), Value::text("london")]);
-        let e = Expr::Binary {
-            op: BinOp::Eq,
-            left: Box::new(Expr::ColumnRef("s.sno".into())),
-            right: Box::new(Expr::ColumnRef("sp.sno".into())),
-        };
-        let bound = bind_var(&e, &schema(), &row);
-        match bound {
-            Expr::Binary { left, right, .. } => {
-                assert_eq!(*left, Expr::Literal(Value::Int(7)));
-                assert_eq!(*right, Expr::ColumnRef("sp.sno".into()));
-            }
-            other => panic!("unexpected shape: {other:?}"),
-        }
-    }
 
     #[test]
     fn delta_constructors_and_len() {

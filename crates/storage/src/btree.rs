@@ -330,30 +330,6 @@ impl BTree {
         Ok(out)
     }
 
-    /// Whether any entry exists under exactly `key` — an allocation-free
-    /// existence probe that stops at the first hit. Delta propagation uses
-    /// this to decide whether a write joins with anything before paying for
-    /// a residual query.
-    pub fn contains(&self, store: &MemStore, key: &[u8]) -> StorageResult<bool> {
-        let mut found = false;
-        self.range_scan(store, Bound::Included(key), Bound::Included(key), |_, _| {
-            found = true;
-            false
-        })?;
-        Ok(found)
-    }
-
-    /// Whether any entry's (composite) key starts with `prefix` — the
-    /// existence probe counterpart of [`BTree::lookup_prefix`].
-    pub fn contains_prefix(&self, store: &MemStore, prefix: &[u8]) -> StorageResult<bool> {
-        let mut found = false;
-        self.range_scan(store, Bound::Included(prefix), Bound::Unbounded, |k, _| {
-            found = k.starts_with(prefix);
-            false
-        })?;
-        Ok(found)
-    }
-
     /// All rids whose (composite) key starts with `prefix` — the lookup used
     /// by non-unique indexes built with [`composite_key`].
     pub fn lookup_prefix(&self, store: &MemStore, prefix: &[u8]) -> StorageResult<Vec<Rid>> {
@@ -591,14 +567,12 @@ mod tests {
         let mut want: Vec<Rid> = (0..400).map(rid).collect();
         want.sort();
         assert_eq!(hits, want);
-        assert!(t.contains_prefix(&store, &prefix).unwrap());
         for i in 0..400u64 {
             assert!(t
                 .delete(&store, &composite_key(&prefix, rid(i)), rid(i))
                 .unwrap());
         }
         assert!(t.lookup_prefix(&store, &prefix).unwrap().is_empty());
-        assert!(!t.contains_prefix(&store, &prefix).unwrap());
         assert_eq!(t.len(), 2, "the neighbours either side remain");
     }
 

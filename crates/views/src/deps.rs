@@ -4,14 +4,14 @@
 //! must refresh every other window whose view *could* see the change.
 //! These helpers compute that reachability.
 //!
-//! The free functions walk the definitions on every call. Propagation runs
-//! them once per open window per commit, so the hot path instead goes
-//! through [`DepIndex`], which memoizes the whole view → base-table map and
+//! [`base_tables`] walks the definitions on every call. Propagation asks
+//! once per open window per commit, so the hot path instead goes through
+//! [`DepIndex`], which memoizes the whole view → base-table map and
 //! invalidates it by comparing catalog generations (bumped on table and
 //! view DDL respectively) — zero recomputation while the schema is stable.
 
 use crate::catalog::ViewCatalog;
-use crate::delta::{analyze_delta, DeltaPlan};
+use crate::delta::DeltaPlan;
 use crate::error::ViewResult;
 use std::collections::{BTreeMap, BTreeSet};
 use wow_rel::db::Database;
@@ -42,26 +42,6 @@ fn collect(
         }
     }
     Ok(())
-}
-
-/// Every view that (transitively) reads `table`, sorted by name.
-pub fn views_reading(db: &Database, vc: &ViewCatalog, table: &str) -> Vec<String> {
-    vc.names()
-        .into_iter()
-        .filter(|v| {
-            base_tables(db, vc, v)
-                .map(|s| s.contains(table))
-                .unwrap_or(false)
-        })
-        .collect()
-}
-
-/// Whether two views overlap — share at least one base table — and hence
-/// whether a write through one may require refreshing the other.
-pub fn overlap(db: &Database, vc: &ViewCatalog, a: &str, b: &str) -> ViewResult<bool> {
-    let ta = base_tables(db, vc, a)?;
-    let tb = base_tables(db, vc, b)?;
-    Ok(ta.intersection(&tb).next().is_some())
 }
 
 /// A cached view → base-table dependency map.
@@ -159,25 +139,9 @@ impl DepIndex {
         self.ensure(db, vc)?;
         let key = (view.to_string(), table.to_string());
         if !self.plans.contains_key(&key) {
-            let plan = analyze_delta(db, vc, view, table)?;
+            let plan = crate::delta::plan(db, vc, view, table)?;
             self.plans.insert(key.clone(), plan);
         }
         Ok(&self.plans[&key])
-    }
-
-    /// Every view that (transitively) reads `table`, sorted by name (cached).
-    pub fn views_reading(
-        &mut self,
-        db: &Database,
-        vc: &ViewCatalog,
-        table: &str,
-    ) -> ViewResult<Vec<String>> {
-        self.ensure(db, vc)?;
-        Ok(self
-            .cache
-            .iter()
-            .filter(|(_, tables)| tables.contains(table))
-            .map(|(name, _)| name.clone())
-            .collect())
     }
 }

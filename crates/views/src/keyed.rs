@@ -21,16 +21,25 @@
 //! zero-probe case), and one they allow is keyed even where it is not read
 //! by key. The analysis is a pure function of the bound definition and
 //! expands it once.
+//!
+//! [`Keyed::view_row`] is the one place a driving row becomes a view row:
+//! a page runs it on each driving row it walks, a Snapshot over an
+//! updatable view on each base row, and [`crate::delta`] on each written
+//! image of a driving row.
 
 use crate::catalog::ViewCatalog;
+use crate::def::ViewDef;
 use crate::error::ViewResult;
-use crate::expand::expand_view;
+use crate::expand::{expand_view, Expanded};
 use wow_rel::bind::column_type;
 use wow_rel::catalog::{IndexInfo, TableInfo};
 use wow_rel::db::Database;
+use wow_rel::eval::{eval, eval_pred};
 use wow_rel::expr::{BinOp, Expr};
 use wow_rel::quel::ast::Target;
 use wow_rel::schema::{Column, Schema};
+use wow_rel::tuple::Tuple;
+use wow_rel::value::Value;
 
 /// One inner range, read by a primary-key lookup per driving row.
 #[derive(Debug, Clone)]
@@ -53,6 +62,8 @@ pub struct Keyed {
     pub view: String,
     /// The driving table.
     pub table: String,
+    /// Its primary-key columns, in the index's order: the view's key.
+    pub key: Vec<usize>,
     /// Its primary-key index, which pages walk in key order; `None` when
     /// the table's key has no `pk_<table>` index (then only a view that
     /// writes is keyed, and its windows hold a Snapshot).
@@ -78,8 +89,6 @@ pub struct Writes {
     /// For each view column: the base column it projects, or `None` for a
     /// computed column.
     pub column_map: Vec<Option<usize>>,
-    /// The base table's primary-key columns.
-    pub base_key: Vec<usize>,
 }
 
 impl Keyed {
@@ -87,6 +96,34 @@ impl Keyed {
     pub fn is_writable(&self, view_col: usize) -> bool {
         let writes = self.writes.as_ref();
         writes.is_some_and(|w| w.column_map.get(view_col).copied().flatten().is_some())
+    }
+
+    /// The view row driving row `row` makes: `row` joined with the row
+    /// each probe finds, kept when `pred` holds, projected through
+    /// `targets`. `None` when a probe value is NULL, a probe finds nothing
+    /// (an inner join) or `pred` fails.
+    pub fn view_row(&self, db: &mut Database, mut row: Tuple) -> ViewResult<Option<Tuple>> {
+        for probe in &self.probes {
+            let key: Vec<Value> = probe.cols.iter().map(|&c| row.values[c].clone()).collect();
+            if key.iter().any(Value::is_null) {
+                return Ok(None);
+            }
+            let Some(&rid) = db.index_lookup(&probe.index, &key)?.first() else {
+                return Ok(None);
+            };
+            let table = db.catalog().table(&probe.table)?.id;
+            let Some(inner) = db.get_row(table, rid)? else {
+                return Ok(None);
+            };
+            row.values.extend(inner.values);
+        }
+        if let Some(p) = &self.pred {
+            if !eval_pred(p, &row)? {
+                return Ok(None);
+            }
+        }
+        let vals = self.targets.iter().map(|t| eval(t, &row));
+        Ok(Some(Tuple::new(vals.collect::<Result<_, _>>()?)))
     }
 }
 
@@ -102,7 +139,16 @@ pub fn analyze_keyed(
     if def.has_aggregates() {
         return Ok((None, vec!["computes aggregates".to_string()]));
     }
-    let expanded = expand_view(db, vc, def)?;
+    analyze_expanded(db, def, &expand_view(db, vc, def)?)
+}
+
+/// [`analyze_keyed`] over a view `def` the caller has expanded and found
+/// to compute no aggregates.
+pub(crate) fn analyze_expanded(
+    db: &Database,
+    def: &ViewDef,
+    expanded: &Expanded,
+) -> ViewResult<(Option<Keyed>, Vec<String>)> {
     let stmt = &expanded.stmt;
     let conjuncts = match &stmt.where_ {
         Some(w) => w.clone().split_conjuncts(),
@@ -178,8 +224,9 @@ pub fn analyze_keyed(
             targets.push(expr.clone().resolve(&schema)?);
         }
         let mut keyed = Keyed {
-            view: view_name.to_string(),
+            view: def.name.clone(),
             table: info.name.clone(),
+            key: info.key.clone(),
             index: index.map(|i| i.name),
             probes,
             pred: residual.map(|p| p.resolve(&schema)).transpose()?,
@@ -231,10 +278,7 @@ fn check_writes(keyed: &mut Keyed, info: &TableInfo) -> Vec<String> {
         for (col, base) in keyed.schema.columns.iter_mut().zip(&column_map) {
             col.nullable = base.is_none_or(|b| info.schema.column(b).nullable);
         }
-        keyed.writes = Some(Writes {
-            column_map,
-            base_key: info.key.clone(),
-        });
+        keyed.writes = Some(Writes { column_map });
     }
     unprojected
 }

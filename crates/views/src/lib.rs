@@ -19,10 +19,11 @@
 //!   rows) into base-table DML, including the "row escapes the view" check.
 //! * [`deps`] — the dependency graph from views to base tables, used by the
 //!   window manager to decide which windows to refresh after a commit.
-//! * [`delta`] — incremental view maintenance: classifying views as
-//!   delta-maintainable ([`delta::DeltaPlan`]) and pushing base-table write
-//!   deltas through selection, projection, and join to produce view-row
-//!   deltas windows apply in place.
+//! * [`delta`] — incremental view maintenance: per (view, table), the
+//!   columns the view reads and, when the table drives the view, its
+//!   `Keyed` ([`delta::DeltaPlan`]); each written image of a driving row
+//!   walks through the same probes, restriction and targets a page runs,
+//!   giving the view-row deltas windows apply in place.
 
 pub mod catalog;
 pub mod def;

@@ -13,7 +13,7 @@
 use crate::error::{ViewError, ViewResult};
 use crate::keyed::{Keyed, Writes};
 use wow_rel::db::Database;
-use wow_rel::eval::{eval, eval_pred};
+use wow_rel::eval::eval_pred;
 use wow_rel::tuple::Tuple;
 use wow_rel::value::Value;
 use wow_storage::Rid;
@@ -49,11 +49,7 @@ pub fn view_rows_with_rids(db: &mut Database, keyed: &Keyed) -> ViewResult<Vec<(
     let id = db.catalog().table(&keyed.table)?.id;
     let mut out = Vec::new();
     for (rid, base) in db.scan_table_raw(id)? {
-        if !member(keyed, &base)? {
-            continue;
-        }
-        let vals = keyed.targets.iter().map(|t| eval(t, &base));
-        out.push((rid, Tuple::new(vals.collect::<Result<_, _>>()?)));
+        out.extend(keyed.view_row(db, base)?.map(|row| (rid, row)));
     }
     Ok(out)
 }

@@ -395,12 +395,14 @@ fn dependency_graph() {
     assert_eq!(t.into_iter().collect::<Vec<_>>(), vec!["emp"]);
     let t = deps::base_tables(&db, &vc, "emp_floor").unwrap();
     assert_eq!(t.len(), 2);
-    let readers = deps::views_reading(&db, &vc, "emp");
-    assert_eq!(readers.len(), 4, "{readers:?}");
-    let readers = deps::views_reading(&db, &vc, "dept");
-    assert_eq!(readers, vec!["emp_floor"]);
-    assert!(deps::overlap(&db, &vc, "toy_emps", "emp_floor").unwrap());
-    assert!(deps::overlap(&db, &vc, "dept_payroll", "rich_toy_emps").unwrap());
+    let mut index = deps::DepIndex::new();
+    let mut readers = |table: &str| -> Vec<String> {
+        let reads = |v: &String| index.reads(&db, &vc, v, table).unwrap();
+        vc.names().into_iter().filter(reads).collect()
+    };
+    let emp = ["dept_payroll", "emp_floor", "rich_toy_emps", "toy_emps"];
+    assert_eq!(readers("emp"), emp);
+    assert_eq!(readers("dept"), ["emp_floor"]);
 }
 
 #[test]
