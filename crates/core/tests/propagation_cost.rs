@@ -58,8 +58,10 @@ fn a_join_watcher_costs_a_splice_or_nothing_at_any_size() {
     let mut probes = Vec::new();
     for enrollments in [2_000, 16_000] {
         let (mut w, s) = registrar(enrollments);
-        // The write's own cost: its unique-key check probes `pk_student`.
+        // The write's own cost: a gpa write leaves `pk_student`'s key as it
+        // was, so it probes no index.
         let (_, alone) = write(&mut w, s, "student", 8, 3, Value::Float(0.5));
+        assert_eq!(alone.index_probes, 0, "{enrollments}: the write alone");
         let win = w.open_window(s, "transcript", None).unwrap();
         // eid 3 is the fourth row of the window's first page, in
         // driving-key order.

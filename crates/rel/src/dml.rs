@@ -95,10 +95,11 @@ impl Database {
         let Some(old) = self.get_row(info.id, rid)? else {
             return Ok(false);
         };
-        // Unique pre-checks, ignoring a hit that is the row itself.
+        // Unique pre-checks, ignoring a hit that is the row itself. An
+        // index whose key the update leaves as it was cannot conflict.
         for idx_name in &info.indexes {
             let idx = self.catalog.index(idx_name)?.clone();
-            if idx.unique {
+            if idx.unique && Self::index_key(&idx, &old) != Self::index_key(&idx, &new) {
                 let key_vals: Vec<Value> =
                     idx.columns.iter().map(|&i| new.values[i].clone()).collect();
                 let hits = self.index_lookup(&idx.name, &key_vals)?;

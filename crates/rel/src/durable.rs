@@ -485,23 +485,8 @@ impl Database {
 
         let tmp = dir.join("world.ckpt.tmp");
         let _ = std::fs::remove_file(&tmp);
-        {
-            let mut target = FileStore::open(&tmp)?;
-            let mut free: Vec<u64> = Vec::new();
-            let page_count = self.store.page_count();
-            for id in 0..page_count {
-                let tid = target.allocate()?;
-                debug_assert_eq!(tid.0, id, "snapshot page ids must align");
-                match self.store.with_page(PageId(id), |p| target.write(tid, p)) {
-                    Ok(written) => written?,
-                    Err(StorageError::PageNotFound(_)) => free.push(id),
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            let snap = self.build_snapshot(epoch, page_count, free);
-            target.set_meta(&snap.encode())?;
-            target.sync()?;
-        }
+        let snap = self.build_snapshot(epoch, self.store.page_count(), self.store.free_pages());
+        FileStore::write_image(&tmp, &self.store, &snap.encode())?;
         std::fs::rename(&tmp, dir.join(CKPT_FILE)).map_err(io_err)?;
         if let Some(wal) = &mut self.wal {
             wal.reset(epoch)?;

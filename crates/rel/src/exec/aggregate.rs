@@ -191,7 +191,92 @@ impl AggState {
     }
 }
 
-/// Execute grouping + aggregation over materialized input rows.
+/// Grouping and aggregation folded one row at a time, so no operator
+/// holds its input: the streaming `Aggregate` feeds it the rows of each
+/// batch or block as they arrive, and [`aggregate`] feeds it a
+/// materialized input.
+///
+/// A global aggregate (empty `group_by`) has exactly one group, so it does
+/// no hashing; a grouped one looks each row's encoded key up and allocates
+/// only when it meets a new group.
+pub(crate) struct Fold {
+    group_by: Vec<usize>,
+    aggs: Vec<AggSpec>,
+    /// The states a new group starts from.
+    init: Vec<AggState>,
+    /// Each group's key values and states, in first-appearance order.
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// Encoded group key → index into `groups`.
+    index: HashMap<Vec<u8>, usize>,
+    /// The current row's encoded key (reused from row to row).
+    key: Vec<u8>,
+}
+
+impl Fold {
+    /// An empty fold over input rows of `input_schema`.
+    pub(crate) fn new(input_schema: &Schema, group_by: &[usize], aggs: &[AggSpec]) -> Fold {
+        let init: Vec<AggState> = aggs
+            .iter()
+            .map(|a| AggState::new(a, input_schema))
+            .collect();
+        // With no grouping, one output row even for empty input (COUNT = 0,
+        // other aggregates NULL) — SQL semantics.
+        let groups = if group_by.is_empty() {
+            vec![(Vec::new(), init.clone())]
+        } else {
+            Vec::new()
+        };
+        Fold {
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            init,
+            groups,
+            index: HashMap::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Fold one input row, whose column `c` is `col(c)`.
+    pub(crate) fn add<'v>(&mut self, col: impl Fn(usize) -> &'v Value) -> RelResult<()> {
+        let g = if self.group_by.is_empty() {
+            0
+        } else {
+            self.key.clear();
+            for &c in &self.group_by {
+                col(c).encode_key(&mut self.key);
+            }
+            match self.index.get(self.key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    self.index.insert(self.key.clone(), self.groups.len());
+                    let key_vals = self.group_by.iter().map(|&c| col(c).clone()).collect();
+                    self.groups.push((key_vals, self.init.clone()));
+                    self.groups.len() - 1
+                }
+            }
+        };
+        for (spec, state) in self.aggs.iter().zip(&mut self.groups[g].1) {
+            state.update(spec.input.map(&col))?;
+        }
+        Ok(())
+    }
+
+    /// One output row per group, in first-appearance order: the group's
+    /// key values, then its aggregates.
+    pub(crate) fn finish(self) -> Vec<Tuple> {
+        self.groups
+            .into_iter()
+            .map(|(mut vals, states)| {
+                vals.extend(states.into_iter().map(AggState::finish));
+                Tuple::new(vals)
+            })
+            .collect()
+    }
+}
+
+/// Execute grouping + aggregation over materialized input rows: the
+/// reference the streaming `Aggregate` is held to, through the same
+/// fold.
 ///
 /// With an empty `group_by`, exactly one output row is produced even for
 /// empty input (COUNT = 0, other aggregates NULL) — SQL semantics. Group
@@ -203,40 +288,14 @@ pub fn aggregate(
     group_by: &[usize],
     aggs: &[AggSpec],
 ) -> RelResult<Rows> {
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut groups: HashMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-    if group_by.is_empty() {
-        let states: Vec<AggState> = aggs
-            .iter()
-            .map(|a| AggState::new(a, &input.schema))
-            .collect();
-        order.push(Vec::new());
-        groups.insert(Vec::new(), (Vec::new(), states));
-    }
+    let mut fold = Fold::new(&input.schema, group_by, aggs);
     for t in &input.tuples {
-        let key_vals: Vec<Value> = group_by.iter().map(|&g| t.values[g].clone()).collect();
-        let key = Value::encode_composite(&key_vals);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (
-                key_vals,
-                aggs.iter()
-                    .map(|a| AggState::new(a, &input.schema))
-                    .collect(),
-            )
-        });
-        for (spec, state) in aggs.iter().zip(entry.1.iter_mut()) {
-            state.update(spec.input.map(|i| &t.values[i]))?;
-        }
+        fold.add(|c| &t.values[c])?;
     }
-    let mut tuples = Vec::with_capacity(order.len());
-    for key in order {
-        let (key_vals, states) = groups.remove(&key).expect("group recorded");
-        let mut vals = key_vals;
-        vals.extend(states.into_iter().map(AggState::finish));
-        tuples.push(Tuple::new(vals));
-    }
-    Ok(Rows { schema, tuples })
+    Ok(Rows {
+        schema,
+        tuples: fold.finish(),
+    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   [`Limit`](PhysicalPlan::Limit) (this module and [`stream`]);
 //! * joins — [`join`]: nested-loop (the 1983 baseline) and hash (the
 //!   comparison point Figure 2 sweeps);
-//! * [`sort`] and [`aggregate`] (pipeline breakers in the streaming path).
+//! * [`sort`] (a pipeline breaker in the streaming path) and [`aggregate`],
+//!   which folds rows into its groups as they arrive and never holds its
+//!   input.
 
 pub mod aggregate;
 pub mod analyze;

@@ -3,8 +3,10 @@
 //! A [`PhysicalPlan`] is compiled by [`build_operator`] into a tree of
 //! [`Operator`]s, each of which yields [`TupleBlock`]s of up to
 //! [`BLOCK_CAP`] tuples on demand. Scans, filter, project, limit, and the
-//! join probe sides are fully streaming; sort, aggregate, and the join
-//! build sides are pipeline breakers that drain their input on first pull.
+//! join probe sides are fully streaming; sort and the join build sides are
+//! pipeline breakers that drain their input on first pull. Aggregate pulls
+//! its whole input too, but folds each row into its group as it arrives,
+//! so it holds the groups, never the input.
 //!
 //! The payoff is limit pushdown for free: a `Limit` that has emitted its
 //! quota simply stops pulling, so a `Limit 16` over a 100k-row relation
@@ -27,14 +29,19 @@
 //! [`Batch`]es of [`Database::batch_size`] rows, filters them through
 //! programs compiled once per query ([`crate::eval::compile`]), and
 //! materializes the remaining columns only for rows that survive (late
-//! materialization). The partitioned scan in [`par`] runs the same kernels
-//! chunk-wise. Everything else — joins, sort, aggregate, distinct, limit,
-//! index scans, and filters/projections over any of them — runs
-//! on row-at-a-time [`TupleBlock`]s; the semantic reference for all of it
-//! is [`super::execute_materializing`].
+//! materialization). A scan holds at most one batch plus one page of row
+//! bytes. An aggregate over such a chain reads its batches directly,
+//! evaluating the chain's projection once per batch and folding borrowed
+//! values; it reads the chain serially, never through a partitioned scan.
+//! Other consumers of a large table's scan may take the partitioned scan
+//! in [`par`], which runs the same kernels chunk-wise. Everything else —
+//! joins, sort, distinct, limit, index scans, filters/projections over any
+//! of them, and aggregates over any of them — runs on row-at-a-time
+//! [`TupleBlock`]s; the semantic reference for all of it is
+//! [`super::execute_materializing`].
 
 use super::analyze::NodeStats;
-use super::{aggregate, par, range_rids, sort, PhysicalPlan, Rows};
+use super::{aggregate, par, range_rids, sort, PhysicalPlan};
 use crate::catalog::TableId;
 use crate::db::Database;
 use crate::error::{RelError, RelResult};
@@ -203,8 +210,8 @@ fn build_with(
     stop_hint: Option<usize>,
     instr: Option<Instr<'_>>,
 ) -> RelResult<Box<dyn Operator>> {
-    if let Some(op) = build_vectorized(db, plan, stop_hint, instr)? {
-        return Ok(op);
+    if let Some(chain) = build_chain(db, plan, stop_hint, instr, true)? {
+        return Ok(chain.into_operator());
     }
     // Claim this node's pre-order slot before building children, so the
     // numbering matches `explain` line order.
@@ -214,7 +221,7 @@ fn build_with(
         parent: node.and_then(|n| n.span).or(i.parent),
     });
     let op: Box<dyn Operator> = match plan {
-        // `build_vectorized` takes every serial scan, so a bare scan that
+        // `build_chain` takes every serial scan, so a bare scan that
         // reaches this arm is one it handed back to be partitioned.
         PhysicalPlan::SeqScan {
             table,
@@ -330,18 +337,18 @@ fn build_with(
             group_by,
             aggs,
         } => {
-            let out_schema = plan.output_schema(db)?;
-            let in_schema = input.output_schema(db)?;
-            let input = build_with(db, input, None, child)?;
+            let fold = aggregate::Fold::new(&input.output_schema(db)?, group_by, aggs);
+            // The fold reads a fused chain serially: it holds one batch
+            // whatever the table's size, which a partitioned scan would not.
+            let input = match build_chain(db, input, None, child, false)? {
+                Some(chain) => AggInput::Chain(chain),
+                None => AggInput::Blocks(build_with(db, input, None, child)?),
+            };
             Box::new(AggregateStream {
                 input,
-                in_schema,
-                out_schema,
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
+                fold: Some(fold),
                 buf: Vec::new(),
                 pos: 0,
-                built: false,
             })
         }
         PhysicalPlan::NestedLoopJoin { left, right, pred } => {
@@ -523,18 +530,52 @@ trait BatchSource {
     fn next_batch(&mut self, db: &mut Database) -> RelResult<Option<Batch>>;
 }
 
+/// A fused `SeqScan`-rooted `Filter*`/`Project?` chain: the batches its
+/// scan and filters produce, and its projection, which the consumer
+/// evaluates over them.
+struct Chain {
+    batches: Box<dyn BatchSource>,
+    /// The projection's compiled expressions, if the chain has one.
+    proj: Option<Vec<Program>>,
+    /// The projection's node, when the build is instrumented.
+    proj_node: Option<NodeRecorder>,
+}
+
+impl Chain {
+    /// The chain as a row operator: its projection gathers row-major
+    /// tuples at the vectorized pipeline's boundary.
+    fn into_operator(self) -> Box<dyn Operator> {
+        let Some(programs) = self.proj else {
+            return Box::new(VecRowsAdapter {
+                input: self.batches,
+            });
+        };
+        let op = Box::new(VecProjectStream {
+            input: self.batches,
+            programs,
+            scratch: Scratch::default(),
+        });
+        match self.proj_node {
+            Some(rec) => Box::new(InstrOp { input: op, rec }),
+            None => op,
+        }
+    }
+}
+
 /// Compile a `SeqScan`-rooted `Filter*`/`Project?` chain into the
 /// vectorized batch pipeline. Returns `None` for any other plan shape (its
-/// operators run on tuple blocks) and for parallel-eligible scans, which
-/// [`build_with`] turns into a [`ParScanStream`] applying the same kernels
-/// chunk-wise. An expression the compiler rejects, or a column past the
-/// table's width, is an error before any row is read.
-fn build_vectorized(
+/// operators run on tuple blocks) and, when `partitionable`, for a
+/// parallel-eligible scan, which [`build_with`] turns into a
+/// [`ParScanStream`] applying the same kernels chunk-wise. An expression
+/// the compiler rejects, or a column past the table's width, is an error
+/// before any row is read.
+fn build_chain(
     db: &mut Database,
     plan: &PhysicalPlan,
     stop_hint: Option<usize>,
     instr: Option<Instr<'_>>,
-) -> RelResult<Option<Box<dyn Operator>>> {
+    partitionable: bool,
+) -> RelResult<Option<Chain>> {
     let (proj, mut node) = match plan {
         PhysicalPlan::Project {
             input,
@@ -559,7 +600,7 @@ fn build_vectorized(
         }
     };
     let table_id = db.catalog().table(table)?.id;
-    if par::scan_goes_parallel(db, table_id, stop_hint) {
+    if partitionable && par::scan_goes_parallel(db, table_id, stop_hint) {
         return Ok(None);
     }
     let pred = scan_pred.map(compile::compile).transpose()?;
@@ -659,22 +700,13 @@ fn build_vectorized(
             });
         }
     }
-    Ok(Some(match proj_progs {
-        Some(programs) => {
-            let op = Box::new(VecProjectStream {
-                input: src,
-                programs,
-                scratch: Scratch::default(),
-            });
-            match instr {
-                Some(i) => Box::new(InstrOp {
-                    input: op,
-                    rec: NodeRecorder::new(i.prof, nodes[0]),
-                }),
-                None => op,
-            }
-        }
-        None => Box::new(VecRowsAdapter { input: src }),
+    Ok(Some(Chain {
+        batches: src,
+        proj_node: proj_progs
+            .as_ref()
+            .and(instr)
+            .map(|i| NodeRecorder::new(i.prof, nodes[0])),
+        proj: proj_progs,
     }))
 }
 
@@ -682,15 +714,13 @@ fn build_vectorized(
 ///
 /// [`Database::scan_table_page_arena`] appends whole page regions into
 /// `arena` and row bounds into `bounds` directly (one region copy per
-/// page, no per-row work); this struct only tracks the drain cursor and
-/// reclaims the buffers — which are reused page after page — once empty.
+/// page, no per-row work); [`RawRows::advance`] drops what the consumed
+/// rows leave behind, so a scan holds at most one batch plus one page.
 #[derive(Default)]
 struct RawRows {
     arena: Vec<u8>,
-    /// `(start, end)` byte bounds of each row in `arena`.
+    /// `(start, end)` byte bounds in `arena` of each row not yet handed out.
     bounds: Vec<(u32, u32)>,
-    /// Rows already consumed from the front of `bounds`.
-    consumed: usize,
 }
 
 impl RawRows {
@@ -701,22 +731,26 @@ impl RawRows {
 
     /// Rows not yet handed out.
     fn pending(&self) -> usize {
-        self.bounds.len() - self.consumed
+        self.bounds.len()
     }
 
     /// The `i`-th pending row's bytes.
     fn row(&self, i: usize) -> &[u8] {
-        let (s, e) = self.bounds[self.consumed + i];
+        let (s, e) = self.bounds[i];
         &self.arena[s as usize..e as usize]
     }
 
-    /// Consume the first `n` pending rows, reclaiming the arena once empty.
+    /// Consume the first `n` pending rows and drop the arena bytes before
+    /// every row still pending. A page's rows are not stored in offset
+    /// order (and a forwarded row's body follows its page), so the cut is
+    /// the smallest start among the pending rows, not the next row's.
     fn advance(&mut self, n: usize) {
-        self.consumed += n;
-        if self.consumed == self.bounds.len() {
-            self.arena.clear();
-            self.bounds.clear();
-            self.consumed = 0;
+        self.bounds.drain(..n);
+        let cut = self.bounds.iter().map(|&(s, _)| s).min();
+        let cut = cut.unwrap_or(self.arena.len() as u32);
+        self.arena.drain(..cut as usize);
+        for b in &mut self.bounds {
+            *b = (b.0 - cut, b.1 - cut);
         }
     }
 }
@@ -1170,30 +1204,70 @@ impl Operator for SortStream {
     }
 }
 
-/// Pipeline breaker: drains its input, groups and aggregates, then emits.
+/// Folds its input into groups as it arrives ([`aggregate::Fold`]) and
+/// emits one row per group once the input is exhausted; it never holds
+/// the input itself.
 struct AggregateStream {
-    input: Box<dyn Operator>,
-    in_schema: crate::schema::Schema,
-    out_schema: crate::schema::Schema,
-    group_by: Vec<usize>,
-    aggs: Vec<aggregate::AggSpec>,
+    input: AggInput,
+    /// The groups so far; taken when the input is exhausted.
+    fold: Option<aggregate::Fold>,
     buf: Vec<Tuple>,
     pos: usize,
-    built: bool,
+}
+
+/// Where an aggregate's rows come from.
+enum AggInput {
+    /// A fused scan chain: the aggregate evaluates the chain's projection
+    /// once per batch and folds borrowed values.
+    Chain(Chain),
+    /// Any other input, folded block by block.
+    Blocks(Box<dyn Operator>),
+}
+
+impl AggregateStream {
+    fn fold(&mut self, db: &mut Database, fold: &mut aggregate::Fold) -> RelResult<()> {
+        let chain = match &mut self.input {
+            AggInput::Blocks(op) => {
+                while let Some(block) = op.next_block(db)? {
+                    for t in &block.tuples {
+                        fold.add(|c| &t.values[c])?;
+                    }
+                }
+                return Ok(());
+            }
+            AggInput::Chain(chain) => chain,
+        };
+        let n = chain.proj.as_ref().map_or(0, Vec::len);
+        let mut scratch: Vec<Scratch> = (0..n).map(|_| Scratch::default()).collect();
+        loop {
+            let t0 = Instant::now();
+            let Some(b) = chain.batches.next_batch(db)? else {
+                break;
+            };
+            for (p, s) in chain.proj.iter().flatten().zip(&mut scratch) {
+                p.eval(&b, s)?;
+            }
+            if let Some(rec) = &mut chain.proj_node {
+                rec.elapsed_ns += t0.elapsed().as_nanos() as u64;
+                rec.tally(b.sel.len() as u64);
+            }
+            for &r in &b.sel {
+                let r = r as usize;
+                match &chain.proj {
+                    Some(ps) => fold.add(|c| ps[c].result(&b, &scratch[c], r))?,
+                    None => fold.add(|c| &b.cols[c][r])?,
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Operator for AggregateStream {
     fn next_block(&mut self, db: &mut Database) -> RelResult<Option<TupleBlock>> {
-        if !self.built {
-            let tuples = drain(self.input.as_mut(), db)?;
-            let rows = Rows {
-                schema: std::mem::take(&mut self.in_schema),
-                tuples,
-            };
-            let out_schema = std::mem::take(&mut self.out_schema);
-            let out = aggregate::aggregate(out_schema, &rows, &self.group_by, &self.aggs)?;
-            self.buf = out.tuples;
-            self.built = true;
+        if let Some(mut fold) = self.fold.take() {
+            self.fold(db, &mut fold)?;
+            self.buf = fold.finish();
         }
         emit_buffered(&mut self.buf, &mut self.pos)
     }

@@ -23,9 +23,11 @@
 //! What is checked, case by case:
 //!
 //! * **Rows and order**: joins (nested-loop and hash), index and sequential
-//!   scans, sort, distinct, and limit/offset, with WHERE conjunctions of
-//!   comparisons, arithmetic, `k / a.x` (an error where `x = 0`), LIKE,
-//!   IS NULL, and OR — over NULLs.
+//!   scans, sort, distinct, limit/offset, and aggregates (global or
+//!   `GROUP BY a.tag`; `COUNT(*)`, and `COUNT`, `SUM`, `AVG`, `MIN`, `MAX`
+//!   of `a.x`), with WHERE conjunctions of comparisons, arithmetic,
+//!   `k / a.x` (an error where `x = 0`), LIKE, IS NULL, and OR — over
+//!   NULLs. Batch sizes of 1–300 make a group span batches.
 //! * **Errors**: a run errors exactly when the reference does — except
 //!   where the streaming engine legitimately never reads the failing row:
 //!   below a satisfied LIMIT, or on the probe side of a join whose build
@@ -49,7 +51,7 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use wow_rel::db::Database;
 use wow_rel::eval::compile::compile;
-use wow_rel::exec::{execute, execute_analyzed, execute_materializing, par, PhysicalPlan};
+use wow_rel::exec::{execute, execute_analyzed, execute_materializing, par, AggFunc, PhysicalPlan};
 use wow_rel::expr::{BinOp, Expr, UnOp};
 use wow_rel::plan::{build_query_block, optimize};
 use wow_rel::quel::ast::{RetrieveStmt, SortKey, Target};
@@ -209,6 +211,26 @@ fn conj_strategy() -> impl Strategy<Value = Conj> {
     ]
 }
 
+/// The aggregates a query may compute: `COUNT(*)`, then `COUNT`, `SUM`,
+/// `AVG`, `MIN` and `MAX` over `a.x` (which holds NULLs).
+const AGGS: [(&str, AggFunc, bool); 6] = [
+    ("n", AggFunc::Count, false),
+    ("nx", AggFunc::Count, true),
+    ("sx", AggFunc::Sum, true),
+    ("ax", AggFunc::Avg, true),
+    ("lo", AggFunc::Min, true),
+    ("hi", AggFunc::Max, true),
+];
+
+/// An aggregate query's shape.
+#[derive(Debug, Clone, Copy)]
+struct Agg {
+    /// `GROUP BY a.tag` (and retrieve `a.tag`), else one global group.
+    grouped: bool,
+    /// Which of [`AGGS`] to compute, one bit each (never 0).
+    which: usize,
+}
+
 /// A generated query, instantiated per world by [`Query::stmt`].
 #[derive(Debug)]
 pub struct Query {
@@ -220,6 +242,9 @@ pub struct Query {
     unique: bool,
     sorted: bool,
     limit: Option<(usize, usize)>,
+    /// Aggregate instead of projecting; the projection flags then do not
+    /// apply, and a sort is by the group column.
+    agg: Option<Agg>,
 }
 
 impl Query {
@@ -229,6 +254,9 @@ impl Query {
             expr,
         };
         let col = |n: &str| Expr::ColumnRef(n.into());
+        if let Some(agg) = self.agg {
+            return self.agg_stmt(agg, big);
+        }
         let mut targets = vec![target(None, col("a.x")), target(None, col("a.tag"))];
         if self.project_expr {
             let sum = Expr::Binary {
@@ -241,28 +269,73 @@ impl Query {
         if self.project_b {
             targets.push(target(None, col("b.x")));
         }
-        let mut conjs: Vec<Conj> = self.conjs.clone();
-        if big {
-            conjs.retain(|c| !matches!(c, Conj::JoinX));
-            if self.project_b || conjs.iter().any(Conj::reads_b) {
-                conjs.push(Conj::JoinId);
+        RetrieveStmt {
+            unique: self.unique,
+            targets,
+            where_: self.where_(big),
+            group_by: vec![],
+            sort_by: self.sort_by("a.x"),
+            limit: self.limit,
+        }
+    }
+
+    fn agg_stmt(&self, agg: Agg, big: bool) -> RetrieveStmt {
+        let mut targets = Vec::new();
+        if agg.grouped {
+            targets.push(Target::Expr {
+                name: None,
+                expr: Expr::ColumnRef("a.tag".into()),
+            });
+        }
+        for (i, (name, func, of_x)) in AGGS.into_iter().enumerate() {
+            if agg.which & (1 << i) != 0 {
+                targets.push(Target::Agg {
+                    name: Some(name.into()),
+                    func,
+                    arg: of_x.then(|| Expr::ColumnRef("a.x".into())),
+                });
             }
         }
         RetrieveStmt {
             unique: self.unique,
             targets,
-            where_: (!conjs.is_empty())
-                .then(|| Expr::conjunction(conjs.iter().map(Conj::to_expr).collect())),
-            group_by: vec![],
-            sort_by: if self.sorted {
-                vec![SortKey {
-                    column: "a.x".into(),
-                    ascending: true,
-                }]
+            where_: self.where_(big),
+            group_by: if agg.grouped {
+                vec!["a.tag".into()]
+            } else {
+                vec![]
+            },
+            sort_by: if agg.grouped {
+                self.sort_by("a.tag")
             } else {
                 vec![]
             },
             limit: self.limit,
+        }
+    }
+
+    /// The WHERE clause; in the big world a query that reads `b` joins on
+    /// `a.id = b.id`.
+    fn where_(&self, big: bool) -> Option<Expr> {
+        let mut conjs: Vec<Conj> = self.conjs.clone();
+        if big {
+            conjs.retain(|c| !matches!(c, Conj::JoinX));
+            let project_b = self.project_b && self.agg.is_none();
+            if project_b || conjs.iter().any(Conj::reads_b) {
+                conjs.push(Conj::JoinId);
+            }
+        }
+        (!conjs.is_empty()).then(|| Expr::conjunction(conjs.iter().map(Conj::to_expr).collect()))
+    }
+
+    fn sort_by(&self, column: &str) -> Vec<SortKey> {
+        if self.sorted {
+            vec![SortKey {
+                column: column.into(),
+                ascending: true,
+            }]
+        } else {
+            vec![]
         }
     }
 
@@ -475,7 +548,8 @@ pub fn batch_size() -> impl Strategy<Value = usize> {
 }
 
 /// A query of 0–3 conjuncts with optional projections, UNIQUE, sort and
-/// limit/offset.
+/// limit/offset; one in three aggregates instead of projecting, globally
+/// or grouped by `a.tag`.
 pub fn query() -> impl Strategy<Value = Query> {
     let rare = || prop_oneof![2 => Just(false), 1 => Just(true)];
     let shape = (
@@ -484,14 +558,19 @@ pub fn query() -> impl Strategy<Value = Query> {
         any::<bool>(),
     );
     let limit = prop_oneof![2 => Just(None), 1 => ((0usize..6), (0usize..20)).prop_map(Some)];
-    (shape, (rare(), rare(), limit)).prop_map(
-        |((conjs, project_expr, project_b), (unique, sorted, limit))| Query {
+    let agg = prop_oneof![
+        2 => Just(None),
+        1 => (any::<bool>(), 1usize..64).prop_map(|(grouped, which)| Some(Agg { grouped, which })),
+    ];
+    (shape, (rare(), rare(), limit), agg).prop_map(
+        |((conjs, project_expr, project_b), (unique, sorted, limit), agg)| Query {
             conjs,
             project_expr,
             project_b,
             unique,
             sorted,
             limit,
+            agg,
         },
     )
 }

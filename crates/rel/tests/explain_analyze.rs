@@ -148,6 +148,35 @@ fn fused_scan_chain_keeps_preorder_indices() {
 }
 
 #[test]
+fn aggregate_profile_counts_the_chain_it_folds() {
+    // The aggregate folds its fused chain's batches itself, evaluating the
+    // chain's projection; that Project node still reports its rows.
+    let mut db = ten_rows().read_replica();
+    db.set_batch_size(4);
+    let Statement::Retrieve(stmt) =
+        parse_program("RETRIEVE (a.tag, n = COUNT(*), s = SUM(a.x)) WHERE a.x >= 1 GROUP BY a.tag")
+            .unwrap()
+            .pop()
+            .unwrap()
+    else {
+        unreachable!()
+    };
+    let plan = optimize(&db, &build_query_block(&db, &stmt).unwrap()).unwrap();
+    let (rows, profile) = execute_analyzed(&mut db, &plan).unwrap();
+    assert_eq!(rows.tuples.len(), 2, "red and blue");
+    let rendered = profile.render(&plan);
+    let lines: Vec<&str> = rendered.lines().collect();
+    assert_eq!(lines.len(), plan.node_count());
+    // Project ∘ Aggregate ∘ Project ∘ SeqScan: x >= 1 keeps 7 of 10 rows.
+    assert!(lines[1].starts_with("  Aggregate"), "{rendered}");
+    assert_eq!(profile.nodes[1].rows_out, 2, "aggregate");
+    assert_eq!(profile.nodes[2].rows_out, 7, "folded project");
+    assert!(profile.nodes[2].batches >= 2, "batch size 4: {rendered}");
+    assert_eq!(profile.nodes[3].rows_out, 7, "scan");
+    assert!(lines[1].contains("rows_in=7"), "{rendered}");
+}
+
+#[test]
 fn traced_run_mirrors_operator_tree() {
     let mut db = ten_rows().read_replica();
     let schema = db.catalog().table("t").unwrap().schema.qualified("a");

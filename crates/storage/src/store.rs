@@ -3,14 +3,15 @@
 //! [`MemStore`] holds the one copy of every page of a database in memory;
 //! [`HeapFile`](crate::heap::HeapFile) and [`BTree`](crate::btree::BTree)
 //! read and write it directly through closure-scoped borrows.
-//! [`FileStore`] persists page images to a single file; durable checkpoints
-//! copy the `MemStore`'s live pages into one.
+//! [`FileStore`] reads a file of page images; a durable checkpoint writes
+//! one from a `MemStore` in a single sequential pass
+//! ([`FileStore::write_image`]).
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The in-memory page store: every page of a database, once.
@@ -53,6 +54,13 @@ impl MemStore {
     /// Number of page ids ever handed out (including freed ones).
     pub fn page_count(&self) -> u64 {
         self.slots.read().pages.len() as u64
+    }
+
+    /// The ids of freed pages not yet recycled, ascending.
+    pub fn free_pages(&self) -> Vec<u64> {
+        let mut free = self.slots.read().free.clone();
+        free.sort_unstable();
+        free
     }
 
     /// Allocate a zero-filled page, recycling a freed id when there is one.
@@ -107,31 +115,20 @@ impl Default for MemStore {
 const FILE_HEADER: u64 = 64;
 const MAGIC: u32 = 0x574F_5732; // "WOW2"
 const VERSION: u32 = 2;
-/// Sentinel for "no free page" in the free-list chain.
+/// Header bytes 16..32 are a free chain's head and length in the file
+/// format. An image has no free chain (its free slots are zero pages), so
+/// they always read `NIL` and 0, and files written before stay readable.
 const NIL: u64 = u64::MAX;
 
-/// A file-backed page store.
+/// A file of page images.
 ///
 /// Page `i` lives at byte offset `FILE_HEADER + i * PAGE_SIZE`. The header
-/// records a magic number, the allocated page count, the head and length of
-/// the persistent free list, and an optional metadata blob (used by durable
-/// checkpoints to carry the serialized catalog alongside the page images).
-///
-/// Freed pages form an on-disk chain: the first 8 bytes of a free page hold
-/// the id of the next free page, and the header holds the chain head — so
-/// pages freed in one process lifetime are recycled in the next, and
-/// long-lived worlds stop growing without bound. The two writes a `free`
-/// performs (chain pointer, then header) are not atomic; a crash between
-/// them leaks that one page, which wastes space but never corrupts data.
-///
-/// The metadata blob lives after the last page. Allocating a page would
-/// overwrite it, so `allocate` invalidates any stored blob; checkpoint
-/// writers set it last.
+/// records a magic number, the page count, and an optional metadata blob
+/// (used by durable checkpoints to carry the serialized catalog alongside
+/// the page images), which lives after the last page.
 pub struct FileStore {
     file: File,
     next: u64,
-    free_head: u64,
-    free_len: u64,
     meta_len: u64,
     meta_crc: u64,
 }
@@ -149,8 +146,6 @@ impl FileStore {
         let mut store = FileStore {
             file,
             next: 0,
-            free_head: NIL,
-            free_len: 0,
             meta_len: 0,
             meta_crc: 0,
         };
@@ -172,23 +167,47 @@ impl FileStore {
                 return Err(StorageError::Corrupt("unsupported file-store version"));
             }
             store.next = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            store.free_head = u64::from_le_bytes(header[16..24].try_into().unwrap());
-            store.free_len = u64::from_le_bytes(header[24..32].try_into().unwrap());
             store.meta_len = u64::from_le_bytes(header[32..40].try_into().unwrap());
             store.meta_crc = u64::from_le_bytes(header[40..48].try_into().unwrap());
         }
         Ok(store)
     }
 
-    fn write_header(&mut self) -> StorageResult<()> {
+    /// Write every page of `store` (a free slot as a zero page) and the
+    /// `meta` blob to a new file at `path` in one sequential pass — header,
+    /// pages, blob — then sync it.
+    pub fn write_image(path: &Path, store: &MemStore, meta: &[u8]) -> StorageResult<()> {
+        let page_count = store.page_count();
+        let file = File::create(path)?;
+        let mut out = BufWriter::with_capacity(64 * PAGE_SIZE, file);
+        let crc = crate::wal::fnv1a(meta);
+        out.write_all(&Self::header(page_count, meta.len() as u64, crc))?;
+        let zero = Page::zeroed();
+        for id in 0..page_count {
+            match store.with_page(PageId(id), |p| out.write_all(p.as_slice())) {
+                Ok(written) => written?,
+                Err(StorageError::PageNotFound(_)) => out.write_all(zero.as_slice())?,
+                Err(e) => return Err(e),
+            }
+        }
+        out.write_all(meta)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+        Ok(())
+    }
+
+    fn header(pages: u64, meta_len: u64, meta_crc: u64) -> [u8; FILE_HEADER as usize] {
         let mut header = [0u8; FILE_HEADER as usize];
         header[..4].copy_from_slice(&MAGIC.to_le_bytes());
         header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&self.next.to_le_bytes());
-        header[16..24].copy_from_slice(&self.free_head.to_le_bytes());
-        header[24..32].copy_from_slice(&self.free_len.to_le_bytes());
-        header[32..40].copy_from_slice(&self.meta_len.to_le_bytes());
-        header[40..48].copy_from_slice(&self.meta_crc.to_le_bytes());
+        header[8..16].copy_from_slice(&pages.to_le_bytes());
+        header[16..24].copy_from_slice(&NIL.to_le_bytes());
+        header[32..40].copy_from_slice(&meta_len.to_le_bytes());
+        header[40..48].copy_from_slice(&meta_crc.to_le_bytes());
+        header
+    }
+
+    fn write_header(&mut self) -> StorageResult<()> {
+        let header = Self::header(self.next, self.meta_len, self.meta_crc);
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
         Ok(())
@@ -196,11 +215,6 @@ impl FileStore {
 
     fn offset(id: PageId) -> u64 {
         FILE_HEADER + id.0 * PAGE_SIZE as u64
-    }
-
-    /// Number of pages currently on the free list.
-    pub fn free_count(&self) -> u64 {
-        self.free_len
     }
 
     /// Store a metadata blob after the page region (checksummed; replaces
@@ -232,37 +246,6 @@ impl FileStore {
         Ok(Some(buf))
     }
 
-    /// Allocate a zero-filled page (popping the persistent free chain
-    /// first) and return its id.
-    pub fn allocate(&mut self) -> StorageResult<PageId> {
-        let id = if self.free_head != NIL {
-            // Pop the head of the persistent free chain.
-            let id = PageId(self.free_head);
-            let mut link = [0u8; 8];
-            self.file.seek(SeekFrom::Start(Self::offset(id)))?;
-            self.file.read_exact(&mut link)?;
-            self.free_head = u64::from_le_bytes(link);
-            self.free_len -= 1;
-            self.write_header()?;
-            id
-        } else {
-            let id = PageId(self.next);
-            self.next += 1;
-            if self.meta_len != 0 {
-                // The new page's bytes land where the blob was.
-                self.meta_len = 0;
-                self.meta_crc = 0;
-            }
-            self.write_header()?;
-            id
-        };
-        // Materialize the zero page so reads of fresh pages succeed.
-        let zero = Page::zeroed();
-        self.file.seek(SeekFrom::Start(Self::offset(id)))?;
-        self.file.write_all(zero.as_slice())?;
-        Ok(id)
-    }
-
     /// Read page `id` into `out`.
     pub fn read(&mut self, id: PageId, out: &mut Page) -> StorageResult<()> {
         if id.0 >= self.next {
@@ -273,32 +256,7 @@ impl FileStore {
         Ok(())
     }
 
-    /// Write the page image at `id`.
-    pub fn write(&mut self, id: PageId, page: &Page) -> StorageResult<()> {
-        if id.0 >= self.next {
-            return Err(StorageError::PageNotFound(id.0));
-        }
-        self.file.seek(SeekFrom::Start(Self::offset(id)))?;
-        self.file.write_all(page.as_slice())?;
-        Ok(())
-    }
-
-    /// Push page `id` onto the persistent free chain.
-    pub fn free(&mut self, id: PageId) -> StorageResult<()> {
-        if id.0 >= self.next {
-            return Err(StorageError::PageNotFound(id.0));
-        }
-        // Chain pointer first, header second: a crash in between leaks the
-        // page instead of corrupting the chain.
-        self.file.seek(SeekFrom::Start(Self::offset(id)))?;
-        self.file.write_all(&self.free_head.to_le_bytes())?;
-        self.free_head = id.0;
-        self.free_len += 1;
-        self.write_header()?;
-        Ok(())
-    }
-
-    /// Number of pages ever allocated (including freed ones).
+    /// Number of pages in the image (free slots included).
     pub fn page_count(&self) -> u64 {
         self.next
     }
@@ -414,80 +372,58 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wow-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.db");
-        let _ = std::fs::remove_file(&path);
-        let id;
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            id = s.allocate().unwrap();
-            let mut p = Page::zeroed();
-            p.as_mut_slice()[100] = 0x77;
-            s.write(id, &p).unwrap();
-            s.sync().unwrap();
-        }
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            assert_eq!(s.page_count(), 1);
-            let mut out = Page::zeroed();
-            s.read(id, &mut out).unwrap();
-            assert_eq!(out.as_slice()[100], 0x77);
-        }
+        let mem = MemStore::new();
+        let ids: Vec<PageId> = (0..3).map(|_| mem.allocate()).collect();
+        mem.with_page_mut(ids[0], |p| p.as_mut_slice()[100] = 0x77)
+            .unwrap();
+        mem.with_page_mut(ids[1], |p| p.as_mut_slice()[7] = 1)
+            .unwrap();
+        mem.with_page_mut(ids[2], |p| p.as_mut_slice()[9] = 0x33)
+            .unwrap();
+        mem.free(ids[1]).unwrap();
+        assert_eq!(mem.free_pages(), vec![ids[1].0]);
+        FileStore::write_image(&path, &mem, b"catalog").unwrap();
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.page_count(), 3);
+        let mut out = Page::zeroed();
+        s.read(ids[0], &mut out).unwrap();
+        assert_eq!(out.as_slice()[100], 0x77);
+        s.read(ids[1], &mut out).unwrap();
+        assert!(
+            out.as_slice().iter().all(|&x| x == 0),
+            "a free slot is zeroed"
+        );
+        s.read(ids[2], &mut out).unwrap();
+        assert_eq!(out.as_slice()[9], 0x33);
+        assert_eq!(s.get_meta().unwrap().as_deref(), Some(&b"catalog"[..]));
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(len, FILE_HEADER + 3 * PAGE_SIZE as u64 + 7);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn filestore_free_list_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("wow-store-free-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.db");
-        let _ = std::fs::remove_file(&path);
-        let (a, b);
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            a = s.allocate().unwrap();
-            b = s.allocate().unwrap();
-            s.allocate().unwrap();
-            s.free(a).unwrap();
-            s.free(b).unwrap();
-            assert_eq!(s.free_count(), 2);
-            s.sync().unwrap();
-        }
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            assert_eq!(s.free_count(), 2, "free list persisted");
-            // LIFO chain: b was freed last, so it comes back first.
-            assert_eq!(s.allocate().unwrap(), b);
-            assert_eq!(s.allocate().unwrap(), a);
-            assert_eq!(s.free_count(), 0);
-            assert_eq!(s.page_count(), 3, "no growth: freed pages recycled");
-            // Recycled pages come back zeroed (the chain pointer is gone).
-            let mut out = Page::zeroed();
-            s.read(a, &mut out).unwrap();
-            assert!(out.as_slice().iter().all(|&x| x == 0));
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn filestore_meta_round_trips_and_allocate_invalidates() {
+    fn filestore_meta_round_trips() {
         let dir = std::env::temp_dir().join(format!("wow-store-meta-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.db");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            s.allocate().unwrap();
-            s.set_meta(b"catalog goes here").unwrap();
-            s.sync().unwrap();
-        }
+        let mem = MemStore::new();
+        mem.allocate();
+        FileStore::write_image(&path, &mem, b"catalog goes here").unwrap();
         {
             let mut s = FileStore::open(&path).unwrap();
             assert_eq!(
                 s.get_meta().unwrap().as_deref(),
                 Some(&b"catalog goes here"[..])
             );
-            s.allocate().unwrap();
-            assert_eq!(s.get_meta().unwrap(), None, "allocate invalidates meta");
+            s.set_meta(b"a new catalog").unwrap();
+            s.sync().unwrap();
         }
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(
+            s.get_meta().unwrap().as_deref(),
+            Some(&b"a new catalog"[..])
+        );
+        assert_eq!(s.page_count(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 
